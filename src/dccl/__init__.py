@@ -2,152 +2,20 @@
 continual learning: projected SGD over a gossip graph with a lossless
 subspace-coefficient codec, plus baselines and metrics."""
 
-from .ewc import (
-    FisherState,
-    accumulate_fisher,
-    ewc_grad,
-    fisher_average,
-    fisher_estimate,
-)
-from .gpm import (
-    GpmState,
-    LayerBasis,
-    ThresholdSchedule,
-    decode,
-    descent_check,
-    empirical_mu,
-    encode,
-    load_state,
-    project,
-    save_state,
-    update_memory,
-)
-from .linalg import (
-    complete_orthonormal,
-    frobenius_norm,
-    matmul,
-    orthonormal_complement,
-    spectral_radius_nontrivial,
-    svd_full,
-)
-from .metrics import (
-    AccuracyMatrix,
-    acc,
-    bwt,
-    compression_ratio,
-    diagonal_mean,
-    emit_reports,
-    per_layer_compression,
-)
-from .model import (
-    GradientSet,
-    Mlp,
-    capture_representation,
-    flatten_params,
-    forward,
-    init_mlp,
-    loss_and_grad,
-    sgd_step,
-    unflatten_params,
-)
-from .tasks import (
-    LabeledDataset,
-    TaskSequence,
-    TaskShard,
-    generate_synthetic_sequence,
-    load_csv_dataset,
-    save_csv_dataset,
-    shard_iid,
-)
-from .topology import (
-    MixingMatrix,
-    Topology,
-    build_mixing,
-    neighbors,
-    parse_topology,
-    validate_assumption3,
-)
-from .trainer import (
-    AgentState,
-    CommLedger,
-    ProtocolError,
-    RunResult,
-    TrainConfig,
-    consensus_error,
-    gossip_round,
-    local_step,
-    reset_aggregates,
-    run_dewc,
-    run_naive,
-    run_sequence,
-    run_stl,
-)
+from .gpm import ThresholdSchedule
+from .tasks import generate_synthetic_sequence
+from .topology import parse_topology
+from .trainer import TrainConfig, run_dewc, run_naive, run_sequence, run_stl
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyMatrix",
-    "AgentState",
-    "CommLedger",
-    "FisherState",
-    "GpmState",
-    "GradientSet",
-    "LabeledDataset",
-    "LayerBasis",
-    "MixingMatrix",
-    "Mlp",
-    "ProtocolError",
-    "RunResult",
-    "TaskSequence",
-    "TaskShard",
     "ThresholdSchedule",
-    "Topology",
     "TrainConfig",
-    "acc",
-    "accumulate_fisher",
-    "bwt",
-    "build_mixing",
-    "capture_representation",
-    "complete_orthonormal",
-    "compression_ratio",
-    "consensus_error",
-    "decode",
-    "descent_check",
-    "diagonal_mean",
-    "emit_reports",
-    "empirical_mu",
-    "encode",
-    "ewc_grad",
-    "fisher_average",
-    "fisher_estimate",
-    "flatten_params",
-    "forward",
-    "frobenius_norm",
     "generate_synthetic_sequence",
-    "gossip_round",
-    "init_mlp",
-    "load_csv_dataset",
-    "load_state",
-    "local_step",
-    "loss_and_grad",
-    "matmul",
-    "neighbors",
-    "orthonormal_complement",
     "parse_topology",
-    "per_layer_compression",
-    "project",
-    "reset_aggregates",
     "run_dewc",
     "run_naive",
     "run_sequence",
     "run_stl",
-    "save_csv_dataset",
-    "save_state",
-    "sgd_step",
-    "shard_iid",
-    "spectral_radius_nontrivial",
-    "svd_full",
-    "unflatten_params",
-    "update_memory",
-    "validate_assumption3",
 ]

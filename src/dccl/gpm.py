@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_matrix, frobenius_norm, orthonormal_complement, svd_full
+from .linalg import check_matrix, frobenius_norm
 
 
 @dataclass
@@ -91,11 +91,14 @@ def update_memory(
 ) -> GpmState:
     """Grow each layer's memory to cover a fraction eps_th of its input energy.
 
-    For a representation matrix R (columns are samples) the residual
-    (I - m m^T) R is factored by SVD and the minimal number k of leading
-    left singular vectors is appended so that the retained energy
-    ||m^T R||_F^2 + sum_{j<=k} s_j^2 reaches eps_th * ||R||_F^2.  Layers
-    whose R already lies inside span(m) are left untouched.  Ranks never
+    For a representation matrix R (columns are samples) the memory grows in
+    complement coordinates: one SVD ``o^T R = U diag(s) V^T`` and the minimal
+    k with ||m^T R||_F^2 + sum_{j<=k} s_j^2 >= eps_th * ||R||_F^2 give
+    ``m' = [m | o U[:, :k]]`` and ``o' = o U[:, k:]``.  Since [m | o] is
+    orthogonal, ``s`` are the singular values of the residual (I - m m^T) R
+    and ``o U`` its left singular vectors, and [m' | o'] stays orthogonal
+    without a second decomposition.  Layers whose R is already covered are
+    left untouched; old memory columns are kept bitwise and ranks never
     shrink.
     """
     if not 0.0 < eps_th < 1.0:
@@ -121,20 +124,23 @@ def update_memory(
         if covered >= target:
             new_layers.append(basis.copy())
             continue
-        residual = rep - basis.m @ (basis.m.T @ rep)
-        u, s, _ = svd_full(residual)
+        u, s, _ = np.linalg.svd(basis.o.T @ rep)
         energies = covered + np.cumsum(s * s)
         reachable = np.flatnonzero(energies >= target)
         if reachable.size:
             k = int(reachable[0]) + 1
         else:
             k = int(np.sum(s > 0.0))  # take every direction with energy left
-        k = min(k, n - basis.rank)
         if k == 0:
             new_layers.append(basis.copy())
             continue
-        m_new = np.concatenate([basis.m, u[:, :k]], axis=1)
-        new_layers.append(LayerBasis(m=m_new, o=orthonormal_complement(m_new)))
+        rotated = basis.o @ u
+        new_layers.append(
+            LayerBasis(
+                m=np.concatenate([basis.m, rotated[:, :k]], axis=1),
+                o=rotated[:, k:],
+            )
+        )
     return GpmState(layers=new_layers)
 
 
@@ -160,14 +166,6 @@ def decode(c: np.ndarray, o: np.ndarray) -> np.ndarray:
     if o.shape[1] == 0:
         return np.zeros((o.shape[0], c.shape[1]))
     return o @ c
-
-
-def empirical_mu(g: np.ndarray, g_tilde: np.ndarray) -> float:
-    """Norm ratio ||g_tilde|| / ||g||; defined as 1 for a zero gradient."""
-    ng = frobenius_norm(g)
-    if ng == 0.0:
-        return 1.0
-    return frobenius_norm(g_tilde) / ng
 
 
 def descent_check(g: np.ndarray, g_tilde: np.ndarray) -> float:

@@ -1,20 +1,14 @@
-"""Dense 64-bit linear algebra primitives used throughout the simulator.
+"""Dense 64-bit linear algebra helpers used throughout the simulator.
 
-Everything operates on 2-D float64 numpy arrays.  The decomposition code is
-self-contained (one-sided Jacobi SVD plus Householder basis completion) so
-that the numerical behaviour of the simulator does not depend on the LAPACK
-build it happens to run against.
+Everything operates on 2-D float64 numpy arrays.  Decompositions are
+numpy's LAPACK routines; like every matrix product in the simulator they
+are deterministic for a given machine and numpy/BLAS build.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-_JACOBI_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 60
-_RANK_REL_TOL = 1e-13
 _STOCHASTIC_TOL = 1e-9
 
 
@@ -28,119 +22,9 @@ def check_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit conformability checking."""
-    a = check_matrix(a, "left operand")
-    b = check_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"inner dimensions do not match: {a.shape} x {b.shape}"
-        )
-    return a @ b
-
-
 def frobenius_norm(a: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64)
     return float(np.sqrt(np.sum(a * a)))
-
-
-def _one_sided_jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonalize the columns of ``a`` (m x n, m >= n) by plane rotations.
-
-    Returns ``(b, v)`` with ``b = a @ v`` and ``v`` orthogonal.  At
-    convergence the columns of ``b`` are mutually orthogonal, so their norms
-    are the singular values of ``a``.
-    """
-    b = a.copy()
-    n = b.shape[1]
-    v = np.eye(n)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        rotated = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                x = b[:, i]
-                y = b[:, j]
-                alpha = float(x @ x)
-                beta = float(y @ y)
-                gamma = float(x @ y)
-                if abs(gamma) <= _JACOBI_TOL * math.sqrt(alpha * beta):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (
-                    abs(zeta) + math.sqrt(1.0 + zeta * zeta)
-                )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                bi = c * x - s * y
-                bj = s * x + c * y
-                b[:, i] = bi
-                b[:, j] = bj
-                vi = c * v[:, i] - s * v[:, j]
-                vj = s * v[:, i] + c * v[:, j]
-                v[:, i] = vi
-                v[:, j] = vj
-        if not rotated:
-            break
-    return b, v
-
-
-def _householder_full_q(a: np.ndarray) -> np.ndarray:
-    """Full orthogonal factor of a Householder QR of ``a`` (n x p).
-
-    Reflections are skipped for columns that are already triangular, so an
-    identity input yields an identity Q.
-    """
-    n, p = a.shape
-    r = a.copy()
-    q = np.eye(n)
-    for j in range(min(n, p)):
-        x = r[j:, j]
-        if j + 1 >= n or frobenius_norm(x[1:].reshape(-1, 1)) == 0.0:
-            continue
-        normx = frobenius_norm(x.reshape(-1, 1))
-        v = x.copy()
-        v[0] += math.copysign(normx, x[0] if x[0] != 0.0 else 1.0)
-        v /= frobenius_norm(v.reshape(-1, 1))
-        r[j:, :] -= 2.0 * np.outer(v, v @ r[j:, :])
-        q[:, j:] -= 2.0 * np.outer(q[:, j:] @ v, v)
-    return q
-
-
-def complete_orthonormal(cols: np.ndarray, n: int) -> np.ndarray:
-    """Extend ``cols`` (n x k, orthonormal) to a full n x n orthonormal basis."""
-    k = cols.shape[1]
-    if k >= n:
-        return cols[:, :n].copy()
-    stacked = np.concatenate([cols, np.eye(n)], axis=1)
-    q = _householder_full_q(stacked)
-    return np.concatenate([cols, q[:, k:n]], axis=1)
-
-
-def svd_full(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD ``a = u @ diag(s) @ vt`` via one-sided Jacobi rotations.
-
-    ``u`` is m x m orthogonal, ``vt`` is n x n orthogonal, and ``s`` holds
-    the min(m, n) singular values in non-increasing order.
-    """
-    a = check_matrix(a)
-    if a.size == 0:
-        raise ValueError("svd_full requires a nonempty matrix")
-    m, n = a.shape
-    if m < n:
-        u_t, s, vt_t = svd_full(a.T)
-        return vt_t.T, s, u_t.T
-    b, v = _one_sided_jacobi(a)
-    s = np.sqrt(np.sum(b * b, axis=0))
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
-    b = b[:, order]
-    v = v[:, order]
-    cutoff = s[0] * _RANK_REL_TOL if s.size else 0.0
-    rank = int(np.sum(s > cutoff))
-    u_cols = b[:, :rank] / s[:rank]
-    u = complete_orthonormal(u_cols, m)
-    return u, s, v.T
 
 
 def orthonormal_complement(m: np.ndarray) -> np.ndarray:
@@ -165,7 +49,7 @@ def orthonormal_complement(m: np.ndarray) -> np.ndarray:
         )
     if r == n:
         return np.zeros((n, 0))
-    u, _, _ = svd_full(m)
+    u, _, _ = np.linalg.svd(m)
     return u[:, r:].copy()
 
 
@@ -179,52 +63,13 @@ def _check_doubly_stochastic(w: np.ndarray) -> None:
         )
 
 
-def _orthonormalize_block(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Gram-Schmidt with re-orthogonalization; degenerate columns are refilled."""
-    n, k = z.shape
-    q = np.zeros((n, k))
-    for j in range(k):
-        v = z[:, j].copy()
-        original = frobenius_norm(v.reshape(-1, 1))
-        for _ in range(2):
-            for i in range(j):
-                v -= (q[:, i] @ v) * q[:, i]
-        norm = frobenius_norm(v.reshape(-1, 1))
-        # a residual tiny relative to the input is parallel rounding noise,
-        # not a direction; replace it with a fresh random column
-        while norm <= 1e-10 * max(original, 1e-300):
-            v = rng.standard_normal(n)
-            original = frobenius_norm(v.reshape(-1, 1))
-            for _ in range(2):
-                for i in range(j):
-                    v -= (q[:, i] @ v) * q[:, i]
-            norm = frobenius_norm(v.reshape(-1, 1))
-        q[:, j] = v / norm
-    return q
-
-
-def _max_eig_magnitude_small(t: np.ndarray) -> float:
-    """Largest eigenvalue magnitude of a 1x1 or 2x2 matrix, closed form."""
-    if t.shape == (1, 1):
-        return abs(float(t[0, 0]))
-    tr = float(t[0, 0] + t[1, 1])
-    det = float(t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0])
-    disc = tr * tr - 4.0 * det
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        return max(abs((tr + root) / 2.0), abs((tr - root) / 2.0))
-    # complex conjugate pair: |lambda|^2 = det
-    return math.sqrt(det)
-
-
 def spectral_radius_nontrivial(w: np.ndarray) -> float:
     """Largest eigenvalue magnitude of the disagreement operator of ``w``.
 
     For a doubly stochastic ``w`` this is the contraction factor on the
     subspace orthogonal to consensus, i.e. the spectral radius of
-    ``(I - (1/N) 1 1^T) w``.  Computed by block power iteration with Ritz
-    magnitudes extracted from the projected 2x2 problem, which handles the
-    complex conjugate pairs arising from directed topologies.
+    ``(I - (1/N) 1 1^T) w``.  Directed topologies give complex eigenvalues,
+    hence the general (non-symmetric) eigensolver.
     """
     w = check_matrix(w, "mixing matrix")
     n = w.shape[0]
@@ -233,26 +78,10 @@ def spectral_radius_nontrivial(w: np.ndarray) -> float:
     _check_doubly_stochastic(w)
     if n == 1:
         return 0.0
-    mean_op = np.full((n, n), 1.0 / n)
-    b = matmul(np.eye(n) - mean_op, w)
+    b = (np.eye(n) - np.full((n, n), 1.0 / n)) @ w
     if frobenius_norm(b) < 1e-14:
         return 0.0
-    rng = np.random.default_rng(np.random.SeedSequence(0x5EED0))
-    block = min(2, n)
-    q = _orthonormalize_block(rng.standard_normal((n, block)), rng)
-    estimate = math.inf
-    stable = 0
-    for iteration in range(20000):
-        q = _orthonormalize_block(b @ q, rng)
-        t = q.T @ (b @ q)
-        current = _max_eig_magnitude_small(t)
-        if abs(current - estimate) <= 1e-14 * max(1.0, current):
-            stable += 1
-        else:
-            stable = 0
-        estimate = current
-        if stable >= 10 and iteration >= 30:
-            break
+    radius = float(np.max(np.abs(np.linalg.eigvals(b))))
     # a doubly stochastic matrix cannot contract by less than 0 or expand;
-    # trim Ritz rounding that lands a hair outside [0, 1]
-    return float(min(max(estimate, 0.0), 1.0))
+    # trim eigensolver rounding that lands a hair outside [0, 1]
+    return min(max(radius, 0.0), 1.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +144,8 @@ def load_csv_dataset(path: str, train_fraction: float = 0.8) -> LabeledDataset:
                 row = [float(p) for p in parts[1:]]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric feature") from exc
+            if not all(math.isfinite(v) for v in row):
+                raise ValueError(f"{path}:{lineno}: non-finite feature")
             labels.append(label)
             features.append(row)
     if not features:

@@ -718,17 +718,14 @@ def run_dewc(
     mode: str = "online",
 ) -> RunResult:
     """Quadratic-penalty baseline; raw gossip, no projection, no codec."""
-    config.compression = False
     return _Engine(config, sequence, "dewc", lam=lam, ewc_mode=mode).run()
 
 
 def run_stl(config: TrainConfig, sequence: TaskSequence) -> RunResult:
     """Fresh decentralized model per task; fills only the diagonal."""
-    config.compression = False
     return _Engine(config, sequence, "stl").run()
 
 
 def run_naive(config: TrainConfig, sequence: TaskSequence) -> RunResult:
     """Sequential decentralized SGD with no forgetting mitigation."""
-    config.compression = False
     return _Engine(config, sequence, "naive").run()

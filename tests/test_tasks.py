@@ -144,6 +144,12 @@ def test_csv_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ValueError, match="2"):
         load_csv_dataset(str(textual))
 
+    for bad in ("nan", "inf", "-inf"):
+        nonfinite = tmp_path / "nonfinite.csv"
+        nonfinite.write_text(f"0,1.0,2.0\n1,3.0,4.0\n0,1.0,{bad}\n")
+        with pytest.raises(ValueError, match=":3: non-finite feature"):
+            load_csv_dataset(str(nonfinite))
+
     badlabel = tmp_path / "badlabel.csv"
     badlabel.write_text("0.5,1.0,2.0\n")
     with pytest.raises(ValueError, match="1"):

@@ -222,6 +222,15 @@ def test_gpm_state_is_shared_and_grows(tmp_path):
     assert naive.gpm is None
 
 
+def test_baselines_leave_the_callers_config_alone():
+    seq = generate_synthetic_sequence(1, 2, 16, 40, 6)
+    for run in (run_naive, run_stl, run_dewc):
+        cfg = _config("ring", 4, epochs=1)
+        run(cfg, seq)
+        assert cfg.compression is True
+        assert cfg == _config("ring", 4, epochs=1)
+
+
 def test_learning_rate_decay_changes_late_rounds():
     seq = generate_synthetic_sequence(1, 2, 16, 60, 12)
     flat = run_sequence(_config("ring", 4, epochs=4), seq)
