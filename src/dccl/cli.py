@@ -22,7 +22,14 @@ from .gpm import ThresholdSchedule, save_state
 from .metrics import emit_reports
 from .tasks import TaskSequence, generate_synthetic_sequence, load_csv_dataset
 from .topology import build_mixing, parse_topology, validate_assumption3
-from .trainer import TrainConfig, run_dewc, run_naive, run_sequence, run_stl
+from .trainer import (
+    NonFiniteError,
+    TrainConfig,
+    run_dewc,
+    run_naive,
+    run_sequence,
+    run_stl,
+)
 
 METHODS = ("codec", "codec_fullcomm", "dewc", "stl", "naive")
 EWC_MODES = ("online", "per_task")
@@ -152,7 +159,6 @@ _SCHEMA = {
     "lr_decay": (_parse_bool, False),
     "use_bias": (_parse_bool, False),
     "seed": (_parse_nonneg_int, 0),
-    "threads": (_parse_count, 1),
     "out": (_parse_str, "out"),
     "debug_checks": (_parse_bool, False),
 }
@@ -217,7 +223,7 @@ def resolve_config(
 
 
 def _cross_check(values: dict[str, object]) -> None:
-    for key in ("agents", "tasks", "epochs", "batch_size", "threads"):
+    for key in ("agents", "tasks", "epochs", "batch_size"):
         if int(values[key]) < 1:
             raise ConfigError(f"config key {key!r} must be at least 1")
     if int(values["seed"]) < 0:
@@ -305,7 +311,6 @@ def _train_config(values: dict[str, object]) -> TrainConfig:
         use_bias=bool(values["use_bias"]),
         rep_samples=int(values["rep_samples"]),
         lr_decay=bool(values["lr_decay"]),
-        threads=int(values["threads"]),
         debug_checks=bool(values["debug_checks"]),
     )
 
@@ -326,7 +331,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         "tasks": args.tasks,
         "seed": args.seed,
         "out": args.out,
-        "threads": args.threads,
     }
     values = resolve_config(args.config, args.overrides, flags)
     sequence = _build_sequence(values)
@@ -370,7 +374,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "tasks": args.tasks,
         "seed": args.seed,
         "out": args.out,
-        "threads": args.threads,
     }
     values = resolve_config(args.config, args.overrides, flags)
     topology = parse_topology(str(values["topology"]), int(values["agents"]))
@@ -399,9 +402,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, metavar="S", help="run seed")
     parser.add_argument("--out", metavar="DIR", help="output directory")
     parser.add_argument(
-        "--threads", type=int, metavar="K", help="parallel agent stepping"
-    )
-    parser.add_argument(
         "--set",
         dest="overrides",
         action="append",
@@ -426,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_validate(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

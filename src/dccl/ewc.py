@@ -3,7 +3,8 @@
 The quadratic penalty (lambda/2) * sum f * (x - x_prev)^2 acts on trunk
 parameters only; heads are per task and never revisited, so there is
 nothing to anchor them to.  Fisher information is the empirical diagonal:
-the mean of squared per-sample loss gradients over an agent's shard.
+the mean of squared per-sample loss gradients over an agent's shard.  The
+penalty gradient broadcasts over a leading agent axis of the parameters.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GradientSet, Mlp, loss_and_grad
+from .model import GradientSet, Mlp, sample_deltas
 from .tasks import TaskShard
 
 
@@ -42,18 +43,20 @@ def _trunk_grads(grads: GradientSet) -> list[np.ndarray]:
 
 
 def fisher_estimate(model: Mlp, shard: TaskShard, task: int) -> FisherState:
-    """Diagonal Fisher from one agent's shard at the current parameters."""
+    """Diagonal Fisher from one agent's shard at the current parameters.
+
+    Sample i's gradient for a linear layer is ``outer(x_i, dz_i)``, so the
+    mean of its squares is ``(X*X)^T (DZ*DZ) / n``, with column sums of
+    ``DZ*DZ`` for the bias: no per-sample gradient is ever formed.
+    """
     n = len(shard)
     if n == 0:
         raise ValueError("cannot estimate Fisher information on an empty shard")
-    acc = [np.zeros_like(p) for p in _trunk_params(model)]
-    for i in range(n):
-        _, grads = loss_and_grad(
-            model, shard.examples[i : i + 1], shard.labels[i : i + 1], task
-        )
-        for slot, g in zip(acc, _trunk_grads(grads)):
-            slot += g * g
-    f = [a / n for a in acc]
+    inputs, deltas = sample_deltas(model, shard.examples, shard.labels, task)
+    squares = [dz * dz for dz in deltas]
+    f = [(x * x).T @ sq / n for x, sq in zip(inputs, squares)]
+    if model.layer_biases is not None:
+        f += [sq.sum(axis=0) / n for sq in squares]
     anchor = [p.copy() for p in _trunk_params(model)]
     return FisherState(f=f, anchor=anchor)
 

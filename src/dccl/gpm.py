@@ -75,13 +75,12 @@ def project(g: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Remove the span(m) component of a gradient: g - m (m^T g).
 
     With an empty memory the gradient is returned unchanged, so the very
-    first task trains without any constraint.
+    first task trains without any constraint.  ``g`` may carry leading axes
+    (one gradient per agent); the memory is shared.
     """
-    g = check_matrix(g, "gradient")
-    m = check_matrix(m, "memory basis")
-    if g.shape[0] != m.shape[0]:
+    if g.shape[-2] != m.shape[0]:
         raise ValueError(
-            f"gradient rows {g.shape[0]} do not match basis rows {m.shape[0]}"
+            f"gradient rows {g.shape[-2]} do not match basis rows {m.shape[0]}"
         )
     return g - m @ (m.T @ g)
 
@@ -145,32 +144,35 @@ def update_memory(
 
 
 def encode(q: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """Subspace coefficients o^T q of an update; empty when o has no columns."""
-    q = check_matrix(q, "update")
-    o = check_matrix(o, "complement basis")
-    if q.shape[0] != o.shape[0]:
+    """Subspace coefficients o^T q of an update; empty when o has no columns.
+
+    ``q`` may carry leading axes (one update per sender).
+    """
+    if q.shape[-2] != o.shape[0]:
         raise ValueError(
-            f"update rows {q.shape[0]} do not match basis rows {o.shape[0]}"
+            f"update rows {q.shape[-2]} do not match basis rows {o.shape[0]}"
         )
     return o.T @ q
 
 
-def decode(c: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """Reconstruct an update o @ c from its subspace coefficients."""
-    c = check_matrix(c, "coefficients")
-    o = check_matrix(o, "complement basis")
-    if c.shape[0] != o.shape[1]:
+def decode(c: np.ndarray, o: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Reconstruct an update o @ c from its subspace coefficients.
+
+    ``out``, if given, receives the update in place of a new array.
+    """
+    if c.shape[-2] != o.shape[1]:
         raise ValueError(
-            f"coefficient rows {c.shape[0]} do not match basis columns {o.shape[1]}"
+            f"coefficient rows {c.shape[-2]} do not match basis columns {o.shape[1]}"
         )
-    if o.shape[1] == 0:
-        return np.zeros((o.shape[0], c.shape[1]))
-    return o @ c
+    return np.matmul(o, c, out=out)
 
 
-def descent_check(g: np.ndarray, g_tilde: np.ndarray) -> float:
-    """Inner product <g, g_tilde>; equals ||g_tilde||^2 for a projection."""
-    return float(np.sum(np.asarray(g) * np.asarray(g_tilde)))
+def descent_check(g: np.ndarray, g_tilde: np.ndarray) -> float | np.ndarray:
+    """Inner product <g, g_tilde>; equals ||g_tilde||^2 for a projection.
+
+    One value per leading index when the gradients carry leading axes.
+    """
+    return np.sum(np.asarray(g) * np.asarray(g_tilde), axis=(-2, -1))
 
 
 def save_state(state: GpmState, path: str) -> None:

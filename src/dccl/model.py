@@ -4,6 +4,11 @@ Trunk weights are stored input-major, shape (n_in, n_out), so each column of
 a weight gradient lies in the span of the layer's input activations.  Each
 task gets its own linear head; heads of other tasks are never touched while
 training.  Biases are off by default.
+
+A model may carry leading axes in front of every array (``lead``): a stack
+of N agents holds trunk layers of shape (N, n_in, n_out) and heads of shape
+(N, d, c), and ``forward``, ``loss_and_grad`` and ``sgd_step`` treat each
+leading index as an independent model with its own batch.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ import numpy as np
 class ForwardTrace:
     """Per-layer input activations captured during a forward pass."""
 
-    inputs: list[np.ndarray]  # one (batch, n_l) array per trunk layer
-    head_input: np.ndarray  # (batch, dims[-1])
-    logits: np.ndarray  # (batch, classes)
+    inputs: list[np.ndarray]  # one (*lead, batch, n_l) array per trunk layer
+    head_input: np.ndarray  # (*lead, batch, dims[-1])
+    logits: np.ndarray  # (*lead, batch, classes)
 
 
 @dataclass
@@ -39,6 +44,7 @@ class Mlp:
             raise ValueError(f"bad width list {dims}")
         self.dims = list(dims)
         self.use_bias = use_bias
+        self.lead: tuple[int, ...] = ()
         self.layers: list[np.ndarray] = [
             np.zeros((dims[l], dims[l + 1])) for l in range(len(dims) - 1)
         ]
@@ -50,21 +56,35 @@ class Mlp:
         self.heads: dict[int, np.ndarray] = {}
         self.head_biases: dict[int, np.ndarray] = {}
 
-    def clone(self) -> "Mlp":
+    def _map(self, fn, lead: tuple[int, ...]) -> "Mlp":
         other = Mlp(self.dims, self.use_bias)
-        other.layers = [w.copy() for w in self.layers]
+        other.lead = lead
+        other.layers = [fn(w) for w in self.layers]
         if self.layer_biases is not None:
-            other.layer_biases = [b.copy() for b in self.layer_biases]
-        other.heads = {t: w.copy() for t, w in self.heads.items()}
-        other.head_biases = {t: b.copy() for t, b in self.head_biases.items()}
+            other.layer_biases = [fn(b) for b in self.layer_biases]
+        other.heads = {t: fn(w) for t, w in self.heads.items()}
+        other.head_biases = {t: fn(b) for t, b in self.head_biases.items()}
         return other
 
+    def clone(self) -> "Mlp":
+        return self._map(np.copy, self.lead)
+
+    def stacked(self, n: int) -> "Mlp":
+        """n copies of this model along a new leading axis."""
+        return self._map(lambda a: np.repeat(a[np.newaxis], n, axis=0), (n, *self.lead))
+
+    def view(self, i: int) -> "Mlp":
+        """Model i of a stack; its arrays are views that write through."""
+        return self._map(lambda a: a[i], self.lead[1:])
+
     def add_head(self, task: int, classes: int, rng: np.random.Generator) -> None:
+        """One fresh head for the task, the same for every model of a stack."""
         if task in self.heads:
             raise ValueError(f"head for task {task} already exists")
-        self.heads[task] = _glorot(self.dims[-1], classes, rng)
+        head = _glorot(self.dims[-1], classes, rng)
+        self.heads[task] = np.broadcast_to(head, (*self.lead, *head.shape)).copy()
         if self.use_bias:
-            self.head_biases[task] = np.zeros(classes)
+            self.head_biases[task] = np.zeros((*self.lead, classes))
 
 
 def _glorot(n_in: int, n_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -81,12 +101,19 @@ def init_mlp(dims: list[int], rng: np.random.Generator, use_bias: bool = False) 
     return model
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    return a.swapaxes(-1, -2)
+
+
 def forward(model: Mlp, batch: np.ndarray, task: int) -> ForwardTrace:
     """Run the trunk plus the given task's head, recording layer inputs."""
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != model.dims[0]:
+    if batch.shape[:-2] != model.lead or batch.ndim != len(model.lead) + 2 or (
+        batch.shape[-1] != model.dims[0]
+    ):
         raise ValueError(
-            f"batch shape {batch.shape} does not match input width {model.dims[0]}"
+            f"batch shape {batch.shape} does not match input width "
+            f"{model.dims[0]} on leading axes {model.lead}"
         )
     if task not in model.heads:
         raise ValueError(f"no head for task {task}")
@@ -96,62 +123,84 @@ def forward(model: Mlp, batch: np.ndarray, task: int) -> ForwardTrace:
         inputs.append(act)
         z = act @ w
         if model.layer_biases is not None:
-            z = z + model.layer_biases[l]
+            z = z + model.layer_biases[l][..., np.newaxis, :]
         act = np.maximum(z, 0.0)
     logits = act @ model.heads[task]
     if model.use_bias:
-        logits = logits + model.head_biases[task]
+        logits = logits + model.head_biases[task][..., np.newaxis, :]
     return ForwardTrace(inputs=inputs, head_input=act, logits=logits)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def loss_and_grad(
+def _output_delta(
     model: Mlp, batch: np.ndarray, labels: np.ndarray, task: int
-) -> tuple[float, GradientSet]:
-    """Mean cross-entropy over the batch and its exact gradients."""
+) -> tuple[ForwardTrace, np.ndarray, np.ndarray]:
+    """Forward pass, mean cross-entropy, and per-sample ``softmax - onehot``."""
     labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != np.asarray(batch).shape[0]:
-        raise ValueError("labels must be a vector matching the batch size")
-    if labels.shape[0] == 0:
+    if labels.shape != np.shape(batch)[:-1]:
+        raise ValueError("labels must match the batch shape without its last axis")
+    if labels.shape[-1] == 0:
         raise ValueError("empty batch")
     trace = forward(model, batch, task)
-    n, classes = trace.logits.shape
+    classes = trace.logits.shape[-1]
     if labels.min() < 0 or labels.max() >= classes:
         raise ValueError(
             f"labels must lie in 0..{classes - 1}, got range "
             f"[{labels.min()}, {labels.max()}]"
         )
     probs = _softmax(trace.logits)
-    loss = float(-np.mean(np.log(probs[np.arange(n), labels])))
-    d = probs.copy()
-    d[np.arange(n), labels] -= 1.0
-    d /= n
-    g_head = trace.head_input.T @ d
-    g_head_bias = d.sum(axis=0) if model.use_bias else None
-    upstream = d @ model.heads[task].T
-    g_layers: list[np.ndarray] = [np.empty(0)] * len(model.layers)
-    g_biases: list[np.ndarray] | None = (
-        [np.empty(0)] * len(model.layers) if model.use_bias else None
-    )
+    picked = np.take_along_axis(probs, labels[..., np.newaxis], axis=-1)[..., 0]
+    loss = -np.mean(np.log(picked), axis=-1)
+    d = probs - (labels[..., np.newaxis] == np.arange(classes))
+    return trace, loss, d
+
+
+def _layer_deltas(model: Mlp, trace: ForwardTrace, d: np.ndarray, task: int):
+    """Backpropagate an output delta to each trunk layer's pre-activation."""
+    dzs: list[np.ndarray] = [np.empty(0)] * len(model.layers)
+    upstream = d @ _t(model.heads[task])
     for l in range(len(model.layers) - 1, -1, -1):
         post = trace.head_input if l == len(model.layers) - 1 else trace.inputs[l + 1]
-        dz = upstream * (post > 0.0)
-        g_layers[l] = trace.inputs[l].T @ dz
-        if g_biases is not None:
-            g_biases[l] = dz.sum(axis=0)
-        upstream = dz @ model.layers[l].T
+        dzs[l] = upstream * (post > 0.0)
+        if l:
+            upstream = dzs[l] @ _t(model.layers[l])
+    return dzs
+
+
+def loss_and_grad(
+    model: Mlp, batch: np.ndarray, labels: np.ndarray, task: int
+) -> tuple[float | np.ndarray, GradientSet]:
+    """Mean cross-entropy over the batch and its exact gradients.
+
+    For a stacked model the loss is an array over the leading axes.
+    """
+    trace, loss, d = _output_delta(model, batch, labels, task)
+    d /= d.shape[-2]
+    dzs = _layer_deltas(model, trace, d, task)
     return loss, GradientSet(
         task=task,
-        layers=g_layers,
-        head=g_head,
-        layer_biases=g_biases,
-        head_bias=g_head_bias,
+        layers=[_t(x) @ dz for x, dz in zip(trace.inputs, dzs)],
+        head=_t(trace.head_input) @ d,
+        layer_biases=[dz.sum(axis=-2) for dz in dzs] if model.use_bias else None,
+        head_bias=d.sum(axis=-2) if model.use_bias else None,
     )
+
+
+def sample_deltas(
+    model: Mlp, batch: np.ndarray, labels: np.ndarray, task: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-sample layer inputs and pre-activation deltas, one row per sample.
+
+    The loss gradient of sample i alone is ``outer(inputs[l][i], deltas[l][i])``
+    for trunk layer l, and ``deltas[l][i]`` for its bias.
+    """
+    trace, _, d = _output_delta(model, batch, labels, task)
+    return trace.inputs, _layer_deltas(model, trace, d, task)
 
 
 def sgd_step(model: Mlp, grads: GradientSet, eta: float) -> None:
@@ -182,7 +231,8 @@ def capture_representation(
     return [a.T.copy() for a in trace.inputs]
 
 
-def _param_arrays(model: Mlp) -> list[np.ndarray]:
+def param_arrays(model: Mlp) -> list[np.ndarray]:
+    """Every parameter array, in the order ``flatten_params`` lays them out."""
     arrays: list[np.ndarray] = []
     for l, w in enumerate(model.layers):
         arrays.append(w)
@@ -197,7 +247,7 @@ def _param_arrays(model: Mlp) -> list[np.ndarray]:
 
 def flatten_params(model: Mlp) -> np.ndarray:
     """Flat copy of all parameters: trunk layers in order, then heads by id."""
-    arrays = _param_arrays(model)
+    arrays = param_arrays(model)
     if not arrays:
         return np.zeros(0)
     return np.concatenate([a.reshape(-1) for a in arrays])
@@ -206,10 +256,10 @@ def flatten_params(model: Mlp) -> np.ndarray:
 def unflatten_params(model: Mlp, flat: np.ndarray) -> None:
     """Write a flat vector produced by ``flatten_params`` back in place."""
     flat = np.asarray(flat, dtype=np.float64)
-    total = sum(a.size for a in _param_arrays(model))
+    total = sum(a.size for a in param_arrays(model))
     if flat.shape != (total,):
         raise ValueError(f"expected a flat vector of length {total}, got {flat.shape}")
     offset = 0
-    for a in _param_arrays(model):
+    for a in param_arrays(model):
         a[...] = flat[offset : offset + a.size].reshape(a.shape)
         offset += a.size

@@ -6,7 +6,11 @@ aggregate of neighbor states.  Updates are communicated as subspace
 coefficients when compression is on and decoded exactly at the receiver, so
 the compressed run follows the uncompressed trajectory.
 
-Agents are stepped in id order; all randomness is derived from the run seed
+All agents share model shapes and step in lockstep, so their state is held
+stacked: every parameter array, tracked aggregate and pre-step snapshot has
+a leading agent axis, a local step is one batched forward/backward pass,
+and a gossip round is, per array, one encode and one decode for all senders
+and one mixing-matrix product.  All randomness is derived from the run seed
 through named streams, so a configuration reproduces itself exactly.
 
 Conventions that keep the subspace-closure argument airtight: all agents
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +52,8 @@ from .model import (
     forward,
     init_mlp,
     loss_and_grad,
+    param_arrays,
     sgd_step,
-    unflatten_params,
 )
 from .tasks import TaskSequence, TaskShard, shard_iid
 from .topology import MixingMatrix, Topology, build_mixing
@@ -68,6 +71,10 @@ TAG_REP = 7
 
 class ProtocolError(RuntimeError):
     """A gossip message did not match the receiver's expectations."""
+
+
+class NonFiniteError(ArithmeticError):
+    """Training produced a non-finite loss or parameter."""
 
 
 def derive_rng(*entropy: int) -> np.random.Generator:
@@ -96,37 +103,17 @@ class TrainConfig:
     use_bias: bool = False
     rep_samples: int = 64
     lr_decay: bool = False
-    threads: int = 1
     debug_checks: bool = False
 
 
 @dataclass
-class AgentState:
-    id: int
-    model: Mlp
-    gpm: GpmState
-    trunk_aggregate: np.ndarray  # tracks sum_j w_ij * (neighbor trunk weights)
-    extra_aggregate: np.ndarray  # same for the uncompressed slice
-    rng: np.random.Generator | None = None
-    shard: TaskShard | None = None
-    batches: list[np.ndarray] = field(default_factory=list)
+class Agents:
+    """Every agent's state, stacked along a leading agent axis."""
 
-
-@dataclass
-class StepResult:
-    loss: float
-    mu: float
-    snap_trunk: np.ndarray
-    snap_extra: np.ndarray
-
-
-@dataclass
-class RoundMessage:
-    sender: int
-    task: int
-    compressed: bool
-    payload: list[np.ndarray]  # per-layer coefficients, or raw deltas
-    extra: np.ndarray  # uncompressed slice delta (biases and current head)
+    model: Mlp  # each array has shape (N, ...)
+    bases: list[GpmState]  # each agent's memory copy; normally one shared object
+    # one per array of gossiped(): the tracked sum_j w_ij x_j
+    aggregates: list[np.ndarray] = field(default_factory=list)
 
 
 @dataclass
@@ -167,76 +154,68 @@ class RunResult:
     gpm: GpmState | None
 
 
-def get_trunk_flat(model: Mlp) -> np.ndarray:
-    if not model.layers:
-        return np.zeros(0)
-    return np.concatenate([w.reshape(-1) for w in model.layers])
-
-
-def set_trunk_flat(model: Mlp, flat: np.ndarray) -> None:
-    offset = 0
-    for w in model.layers:
-        w[...] = flat[offset : offset + w.size].reshape(w.shape)
-        offset += w.size
-    if offset != flat.size:
-        raise ValueError(f"trunk slice length {flat.size}, expected {offset}")
-
-
-def _extra_arrays(model: Mlp, task: int) -> list[np.ndarray]:
-    arrays: list[np.ndarray] = []
+def gossiped(model: Mlp, task: int) -> list[np.ndarray]:
+    """The arrays a round exchanges, in order: the trunk layers (the codec's
+    domain), then the uncompressed slice of layer biases and the task's head
+    and head bias."""
+    arrays = list(model.layers)
     if model.layer_biases is not None:
-        arrays.extend(model.layer_biases)
+        arrays += model.layer_biases
     arrays.append(model.heads[task])
     if model.use_bias:
         arrays.append(model.head_biases[task])
     return arrays
 
 
-def get_extra_flat(model: Mlp, task: int) -> np.ndarray:
-    return np.concatenate([a.reshape(-1) for a in _extra_arrays(model, task)])
+def _mix(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``w`` applied over the leading agent axis of ``x``."""
+    return (w @ x.reshape(len(w), -1)).reshape(x.shape)
 
 
-def set_extra_flat(model: Mlp, task: int, flat: np.ndarray) -> None:
-    offset = 0
-    for a in _extra_arrays(model, task):
-        a[...] = flat[offset : offset + a.size].reshape(a.shape)
-        offset += a.size
-    if offset != flat.size:
-        raise ValueError(f"extra slice length {flat.size}, expected {offset}")
+def _per_agent(x: np.ndarray) -> np.ndarray:
+    return x.reshape(len(x), -1)
 
 
-def _layer_views(flat: np.ndarray, shapes: list[tuple[int, int]]):
-    offset = 0
-    for rows, cols in shapes:
-        yield flat[offset : offset + rows * cols].reshape(rows, cols)
-        offset += rows * cols
-
-
-def consensus_error(agents: list[AgentState]) -> float:
+def consensus_error(model: Mlp) -> float:
     """Mean squared distance of agent parameters from their average."""
-    flats = [flatten_params(a.model) for a in agents]
-    mean = np.mean(flats, axis=0)
-    return float(np.mean([np.sum((f - mean) ** 2) for f in flats]))
+    total = 0.0
+    for a in param_arrays(model):
+        dev = a - a.mean(axis=0)
+        total += float(np.sum(dev * dev))
+    return total / model.lead[0]
 
 
-def reset_aggregates(agents: list[AgentState], mixing: MixingMatrix, task: int) -> None:
+def reset_aggregates(agents: Agents, mixing: MixingMatrix, task: int) -> None:
     """Recompute every tracked aggregate from the true neighbor states."""
-    trunks = [get_trunk_flat(a.model) for a in agents]
-    extras = [get_extra_flat(a.model, task) for a in agents]
-    w = mixing.w
-    for a in agents:
-        trunk = np.zeros_like(trunks[a.id])
-        extra = np.zeros_like(extras[a.id])
-        for j in range(len(agents)):
-            if w[a.id, j] > 0.0:
-                trunk += w[a.id, j] * trunks[j]
-                extra += w[a.id, j] * extras[j]
-        a.trunk_aggregate = trunk
-        a.extra_aggregate = extra
+    agents.aggregates = [_mix(mixing.w, x) for x in gossiped(agents.model, task)]
+
+
+def _check_tracking(agents: Agents, mixing: MixingMatrix, task: int) -> None:
+    for x, agg in zip(gossiped(agents.model, task), agents.aggregates):
+        drift = np.max(np.abs(_per_agent(_mix(mixing.w, x) - agg)), axis=1)
+        worst = int(np.argmax(drift))
+        assert drift[worst] <= 1e-9, (
+            f"agent {worst} aggregate drifted by {drift[worst]}"
+        )
+
+
+def _check_finite(
+    loss: np.ndarray, arrays: list[np.ndarray], task: int, round_idx: int
+) -> None:
+    bad = ~np.isfinite(loss)
+    for a in arrays:
+        bad |= ~np.isfinite(_per_agent(a)).all(axis=1)
+    if bad.any():
+        agent = int(np.flatnonzero(bad)[0])
+        what = "loss" if not np.isfinite(loss[agent]) else "parameters"
+        raise NonFiniteError(
+            f"task {task}, round {round_idx}: agent {agent} has non-finite {what}"
+        )
 
 
 def local_step(
-    agent: AgentState,
+    model: Mlp,
+    gpm: GpmState,
     bx: np.ndarray,
     by: np.ndarray,
     task: int,
@@ -246,189 +225,142 @@ def local_step(
     fisher_states: tuple[FisherState, ...] = (),
     lam: float = 0.0,
     debug: bool = False,
-) -> StepResult:
-    """One SGD step at an agent; returns the pre-step parameter snapshots.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One SGD step at every agent of a stacked model; returns loss and mu.
 
     With projection on, each trunk gradient has its memory-span component
-    removed before the step; heads are stepped on the raw gradient.
+    removed before the step; heads are stepped on the raw gradient.  ``mu``
+    is the projected-to-raw trunk gradient norm ratio, per agent.
     """
-    snap_trunk = get_trunk_flat(agent.model)
-    snap_extra = get_extra_flat(agent.model, task)
-    loss, grads = loss_and_grad(agent.model, bx, by, task)
-    mu = 1.0
+    loss, grads = loss_and_grad(model, bx, by, task)
+    mu = np.ones(len(loss))
     if projection:
-        raw_sq = sum(float(np.sum(g * g)) for g in grads.layers)
-        proj_sq = 0.0
+        raw_sq = np.zeros(len(loss))
+        proj_sq = np.zeros(len(loss))
         for l, g in enumerate(grads.layers):
-            m = agent.gpm.layers[l].m
-            g_tilde = project(g, m)
+            gsq = np.sum(g * g, axis=(-2, -1))
+            raw_sq += gsq
+            g_tilde = project(g, gpm.layers[l].m)
+            tsq = np.sum(g_tilde * g_tilde, axis=(-2, -1))
             if debug:
                 ip = descent_check(g, g_tilde)
-                tsq = float(np.sum(g_tilde * g_tilde))
-                gsq = float(np.sum(g * g))
-                assert ip >= -1e-12, f"descent check failed: <g, g~> = {ip}"
-                assert abs(ip - tsq) <= 1e-8 * gsq + 1e-300, (
+                assert np.all(ip >= -1e-12), f"descent check failed: <g, g~> = {ip}"
+                assert np.all(np.abs(ip - tsq) <= 1e-8 * gsq + 1e-300), (
                     f"projection identity violated: {ip} vs {tsq}"
                 )
-            proj_sq += float(np.sum(g_tilde * g_tilde))
+            proj_sq += tsq
             grads.layers[l] = g_tilde
-        mu = 1.0 if raw_sq == 0.0 else math.sqrt(proj_sq) / math.sqrt(raw_sq)
+        nonzero = raw_sq != 0.0
+        mu[nonzero] = np.sqrt(proj_sq[nonzero]) / np.sqrt(raw_sq[nonzero])
         if debug:
-            assert mu <= 1.0 + 1e-10, f"mu = {mu} exceeds 1"
+            assert np.all(mu <= 1.0 + 1e-10), f"mu = {mu.max()} exceeds 1"
     elif fisher_states and lam != 0.0:
         for fs in fisher_states:
-            grads = ewc_grad(agent.model, grads, fs, lam)
-    sgd_step(agent.model, grads, eta)
-    return StepResult(loss=loss, mu=mu, snap_trunk=snap_trunk, snap_extra=snap_extra)
+            grads = ewc_grad(model, grads, fs, lam)
+    sgd_step(model, grads, eta)
+    return loss, mu
 
 
-def _decode_trunk(
-    msg: RoundMessage, receiver: AgentState, shapes: list[tuple[int, int]]
-) -> np.ndarray:
-    parts = []
-    if len(msg.payload) != len(shapes):
-        raise ProtocolError(
-            f"message from agent {msg.sender} carries {len(msg.payload)} layers, "
-            f"expected {len(shapes)}"
-        )
-    for l, part in enumerate(msg.payload):
-        n_l, n_out = shapes[l]
-        if msg.compressed:
-            o = receiver.gpm.layers[l].o
-            expected = (o.shape[1], n_out)
-            if part.shape != expected:
+def _check_leak(q: np.ndarray, m: np.ndarray, layer: int) -> None:
+    qn = np.sqrt(np.sum(q * q, axis=(-2, -1)))
+    leak = np.sqrt(np.sum((m.T @ q) ** 2, axis=(-2, -1)))
+    bad = np.flatnonzero(leak > 1e-8 * qn + 1e-300)
+    assert not bad.size, (
+        f"update of agent {bad[0]} layer {layer} leaks outside the "
+        f"transmittable span: {leak[bad[0]]} vs norm {qn[bad[0]]}"
+    )
+
+
+def _shared_basis(bases: list[GpmState], w_off: np.ndarray) -> GpmState:
+    """The basis all senders encode with and all receivers decode with.
+
+    Raises ProtocolError naming the first sender one of whose receivers
+    holds a different copy and so could not decode its coefficients.
+    """
+    first = bases[0]
+    if all(b is first for b in bases):
+        return first
+    for i, j in zip(*np.nonzero(w_off.T)):
+        for l, (mine, theirs) in enumerate(zip(bases[i].layers, bases[j].layers)):
+            if mine.o.shape != theirs.o.shape or not np.array_equal(mine.o, theirs.o):
                 raise ProtocolError(
-                    f"message from agent {msg.sender}, layer {l}: "
-                    f"expected coefficients {expected}, got {part.shape}"
+                    f"message from agent {i}, layer {l}: receiver {j} holds a "
+                    f"different basis ({theirs.o.shape[1]} coefficient rows "
+                    f"expected, {mine.o.shape[1]} sent)"
                 )
-            parts.append(decode(part, o).reshape(-1))
-        else:
-            if part.shape != (n_l, n_out):
-                raise ProtocolError(
-                    f"message from agent {msg.sender}, layer {l}: "
-                    f"expected delta {(n_l, n_out)}, got {part.shape}"
-                )
-            parts.append(part.reshape(-1))
-    if not parts:
-        return np.zeros(0)
-    return np.concatenate(parts)
+    return first
 
 
 def gossip_round(
-    agents: list[AgentState],
+    agents: Agents,
     mixing: MixingMatrix,
     task: int,
-    steps: dict[int, StepResult] | None,
+    snapshots: list[np.ndarray] | None,
     entry: TaskComm,
-    receivers: list[list[int]] | None = None,
     *,
     compression: bool,
     debug: bool = False,
-) -> dict[int, int]:
+) -> list[int]:
     """One synchronous gossip exchange; returns scalars sent per agent.
 
-    Every agent first forms its mixed parameters from its tracked aggregate,
-    computes the round update q, and encodes it; messages are then delivered
-    and each receiver folds the decoded update into its own aggregate.  An
-    agent's own contribution enters its aggregate without a codec round
-    trip, matching what a real node knows about itself.
+    ``snapshots`` are the pre-step values of ``gossiped(model, task)`` (None:
+    the current parameters).  Per array, every agent forms its mixed
+    parameters ``x + (a - s)`` from its tracked aggregate, its update is
+    ``q = x_new - s``, and each sender's update is encoded once and decoded
+    once, since senders and receivers hold the same basis.  An agent's own update enters its aggregate without
+    a codec round trip, matching what a real node knows about itself;
+    neighbors' decoded updates enter through one product with the
+    off-diagonal mixing weights.
     """
     w = mixing.w
-    n = len(agents)
-    if receivers is None:
-        receivers = [
-            [j for j in range(n) if j != i and w[j, i] > 0.0] for i in range(n)
-        ]
-    shapes = [wt.shape for wt in agents[0].model.layers]
-    messages: list[RoundMessage] = []
-    for a in agents:
-        if steps is None:
-            snap_trunk = get_trunk_flat(a.model)
-            snap_extra = get_extra_flat(a.model, task)
-        else:
-            snap_trunk = steps[a.id].snap_trunk
-            snap_extra = steps[a.id].snap_extra
-        half_trunk = get_trunk_flat(a.model)
-        half_extra = get_extra_flat(a.model, task)
-        # gossip term first: it cancels exactly at a consensus fixed point
-        new_trunk = half_trunk + (a.trunk_aggregate - snap_trunk)
-        new_extra = half_extra + (a.extra_aggregate - snap_extra)
-        q_trunk = new_trunk - snap_trunk
-        q_extra = new_extra - snap_extra
-        set_trunk_flat(a.model, new_trunk)
-        set_extra_flat(a.model, task, new_extra)
-        payload = []
-        for l, q_l in enumerate(_layer_views(q_trunk, shapes)):
+    own = np.diag(w).copy()
+    w_off = w - np.diag(own)
+    fanout = np.count_nonzero(w_off > 0.0, axis=0)  # receivers per sender
+    messages = int(fanout.sum())
+    arrays = gossiped(agents.model, task)
+    if snapshots is None:
+        snapshots = [x.copy() for x in arrays]
+    n_layers = len(agents.model.layers)
+    basis = _shared_basis(agents.bases, w_off) if compression else agents.bases[0]
+    per_message = 0
+    for l, (x, snap, agg) in enumerate(zip(arrays, snapshots, agents.aggregates)):
+        q = agg - snap
+        x += q  # gossip term first: it cancels exactly at a consensus fixed point
+        np.subtract(x, snap, out=q)
+        coeffs = None
+        if l < n_layers:
             if debug:
-                m = a.gpm.layers[l].m
-                qn = float(np.sqrt(np.sum(q_l * q_l)))
-                leak = float(np.sqrt(np.sum((m.T @ q_l) ** 2)))
-                assert leak <= 1e-8 * qn + 1e-300, (
-                    f"update of agent {a.id} layer {l} leaks outside the "
-                    f"transmittable span: {leak} vs norm {qn}"
-                )
+                _check_leak(q, basis.layers[l].m, l)
             if compression:
-                payload.append(encode(q_l, a.gpm.layers[l].o))
-            else:
-                payload.append(q_l.copy())
-        messages.append(
-            RoundMessage(
-                sender=a.id,
-                task=task,
-                compressed=compression,
-                payload=payload,
-                extra=q_extra.copy(),
-            )
-        )
-        a.trunk_aggregate = a.trunk_aggregate + w[a.id, a.id] * q_trunk
-        a.extra_aggregate = a.extra_aggregate + w[a.id, a.id] * q_extra
-    scalars = {a.id: 0 for a in agents}
-    for msg in messages:
-        dests = receivers[msg.sender]
-        payload_size = sum(p.size for p in msg.payload)
-        scalars[msg.sender] = (payload_size + msg.extra.size) * len(dests)
-        for j in dests:
-            recv = agents[j]
-            q_hat = _decode_trunk(msg, recv, shapes)
-            if msg.extra.size != recv.extra_aggregate.size:
-                raise ProtocolError(
-                    f"message from agent {msg.sender}: uncompressed slice has "
-                    f"{msg.extra.size} scalars, expected {recv.extra_aggregate.size}"
-                )
-            recv.trunk_aggregate += w[j, msg.sender] * q_hat
-            recv.extra_aggregate += w[j, msg.sender] * msg.extra
-            entry.messages += 1
-        for l, part in enumerate(msg.payload):
-            entry.layer_actual[l] += part.size * len(dests)
-            entry.layer_full[l] += shapes[l][0] * shapes[l][1] * len(dests)
-        entry.extra_scalars += msg.extra.size * len(dests)
+                coeffs = encode(q, basis.layers[l].o)
+            sent = q[0].size if coeffs is None else coeffs[0].size
+            entry.layer_actual[l] += sent * messages
+            entry.layer_full[l] += q[0].size * messages
+        else:
+            sent = q[0].size
+            entry.extra_scalars += sent * messages
+        per_message += sent
+        # In place, one array at a time: a raw update is mixed before q is
+        # scaled by the own weight, coefficients are decoded into q after.
+        if coeffs is None:
+            mixed = _mix(w_off, q)
+        q *= own.reshape(-1, *[1] * (q.ndim - 1))
+        agg += q  # the own update enters without a codec round trip
+        if coeffs is not None:
+            decode(coeffs, basis.layers[l].o, out=q)
+            coeffs = None
+            mixed = _mix(w_off, q)
+        agg += mixed
+        del q, mixed  # freed before the next array's update is formed
+    entry.messages += messages
     if debug:
         _check_tracking(agents, mixing, task)
-    return scalars
-
-
-def _check_tracking(agents: list[AgentState], mixing: MixingMatrix, task: int) -> None:
-    trunks = [get_trunk_flat(a.model) for a in agents]
-    extras = [get_extra_flat(a.model, task) for a in agents]
-    w = mixing.w
-    for a in agents:
-        trunk = np.zeros_like(trunks[a.id])
-        extra = np.zeros_like(extras[a.id])
-        for j in range(len(agents)):
-            if w[a.id, j] > 0.0:
-                trunk += w[a.id, j] * trunks[j]
-                extra += w[a.id, j] * extras[j]
-        drift = 0.0
-        if trunk.size:
-            drift = max(drift, float(np.max(np.abs(trunk - a.trunk_aggregate))))
-        if extra.size:
-            drift = max(drift, float(np.max(np.abs(extra - a.extra_aggregate))))
-        assert drift <= 1e-9, f"agent {a.id} aggregate drifted by {drift}"
+    return [per_message * int(k) for k in fanout]
 
 
 def gpm_broadcast(
-    agents: list[AgentState],
-    state: GpmState,
+    agents: Agents,
+    shards: list[TaskShard],
     task: int,
     eps_th: float,
     cfg: TrainConfig,
@@ -445,10 +377,9 @@ def gpm_broadcast(
     codec is in use (receivers need the complement to decode), only the
     memory span otherwise.
     """
-    n = len(agents)
+    n = len(shards)
     p = int(pick_stream.integers(0, n))
-    shard = agents[p].shard
-    assert shard is not None
+    shard = shards[p]
     n_s = cfg.rep_samples
     if len(shard) < n_s:
         log.warning(
@@ -459,10 +390,9 @@ def gpm_broadcast(
         )
         n_s = len(shard)
     idx = derive_rng(cfg.seed, TAG_REP, task).permutation(len(shard))[:n_s]
-    reps = capture_representation(agents[p].model, shard.examples[idx], task)
-    new_state = update_memory(state, reps, eps_th)
-    for a in agents:
-        a.gpm = new_state.copy()
+    reps = capture_representation(agents.model.view(p), shard.examples[idx], task)
+    new_state = update_memory(agents.bases[p], reps, eps_th)
+    agents.bases = [new_state] * n
     memory_cost = sum(b.dim * b.rank for b in new_state.layers)
     both_cost = sum(b.dim * b.dim for b in new_state.layers)
     entry.overhead_actual += (n - 1) * (both_cost if compression else memory_cost)
@@ -492,8 +422,6 @@ class _Engine:
             )
         if config.seed < 0:
             raise ValueError("seed must be non-negative")
-        if config.threads < 1:
-            raise ValueError("threads must be at least 1")
         if len(config.dims) < 1 or config.dims[0] != sequence.input_dim:
             raise ValueError(
                 f"model input width {config.dims[:1]} does not match data "
@@ -530,58 +458,44 @@ class _Engine:
             return self.cfg.eta * 0.1
         return self.cfg.eta
 
-    def _local_phase(
-        self, agents: list[AgentState], task: int, r: int, eta: float
-    ) -> dict[int, StepResult]:
-        fishers = self._fisher_states()
-
-        def step(a: AgentState) -> StepResult:
-            idx = a.batches[r]
-            assert a.shard is not None
-            return local_step(
-                a,
-                a.shard.examples[idx],
-                a.shard.labels[idx],
-                task,
-                eta,
-                projection=self.projection,
-                fisher_states=fishers,
-                lam=self.lam if self.method == "dewc" else 0.0,
-                debug=self.cfg.debug_checks,
+    def _batches(
+        self, shards: list[TaskShard], task: int, epoch: int, rounds: int
+    ) -> np.ndarray:
+        """Row indices into the concatenated shards, shape (rounds, N, batch)."""
+        size = self.cfg.batch_size
+        streams, offset = [], 0
+        for i, shard in enumerate(shards):
+            perm = derive_rng(self.cfg.seed, TAG_BATCH, i, task, epoch).permutation(
+                len(shard)
             )
+            streams.append(offset + np.resize(perm, rounds * size))
+            offset += len(shard)
+        return np.stack(streams).reshape(len(shards), rounds, size).swapaxes(0, 1)
 
-        if self.cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.cfg.threads) as pool:
-                results = list(pool.map(step, agents))
-        else:
-            results = [step(a) for a in agents]
-        return {a.id: res for a, res in zip(agents, results)}
-
-    def _boundary_sync(self, agents: list[AgentState], entry: TaskComm) -> None:
-        flats = [flatten_params(a.model) for a in agents]
-        avg = np.mean(flats, axis=0)
-        for a in agents:
-            unflatten_params(a.model, avg)
-        cost = len(agents) * avg.size
+    def _boundary_sync(self, model: Mlp, entry: TaskComm) -> None:
+        for a in param_arrays(model):
+            a[...] = a.mean(axis=0)
+        cost = model.lead[0] * sum(a[0].size for a in param_arrays(model))
         entry.overhead_actual += cost
         entry.overhead_full += cost
 
     def _fisher_phase(
         self,
-        agents: list[AgentState],
+        model: Mlp,
+        shards: list[TaskShard],
         task: int,
         pick_stream: np.random.Generator,
         entry: TaskComm,
     ) -> None:
-        p = int(pick_stream.integers(0, len(agents)))
-        states = [fisher_estimate(a.model, a.shard, task) for a in agents]
+        p = int(pick_stream.integers(0, len(shards)))
+        states = [fisher_estimate(model.view(i), s, task) for i, s in enumerate(shards)]
         avg = fisher_average(states, anchor_index=p)
         if self.ewc_mode == "online":
             self.fisher_online = accumulate_fisher(self.fisher_online, avg)
         else:
             self.fisher_per_task.append(avg)
         count = sum(a.size for a in avg.f)
-        cost = 2 * (len(agents) - 1) * count
+        cost = 2 * (len(shards) - 1) * count
         entry.overhead_actual += cost
         entry.overhead_full += cost
 
@@ -606,35 +520,19 @@ class _Engine:
         pick_stream = derive_rng(cfg.seed, TAG_PICK)
         base = init_mlp(cfg.dims, derive_rng(cfg.seed, TAG_INIT, 0), cfg.use_bias)
         gpm_state = GpmState.fresh(cfg.dims[:-1])
-        agents = [
-            AgentState(
-                id=i,
-                model=base.clone(),
-                gpm=gpm_state.copy(),
-                trunk_aggregate=np.zeros(0),
-                extra_aggregate=np.zeros(0),
-            )
-            for i in range(n)
-        ]
-        receivers = [
-            [j for j in range(n) if j != i and mixing.w[j, i] > 0.0]
-            for i in range(n)
-        ]
+        agents = Agents(model=base.stacked(n), bases=[gpm_state] * n)
         n_layers = len(cfg.dims) - 1
         for t, data in enumerate(self.seq.tasks):
             if self.method == "stl" and t > 0:
                 fresh = init_mlp(cfg.dims, derive_rng(cfg.seed, TAG_INIT, t), cfg.use_bias)
-                for a in agents:
-                    a.model = fresh.clone()
-            classes = len(data.classes)
-            for a in agents:
-                a.model.add_head(t, classes, derive_rng(cfg.seed, TAG_HEAD, t))
+                agents.model = fresh.stacked(n)
+            model = agents.model
+            model.add_head(t, len(data.classes), derive_rng(cfg.seed, TAG_HEAD, t))
             shards = shard_iid(data, n, _derive_int(cfg.seed, TAG_SHARD, t))
-            for a in agents:
-                a.shard = shards[a.id]
-                # task starts from consensus, so the own state is the aggregate
-                a.trunk_aggregate = get_trunk_flat(a.model)
-                a.extra_aggregate = get_extra_flat(a.model, t)
+            pool_x = np.concatenate([s.examples for s in shards])
+            pool_y = np.concatenate([s.labels for s in shards])
+            # task starts from consensus, so the own state is the aggregate
+            agents.aggregates = [x.copy() for x in gossiped(model, t)]
             max_shard = max(len(s) for s in shards)
             rounds_per_epoch = math.ceil(max_shard / cfg.batch_size)
             total_rounds = cfg.epochs * rounds_per_epoch
@@ -644,47 +542,51 @@ class _Engine:
             ledger.tasks.append(entry)
             round_idx = 0
             for epoch in range(cfg.epochs):
-                for a in agents:
-                    a.rng = derive_rng(cfg.seed, TAG_BATCH, a.id, t, epoch)
-                    perm = a.rng.permutation(len(a.shard))
-                    stream = np.resize(perm, rounds_per_epoch * cfg.batch_size)
-                    a.batches = [
-                        stream[r * cfg.batch_size : (r + 1) * cfg.batch_size]
-                        for r in range(rounds_per_epoch)
-                    ]
-                for r in range(rounds_per_epoch):
-                    eta_r = self._eta(round_idx, total_rounds)
-                    steps = self._local_phase(agents, t, r, eta_r)
+                batches = self._batches(shards, t, epoch, rounds_per_epoch)
+                for idx in batches:
+                    snapshots = [x.copy() for x in gossiped(model, t)]
+                    loss, mu = local_step(
+                        model,
+                        agents.bases[0],
+                        pool_x[idx],
+                        pool_y[idx],
+                        t,
+                        self._eta(round_idx, total_rounds),
+                        projection=self.projection,
+                        fisher_states=self._fisher_states(),
+                        lam=self.lam if self.method == "dewc" else 0.0,
+                        debug=cfg.debug_checks,
+                    )
+                    _check_finite(loss, gossiped(model, t), t, round_idx)
                     sent = gossip_round(
                         agents,
                         mixing,
                         t,
-                        steps,
+                        snapshots,
                         entry,
-                        receivers,
                         compression=self.compression,
                         debug=cfg.debug_checks,
                     )
                     entry.rounds += 1
-                    ce = consensus_error(agents)
-                    for a in agents:
-                        logs.append(
-                            LogRecord(
-                                task=t,
-                                round=round_idx,
-                                agent=a.id,
-                                loss=steps[a.id].loss,
-                                ce=ce,
-                                mu=steps[a.id].mu,
-                                scalars_sent=sent[a.id],
-                            )
+                    ce = consensus_error(model)
+                    logs.extend(
+                        LogRecord(
+                            task=t,
+                            round=round_idx,
+                            agent=i,
+                            loss=float(loss[i]),
+                            ce=ce,
+                            mu=float(mu[i]),
+                            scalars_sent=sent[i],
                         )
+                        for i in range(n)
+                    )
                     round_idx += 1
-            self._boundary_sync(agents, entry)
+            self._boundary_sync(model, entry)
             if self.projection:
                 gpm_state = gpm_broadcast(
                     agents,
-                    gpm_state,
+                    shards,
                     t,
                     cfg.threshold.value(t),
                     cfg,
@@ -693,14 +595,14 @@ class _Engine:
                     compression=self.compression,
                 )
             if self.method == "dewc":
-                self._fisher_phase(agents, t, pick_stream, entry)
-            self._evaluate(agents[0].model, t, matrix)
+                self._fisher_phase(model, shards, t, pick_stream, entry)
+            self._evaluate(model.view(0), t, matrix)
         return RunResult(
             method=self.method,
             accuracy=matrix,
             ledger=ledger,
             logs=logs,
-            final_params=flatten_params(agents[0].model),
+            final_params=flatten_params(agents.model.view(0)),
             gpm=gpm_state if self.projection else None,
         )
 

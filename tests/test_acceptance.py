@@ -32,7 +32,7 @@ from dccl.ewc import ewc_grad, fisher_estimate
 from dccl.tasks import TaskSequence, TaskShard, generate_synthetic_sequence
 from dccl.topology import build_mixing, parse_topology
 from dccl.trainer import (
-    AgentState,
+    Agents,
     TaskComm,
     TrainConfig,
     consensus_error,
@@ -58,7 +58,7 @@ def _verdict(num, description):
 SMALL_DIMS = [16, 32, 16]
 
 
-def _small_config(compression=True, threads=1):
+def _small_config(compression=True):
     return TrainConfig(
         eta=0.2,
         epochs=3,
@@ -70,7 +70,6 @@ def _small_config(compression=True, threads=1):
         compression=compression,
         dims=list(SMALL_DIMS),
         rep_samples=32,
-        threads=threads,
         debug_checks=True,  # live projection checks during the run
     )
 
@@ -214,28 +213,24 @@ def test_criterion_04_mixing_matrices_and_contraction():
 def test_criterion_05_gossip_alone_reaches_consensus():
     with _verdict(5, "zero-gradient gossip contracts to consensus"):
         mixing = build_mixing(parse_topology("ring", 8))
-        agents = []
+        models = []
         for i in range(8):
             model = init_mlp(list(SMALL_DIMS), derive_rng(11, 1, i), False)
             model.add_head(0, 2, derive_rng(11, 2, i))
-            agents.append(
-                AgentState(
-                    id=i,
-                    model=model,
-                    gpm=GpmState.fresh(SMALL_DIMS[:-1]),
-                    trunk_aggregate=np.zeros(0),
-                    extra_aggregate=np.zeros(0),
-                )
-            )
+            models.append(model)
+        stacked = models[0].stacked(8)
+        for i, model in enumerate(models):
+            unflatten_params(stacked.view(i), flatten_params(model))
+        agents = Agents(model=stacked, bases=[GpmState.fresh(SMALL_DIMS[:-1])] * 8)
         reset_aggregates(agents, mixing, 0)
         entry = TaskComm(task=0, layer_full=[0, 0], layer_actual=[0, 0])
-        history = [consensus_error(agents)]
+        history = [consensus_error(agents.model)]
         for r in range(200):
             gossip_round(
                 agents, mixing, 0, None, entry,
                 compression=True, debug=(r % 40 == 0),
             )
-            history.append(consensus_error(agents))
+            history.append(consensus_error(agents.model))
         assert history[0] > 1.0  # the random starting points really disagree
         assert history[-1] < 1e-12
         assert all(b <= a for a, b in zip(history, history[1:]))
@@ -372,8 +367,8 @@ def test_criterion_10_degenerate_settings_collapse_cleanly():
         assert codec.accuracy.get(0, 0) == naive.accuracy.get(0, 0)
 
 
-def test_criterion_11_runs_are_reproducible(tmp_path, capsys, small_pair, small_sequence):
-    with _verdict(11, "reruns are byte-identical and threading is inert"):
+def test_criterion_11_runs_are_reproducible(tmp_path, capsys):
+    with _verdict(11, "reruns are byte-identical"):
         out = tmp_path / "rep"
         args = [
             "run",
@@ -396,8 +391,3 @@ def test_criterion_11_runs_are_reproducible(tmp_path, capsys, small_pair, small_
         capsys.readouterr()
         for n in names:
             assert (out / n).read_bytes() == first[n], n
-        threaded = run_sequence(_small_config(True, threads=4), small_sequence)
-        delta = float(
-            np.max(np.abs(threaded.final_params - small_pair["codec"].final_params))
-        )
-        assert delta <= 1e-12

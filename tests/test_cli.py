@@ -92,6 +92,17 @@ def test_run_writes_reports(tmp_path, capsys):
     assert "accuracy_percent" in printed
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_divergent_run_exits_non_zero_without_reports(tmp_path, capsys):
+    out = tmp_path / "diverged"
+    rc = main(["run", "--out", str(out), "--set", "eta=200"])
+    err = capsys.readouterr().err
+    assert rc != 0
+    assert "non-finite" in err
+    assert "task" in err and "round" in err and "agent" in err
+    assert not (out / "rounds.csv").exists()
+
+
 def test_run_single_agent_all_inclusive_ratio_is_one(tmp_path):
     out = tmp_path / "solo"
     rc = main(_run_args(out, "--method", "codec", "--agents", "1"))

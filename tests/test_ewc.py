@@ -43,19 +43,22 @@ def test_fisher_of_zero_inputs_is_exactly_zero():
 
 
 def test_fisher_matches_per_sample_oracle():
-    model = _model(3)
-    shard = _shard(4, rows=7)
-    state = fisher_estimate(model, shard, 0)
-    # recompute: mean of squared per-sample trunk gradients
-    sums = [np.zeros_like(w) for w in model.layers]
-    for i in range(7):
-        _, grads = loss_and_grad(
-            model, shard.examples[i : i + 1], shard.labels[i : i + 1], 0
-        )
-        for acc, g in zip(sums, grads.layers):
-            acc += g * g
-    for f, acc in zip(state.f, sums):
-        assert np.max(np.abs(f - acc / 7.0)) <= 1e-12
+    for use_bias in (False, True):
+        model = _model(3, use_bias)
+        shard = _shard(4, rows=7)
+        state = fisher_estimate(model, shard, 0)
+        # recompute: mean of squared per-sample trunk gradients
+        trunk = model.layers + (model.layer_biases or [])
+        sums = [np.zeros_like(w) for w in trunk]
+        for i in range(7):
+            _, grads = loss_and_grad(
+                model, shard.examples[i : i + 1], shard.labels[i : i + 1], 0
+            )
+            for acc, g in zip(sums, grads.layers + (grads.layer_biases or [])):
+                acc += g * g
+        assert len(state.f) == len(trunk)
+        for f, acc in zip(state.f, sums):
+            assert np.max(np.abs(f - acc / 7.0)) <= 1e-12
 
 
 def test_fisher_anchor_copies_current_trunk():

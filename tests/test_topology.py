@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dccl.topology import (
+    Topology,
     build_mixing,
     load_custom_topology,
     neighbors,
@@ -99,6 +102,30 @@ def test_mixing_is_doubly_stochastic():
         assert np.all(w >= 0.0)
         assert np.max(np.abs(w.sum(axis=0) - 1.0)) <= 1e-12
         assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 12),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mixing_is_doubly_stochastic_on_random_connected_graphs(n, density, seed):
+    rng = np.random.default_rng(seed)
+    adj = np.eye(n)
+    for i in range(1, n):  # a random spanning tree keeps the graph connected
+        j = int(rng.integers(0, i))
+        adj[i, j] = adj[j, i] = 1.0
+    extra = np.triu(rng.random((n, n)) < density, k=1)
+    adj = np.maximum(adj, extra + extra.T)
+    mixing = build_mixing(Topology("custom", n, adjacency=adj))
+    w = mixing.w
+    assert np.all(w >= 0.0)
+    assert np.array_equal(w, w.T)
+    assert np.max(np.abs(w.sum(axis=0) - 1.0)) <= 1e-12
+    assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
+    assert np.all((w > 0.0) == (adj > 0.0))
+    assert validate_assumption3(mixing).passed
 
 
 def test_ring_mixing_weights_are_half_half():

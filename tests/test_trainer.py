@@ -2,48 +2,51 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dccl.gpm import GpmState, LayerBasis, ThresholdSchedule
 from dccl.linalg import orthonormal_complement
-from dccl.model import flatten_params, init_mlp
-from dccl.tasks import generate_synthetic_sequence
+from dccl.model import flatten_params, init_mlp, unflatten_params
+from dccl.tasks import generate_synthetic_sequence, shard_iid
 from dccl.topology import build_mixing, parse_topology
 from dccl.trainer import (
-    AgentState,
+    TAG_SHARD,
+    Agents,
+    NonFiniteError,
     ProtocolError,
     TaskComm,
     TrainConfig,
     consensus_error,
     derive_rng,
-    get_extra_flat,
-    get_trunk_flat,
     gossip_round,
+    gossiped,
     reset_aggregates,
     run_dewc,
     run_naive,
     run_sequence,
     run_stl,
+    _derive_int,
 )
 
 DIMS = [6, 10, 4]
 
 
 def _make_agents(n, seed=0, identical=False, dims=DIMS, classes=3):
-    agents = []
+    models = []
     for i in range(n):
         rng = derive_rng(seed, 1, 0 if identical else i)
         model = init_mlp(dims, rng, False)
         model.add_head(0, classes, derive_rng(seed, 2, 0 if identical else i))
-        agents.append(
-            AgentState(
-                id=i,
-                model=model,
-                gpm=GpmState.fresh(dims[:-1]),
-                trunk_aggregate=np.zeros(0),
-                extra_aggregate=np.zeros(0),
-            )
-        )
-    return agents
+        models.append(model)
+    stacked = models[0].stacked(n)
+    for i, model in enumerate(models):
+        unflatten_params(stacked.view(i), flatten_params(model))
+    return Agents(model=stacked, bases=[GpmState.fresh(dims[:-1])] * n)
+
+
+def _flats(agents):
+    return [flatten_params(agents.model.view(i)) for i in range(agents.model.lead[0])]
 
 
 def _entry(n_layers=len(DIMS) - 1):
@@ -51,9 +54,7 @@ def _entry(n_layers=len(DIMS) - 1):
 
 
 def _own_aggregates(agents):
-    for a in agents:
-        a.trunk_aggregate = get_trunk_flat(a.model)
-        a.extra_aggregate = get_extra_flat(a.model, 0)
+    agents.aggregates = [x.copy() for x in gossiped(agents.model, 0)]
 
 
 def _config(topology, agents, seed=7, compression=True, dims=None, **kw):
@@ -77,23 +78,21 @@ def test_identical_agents_are_a_fixed_point():
     mixing = build_mixing(parse_topology("ring", 4))
     agents = _make_agents(4, identical=True)
     _own_aggregates(agents)
-    before = [flatten_params(a.model).copy() for a in agents]
+    before = _flats(agents)
     for _ in range(5):
         gossip_round(agents, mixing, 0, None, _entry(), compression=True, debug=True)
-    for a, b in zip(agents, before):
-        assert np.array_equal(flatten_params(a.model), b)
-    assert consensus_error(agents) == 0.0
+    for got, b in zip(_flats(agents), before):
+        assert np.array_equal(got, b)
+    assert consensus_error(agents.model) == 0.0
 
 
 def test_one_full_graph_round_reaches_the_mean():
     mixing = build_mixing(parse_topology("full", 3))
     agents = _make_agents(3)
     reset_aggregates(agents, mixing, 0)
-    flats = [flatten_params(a.model) for a in agents]
-    mean = np.mean(flats, axis=0)
+    mean = np.mean(_flats(agents), axis=0)
     gossip_round(agents, mixing, 0, None, _entry(), compression=False, debug=True)
-    for a in agents:
-        got = flatten_params(a.model)
+    for got in _flats(agents):
         assert np.max(np.abs(got - mean)) <= 1e-12
 
 
@@ -101,15 +100,110 @@ def test_zero_gradient_ring_gossip_reaches_consensus_monotonically():
     mixing = build_mixing(parse_topology("ring", 8))
     agents = _make_agents(8)
     reset_aggregates(agents, mixing, 0)
-    history = [consensus_error(agents)]
+    history = [consensus_error(agents.model)]
     entry = _entry()
     for r in range(200):
         gossip_round(
             agents, mixing, 0, None, entry, compression=True, debug=(r % 40 == 0)
         )
-        history.append(consensus_error(agents))
+        history.append(consensus_error(agents.model))
     assert history[-1] < 1e-12
     assert all(b <= a for a, b in zip(history, history[1:]))
+
+
+def _reference_round(xs, snaps, aggs, bases, w, n_layers, compression):
+    """One gossip round message by message, as separate nodes would run it.
+
+    Every agent holds its own arrays.  A sender forms its update, encodes
+    the trunk layers with its own basis copy and sends one message per
+    receiver; each receiver decodes with its own copy and adds w_ji * q_hat.
+    """
+    n = len(xs)
+    messages = []
+    for i in range(n):
+        qs = []
+        for k in range(len(xs[i])):
+            new = xs[i][k] + (aggs[i][k] - snaps[i][k])
+            qs.append(new - snaps[i][k])
+            xs[i][k] = new
+        payload = [
+            bases[i].layers[k].o.T @ q if compression and k < n_layers else q
+            for k, q in enumerate(qs)
+        ]
+        messages.append(payload)
+        for k, q in enumerate(qs):
+            aggs[i][k] = aggs[i][k] + w[i, i] * q
+    scalars = []
+    for i, payload in enumerate(messages):
+        receivers = [j for j in range(n) if j != i and w[j, i] > 0.0]
+        scalars.append(sum(p.size for p in payload) * len(receivers))
+        for j in receivers:
+            for k, part in enumerate(payload):
+                if compression and k < n_layers:
+                    part = bases[j].layers[k].o @ part
+                aggs[j][k] += w[j, i] * part
+    return scalars
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 9),
+    kind=st.sampled_from(["ring", "torus", "full"]),
+    rows_pick=st.integers(0, 8),
+    compression=st.booleans(),
+    use_bias=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_round_matches_per_message_reference(
+    n, kind, rows_pick, compression, use_bias, seed
+):
+    rng = np.random.default_rng(seed)
+    spec = kind
+    if kind == "torus":
+        divisors = [r for r in range(1, n + 1) if n % r == 0]
+        rows = divisors[rows_pick % len(divisors)]
+        spec = f"torus:{rows}x{n // rows}"
+    mixing = build_mixing(parse_topology(spec, n))
+    dims = [int(d) for d in rng.integers(1, 6, size=3)]
+    model = init_mlp(dims, rng, use_bias)
+    model.add_head(0, int(rng.integers(2, 4)), rng)
+    stacked = model.stacked(n)
+    arrays = gossiped(stacked, 0)
+    for x in arrays:
+        x[...] = rng.standard_normal(x.shape)
+    snaps = [rng.standard_normal(x.shape) for x in arrays]
+    aggs = [rng.standard_normal(x.shape) for x in arrays]
+    layers = []
+    for width in dims[:-1]:
+        q, _ = np.linalg.qr(rng.standard_normal((width, width)))
+        rank = int(rng.integers(0, width + 1))
+        layers.append(LayerBasis(m=q[:, :rank], o=q[:, rank:]))
+    agents = Agents(
+        model=stacked, bases=[GpmState(layers=layers)] * n, aggregates=aggs
+    )
+    ref_x = [[x[i].copy() for x in arrays] for i in range(n)]
+    ref_snaps = [[s[i].copy() for s in snaps] for i in range(n)]
+    ref_aggs = [[a[i].copy() for a in aggs] for i in range(n)]
+    ref_bases = [GpmState(layers=layers).copy() for _ in range(n)]
+    n_layers = len(dims) - 1
+    want = _reference_round(
+        ref_x, ref_snaps, ref_aggs, ref_bases, mixing.w, n_layers, compression
+    )
+    entry = _entry(n_layers)
+    got = gossip_round(agents, mixing, 0, snaps, entry, compression=compression)
+    assert got == want
+    for k, (x, agg) in enumerate(zip(gossiped(stacked, 0), agents.aggregates)):
+        for i in range(n):
+            assert np.max(np.abs(x[i] - ref_x[i][k]), initial=0.0) <= 1e-12
+            assert np.max(np.abs(agg[i] - ref_aggs[i][k]), initial=0.0) <= 1e-12
+    messages = int(np.count_nonzero(mixing.w - np.diag(np.diag(mixing.w)) > 0.0))
+    assert entry.messages == messages
+    for l in range(n_layers):
+        sent = layers[l].o.shape[1] if compression else dims[l]
+        assert entry.layer_actual[l] == messages * sent * dims[l + 1]
+        assert entry.layer_full[l] == messages * dims[l] * dims[l + 1]
+    extra = sum(a[0].size for a in arrays[n_layers:])
+    assert entry.extra_scalars == messages * extra
 
 
 def test_compression_does_not_change_the_trajectory():
@@ -139,7 +233,7 @@ def test_single_task_codec_equals_plain_decentralized_sgd():
     assert codec.accuracy.get(0, 0) == naive.accuracy.get(0, 0)
 
 
-def test_runs_are_deterministic_and_thread_insensitive():
+def test_runs_are_deterministic():
     seq = generate_synthetic_sequence(2, 2, 16, 60, 9)
     a = run_sequence(_config("ring", 4), seq)
     b = run_sequence(_config("ring", 4), seq)
@@ -147,8 +241,6 @@ def test_runs_are_deterministic_and_thread_insensitive():
     assert [(r.task, r.round, r.agent, r.loss, r.ce, r.mu, r.scalars_sent) for r in a.logs] == [
         (r.task, r.round, r.agent, r.loss, r.ce, r.mu, r.scalars_sent) for r in b.logs
     ]
-    threaded = run_sequence(_config("ring", 4, threads=4), seq)
-    assert np.array_equal(a.final_params, threaded.final_params)
 
 
 def test_round_count_and_log_shape():
@@ -197,9 +289,21 @@ def test_desynchronized_bases_raise_protocol_error():
     n = DIMS[0]
     e1 = np.zeros((n, 1))
     e1[0, 0] = 1.0
-    agents[0].gpm.layers[0] = LayerBasis(m=e1, o=orthonormal_complement(e1))
+    agents.bases[0] = agents.bases[0].copy()
+    agents.bases[0].layers[0] = LayerBasis(m=e1, o=orthonormal_complement(e1))
     with pytest.raises(ProtocolError, match="agent 0"):
         gossip_round(agents, mixing, 0, None, _entry(), compression=True)
+
+
+def test_non_finite_training_data_stops_the_run_naming_the_agent():
+    seq = generate_synthetic_sequence(2, 2, 16, 40, 4)
+    seq.tasks[0].train_x[5, 3] = np.nan
+    cfg = _config("ring", 4, epochs=1)
+    shards = shard_iid(seq.tasks[0], 4, _derive_int(cfg.seed, TAG_SHARD, 0))
+    holder = next(i for i, s in enumerate(shards) if np.isnan(s.examples).any())
+    want = rf"task 0, round \d+: agent {holder} has non-finite loss"
+    with pytest.raises(NonFiniteError, match=want):
+        run_naive(cfg, seq)
 
 
 def test_stl_fills_only_the_diagonal():
