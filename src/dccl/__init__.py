@@ -5,7 +5,7 @@ subspace-coefficient codec, plus baselines and metrics."""
 from .gpm import ThresholdSchedule
 from .tasks import generate_synthetic_sequence
 from .topology import parse_topology
-from .trainer import TrainConfig, run_dewc, run_naive, run_sequence, run_stl
+from .trainer import TrainConfig, run
 
 __version__ = "0.1.0"
 
@@ -14,8 +14,5 @@ __all__ = [
     "TrainConfig",
     "generate_synthetic_sequence",
     "parse_topology",
-    "run_dewc",
-    "run_naive",
-    "run_sequence",
-    "run_stl",
+    "run",
 ]

@@ -22,17 +22,7 @@ from .gpm import ThresholdSchedule, save_state
 from .metrics import emit_reports
 from .tasks import TaskSequence, generate_synthetic_sequence, load_csv_dataset
 from .topology import build_mixing, parse_topology, validate_assumption3
-from .trainer import (
-    NonFiniteError,
-    TrainConfig,
-    run_dewc,
-    run_naive,
-    run_sequence,
-    run_stl,
-)
-
-METHODS = ("codec", "codec_fullcomm", "dewc", "stl", "naive")
-EWC_MODES = ("online", "per_task")
+from .trainer import EWC_MODES, METHODS, NonFiniteError, TrainConfig, run
 
 
 class ConfigError(ValueError):
@@ -117,27 +107,21 @@ def _parse_str(text: str) -> str:
     return text.strip()
 
 
-def _parse_method(text: str) -> str:
-    method = text.strip()
-    if method not in METHODS:
-        raise ConfigError(
-            f"unknown method {method!r}; choose from {', '.join(METHODS)}"
-        )
-    return method
+def _parse_choice(key: str, choices: tuple[str, ...]):
+    def parse(text: str) -> str:
+        value = text.strip()
+        if value not in choices:
+            raise ConfigError(
+                f"unknown {key} {value!r}; choose from {', '.join(choices)}"
+            )
+        return value
 
-
-def _parse_ewc_mode(text: str) -> str:
-    mode = text.strip()
-    if mode not in EWC_MODES:
-        raise ConfigError(
-            f"unknown ewc_mode {mode!r}; choose from {', '.join(EWC_MODES)}"
-        )
-    return mode
+    return parse
 
 
 # key -> (parser, default); the single source of truth for the schema
 _SCHEMA = {
-    "method": (_parse_method, "codec"),
+    "method": (_parse_choice("method", METHODS), "codec"),
     "agents": (_parse_count, 4),
     "topology": (_parse_str, "ring"),
     "tasks": (_parse_count, 2),
@@ -155,7 +139,7 @@ _SCHEMA = {
     "eps_increment": (_parse_nonneg_float, 0.003),
     "rep_samples": (_parse_count, 64),
     "lambda": (_parse_nonneg_float, 5000.0),
-    "ewc_mode": (_parse_ewc_mode, "online"),
+    "ewc_mode": (_parse_choice("ewc_mode", EWC_MODES), "online"),
     "lr_decay": (_parse_bool, False),
     "use_bias": (_parse_bool, False),
     "seed": (_parse_nonneg_int, 0),
@@ -237,13 +221,10 @@ def _cross_check(values: dict[str, object]) -> None:
         base=float(values["eps_base"]),
         increment_per_task=float(values["eps_increment"]),
     )
-    schedule.value(0)  # rejects a base outside (0, 1)
-    ceiling = schedule.base + schedule.increment_per_task * int(values["tasks"])
-    if ceiling >= 1.0:
-        raise ConfigError(
-            f"threshold schedule reaches {ceiling} after {values['tasks']} tasks; "
-            "eps_base + tasks * eps_increment must stay below 1"
-        )
+    # the first and the last task's thresholds must lie in (0, 1), as the
+    # engine checks them; the schedule only rises in between
+    schedule.value(0)
+    schedule.value(int(values["tasks"]) - 1)
     paths = values["dataset_path"]
     if paths is not None and len(paths) != int(values["tasks"]):
         raise ConfigError(
@@ -294,7 +275,6 @@ def _build_sequence(values: dict[str, object]) -> TaskSequence:
 
 
 def _train_config(values: dict[str, object]) -> TrainConfig:
-    topology = parse_topology(str(values["topology"]), int(values["agents"]))
     return TrainConfig(
         eta=float(values["eta"]),
         epochs=int(values["epochs"]),
@@ -303,10 +283,11 @@ def _train_config(values: dict[str, object]) -> TrainConfig:
             base=float(values["eps_base"]),
             increment_per_task=float(values["eps_increment"]),
         ),
-        topology=topology,
-        agents=int(values["agents"]),
+        topology=parse_topology(str(values["topology"]), int(values["agents"])),
         seed=int(values["seed"]),
-        compression=values["method"] == "codec",
+        method=str(values["method"]),
+        lam=float(values["lambda"]),
+        ewc_mode=str(values["ewc_mode"]),
         dims=list(values["dims"]),
         use_bias=bool(values["use_bias"]),
         rep_samples=int(values["rep_samples"]),
@@ -323,43 +304,33 @@ def _fmt(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
+_FLAGS = ("method", "agents", "topology", "tasks", "seed", "out")
+
+
+def _resolve(args: argparse.Namespace) -> dict[str, object]:
+    flags = {key: getattr(args, key) for key in _FLAGS}
+    return resolve_config(args.config, args.overrides, flags)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    flags = {
-        "method": args.method,
-        "agents": args.agents,
-        "topology": args.topology,
-        "tasks": args.tasks,
-        "seed": args.seed,
-        "out": args.out,
-    }
-    values = resolve_config(args.config, args.overrides, flags)
+    values = _resolve(args)
     sequence = _build_sequence(values)
     cfg = _train_config(values)
-    method = str(values["method"])
-    if method in ("codec", "codec_fullcomm"):
-        result = run_sequence(cfg, sequence)
-    elif method == "dewc":
-        result = run_dewc(
-            cfg, sequence, lam=float(values["lambda"]), mode=str(values["ewc_mode"])
-        )
-    elif method == "stl":
-        result = run_stl(cfg, sequence)
-    else:
-        result = run_naive(cfg, sequence)
+    result = run(cfg, sequence)
     out_dir = str(values["out"])
     summary = emit_reports(
         result.accuracy,
         result.ledger,
         result.logs,
         out_dir,
-        method=method,
+        method=cfg.method,
         seed=int(values["seed"]),
         config_echo=_echo(values),
     )
     if result.gpm is not None:
         save_state(result.gpm, os.path.join(out_dir, "gpm_state.txt"))
     overall = summary["compression"]["all_inclusive"]["overall"]
-    print(f"method {method} seed {values['seed']} out {out_dir}")
+    print(f"method {cfg.method} seed {values['seed']} out {out_dir}")
     print(f"accuracy_percent {_fmt(summary['accuracy_percent'])}")
     print(f"bwt_percent {_fmt(summary['bwt_percent'])}")
     print(f"compression_all_inclusive {_fmt(overall)}")
@@ -367,15 +338,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    flags = {
-        "method": args.method,
-        "agents": args.agents,
-        "topology": args.topology,
-        "tasks": args.tasks,
-        "seed": args.seed,
-        "out": args.out,
-    }
-    values = resolve_config(args.config, args.overrides, flags)
+    values = _resolve(args)
     topology = parse_topology(str(values["topology"]), int(values["agents"]))
     report = validate_assumption3(build_mixing(topology))
     print(f"method {values['method']}")

@@ -131,16 +131,14 @@ def forward(model: Mlp, batch: np.ndarray, task: int) -> ForwardTrace:
     return ForwardTrace(inputs=inputs, head_input=act, logits=logits)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _output_delta(
     model: Mlp, batch: np.ndarray, labels: np.ndarray, task: int
 ) -> tuple[ForwardTrace, np.ndarray, np.ndarray]:
-    """Forward pass, mean cross-entropy, and per-sample ``softmax - onehot``."""
+    """Forward pass, mean cross-entropy, and per-sample ``softmax - onehot``.
+
+    The loss is ``log sum exp(z) - z[label]`` on max-shifted logits, finite
+    however far apart the logits are.
+    """
     labels = np.asarray(labels)
     if labels.shape != np.shape(batch)[:-1]:
         raise ValueError("labels must match the batch shape without its last axis")
@@ -153,10 +151,12 @@ def _output_delta(
             f"labels must lie in 0..{classes - 1}, got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    probs = _softmax(trace.logits)
-    picked = np.take_along_axis(probs, labels[..., np.newaxis], axis=-1)[..., 0]
-    loss = -np.mean(np.log(picked), axis=-1)
-    d = probs - (labels[..., np.newaxis] == np.arange(classes))
+    shifted = trace.logits - trace.logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    picked = np.take_along_axis(shifted, labels[..., np.newaxis], axis=-1)[..., 0]
+    loss = np.mean(np.log(total[..., 0]) - picked, axis=-1)
+    d = e / total - (labels[..., np.newaxis] == np.arange(classes))
     return trace, loss, d
 
 

@@ -68,6 +68,9 @@ TAG_BATCH = 4
 TAG_PICK = 5
 TAG_REP = 7
 
+METHODS = ("codec", "codec_fullcomm", "dewc", "stl", "naive")
+EWC_MODES = ("online", "per_task")
+
 
 class ProtocolError(RuntimeError):
     """A gossip message did not match the receiver's expectations."""
@@ -91,14 +94,22 @@ def _derive_int(*entropy: int) -> int:
 
 @dataclass
 class TrainConfig:
+    """One training run; ``method`` is one of ``METHODS``.
+
+    ``lam`` and ``ewc_mode`` (one of ``EWC_MODES``) set the ``dewc`` penalty
+    and are ignored by the other methods.  The agent count is
+    ``topology.n``.
+    """
+
     eta: float
     epochs: int
     batch_size: int
     threshold: ThresholdSchedule
     topology: Topology
-    agents: int
     seed: int
-    compression: bool = True
+    method: str = "codec"
+    lam: float = 5000.0
+    ewc_mode: str = "online"
     dims: list[int] = field(default_factory=lambda: [16, 32, 16])
     use_bias: bool = False
     rep_samples: int = 64
@@ -401,25 +412,14 @@ def gpm_broadcast(
 
 
 class _Engine:
-    def __init__(
-        self,
-        config: TrainConfig,
-        sequence: TaskSequence,
-        method: str,
-        lam: float = 5000.0,
-        ewc_mode: str = "online",
-    ):
-        if method not in ("codec", "codec_fullcomm", "dewc", "stl", "naive"):
+    def __init__(self, config: TrainConfig, sequence: TaskSequence):
+        method = config.method
+        if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
         if config.eta <= 0:
             raise ValueError("eta must be positive")
         if config.epochs < 1 or config.batch_size < 1:
             raise ValueError("epochs and batch_size must be at least 1")
-        if config.agents < 1 or config.agents != config.topology.n:
-            raise ValueError(
-                f"agent count {config.agents} does not match topology size "
-                f"{config.topology.n}"
-            )
         if config.seed < 0:
             raise ValueError("seed must be non-negative")
         if len(config.dims) < 1 or config.dims[0] != sequence.input_dim:
@@ -427,15 +427,13 @@ class _Engine:
                 f"model input width {config.dims[:1]} does not match data "
                 f"dimension {sequence.input_dim}"
             )
-        if ewc_mode not in ("online", "per_task"):
-            raise ValueError(f"unknown ewc mode {ewc_mode!r}")
+        if config.ewc_mode not in EWC_MODES:
+            raise ValueError(f"unknown ewc mode {config.ewc_mode!r}")
         self.cfg = config
         self.seq = sequence
         self.method = method
-        self.lam = lam
-        self.ewc_mode = ewc_mode
         self.projection = method in ("codec", "codec_fullcomm")
-        self.compression = bool(config.compression) and method == "codec"
+        self.compression = method == "codec"
         if self.projection:
             for t in range(len(sequence.tasks)):
                 config.threshold.value(t)  # raises if the schedule leaves (0, 1)
@@ -445,7 +443,7 @@ class _Engine:
     def _fisher_states(self) -> tuple[FisherState, ...]:
         if self.method != "dewc":
             return ()
-        if self.ewc_mode == "online":
+        if self.cfg.ewc_mode == "online":
             return (self.fisher_online,) if self.fisher_online is not None else ()
         return tuple(self.fisher_per_task)
 
@@ -490,7 +488,7 @@ class _Engine:
         p = int(pick_stream.integers(0, len(shards)))
         states = [fisher_estimate(model.view(i), s, task) for i, s in enumerate(shards)]
         avg = fisher_average(states, anchor_index=p)
-        if self.ewc_mode == "online":
+        if self.cfg.ewc_mode == "online":
             self.fisher_online = accumulate_fisher(self.fisher_online, avg)
         else:
             self.fisher_per_task.append(avg)
@@ -511,7 +509,7 @@ class _Engine:
 
     def run(self) -> RunResult:
         cfg = self.cfg
-        n = cfg.agents
+        n = cfg.topology.n
         mixing = build_mixing(cfg.topology)
         t_count = len(self.seq.tasks)
         matrix = AccuracyMatrix(t_count)
@@ -554,7 +552,7 @@ class _Engine:
                         self._eta(round_idx, total_rounds),
                         projection=self.projection,
                         fisher_states=self._fisher_states(),
-                        lam=self.lam if self.method == "dewc" else 0.0,
+                        lam=cfg.lam if self.method == "dewc" else 0.0,
                         debug=cfg.debug_checks,
                     )
                     _check_finite(loss, gossiped(model, t), t, round_idx)
@@ -607,27 +605,6 @@ class _Engine:
         )
 
 
-def run_sequence(config: TrainConfig, sequence: TaskSequence) -> RunResult:
-    """Projected training with the subspace codec (or raw gossip if off)."""
-    method = "codec" if config.compression else "codec_fullcomm"
-    return _Engine(config, sequence, method).run()
-
-
-def run_dewc(
-    config: TrainConfig,
-    sequence: TaskSequence,
-    lam: float = 5000.0,
-    mode: str = "online",
-) -> RunResult:
-    """Quadratic-penalty baseline; raw gossip, no projection, no codec."""
-    return _Engine(config, sequence, "dewc", lam=lam, ewc_mode=mode).run()
-
-
-def run_stl(config: TrainConfig, sequence: TaskSequence) -> RunResult:
-    """Fresh decentralized model per task; fills only the diagonal."""
-    return _Engine(config, sequence, "stl").run()
-
-
-def run_naive(config: TrainConfig, sequence: TaskSequence) -> RunResult:
-    """Sequential decentralized SGD with no forgetting mitigation."""
-    return _Engine(config, sequence, "naive").run()
+def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
+    """Train ``config.method`` over the task sequence; the config is not changed."""
+    return _Engine(config, sequence).run()

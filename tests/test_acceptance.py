@@ -39,9 +39,7 @@ from dccl.trainer import (
     derive_rng,
     gossip_round,
     reset_aggregates,
-    run_naive,
-    run_sequence,
-    run_stl,
+    run,
 )
 
 
@@ -58,16 +56,15 @@ def _verdict(num, description):
 SMALL_DIMS = [16, 32, 16]
 
 
-def _small_config(compression=True):
+def _small_config(method="codec"):
     return TrainConfig(
         eta=0.2,
         epochs=3,
         batch_size=16,
         threshold=ThresholdSchedule(0.95, 0.003),
         topology=parse_topology("ring", 4),
-        agents=4,
         seed=7,
-        compression=compression,
+        method=method,
         dims=list(SMALL_DIMS),
         rep_samples=32,
         debug_checks=True,  # live projection checks during the run
@@ -82,8 +79,8 @@ def small_sequence():
 @pytest.fixture(scope="module")
 def small_pair(small_sequence):
     start = time.monotonic()
-    codec = run_sequence(_small_config(True), small_sequence)
-    fullcomm = run_sequence(_small_config(False), small_sequence)
+    codec = run(_small_config("codec"), small_sequence)
+    fullcomm = run(_small_config("codec_fullcomm"), small_sequence)
     elapsed = time.monotonic() - start
     return {"codec": codec, "fullcomm": fullcomm, "elapsed": elapsed}
 
@@ -97,19 +94,18 @@ def small_first_task(small_sequence):
         classes_per_task=small_sequence.classes_per_task,
         input_dim=small_sequence.input_dim,
     )
-    return run_sequence(_small_config(True), seq)
+    return run(_small_config("codec"), seq)
 
 
-def _bench_config():
+def _bench_config(method):
     return TrainConfig(
         eta=0.6,
         epochs=12,
         batch_size=8,
         threshold=ThresholdSchedule(0.90, 0.003),
         topology=parse_topology("ring", 8),
-        agents=8,
         seed=3,
-        compression=True,
+        method=method,
         dims=[16, 32, 16],
         rep_samples=32,
     )
@@ -119,9 +115,9 @@ def _bench_config():
 def bench():
     sequence = generate_synthetic_sequence(5, 5, 16, 100, 3, separation=4.0)
     start = time.monotonic()
-    codec = run_sequence(_bench_config(), sequence)
-    naive = run_naive(_bench_config(), sequence)
-    stl = run_stl(_bench_config(), sequence)
+    codec = run(_bench_config("codec"), sequence)
+    naive = run(_bench_config("naive"), sequence)
+    stl = run(_bench_config("stl"), sequence)
     elapsed = time.monotonic() - start
     return {"codec": codec, "naive": naive, "stl": stl, "elapsed": elapsed}
 
@@ -340,29 +336,29 @@ def test_criterion_09_gradients_match_finite_differences():
 def test_criterion_10_degenerate_settings_collapse_cleanly():
     with _verdict(10, "single agent and single task reduce to plain SGD"):
         solo = generate_synthetic_sequence(2, 2, 16, 40, 5)
-        on = run_sequence(
+        on = run(
             TrainConfig(
                 eta=0.2, epochs=3, batch_size=16,
                 threshold=ThresholdSchedule(0.95, 0.003),
-                topology=parse_topology("full", 1), agents=1, seed=5,
-                compression=True, dims=list(SMALL_DIMS), rep_samples=16,
+                topology=parse_topology("full", 1), seed=5,
+                method="codec", dims=list(SMALL_DIMS), rep_samples=16,
             ),
             solo,
         )
-        off = run_sequence(
+        off = run(
             TrainConfig(
                 eta=0.2, epochs=3, batch_size=16,
                 threshold=ThresholdSchedule(0.95, 0.003),
-                topology=parse_topology("full", 1), agents=1, seed=5,
-                compression=False, dims=list(SMALL_DIMS), rep_samples=16,
+                topology=parse_topology("full", 1), seed=5,
+                method="codec_fullcomm", dims=list(SMALL_DIMS), rep_samples=16,
             ),
             solo,
         )
         assert np.array_equal(on.final_params, off.final_params)
 
         single = generate_synthetic_sequence(1, 2, 16, 60, 5)
-        codec = run_sequence(_small_config(True), single)
-        naive = run_naive(_small_config(False), single)
+        codec = run(_small_config("codec"), single)
+        naive = run(_small_config("naive"), single)
         assert np.max(np.abs(codec.final_params - naive.final_params)) <= 1e-12
         assert codec.accuracy.get(0, 0) == naive.accuracy.get(0, 0)
 

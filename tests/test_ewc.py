@@ -15,7 +15,7 @@ from dccl.metrics import compression_ratio
 from dccl.model import flatten_params, init_mlp, loss_and_grad, sgd_step, unflatten_params
 from dccl.tasks import TaskShard, generate_synthetic_sequence, shard_iid
 from dccl.topology import parse_topology
-from dccl.trainer import TrainConfig, run_dewc, run_naive
+from dccl.trainer import TrainConfig, run
 
 
 def _model(seed=0, use_bias=False):
@@ -149,9 +149,8 @@ def _config(seed=3, **kw):
         batch_size=8,
         threshold=ThresholdSchedule(0.95, 0.003),
         topology=parse_topology("ring", 4),
-        agents=4,
         seed=seed,
-        compression=False,
+        method="dewc",
         dims=[16, 32, 16],
         rep_samples=16,
     )
@@ -161,14 +160,14 @@ def _config(seed=3, **kw):
 
 def test_zero_lambda_single_task_equals_naive():
     seq = generate_synthetic_sequence(1, 2, 16, 40, 3)
-    dewc = run_dewc(_config(), seq, lam=0.0)
-    naive = run_naive(_config(), seq)
+    dewc = run(_config(lam=0.0), seq)
+    naive = run(_config(method="naive"), seq)
     assert np.max(np.abs(dewc.final_params - naive.final_params)) <= 1e-12
 
 
 def test_dewc_sends_updates_uncompressed():
     seq = generate_synthetic_sequence(2, 2, 16, 40, 3)
-    result = run_dewc(_config(), seq, lam=10.0)
+    result = run(_config(lam=10.0), seq)
     for variant in ("pure_subspace", "all_inclusive"):
         assert compression_ratio(result.ledger, "overall", variant) == 1.0
         assert compression_ratio(result.ledger, "per_task", variant) == [1.0, 1.0]
@@ -176,7 +175,7 @@ def test_dewc_sends_updates_uncompressed():
 
 def test_dewc_per_task_mode_runs():
     seq = generate_synthetic_sequence(2, 2, 16, 40, 3)
-    online = run_dewc(_config(), seq, lam=10.0, mode="online")
-    per_task = run_dewc(_config(), seq, lam=10.0, mode="per_task")
+    online = run(_config(lam=10.0, ewc_mode="online"), seq)
+    per_task = run(_config(lam=10.0, ewc_mode="per_task"), seq)
     # with a single past task the two bookkeeping modes coincide
     assert np.max(np.abs(online.final_params - per_task.final_params)) <= 1e-12

@@ -258,6 +258,58 @@ def test_descent_check_equals_projected_norm():
         assert abs(ip - norm_sq) <= 1e-8 * max(1.0, float(np.sum(g * g)))
 
 
+@st.composite
+def _basis_case(draw):
+    """A random basis of width n and rank 0..n, and a random generator for
+    updates with a leading agent axis."""
+    n = draw(st.integers(1, 16))
+    r = draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 5)), n, draw(st.integers(1, 6)))
+    return _basis(rng, n, r), rng, shape
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_basis_case())
+def test_codec_round_trip_property(case):
+    basis, rng, (agents, n, cols) = case
+    q = basis.o @ rng.standard_normal((agents, basis.o.shape[1], cols))
+    back = decode(encode(q, basis.o), basis.o)
+    assert back.shape == q.shape
+    assert np.max(np.abs(back - q), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(q)))
+    covered = basis.m @ rng.standard_normal((agents, basis.rank, cols))
+    leaked = encode(covered, basis.o)
+    assert np.max(np.abs(leaked), initial=0.0) <= 1e-12 * max(
+        1.0, np.max(np.abs(covered), initial=0.0)
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_basis_case())
+def test_projection_is_idempotent_and_orthogonal_to_memory(case):
+    basis, rng, shape = case
+    g = rng.standard_normal(shape)
+    scale = max(1.0, np.max(np.abs(g)))
+    once = project(g, basis.m)
+    twice = project(once, basis.m)
+    assert np.max(np.abs(twice - once)) <= 1e-12 * scale
+    assert np.max(np.abs(basis.m.T @ once), initial=0.0) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_basis_case())
+def test_descent_identity_property(case):
+    basis, rng, shape = case
+    g = rng.standard_normal(shape)
+    g_tilde = project(g, basis.m)
+    ip = descent_check(g, g_tilde)
+    norm_sq = np.sum(g_tilde * g_tilde, axis=(-2, -1))
+    scale = np.maximum(1.0, np.sum(g * g, axis=(-2, -1)))
+    assert ip.shape == (shape[0],)
+    assert np.all(ip >= -1e-12 * scale)
+    assert np.all(np.abs(ip - norm_sq) <= 1e-12 * scale)
+
+
 def test_state_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(13)
     state = _state(rng, [6, 4], [2, 0])

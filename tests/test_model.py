@@ -72,6 +72,19 @@ def test_loss_with_zero_weights_is_log_classes():
     assert loss == pytest.approx(math.log(7.0), abs=1e-12)
 
 
+def test_loss_stays_finite_for_a_large_logit_gap():
+    # one identity layer and a head that puts the wrong class 1000 ahead:
+    # log(softmax) would underflow to log(0); log-sum-exp gives the gap
+    model = init_mlp([2, 2], _rng(5), False)
+    model.add_head(0, 2, _rng(6))
+    model.layers[0][...] = np.eye(2)
+    model.heads[0][...] = [[1000.0, 0.0], [0.0, 0.0]]
+    loss, grads = loss_and_grad(model, np.array([[1.0, 0.0]]), np.array([1]), 0)
+    assert np.isfinite(loss)
+    assert loss == pytest.approx(1000.0, rel=1e-12)
+    assert np.all(np.isfinite(grads.head))
+
+
 def test_forward_without_trunk_layers():
     model = init_mlp([6], _rng(8), False)
     model.add_head(0, 4, _rng(9))

@@ -22,10 +22,7 @@ from dccl.trainer import (
     gossip_round,
     gossiped,
     reset_aggregates,
-    run_dewc,
-    run_naive,
-    run_sequence,
-    run_stl,
+    run,
     _derive_int,
 )
 
@@ -57,16 +54,15 @@ def _own_aggregates(agents):
     agents.aggregates = [x.copy() for x in gossiped(agents.model, 0)]
 
 
-def _config(topology, agents, seed=7, compression=True, dims=None, **kw):
+def _config(topology, agents, seed=7, method="codec", dims=None, **kw):
     defaults = dict(
         eta=0.1,
         epochs=2,
         batch_size=8,
         threshold=ThresholdSchedule(0.95, 0.003),
         topology=parse_topology(topology, agents),
-        agents=agents,
         seed=seed,
-        compression=compression,
+        method=method,
         dims=dims or [16, 32, 16],
         rep_samples=16,
     )
@@ -208,8 +204,8 @@ def test_stacked_round_matches_per_message_reference(
 
 def test_compression_does_not_change_the_trajectory():
     seq = generate_synthetic_sequence(2, 2, 16, 60, 3)
-    on = run_sequence(_config("ring", 4, compression=True), seq)
-    off = run_sequence(_config("ring", 4, compression=False), seq)
+    on = run(_config("ring", 4, method="codec"), seq)
+    off = run(_config("ring", 4, method="codec_fullcomm"), seq)
     assert np.max(np.abs(on.final_params - off.final_params)) <= 1e-9
     for t in range(2):
         for i in range(t + 1):
@@ -220,23 +216,23 @@ def test_compression_does_not_change_the_trajectory():
 
 def test_single_agent_codec_is_bitwise_invariant():
     seq = generate_synthetic_sequence(2, 2, 16, 40, 5)
-    on = run_sequence(_config("full", 1, compression=True), seq)
-    off = run_sequence(_config("full", 1, compression=False), seq)
+    on = run(_config("full", 1, method="codec"), seq)
+    off = run(_config("full", 1, method="codec_fullcomm"), seq)
     assert np.array_equal(on.final_params, off.final_params)
 
 
 def test_single_task_codec_equals_plain_decentralized_sgd():
     seq = generate_synthetic_sequence(1, 2, 16, 60, 5)
-    codec = run_sequence(_config("ring", 4, compression=True), seq)
-    naive = run_naive(_config("ring", 4, compression=False), seq)
+    codec = run(_config("ring", 4, method="codec"), seq)
+    naive = run(_config("ring", 4, method="naive"), seq)
     assert np.max(np.abs(codec.final_params - naive.final_params)) <= 1e-12
     assert codec.accuracy.get(0, 0) == naive.accuracy.get(0, 0)
 
 
 def test_runs_are_deterministic():
     seq = generate_synthetic_sequence(2, 2, 16, 60, 9)
-    a = run_sequence(_config("ring", 4), seq)
-    b = run_sequence(_config("ring", 4), seq)
+    a = run(_config("ring", 4), seq)
+    b = run(_config("ring", 4), seq)
     assert np.array_equal(a.final_params, b.final_params)
     assert [(r.task, r.round, r.agent, r.loss, r.ce, r.mu, r.scalars_sent) for r in a.logs] == [
         (r.task, r.round, r.agent, r.loss, r.ce, r.mu, r.scalars_sent) for r in b.logs
@@ -247,7 +243,7 @@ def test_round_count_and_log_shape():
     seq = generate_synthetic_sequence(1, 2, 16, 50, 2)
     # 80 training rows over 4 agents: shards of 20, batches of 8 -> 3 rounds
     cfg = _config("ring", 4, epochs=2)
-    result = run_sequence(cfg, seq)
+    result = run(cfg, seq)
     entry = result.ledger.tasks[0]
     assert entry.rounds == 6
     assert len(result.logs) == 6 * 4
@@ -257,8 +253,8 @@ def test_round_count_and_log_shape():
 
 def test_scalar_accounting_matches_closed_form():
     seq = generate_synthetic_sequence(1, 2, 16, 50, 2)
-    cfg = _config("ring", 4, epochs=1, compression=False)
-    result = run_sequence(cfg, seq)
+    cfg = _config("ring", 4, epochs=1, method="codec_fullcomm")
+    result = run(cfg, seq)
     entry = result.ledger.tasks[0]
     n_rounds = entry.rounds
     # directed ring: each message reaches exactly one peer
@@ -276,8 +272,8 @@ def test_scalar_accounting_matches_closed_form():
 
 def test_debug_checks_pass_on_a_live_run():
     seq = generate_synthetic_sequence(2, 2, 16, 40, 4)
-    run_sequence(_config("ring", 4, debug_checks=True), seq)
-    run_dewc(_config("ring", 4, debug_checks=True), seq, lam=10.0)
+    run(_config("ring", 4, debug_checks=True), seq)
+    run(_config("ring", 4, method="dewc", lam=10.0, debug_checks=True), seq)
 
 
 def test_desynchronized_bases_raise_protocol_error():
@@ -298,17 +294,17 @@ def test_desynchronized_bases_raise_protocol_error():
 def test_non_finite_training_data_stops_the_run_naming_the_agent():
     seq = generate_synthetic_sequence(2, 2, 16, 40, 4)
     seq.tasks[0].train_x[5, 3] = np.nan
-    cfg = _config("ring", 4, epochs=1)
+    cfg = _config("ring", 4, epochs=1, method="naive")
     shards = shard_iid(seq.tasks[0], 4, _derive_int(cfg.seed, TAG_SHARD, 0))
     holder = next(i for i, s in enumerate(shards) if np.isnan(s.examples).any())
     want = rf"task 0, round \d+: agent {holder} has non-finite loss"
     with pytest.raises(NonFiniteError, match=want):
-        run_naive(cfg, seq)
+        run(cfg, seq)
 
 
 def test_stl_fills_only_the_diagonal():
     seq = generate_synthetic_sequence(3, 2, 16, 40, 8)
-    result = run_stl(_config("ring", 4, epochs=1), seq)
+    result = run(_config("ring", 4, epochs=1, method="stl"), seq)
     for t in range(3):
         for i in range(t + 1):
             if i == t:
@@ -319,38 +315,37 @@ def test_stl_fills_only_the_diagonal():
 
 def test_gpm_state_is_shared_and_grows(tmp_path):
     seq = generate_synthetic_sequence(2, 2, 16, 40, 6)
-    result = run_sequence(_config("ring", 4), seq)
+    result = run(_config("ring", 4), seq)
     assert result.gpm is not None
     assert all(r > 0 for r in result.gpm.ranks())
-    naive = run_naive(_config("ring", 4), seq)
+    naive = run(_config("ring", 4, method="naive"), seq)
     assert naive.gpm is None
 
 
 def test_baselines_leave_the_callers_config_alone():
     seq = generate_synthetic_sequence(1, 2, 16, 40, 6)
-    for run in (run_naive, run_stl, run_dewc):
-        cfg = _config("ring", 4, epochs=1)
+    for method in ("naive", "stl", "dewc"):
+        cfg = _config("ring", 4, epochs=1, method=method)
         run(cfg, seq)
-        assert cfg.compression is True
-        assert cfg == _config("ring", 4, epochs=1)
+        assert cfg == _config("ring", 4, epochs=1, method=method)
 
 
 def test_learning_rate_decay_changes_late_rounds():
     seq = generate_synthetic_sequence(1, 2, 16, 60, 12)
-    flat = run_sequence(_config("ring", 4, epochs=4), seq)
-    decayed = run_sequence(_config("ring", 4, epochs=4, lr_decay=True), seq)
+    flat = run(_config("ring", 4, epochs=4), seq)
+    decayed = run(_config("ring", 4, epochs=4, lr_decay=True), seq)
     assert not np.array_equal(flat.final_params, decayed.final_params)
 
 
-def test_agent_topology_mismatch_rejected():
+def test_unknown_method_or_ewc_mode_rejected():
     seq = generate_synthetic_sequence(1, 2, 16, 40, 6)
-    cfg = _config("ring", 4)
-    cfg.agents = 5
-    with pytest.raises(ValueError):
-        run_sequence(cfg, seq)
+    with pytest.raises(ValueError, match="unknown method 'codecs'"):
+        run(_config("ring", 4, method="codecs"), seq)
+    with pytest.raises(ValueError, match="unknown ewc mode 'offline'"):
+        run(_config("ring", 4, method="dewc", ewc_mode="offline"), seq)
 
 
 def test_input_width_mismatch_rejected():
     seq = generate_synthetic_sequence(1, 2, 8, 40, 6)
     with pytest.raises(ValueError):
-        run_sequence(_config("ring", 4), seq)
+        run(_config("ring", 4), seq)
