@@ -176,42 +176,32 @@ def _load_file(path: str) -> dict[str, str]:
 def resolve_config(
     config_path: str | None,
     overrides: list[str],
-    flags: dict[str, object],
+    flags: dict[str, str | None],
 ) -> dict[str, object]:
-    """Merge defaults, file values, --set pairs, then dedicated flags."""
+    """Merge defaults, file values, --set pairs, then dedicated flags.
+
+    Every value arrives as text and goes through its key's schema parser.
+    """
     values: dict[str, object] = {k: default for k, (_, default) in _SCHEMA.items()}
-    if config_path:
-        for key, raw in _load_file(config_path).items():
-            if key not in _SCHEMA:
-                raise ConfigError(f"unknown config key {key!r}")
-            try:
-                values[key] = _SCHEMA[key][0](raw)
-            except ConfigError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from None
+    pairs = list(_load_file(config_path).items()) if config_path else []
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, raw = item.split("=", 1)
-        key = key.strip().lower()
+        pairs.append((key.strip().lower(), raw))
+    pairs += [(key, raw) for key, raw in flags.items() if raw is not None]
+    for key, raw in pairs:
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         try:
             values[key] = _SCHEMA[key][0](raw)
         except ConfigError as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from None
-    for key, value in flags.items():
-        if value is not None:
-            values[key] = value
     _cross_check(values)
     return values
 
 
 def _cross_check(values: dict[str, object]) -> None:
-    for key in ("agents", "tasks", "epochs", "batch_size"):
-        if int(values[key]) < 1:
-            raise ConfigError(f"config key {key!r} must be at least 1")
-    if int(values["seed"]) < 0:
-        raise ConfigError("config key 'seed' must be non-negative")
     dims = values["dims"]
     if dims[0] != values["input_dim"]:
         raise ConfigError(
@@ -354,15 +344,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="INI-style config file")
-    parser.add_argument("--method", choices=METHODS, help="training method")
-    parser.add_argument("--agents", type=int, metavar="N", help="number of agents")
+    parser.add_argument("--method", help="training method: " + ", ".join(METHODS))
+    parser.add_argument("--agents", metavar="N", help="number of agents")
     parser.add_argument(
         "--topology",
         metavar="STR",
         help="ring, full, torus:RxC, or custom:<adjacency file>",
     )
-    parser.add_argument("--tasks", type=int, metavar="T", help="number of tasks")
-    parser.add_argument("--seed", type=int, metavar="S", help="run seed")
+    parser.add_argument("--tasks", metavar="T", help="number of tasks")
+    parser.add_argument("--seed", metavar="S", help="run seed")
     parser.add_argument("--out", metavar="DIR", help="output directory")
     parser.add_argument(
         "--set",

@@ -81,12 +81,10 @@ def ewc_grad(
     )
 
 
-def fisher_average(states: list[FisherState], anchor_index: int = 0) -> FisherState:
-    """Elementwise mean of per-agent Fishers; anchor from the designated agent."""
+def fisher_average(states: list[FisherState]) -> FisherState:
+    """Elementwise mean of per-agent Fishers; anchor from the first state."""
     if not states:
         raise ValueError("no Fisher states to average")
-    if not 0 <= anchor_index < len(states):
-        raise ValueError(f"anchor index {anchor_index} outside 0..{len(states) - 1}")
     f = [np.zeros_like(a) for a in states[0].f]
     for state in states:
         if len(state.f) != len(f):
@@ -94,7 +92,7 @@ def fisher_average(states: list[FisherState], anchor_index: int = 0) -> FisherSt
         for slot, part in zip(f, state.f):
             slot += part
     f = [a / len(states) for a in f]
-    anchor = [a.copy() for a in states[anchor_index].anchor]
+    anchor = [a.copy() for a in states[0].anchor]
     return FisherState(f=f, anchor=anchor)
 
 

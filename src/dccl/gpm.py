@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_matrix, frobenius_norm
-
 
 @dataclass
 class LayerBasis:
@@ -108,17 +106,21 @@ def update_memory(
         )
     new_layers = []
     for basis, rep in zip(state.layers, reps):
-        rep = check_matrix(rep, "representation")
+        rep = np.asarray(rep, dtype=np.float64)
         n = basis.dim
+        if rep.ndim != 2:
+            raise ValueError(f"representation must be 2-D, got shape {rep.shape}")
         if rep.shape[0] != n:
             raise ValueError(
                 f"representation rows {rep.shape[0]} do not match layer dim {n}"
             )
-        total = frobenius_norm(rep) ** 2
+        if not np.isfinite(rep).all():
+            raise ValueError("representation contains non-finite entries")
+        total = np.linalg.norm(rep) ** 2
         if total == 0.0 or basis.rank == n:
             new_layers.append(basis.copy())
             continue
-        covered = frobenius_norm(basis.m.T @ rep) ** 2
+        covered = np.linalg.norm(basis.m.T @ rep) ** 2
         target = eps_th * total
         if covered >= target:
             new_layers.append(basis.copy())

@@ -3,6 +3,8 @@
 Supported graph kinds: a directed ring, a 2-D torus (row-major node ids,
 duplicate edges from 1- or 2-row/column wraparound merged), a fully
 connected graph, and a custom undirected adjacency loaded from a text file.
+Each is held as one 0/1 adjacency matrix with self loops, checked once when
+the topology is built; neighbor lists and mixing weights are read from it.
 Mixing weights are Metropolis style, 1/(1 + max degree) per edge with the
 remainder on the self loop, which reduces to the uniform 1/(deg+1) rule on
 regular graphs and is doubly stochastic on any connected graph.
@@ -15,14 +17,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import check_matrix, spectral_radius_nontrivial
-
 _RESIDUAL_TOL = 1e-12
 _GAP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class Topology:
+    """A graph and its 0/1 in-adjacency with self loops, checked once here.
+
+    ``adjacency`` is given only for the custom kind (symmetric, 0/1, n x n);
+    for every kind it then holds the built, read-only matrix.
+    """
+
     kind: str  # "ring" | "torus" | "full" | "custom"
     n: int
     rows: int = 0
@@ -30,10 +36,53 @@ class Topology:
     adjacency: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
+        n = self.n
+        if n < 1:
+            raise ValueError("topology needs at least one node")
         if self.kind not in ("ring", "torus", "full", "custom"):
             raise ValueError(f"unknown topology kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("topology needs at least one node")
+        if (self.adjacency is None) != (self.kind != "custom"):
+            raise ValueError("only a custom topology takes an adjacency, and it must")
+        ids = np.arange(n)
+        if self.kind == "ring":
+            adj = np.eye(n)
+            adj[ids, (ids + 1) % n] = 1.0
+        elif self.kind == "full":
+            adj = np.ones((n, n))
+        elif self.kind == "torus":
+            if self.rows < 1 or self.cols < 1:
+                raise ValueError("torus dimensions must be positive")
+            if self.rows * self.cols != n:
+                raise ValueError(
+                    f"torus {self.rows}x{self.cols} has {self.rows * self.cols} "
+                    f"nodes but {n} agents were requested"
+                )
+            ids = ids.reshape(self.rows, self.cols)
+            adj = np.eye(n)
+            for shift, axis in ((1, 0), (-1, 0), (1, 1), (-1, 1)):
+                adj[ids, np.roll(ids, shift, axis=axis)] = 1.0
+        else:
+            adj = np.array(self.adjacency, dtype=np.float64)
+            if adj.shape != (n, n):
+                raise ValueError(
+                    f"adjacency has shape {adj.shape} but {n} agents were requested"
+                )
+            if not np.all((adj == 0.0) | (adj == 1.0)):
+                raise ValueError("custom adjacency entries must be 0 or 1")
+            if not np.array_equal(adj, adj.T):
+                raise ValueError("custom adjacency must be symmetric")
+            np.fill_diagonal(adj, 1.0)  # self loops are always present
+        # one step from a set of nodes reaches every node in their rows
+        reached = adj[0] > 0.0
+        while (grown := adj[reached].any(axis=0)).sum() > reached.sum():
+            reached = grown
+        if not reached.all():
+            raise ValueError(
+                "graph is disconnected: consensus is unreachable "
+                f"(reached {int(reached.sum())} of {n} nodes)"
+            )
+        adj.flags.writeable = False
+        object.__setattr__(self, "adjacency", adj)
 
 
 @dataclass
@@ -65,10 +114,8 @@ class Assumption3Report:
 def parse_topology(text: str, n: int) -> Topology:
     """Parse a topology spec string: ring, torus:RxC, full, custom:<path>."""
     text = text.strip()
-    if text == "ring":
-        return Topology("ring", n)
-    if text == "full":
-        return Topology("full", n)
+    if text in ("ring", "full"):
+        return Topology(text, n)
     if text.startswith("torus:"):
         dims = text[len("torus:"):].lower().split("x")
         if len(dims) != 2:
@@ -77,13 +124,6 @@ def parse_topology(text: str, n: int) -> Topology:
             rows, cols = int(dims[0]), int(dims[1])
         except ValueError as exc:
             raise ValueError(f"bad torus dimensions in {text!r}") from exc
-        if rows < 1 or cols < 1:
-            raise ValueError("torus dimensions must be positive")
-        if rows * cols != n:
-            raise ValueError(
-                f"torus {rows}x{cols} has {rows * cols} nodes "
-                f"but {n} agents were requested"
-            )
         return Topology("torus", n, rows=rows, cols=cols)
     if text.startswith("custom:"):
         return load_custom_topology(text[len("custom:"):], n)
@@ -109,116 +149,74 @@ def load_custom_topology(path: str, n: int) -> Topology:
             rows.append(entries)
     if not rows:
         raise ValueError(f"{path}: adjacency file is empty")
-    size = len(rows)
     for lineno, entries in enumerate(rows, start=1):
-        if len(entries) != size:
+        if len(entries) != len(rows):
             raise ValueError(
-                f"{path}:{lineno}: expected {size} entries, got {len(entries)}"
+                f"{path}:{lineno}: expected {len(rows)} entries, got {len(entries)}"
             )
-    adj = np.array(rows, dtype=np.float64)
-    if size != n:
-        raise ValueError(
-            f"{path}: adjacency is {size}x{size} but {n} agents were requested"
-        )
-    if not np.array_equal(adj, adj.T):
-        raise ValueError(f"{path}: custom adjacency must be symmetric")
-    np.fill_diagonal(adj, 1.0)  # self loops are always present
-    topology = Topology("custom", n, adjacency=adj)
-    _check_connected(topology)
-    return topology
+    try:
+        return Topology("custom", n, adjacency=np.array(rows, dtype=np.float64))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def neighbors(topology: Topology, i: int) -> list[int]:
-    """In-neighborhood of node i, self included (the weights row support)."""
+    """In-neighborhood of node i, self first (the weights row support)."""
     n = topology.n
     if not 0 <= i < n:
         raise ValueError(f"node {i} outside 0..{n - 1}")
+    row = np.flatnonzero(topology.adjacency[i])
+    return [i] + [int(j) for j in row if j != i]
+
+
+def _nontrivial_radius(w: np.ndarray) -> float:
+    """Largest eigenvalue magnitude of the disagreement operator of ``w``.
+
+    For a doubly stochastic ``w`` (both callers guarantee it) this is the
+    contraction factor on the subspace orthogonal to consensus, i.e. the
+    spectral radius of ``(I - (1/N) 1 1^T) w``.  Directed topologies give
+    complex eigenvalues, hence the general (non-symmetric) eigensolver.
+    """
+    n = w.shape[0]
     if n == 1:
-        return [0]
-    if topology.kind == "ring":
-        return [i, (i + 1) % n]
-    if topology.kind == "full":
-        return [i] + [j for j in range(n) if j != i]
-    if topology.kind == "torus":
-        r, c = divmod(i, topology.cols)
-        seen: list[int] = [i]
-        for rr, cc in (
-            ((r - 1) % topology.rows, c),
-            ((r + 1) % topology.rows, c),
-            (r, (c - 1) % topology.cols),
-            (r, (c + 1) % topology.cols),
-        ):
-            j = rr * topology.cols + cc
-            if j not in seen:
-                seen.append(j)
-        return seen
-    adj = topology.adjacency
-    assert adj is not None
-    return [i] + [j for j in range(n) if j != i and adj[i, j] > 0]
-
-
-def _degrees(topology: Topology) -> list[int]:
-    return [len(neighbors(topology, i)) - 1 for i in range(topology.n)]
-
-
-def _check_connected(topology: Topology) -> None:
-    n = topology.n
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in neighbors(topology, i):
-            if j not in seen:
-                seen.add(j)
-                frontier.append(j)
-    if len(seen) != n:
-        raise ValueError(
-            "graph is disconnected: consensus is unreachable "
-            f"(reached {len(seen)} of {n} nodes)"
-        )
+        return 0.0
+    b = (np.eye(n) - np.full((n, n), 1.0 / n)) @ w
+    if np.linalg.norm(b) < 1e-14:
+        return 0.0
+    radius = float(np.max(np.abs(np.linalg.eigvals(b))))
+    # a doubly stochastic matrix cannot contract by less than 0 or expand;
+    # trim eigensolver rounding that lands a hair outside [0, 1]
+    return min(max(radius, 0.0), 1.0)
 
 
 def build_mixing(topology: Topology) -> MixingMatrix:
-    """Construct the gossip weight matrix for a topology.
+    """Construct the gossip weight matrix from the topology's adjacency.
 
     The directed ring places 1/2 on the self loop and 1/2 on the successor;
     every other kind uses Metropolis weights on the undirected edge set.
     """
-    n = topology.n
-    _check_connected(topology)
-    w = np.zeros((n, n))
-    if n == 1:
-        w[0, 0] = 1.0
-    elif topology.kind == "ring":
-        for i in range(n):
-            w[i, i] = 0.5
-            w[i, (i + 1) % n] = 0.5
+    a = topology.adjacency
+    if topology.kind == "ring":
+        w = a / a.sum(axis=1, keepdims=True)
     else:
-        degs = _degrees(topology)
-        for i in range(n):
-            for j in neighbors(topology, i):
-                if j == i:
-                    continue
-                w[i, j] = 1.0 / (1.0 + max(degs[i], degs[j]))
-            w[i, i] = 1.0 - float(np.sum(w[i]))
-    return MixingMatrix(w=w, topology=topology, sqrt_rho=spectral_radius_nontrivial(w))
+        degree = a.sum(axis=1) - 1.0
+        w = (a - np.eye(topology.n)) / (1.0 + np.maximum.outer(degree, degree))
+        np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return MixingMatrix(w=w, topology=topology, sqrt_rho=_nontrivial_radius(w))
 
 
 def validate_assumption3(w: np.ndarray | MixingMatrix) -> Assumption3Report:
     """Check double stochasticity and the spectral gap of a weight matrix.
 
-    Never raises for a finite square input; failures are carried in the
-    report so the caller can print them.
+    Never raises for a 2-D input; failures (non-finite entries included)
+    are carried in the report so the caller can print them.
     """
-    mat = w.w if isinstance(w, MixingMatrix) else check_matrix(w, "mixing matrix")
+    mat = w.w if isinstance(w, MixingMatrix) else np.asarray(w, dtype=np.float64)
     row_res = float(np.max(np.abs(mat.sum(axis=1) - 1.0)))
     col_res = float(np.max(np.abs(mat.sum(axis=0) - 1.0)))
     in_range = bool(np.all(mat >= -1e-15) and np.all(mat <= 1.0 + 1e-15))
     sums_ok = max(row_res, col_res) <= _RESIDUAL_TOL
-    if sums_ok:
-        sqrt_rho = spectral_radius_nontrivial(mat)
-    else:
-        sqrt_rho = math.nan
+    sqrt_rho = _nontrivial_radius(mat) if sums_ok else math.nan
     passed = sums_ok and sqrt_rho <= 1.0 - _GAP_TOL
     return Assumption3Report(
         row_residual=row_res,

@@ -77,7 +77,7 @@ class ProtocolError(RuntimeError):
 
 
 class NonFiniteError(ArithmeticError):
-    """Training produced a non-finite loss or parameter."""
+    """Training produced a non-finite loss, mu, parameter or consensus error."""
 
 
 def derive_rng(*entropy: int) -> np.random.Generator:
@@ -211,14 +211,23 @@ def _check_tracking(agents: Agents, mixing: MixingMatrix, task: int) -> None:
 
 
 def _check_finite(
-    loss: np.ndarray, arrays: list[np.ndarray], task: int, round_idx: int
+    loss: np.ndarray,
+    mu: np.ndarray,
+    arrays: list[np.ndarray],
+    task: int,
+    round_idx: int,
 ) -> None:
-    bad = ~np.isfinite(loss)
+    bad = ~(np.isfinite(loss) & np.isfinite(mu))
     for a in arrays:
         bad |= ~np.isfinite(_per_agent(a)).all(axis=1)
     if bad.any():
         agent = int(np.flatnonzero(bad)[0])
-        what = "loss" if not np.isfinite(loss[agent]) else "parameters"
+        if not np.isfinite(loss[agent]):
+            what = "loss"
+        elif not np.isfinite(mu[agent]):
+            what = "mu"
+        else:
+            what = "parameters"
         raise NonFiniteError(
             f"task {task}, round {round_idx}: agent {agent} has non-finite {what}"
         )
@@ -482,12 +491,12 @@ class _Engine:
         model: Mlp,
         shards: list[TaskShard],
         task: int,
-        pick_stream: np.random.Generator,
         entry: TaskComm,
     ) -> None:
-        p = int(pick_stream.integers(0, len(shards)))
+        # after the boundary sync every agent holds the same parameters, so
+        # the average's anchor (agent 0's) is everyone's
         states = [fisher_estimate(model.view(i), s, task) for i, s in enumerate(shards)]
-        avg = fisher_average(states, anchor_index=p)
+        avg = fisher_average(states)
         if self.cfg.ewc_mode == "online":
             self.fisher_online = accumulate_fisher(self.fisher_online, avg)
         else:
@@ -555,7 +564,7 @@ class _Engine:
                         lam=cfg.lam if self.method == "dewc" else 0.0,
                         debug=cfg.debug_checks,
                     )
-                    _check_finite(loss, gossiped(model, t), t, round_idx)
+                    _check_finite(loss, mu, gossiped(model, t), t, round_idx)
                     sent = gossip_round(
                         agents,
                         mixing,
@@ -567,6 +576,10 @@ class _Engine:
                     )
                     entry.rounds += 1
                     ce = consensus_error(model)
+                    if not math.isfinite(ce):
+                        raise NonFiniteError(
+                            f"task {t}, round {round_idx}: non-finite consensus error"
+                        )
                     logs.extend(
                         LogRecord(
                             task=t,
@@ -593,7 +606,7 @@ class _Engine:
                     compression=self.compression,
                 )
             if self.method == "dewc":
-                self._fisher_phase(model, shards, t, pick_stream, entry)
+                self._fisher_phase(model, shards, t, entry)
             self._evaluate(model.view(0), t, matrix)
         return RunResult(
             method=self.method,

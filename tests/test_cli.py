@@ -84,6 +84,18 @@ def test_bad_value_names_the_key(capsys):
     assert "agents" in err and "zero" in err
 
 
+def test_dedicated_flags_go_through_the_schema(capsys):
+    for flag, value, reason in (
+        ("--agents", "abc", "expected an integer"),
+        ("--agents", "0", "at least 1"),
+        ("--method", "foo", "unknown method"),
+    ):
+        rc = main(["validate", flag, value])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"'{flag[2:]}'" in err and reason in err
+
+
 def test_run_writes_reports(tmp_path, capsys):
     out = tmp_path / "run1"
     rc = main(_run_args(out, "--method", "codec"))
@@ -110,6 +122,24 @@ def test_divergent_run_exits_non_zero_without_reports(tmp_path, capsys):
     assert "non-finite" in err
     assert "task" in err and "round" in err and "agent" in err
     assert not (out / "rounds.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "method, cause",
+    [("codec", "agent 1 has non-finite mu"), ("naive", "non-finite consensus error")],
+)
+def test_non_finite_mu_or_consensus_error_stops_the_run(
+    tmp_path, capsys, method, cause
+):
+    out = tmp_path / method
+    args = _run_args(out, "--method", method, "--set", "epochs=1", "--set", "eta=1e100")
+    rc = main(args)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"task 0, round 1: {cause}" in err
+    assert not out.exists()
 
 
 def test_run_single_agent_all_inclusive_ratio_is_one(tmp_path):
@@ -143,7 +173,7 @@ def test_rerun_is_byte_identical(tmp_path):
 def test_precedence_defaults_file_set_flags(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("eta = 0.5\nseed = 1\nepochs = 7\n")
-    values = resolve_config(str(cfg), ["eta=0.25", "seed=2"], {"seed": 3})
+    values = resolve_config(str(cfg), ["eta=0.25", "seed=2"], {"seed": "3"})
     assert values["eta"] == 0.25  # --set beats the file
     assert values["seed"] == 3  # dedicated flag beats --set
     assert values["epochs"] == 7  # file beats the default

@@ -125,11 +125,11 @@ def test_zero_lambda_or_missing_fisher_leaves_gradients_alone():
 def test_fisher_average_is_elementwise_mean_with_chosen_anchor():
     a = FisherState(f=[np.full((2, 2), 2.0)], anchor=[np.full((2, 2), 1.0)])
     b = FisherState(f=[np.full((2, 2), 4.0)], anchor=[np.full((2, 2), 9.0)])
-    avg = fisher_average([a, b], anchor_index=1)
+    avg = fisher_average([a, b])
     assert np.all(avg.f[0] == 3.0)
-    assert np.all(avg.anchor[0] == 9.0)
+    assert np.all(avg.anchor[0] == 1.0)  # the first state's anchor
     with pytest.raises(ValueError):
-        fisher_average([], anchor_index=0)
+        fisher_average([])
 
 
 def test_accumulate_fisher_sums_and_rebases():

@@ -23,13 +23,12 @@ from dccl.gpm import (
     save_state,
     update_memory,
 )
-from dccl.linalg import orthonormal_complement
 
 
 def _basis(rng, n, r):
-    q, _ = np.linalg.qr(rng.standard_normal((n, max(r, 1))))
-    m = q[:, :r]
-    return LayerBasis(m=m, o=orthonormal_complement(m))
+    # one complete QR: the first r columns are the memory, the rest its complement
+    q, _ = np.linalg.qr(rng.standard_normal((n, max(r, 1))), mode="complete")
+    return LayerBasis(m=q[:, :r], o=q[:, r:])
 
 
 def _state(rng, dims, ranks):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dccl.gpm import GpmState, LayerBasis, ThresholdSchedule
-from dccl.linalg import orthonormal_complement
 from dccl.model import flatten_params, init_mlp, unflatten_params
 from dccl.tasks import generate_synthetic_sequence, shard_iid
 from dccl.topology import build_mixing, parse_topology
@@ -283,10 +282,9 @@ def test_desynchronized_bases_raise_protocol_error():
     # agent 0 privately grows its memory, so its coefficients no longer
     # match what agent 1 expects
     n = DIMS[0]
-    e1 = np.zeros((n, 1))
-    e1[0, 0] = 1.0
+    eye = np.eye(n)
     agents.bases[0] = agents.bases[0].copy()
-    agents.bases[0].layers[0] = LayerBasis(m=e1, o=orthonormal_complement(e1))
+    agents.bases[0].layers[0] = LayerBasis(m=eye[:, :1], o=eye[:, 1:])
     with pytest.raises(ProtocolError, match="agent 0"):
         gossip_round(agents, mixing, 0, None, _entry(), compression=True)
 
