@@ -17,15 +17,17 @@ from .model import GradientSet, Mlp, sample_deltas
 from .tasks import TaskShard
 
 
-@dataclass
+@dataclass(frozen=True)
 class FisherState:
+    """A Fisher diagonal and its anchor; read-only, so states are shared
+    rather than copied when averaged or accumulated."""
+
     f: list[np.ndarray]  # one entry per trunk parameter array
     anchor: list[np.ndarray]  # parameter snapshot the penalty pulls toward
 
-    def copy(self) -> "FisherState":
-        return FisherState(
-            f=[a.copy() for a in self.f], anchor=[a.copy() for a in self.anchor]
-        )
+    def __post_init__(self) -> None:
+        for a in (*self.f, *self.anchor):
+            a.flags.writeable = False
 
 
 def _trunk_params(model: Mlp) -> list[np.ndarray]:
@@ -64,21 +66,14 @@ def fisher_estimate(model: Mlp, shard: TaskShard, task: int) -> FisherState:
 def ewc_grad(
     model: Mlp, base_grads: GradientSet, fisher: FisherState | None, lam: float
 ) -> GradientSet:
-    """Add the penalty gradient lambda * f * (x - x_prev) to trunk gradients."""
+    """Add the penalty gradient lambda * f * (x - x_prev) to the trunk
+    gradients in place and return the same set."""
     if fisher is None or lam == 0.0:
         return base_grads
     params = _trunk_params(model)
-    penalized = [g.copy() for g in _trunk_grads(base_grads)]
-    for slot, p, f, anchor in zip(penalized, params, fisher.f, fisher.anchor):
-        slot += lam * f * (p - anchor)
-    n_layers = len(base_grads.layers)
-    return GradientSet(
-        task=base_grads.task,
-        layers=penalized[:n_layers],
-        head=base_grads.head,
-        layer_biases=penalized[n_layers:] if base_grads.layer_biases is not None else None,
-        head_bias=base_grads.head_bias,
-    )
+    for g, p, f, anchor in zip(_trunk_grads(base_grads), params, fisher.f, fisher.anchor):
+        g += lam * f * (p - anchor)
+    return base_grads
 
 
 def fisher_average(states: list[FisherState]) -> FisherState:
@@ -92,8 +87,7 @@ def fisher_average(states: list[FisherState]) -> FisherState:
         for slot, part in zip(f, state.f):
             slot += part
     f = [a / len(states) for a in f]
-    anchor = [a.copy() for a in states[0].anchor]
-    return FisherState(f=f, anchor=anchor)
+    return FisherState(f=f, anchor=states[0].anchor)
 
 
 def accumulate_fisher(
@@ -101,8 +95,7 @@ def accumulate_fisher(
 ) -> FisherState:
     """Online accumulation: running sum of Fishers with the newest anchor."""
     if running is None:
-        return latest.copy()
+        return latest
     return FisherState(
-        f=[a + b for a, b in zip(running.f, latest.f)],
-        anchor=[a.copy() for a in latest.anchor],
+        f=[a + b for a, b in zip(running.f, latest.f)], anchor=latest.anchor
     )

@@ -16,10 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerBasis:
+    """One layer's memory and complement; read-only, so one basis is shared
+    by every agent and carried over unchanged by ``update_memory``."""
+
     m: np.ndarray  # (n, r), orthonormal columns
     o: np.ndarray  # (n, n - r), orthonormal complement
+
+    def __post_init__(self) -> None:
+        self.m.flags.writeable = self.o.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -29,11 +35,8 @@ class LayerBasis:
     def rank(self) -> int:
         return self.m.shape[1]
 
-    def copy(self) -> "LayerBasis":
-        return LayerBasis(self.m.copy(), self.o.copy())
 
-
-@dataclass
+@dataclass(frozen=True)
 class GpmState:
     layers: list[LayerBasis]
 
@@ -45,9 +48,6 @@ class GpmState:
                 LayerBasis(m=np.zeros((n, 0)), o=np.eye(n)) for n in layer_dims
             ]
         )
-
-    def copy(self) -> "GpmState":
-        return GpmState(layers=[b.copy() for b in self.layers])
 
     def ranks(self) -> list[int]:
         return [b.rank for b in self.layers]
@@ -94,9 +94,9 @@ def update_memory(
     ``m' = [m | o U[:, :k]]`` and ``o' = o U[:, k:]``.  Since [m | o] is
     orthogonal, ``s`` are the singular values of the residual (I - m m^T) R
     and ``o U`` its left singular vectors, and [m' | o'] stays orthogonal
-    without a second decomposition.  Layers whose R is already covered are
-    left untouched; old memory columns are kept bitwise and ranks never
-    shrink.
+    without a second decomposition.  Layers whose R is already covered keep
+    their ``LayerBasis`` object; old memory columns are kept bitwise and
+    ranks never shrink.
     """
     if not 0.0 < eps_th < 1.0:
         raise ValueError(f"eps_th must lie in (0, 1), got {eps_th}")
@@ -118,12 +118,12 @@ def update_memory(
             raise ValueError("representation contains non-finite entries")
         total = np.linalg.norm(rep) ** 2
         if total == 0.0 or basis.rank == n:
-            new_layers.append(basis.copy())
+            new_layers.append(basis)
             continue
         covered = np.linalg.norm(basis.m.T @ rep) ** 2
         target = eps_th * total
         if covered >= target:
-            new_layers.append(basis.copy())
+            new_layers.append(basis)
             continue
         u, s, _ = np.linalg.svd(basis.o.T @ rep)
         energies = covered + np.cumsum(s * s)
@@ -133,7 +133,7 @@ def update_memory(
         else:
             k = int(np.sum(s > 0.0))  # take every direction with energy left
         if k == 0:
-            new_layers.append(basis.copy())
+            new_layers.append(basis)
             continue
         rotated = basis.o @ u
         new_layers.append(

@@ -66,9 +66,6 @@ class Mlp:
         other.head_biases = {t: fn(b) for t, b in self.head_biases.items()}
         return other
 
-    def clone(self) -> "Mlp":
-        return self._map(np.copy, self.lead)
-
     def stacked(self, n: int) -> "Mlp":
         """n copies of this model along a new leading axis."""
         return self._map(lambda a: np.repeat(a[np.newaxis], n, axis=0), (n, *self.lead))

@@ -28,7 +28,6 @@ class TaskSequence:
 
 @dataclass
 class TaskShard:
-    agent: int
     examples: np.ndarray
     labels: np.ndarray
 
@@ -105,7 +104,6 @@ def shard_iid(dataset: LabeledDataset, n: int, seed: int) -> list[TaskShard]:
         offset += take
         shards.append(
             TaskShard(
-                agent=agent,
                 examples=dataset.train_x[idx].copy(),
                 labels=dataset.train_y[idx].copy(),
             )

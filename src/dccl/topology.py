@@ -4,7 +4,7 @@ Supported graph kinds: a directed ring, a 2-D torus (row-major node ids,
 duplicate edges from 1- or 2-row/column wraparound merged), a fully
 connected graph, and a custom undirected adjacency loaded from a text file.
 Each is held as one 0/1 adjacency matrix with self loops, checked once when
-the topology is built; neighbor lists and mixing weights are read from it.
+the topology is built; the mixing weights are read from it.
 Mixing weights are Metropolis style, 1/(1 + max degree) per edge with the
 remainder on the self loop, which reduces to the uniform 1/(deg+1) rule on
 regular graphs and is doubly stochastic on any connected graph.
@@ -158,15 +158,6 @@ def load_custom_topology(path: str, n: int) -> Topology:
         return Topology("custom", n, adjacency=np.array(rows, dtype=np.float64))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def neighbors(topology: Topology, i: int) -> list[int]:
-    """In-neighborhood of node i, self first (the weights row support)."""
-    n = topology.n
-    if not 0 <= i < n:
-        raise ValueError(f"node {i} outside 0..{n - 1}")
-    row = np.flatnonzero(topology.adjacency[i])
-    return [i] + [int(j) for j in row if j != i]
 
 
 def _nontrivial_radius(w: np.ndarray) -> float:

@@ -72,10 +72,6 @@ METHODS = ("codec", "codec_fullcomm", "dewc", "stl", "naive")
 EWC_MODES = ("online", "per_task")
 
 
-class ProtocolError(RuntimeError):
-    """A gossip message did not match the receiver's expectations."""
-
-
 class NonFiniteError(ArithmeticError):
     """Training produced a non-finite loss, mu, parameter or consensus error."""
 
@@ -122,7 +118,7 @@ class Agents:
     """Every agent's state, stacked along a leading agent axis."""
 
     model: Mlp  # each array has shape (N, ...)
-    bases: list[GpmState]  # each agent's memory copy; normally one shared object
+    memory: GpmState  # the one read-only basis every agent encodes and decodes with
     # one per array of gossiped(): the tracked sum_j w_ij x_j
     aggregates: list[np.ndarray] = field(default_factory=list)
 
@@ -291,26 +287,6 @@ def _check_leak(q: np.ndarray, m: np.ndarray, layer: int) -> None:
     )
 
 
-def _shared_basis(bases: list[GpmState], w_off: np.ndarray) -> GpmState:
-    """The basis all senders encode with and all receivers decode with.
-
-    Raises ProtocolError naming the first sender one of whose receivers
-    holds a different copy and so could not decode its coefficients.
-    """
-    first = bases[0]
-    if all(b is first for b in bases):
-        return first
-    for i, j in zip(*np.nonzero(w_off.T)):
-        for l, (mine, theirs) in enumerate(zip(bases[i].layers, bases[j].layers)):
-            if mine.o.shape != theirs.o.shape or not np.array_equal(mine.o, theirs.o):
-                raise ProtocolError(
-                    f"message from agent {i}, layer {l}: receiver {j} holds a "
-                    f"different basis ({theirs.o.shape[1]} coefficient rows "
-                    f"expected, {mine.o.shape[1]} sent)"
-                )
-    return first
-
-
 def gossip_round(
     agents: Agents,
     mixing: MixingMatrix,
@@ -327,10 +303,10 @@ def gossip_round(
     the current parameters).  Per array, every agent forms its mixed
     parameters ``x + (a - s)`` from its tracked aggregate, its update is
     ``q = x_new - s``, and each sender's update is encoded once and decoded
-    once, since senders and receivers hold the same basis.  An agent's own update enters its aggregate without
-    a codec round trip, matching what a real node knows about itself;
-    neighbors' decoded updates enter through one product with the
-    off-diagonal mixing weights.
+    once with ``agents.memory``, the basis every agent holds.  An agent's
+    own update enters its aggregate without a codec round trip, matching
+    what a real node knows about itself; neighbors' decoded updates enter
+    through one product with the off-diagonal mixing weights.
     """
     w = mixing.w
     own = np.diag(w).copy()
@@ -341,7 +317,7 @@ def gossip_round(
     if snapshots is None:
         snapshots = [x.copy() for x in arrays]
     n_layers = len(agents.model.layers)
-    basis = _shared_basis(agents.bases, w_off) if compression else agents.bases[0]
+    basis = agents.memory
     per_message = 0
     for l, (x, snap, agg) in enumerate(zip(arrays, snapshots, agents.aggregates)):
         q = agg - snap
@@ -388,11 +364,11 @@ def gpm_broadcast(
     entry: TaskComm,
     *,
     compression: bool,
-) -> GpmState:
+) -> None:
     """End-of-task memory update at one randomly chosen agent, sent to all.
 
-    The chosen agent captures layer inputs on a sample of its own shard,
-    grows the memory, and every agent replaces its basis copy.  The ledger
+    The chosen agent captures layer inputs on a sample of its own shard and
+    grows the memory, which replaces ``agents.memory`` for everyone.  The ledger
     charges the basis broadcast to the relaying edges: both spans when the
     codec is in use (receivers need the complement to decode), only the
     memory span otherwise.
@@ -411,13 +387,11 @@ def gpm_broadcast(
         n_s = len(shard)
     idx = derive_rng(cfg.seed, TAG_REP, task).permutation(len(shard))[:n_s]
     reps = capture_representation(agents.model.view(p), shard.examples[idx], task)
-    new_state = update_memory(agents.bases[p], reps, eps_th)
-    agents.bases = [new_state] * n
-    memory_cost = sum(b.dim * b.rank for b in new_state.layers)
-    both_cost = sum(b.dim * b.dim for b in new_state.layers)
+    agents.memory = update_memory(agents.memory, reps, eps_th)
+    memory_cost = sum(b.dim * b.rank for b in agents.memory.layers)
+    both_cost = sum(b.dim * b.dim for b in agents.memory.layers)
     entry.overhead_actual += (n - 1) * (both_cost if compression else memory_cost)
     entry.overhead_full += (n - 1) * memory_cost
-    return new_state
 
 
 class _Engine:
@@ -438,6 +412,15 @@ class _Engine:
             )
         if config.ewc_mode not in EWC_MODES:
             raise ValueError(f"unknown ewc mode {config.ewc_mode!r}")
+        n = config.topology.n
+        for t, data in enumerate(sequence.tasks):
+            rows = data.train_x.shape[0]
+            if rows < n:
+                raise ValueError(
+                    f"task {t} has {rows} training samples, fewer than {n} agents"
+                )
+            if data.test_x.shape[0] == 0:
+                raise ValueError(f"task {t} has an empty test split")
         self.cfg = config
         self.seq = sequence
         self.method = method
@@ -446,15 +429,8 @@ class _Engine:
         if self.projection:
             for t in range(len(sequence.tasks)):
                 config.threshold.value(t)  # raises if the schedule leaves (0, 1)
-        self.fisher_online: FisherState | None = None
-        self.fisher_per_task: list[FisherState] = []
-
-    def _fisher_states(self) -> tuple[FisherState, ...]:
-        if self.method != "dewc":
-            return ()
-        if self.cfg.ewc_mode == "online":
-            return (self.fisher_online,) if self.fisher_online is not None else ()
-        return tuple(self.fisher_per_task)
+        # dewc only: one accumulated state (online) or one per task
+        self.fisher: list[FisherState] = []
 
     def _eta(self, round_idx: int, total_rounds: int) -> float:
         if not self.cfg.lr_decay:
@@ -498,9 +474,10 @@ class _Engine:
         states = [fisher_estimate(model.view(i), s, task) for i, s in enumerate(shards)]
         avg = fisher_average(states)
         if self.cfg.ewc_mode == "online":
-            self.fisher_online = accumulate_fisher(self.fisher_online, avg)
+            running = self.fisher[0] if self.fisher else None
+            self.fisher = [accumulate_fisher(running, avg)]
         else:
-            self.fisher_per_task.append(avg)
+            self.fisher.append(avg)
         count = sum(a.size for a in avg.f)
         cost = 2 * (len(shards) - 1) * count
         entry.overhead_actual += cost
@@ -510,8 +487,6 @@ class _Engine:
         task_ids = [upto] if self.method == "stl" else list(range(upto + 1))
         for i in task_ids:
             data = self.seq.tasks[i]
-            if data.test_x.shape[0] == 0:
-                raise ValueError(f"task {i} has an empty test split")
             trace = forward(model, data.test_x, i)
             pred = np.argmax(trace.logits, axis=1)
             matrix.set(upto, i, float(np.mean(pred == data.test_y)))
@@ -526,8 +501,7 @@ class _Engine:
         logs: list[LogRecord] = []
         pick_stream = derive_rng(cfg.seed, TAG_PICK)
         base = init_mlp(cfg.dims, derive_rng(cfg.seed, TAG_INIT, 0), cfg.use_bias)
-        gpm_state = GpmState.fresh(cfg.dims[:-1])
-        agents = Agents(model=base.stacked(n), bases=[gpm_state] * n)
+        agents = Agents(model=base.stacked(n), memory=GpmState.fresh(cfg.dims[:-1]))
         n_layers = len(cfg.dims) - 1
         for t, data in enumerate(self.seq.tasks):
             if self.method == "stl" and t > 0:
@@ -554,14 +528,14 @@ class _Engine:
                     snapshots = [x.copy() for x in gossiped(model, t)]
                     loss, mu = local_step(
                         model,
-                        agents.bases[0],
+                        agents.memory,
                         pool_x[idx],
                         pool_y[idx],
                         t,
                         self._eta(round_idx, total_rounds),
                         projection=self.projection,
-                        fisher_states=self._fisher_states(),
-                        lam=cfg.lam if self.method == "dewc" else 0.0,
+                        fisher_states=tuple(self.fisher),
+                        lam=cfg.lam,
                         debug=cfg.debug_checks,
                     )
                     _check_finite(loss, mu, gossiped(model, t), t, round_idx)
@@ -595,7 +569,7 @@ class _Engine:
                     round_idx += 1
             self._boundary_sync(model, entry)
             if self.projection:
-                gpm_state = gpm_broadcast(
+                gpm_broadcast(
                     agents,
                     shards,
                     t,
@@ -614,7 +588,7 @@ class _Engine:
             ledger=ledger,
             logs=logs,
             final_params=flatten_params(agents.model.view(0)),
-            gpm=gpm_state if self.projection else None,
+            gpm=agents.memory if self.projection else None,
         )
 
 

@@ -6,6 +6,7 @@ Expensive training runs are shared through module-scoped fixtures.
 """
 
 import contextlib
+import copy
 import json
 import time
 
@@ -217,7 +218,7 @@ def test_criterion_05_gossip_alone_reaches_consensus():
         stacked = models[0].stacked(8)
         for i, model in enumerate(models):
             unflatten_params(stacked.view(i), flatten_params(model))
-        agents = Agents(model=stacked, bases=[GpmState.fresh(SMALL_DIMS[:-1])] * 8)
+        agents = Agents(model=stacked, memory=GpmState.fresh(SMALL_DIMS[:-1]))
         reset_aggregates(agents, mixing, 0)
         entry = TaskComm(task=0, layer_full=[0, 0], layer_actual=[0, 0])
         history = [consensus_error(agents.model)]
@@ -270,7 +271,7 @@ def test_criterion_08_projection_never_amplifies(small_pair, bench):
 
 
 def _grad_flat(model, grads):
-    probe = model.clone()
+    probe = copy.deepcopy(model)
     unflatten_params(probe, np.zeros(flatten_params(probe).size))
     sgd_step(probe, grads, -1.0)
     return flatten_params(probe)
@@ -296,7 +297,7 @@ def test_criterion_09_gradients_match_finite_differences():
         labels = np.array([0, 2, 1])
 
         def plain_loss(flat):
-            probe = model.clone()
+            probe = copy.deepcopy(model)
             unflatten_params(probe, flat)
             return loss_and_grad(probe, batch, labels, 0)[0]
 
@@ -307,7 +308,6 @@ def test_criterion_09_gradients_match_finite_differences():
         assert np.max(np.abs(analytic - numeric)) <= 1e-6 * scale
 
         shard = TaskShard(
-            agent=0,
             examples=rng.standard_normal((5, 4)),
             labels=rng.integers(0, 3, size=5),
         )
@@ -318,7 +318,7 @@ def test_criterion_09_gradients_match_finite_differences():
         lam = 3.0
 
         def penalized_loss(flat):
-            probe = model.clone()
+            probe = copy.deepcopy(model)
             unflatten_params(probe, flat)
             loss = loss_and_grad(probe, batch, labels, 0)[0]
             for w, f, anchor in zip(probe.layers, fisher.f, fisher.anchor):

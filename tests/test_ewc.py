@@ -1,5 +1,8 @@
 """Diagonal Fisher estimation and the quadratic-anchor penalty."""
 
+import copy
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -28,7 +31,6 @@ def _model(seed=0, use_bias=False):
 def _shard(seed=0, rows=6):
     rng = np.random.default_rng(seed)
     return TaskShard(
-        agent=0,
         examples=rng.standard_normal((rows, 4)),
         labels=rng.integers(0, 3, size=rows),
     )
@@ -36,7 +38,7 @@ def _shard(seed=0, rows=6):
 
 def test_fisher_of_zero_inputs_is_exactly_zero():
     model = _model()
-    shard = TaskShard(agent=0, examples=np.zeros((5, 4)), labels=np.zeros(5, dtype=int))
+    shard = TaskShard(examples=np.zeros((5, 4)), labels=np.zeros(5, dtype=int))
     state = fisher_estimate(model, shard, 0)
     for f in state.f:
         assert np.all(f == 0.0)
@@ -81,7 +83,7 @@ def test_penalized_gradient_matches_finite_differences():
     lam = 3.0
 
     def penalized_loss(flat):
-        probe = model.clone()
+        probe = copy.deepcopy(model)
         unflatten_params(probe, flat)
         loss, _ = loss_and_grad(probe, shard.examples, shard.labels, 0)
         for w, f, anchor in zip(probe.layers, fisher.f, fisher.anchor):
@@ -90,7 +92,7 @@ def test_penalized_gradient_matches_finite_differences():
 
     _, grads = loss_and_grad(model, shard.examples, shard.labels, 0)
     grads = ewc_grad(model, grads, fisher, lam)
-    probe = model.clone()
+    probe = copy.deepcopy(model)
     unflatten_params(probe, np.zeros(flatten_params(probe).size))
     sgd_step(probe, grads, -1.0)
     analytic = flatten_params(probe)
@@ -130,6 +132,43 @@ def test_fisher_average_is_elementwise_mean_with_chosen_anchor():
     assert np.all(avg.anchor[0] == 1.0)  # the first state's anchor
     with pytest.raises(ValueError):
         fisher_average([])
+
+
+def test_penalty_is_added_in_place_into_the_same_gradients():
+    model = _model(13, use_bias=True)
+    shard = _shard(14)
+    fisher = fisher_estimate(_model(15, use_bias=True), shard, 0)
+    lam = 2.5
+    _, grads = loss_and_grad(model, shard.examples, shard.labels, 0)
+    trunk = [*grads.layers, *grads.layer_biases]
+    params = [*model.layers, *model.layer_biases]
+    want = [g + lam * f * (p - a) for g, p, f, a in zip(trunk, params, fisher.f, fisher.anchor)]
+    head = grads.head.copy()
+    out = ewc_grad(model, grads, fisher, lam)
+    assert out is grads
+    for slot, got, expected in zip(trunk, [*out.layers, *out.layer_biases], want):
+        assert got is slot
+        assert np.array_equal(got, expected)
+    assert np.array_equal(out.head, head)
+
+
+def test_fisher_states_are_read_only_and_shared():
+    model = _model(16, use_bias=True)
+    state = fisher_estimate(model, _shard(17), 0)
+    for array in (*state.f, *state.anchor):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        state.f = []
+    assert accumulate_fisher(None, state) is state
+    other = fisher_estimate(model, _shard(18), 0)
+    avg = fisher_average([state, other])
+    assert avg.anchor is state.anchor
+    running = accumulate_fisher(state, avg)
+    assert running.anchor is avg.anchor
+    for array in (*avg.f, *running.f):
+        assert not array.flags.writeable
 
 
 def test_accumulate_fisher_sums_and_rebases():

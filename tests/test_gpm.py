@@ -6,6 +6,8 @@ SVD of the residual, and keep the smallest prefix whose captured energy
 (plus what the span already covers) crosses the threshold.
 """
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +121,39 @@ def test_covered_representation_changes_nothing():
     new = update_memory(state, [rep], 0.97)
     assert new.layers[0].rank == 3
     assert np.array_equal(new.layers[0].m, m)
+
+
+def test_untouched_layers_are_the_same_objects():
+    rng = np.random.default_rng(61)
+    # zero representation, covered representation, saturated layer, growth
+    state = _state(rng, [5, 6, 3, 4], [2, 3, 3, 0])
+    reps = [
+        np.zeros((5, 8)),
+        state.layers[1].m @ rng.standard_normal((3, 8)),
+        rng.standard_normal((3, 8)),
+        rng.standard_normal((4, 8)),
+    ]
+    new = update_memory(state, reps, 0.9)
+    for old, kept in zip(state.layers[:3], new.layers[:3]):
+        assert kept is old
+    assert new.layers[3] is not state.layers[3]
+    assert new.layers[3].rank > 0
+
+
+def test_bases_are_read_only():
+    rng = np.random.default_rng(62)
+    grown = update_memory(GpmState.fresh([4]), [rng.standard_normal((4, 6))], 0.5)
+    for basis in (_basis(rng, 4, 2), GpmState.fresh([4]).layers[0], grown.layers[0]):
+        for array in (basis.m, basis.o):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            basis.o[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            basis.m[...] += 1.0
+        with pytest.raises(FrozenInstanceError):
+            basis.m = np.zeros((4, 0))
+    with pytest.raises(FrozenInstanceError):
+        grown.layers = []
 
 
 def test_memory_growth_matches_prefix_energy_oracle():

@@ -1,5 +1,7 @@
 """Round mechanics, consensus behavior, lossless compression, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,11 @@ from dccl.gpm import GpmState, LayerBasis, ThresholdSchedule
 from dccl.model import flatten_params, init_mlp, unflatten_params
 from dccl.tasks import generate_synthetic_sequence, shard_iid
 from dccl.topology import build_mixing, parse_topology
+import dccl.trainer
 from dccl.trainer import (
     TAG_SHARD,
     Agents,
     NonFiniteError,
-    ProtocolError,
     TaskComm,
     TrainConfig,
     consensus_error,
@@ -38,7 +40,7 @@ def _make_agents(n, seed=0, identical=False, dims=DIMS, classes=3):
     stacked = models[0].stacked(n)
     for i, model in enumerate(models):
         unflatten_params(stacked.view(i), flatten_params(model))
-    return Agents(model=stacked, bases=[GpmState.fresh(dims[:-1])] * n)
+    return Agents(model=stacked, memory=GpmState.fresh(dims[:-1]))
 
 
 def _flats(agents):
@@ -173,13 +175,15 @@ def test_stacked_round_matches_per_message_reference(
         q, _ = np.linalg.qr(rng.standard_normal((width, width)))
         rank = int(rng.integers(0, width + 1))
         layers.append(LayerBasis(m=q[:, :rank], o=q[:, rank:]))
-    agents = Agents(
-        model=stacked, bases=[GpmState(layers=layers)] * n, aggregates=aggs
-    )
+    agents = Agents(model=stacked, memory=GpmState(layers=layers), aggregates=aggs)
     ref_x = [[x[i].copy() for x in arrays] for i in range(n)]
     ref_snaps = [[s[i].copy() for s in snaps] for i in range(n)]
     ref_aggs = [[a[i].copy() for a in aggs] for i in range(n)]
-    ref_bases = [GpmState(layers=layers).copy() for _ in range(n)]
+    # each node holds its own copy of the broadcast basis
+    ref_bases = [
+        GpmState(layers=[LayerBasis(m=b.m.copy(), o=b.o.copy()) for b in layers])
+        for _ in range(n)
+    ]
     n_layers = len(dims) - 1
     want = _reference_round(
         ref_x, ref_snaps, ref_aggs, ref_bases, mixing.w, n_layers, compression
@@ -275,20 +279,6 @@ def test_debug_checks_pass_on_a_live_run():
     run(_config("ring", 4, method="dewc", lam=10.0, debug_checks=True), seq)
 
 
-def test_desynchronized_bases_raise_protocol_error():
-    mixing = build_mixing(parse_topology("ring", 2))
-    agents = _make_agents(2, identical=True)
-    _own_aggregates(agents)
-    # agent 0 privately grows its memory, so its coefficients no longer
-    # match what agent 1 expects
-    n = DIMS[0]
-    eye = np.eye(n)
-    agents.bases[0] = agents.bases[0].copy()
-    agents.bases[0].layers[0] = LayerBasis(m=eye[:, :1], o=eye[:, 1:])
-    with pytest.raises(ProtocolError, match="agent 0"):
-        gossip_round(agents, mixing, 0, None, _entry(), compression=True)
-
-
 def test_non_finite_training_data_stops_the_run_naming_the_agent():
     seq = generate_synthetic_sequence(2, 2, 16, 40, 4)
     seq.tasks[0].train_x[5, 3] = np.nan
@@ -298,6 +288,21 @@ def test_non_finite_training_data_stops_the_run_naming_the_agent():
     want = rf"task 0, round \d+: agent {holder} has non-finite loss"
     with pytest.raises(NonFiniteError, match=want):
         run(cfg, seq)
+
+
+def test_every_task_is_checked_before_the_first_round(monkeypatch):
+    def no_round(*args, **kwargs):
+        pytest.fail("a round ran before the whole task sequence was checked")
+
+    monkeypatch.setattr(dccl.trainer, "local_step", no_round)
+    seq = generate_synthetic_sequence(2, 2, 16, 40, 4)
+    task = seq.tasks[1]
+    seq.tasks[1] = dataclasses.replace(task, train_x=task.train_x[:3], train_y=task.train_y[:3])
+    with pytest.raises(ValueError, match="task 1 has 3 training samples, fewer than 4 agents"):
+        run(_config("ring", 4), seq)
+    seq.tasks[1] = dataclasses.replace(task, test_x=task.test_x[:0], test_y=task.test_y[:0])
+    with pytest.raises(ValueError, match="task 1 has an empty test split"):
+        run(_config("ring", 4), seq)
 
 
 def test_stl_fills_only_the_diagonal():
@@ -316,6 +321,8 @@ def test_gpm_state_is_shared_and_grows(tmp_path):
     result = run(_config("ring", 4), seq)
     assert result.gpm is not None
     assert all(r > 0 for r in result.gpm.ranks())
+    for basis in result.gpm.layers:
+        assert not basis.m.flags.writeable and not basis.o.flags.writeable
     naive = run(_config("ring", 4, method="naive"), seq)
     assert naive.gpm is None
 
