@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GradientSet, Mlp, sample_deltas
+from .model import Mlp, sample_deltas, trunk_params
 from .tasks import TaskShard
 
 
@@ -22,26 +22,12 @@ class FisherState:
     """A Fisher diagonal and its anchor; read-only, so states are shared
     rather than copied when averaged or accumulated."""
 
-    f: list[np.ndarray]  # one entry per trunk parameter array
+    f: list[np.ndarray]  # one entry per array of trunk_params(model)
     anchor: list[np.ndarray]  # parameter snapshot the penalty pulls toward
 
     def __post_init__(self) -> None:
         for a in (*self.f, *self.anchor):
             a.flags.writeable = False
-
-
-def _trunk_params(model: Mlp) -> list[np.ndarray]:
-    params = list(model.layers)
-    if model.layer_biases is not None:
-        params += list(model.layer_biases)
-    return params
-
-
-def _trunk_grads(grads: GradientSet) -> list[np.ndarray]:
-    arrays = list(grads.layers)
-    if grads.layer_biases is not None:
-        arrays += list(grads.layer_biases)
-    return arrays
 
 
 def fisher_estimate(model: Mlp, shard: TaskShard, task: int) -> FisherState:
@@ -59,21 +45,23 @@ def fisher_estimate(model: Mlp, shard: TaskShard, task: int) -> FisherState:
     f = [(x * x).T @ sq / n for x, sq in zip(inputs, squares)]
     if model.layer_biases is not None:
         f += [sq.sum(axis=0) / n for sq in squares]
-    anchor = [p.copy() for p in _trunk_params(model)]
+    anchor = [p.copy() for p in trunk_params(model)]
     return FisherState(f=f, anchor=anchor)
 
 
 def ewc_grad(
-    model: Mlp, base_grads: GradientSet, fisher: FisherState | None, lam: float
-) -> GradientSet:
-    """Add the penalty gradient lambda * f * (x - x_prev) to the trunk
-    gradients in place and return the same set."""
-    if fisher is None or lam == 0.0:
-        return base_grads
-    params = _trunk_params(model)
-    for g, p, f, anchor in zip(_trunk_grads(base_grads), params, fisher.f, fisher.anchor):
-        g += lam * f * (p - anchor)
-    return base_grads
+    model: Mlp, grads: list[np.ndarray], fishers: tuple[FisherState, ...], lam: float
+) -> list[np.ndarray]:
+    """Add each state's penalty gradient lambda * f * (x - x_prev) to the
+    trunk slots of ``grads`` (laid out as ``task_params``) in place and
+    return the same list."""
+    if lam == 0.0:
+        return grads
+    params = trunk_params(model)
+    for fisher in fishers:
+        for g, p, f, anchor in zip(grads, params, fisher.f, fisher.anchor):
+            g += lam * f * (p - anchor)
+    return grads
 
 
 def fisher_average(states: list[FisherState]) -> FisherState:

@@ -5,6 +5,13 @@ a weight gradient lies in the span of the layer's input activations.  Each
 task gets its own linear head; heads of other tasks are never touched while
 training.  Biases are off by default.
 
+One parameter order holds everywhere: the trunk is every layer, then every
+layer bias (``trunk_params``); what a task trains is the trunk, then the
+task's head and head bias (``task_params``, the order of the gradient list
+``loss_and_grad`` returns); the whole model is the trunk, then every head
+and head bias by task id (``param_arrays``, the layout of
+``flatten_params``).
+
 A model may carry leading axes in front of every array (``lead``): a stack
 of N agents holds trunk layers of shape (N, n_in, n_out) and heads of shape
 (N, d, c), and ``forward``, ``loss_and_grad`` and ``sgd_step`` treat each
@@ -25,15 +32,6 @@ class ForwardTrace:
     inputs: list[np.ndarray]  # one (*lead, batch, n_l) array per trunk layer
     head_input: np.ndarray  # (*lead, batch, dims[-1])
     logits: np.ndarray  # (*lead, batch, classes)
-
-
-@dataclass
-class GradientSet:
-    task: int
-    layers: list[np.ndarray]
-    head: np.ndarray
-    layer_biases: list[np.ndarray] | None = None
-    head_bias: np.ndarray | None = None
 
 
 class Mlp:
@@ -171,21 +169,21 @@ def _layer_deltas(model: Mlp, trace: ForwardTrace, d: np.ndarray, task: int):
 
 def loss_and_grad(
     model: Mlp, batch: np.ndarray, labels: np.ndarray, task: int
-) -> tuple[float | np.ndarray, GradientSet]:
-    """Mean cross-entropy over the batch and its exact gradients.
+) -> tuple[float | np.ndarray, list[np.ndarray]]:
+    """Mean cross-entropy over the batch and its exact gradients, one per
+    array of ``task_params(model, task)`` and in that order.
 
     For a stacked model the loss is an array over the leading axes.
     """
     trace, loss, d = _output_delta(model, batch, labels, task)
     d /= d.shape[-2]
     dzs = _layer_deltas(model, trace, d, task)
-    return loss, GradientSet(
-        task=task,
-        layers=[_t(x) @ dz for x, dz in zip(trace.inputs, dzs)],
-        head=_t(trace.head_input) @ d,
-        layer_biases=[dz.sum(axis=-2) for dz in dzs] if model.use_bias else None,
-        head_bias=d.sum(axis=-2) if model.use_bias else None,
-    )
+    grads = [_t(x) @ dz for x, dz in zip(trace.inputs, dzs)]
+    head = [_t(trace.head_input) @ d]
+    if model.use_bias:
+        grads += [dz.sum(axis=-2) for dz in dzs]
+        head.append(d.sum(axis=-2))
+    return loss, grads + head
 
 
 def sample_deltas(
@@ -200,21 +198,10 @@ def sample_deltas(
     return trace.inputs, _layer_deltas(model, trace, d, task)
 
 
-def sgd_step(model: Mlp, grads: GradientSet, eta: float) -> None:
-    """In-place gradient step; only the gradient's task head is touched."""
-    for w, g in zip(model.layers, grads.layers):
-        if w.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match {w.shape}")
-        w -= eta * g
-    if grads.layer_biases is not None and model.layer_biases is not None:
-        for b, g in zip(model.layer_biases, grads.layer_biases):
-            b -= eta * g
-    head = model.heads[grads.task]
-    if head.shape != grads.head.shape:
-        raise ValueError("head gradient shape mismatch")
-    head -= eta * grads.head
-    if grads.head_bias is not None and model.use_bias:
-        model.head_biases[grads.task] -= eta * grads.head_bias
+def sgd_step(model: Mlp, task: int, grads: list[np.ndarray], eta: float) -> None:
+    """In-place step on ``task_params(model, task)``; other heads are untouched."""
+    for p, g in zip(task_params(model, task), grads, strict=True):
+        p -= eta * g
 
 
 def capture_representation(
@@ -228,22 +215,32 @@ def capture_representation(
     return [a.T.copy() for a in trace.inputs]
 
 
+def trunk_params(model: Mlp) -> list[np.ndarray]:
+    """Every trunk layer, then every layer bias."""
+    return [*model.layers, *(model.layer_biases or [])]
+
+
+def _head_params(model: Mlp, task: int) -> list[np.ndarray]:
+    if model.use_bias:
+        return [model.heads[task], model.head_biases[task]]
+    return [model.heads[task]]
+
+
+def task_params(model: Mlp, task: int) -> list[np.ndarray]:
+    """What training on a task changes: the trunk, then its head and head bias."""
+    return trunk_params(model) + _head_params(model, task)
+
+
 def param_arrays(model: Mlp) -> list[np.ndarray]:
-    """Every parameter array, in the order ``flatten_params`` lays them out."""
-    arrays: list[np.ndarray] = []
-    for l, w in enumerate(model.layers):
-        arrays.append(w)
-        if model.layer_biases is not None:
-            arrays.append(model.layer_biases[l])
+    """Every parameter array: the trunk, then each head and head bias by task id."""
+    arrays = trunk_params(model)
     for task in sorted(model.heads):
-        arrays.append(model.heads[task])
-        if model.use_bias:
-            arrays.append(model.head_biases[task])
+        arrays += _head_params(model, task)
     return arrays
 
 
 def flatten_params(model: Mlp) -> np.ndarray:
-    """Flat copy of all parameters: trunk layers in order, then heads by id."""
+    """Flat copy of all parameters, laid out as ``param_arrays``."""
     arrays = param_arrays(model)
     if not arrays:
         return np.zeros(0)

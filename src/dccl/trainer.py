@@ -54,6 +54,7 @@ from .model import (
     loss_and_grad,
     param_arrays,
     sgd_step,
+    task_params,
 )
 from .tasks import TaskSequence, TaskShard, shard_iid
 from .topology import MixingMatrix, Topology, build_mixing
@@ -119,7 +120,7 @@ class Agents:
 
     model: Mlp  # each array has shape (N, ...)
     memory: GpmState  # the one read-only basis every agent encodes and decodes with
-    # one per array of gossiped(): the tracked sum_j w_ij x_j
+    # one per array of task_params(): the tracked sum_j w_ij x_j
     aggregates: list[np.ndarray] = field(default_factory=list)
 
 
@@ -161,19 +162,6 @@ class RunResult:
     gpm: GpmState | None
 
 
-def gossiped(model: Mlp, task: int) -> list[np.ndarray]:
-    """The arrays a round exchanges, in order: the trunk layers (the codec's
-    domain), then the uncompressed slice of layer biases and the task's head
-    and head bias."""
-    arrays = list(model.layers)
-    if model.layer_biases is not None:
-        arrays += model.layer_biases
-    arrays.append(model.heads[task])
-    if model.use_bias:
-        arrays.append(model.head_biases[task])
-    return arrays
-
-
 def _mix(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``w`` applied over the leading agent axis of ``x``."""
     return (w @ x.reshape(len(w), -1)).reshape(x.shape)
@@ -194,11 +182,11 @@ def consensus_error(model: Mlp) -> float:
 
 def reset_aggregates(agents: Agents, mixing: MixingMatrix, task: int) -> None:
     """Recompute every tracked aggregate from the true neighbor states."""
-    agents.aggregates = [_mix(mixing.w, x) for x in gossiped(agents.model, task)]
+    agents.aggregates = [_mix(mixing.w, x) for x in task_params(agents.model, task)]
 
 
 def _check_tracking(agents: Agents, mixing: MixingMatrix, task: int) -> None:
-    for x, agg in zip(gossiped(agents.model, task), agents.aggregates):
+    for x, agg in zip(task_params(agents.model, task), agents.aggregates):
         drift = np.max(np.abs(_per_agent(_mix(mixing.w, x) - agg)), axis=1)
         worst = int(np.argmax(drift))
         assert drift[worst] <= 1e-9, (
@@ -246,14 +234,19 @@ def local_step(
 
     With projection on, each trunk gradient has its memory-span component
     removed before the step; heads are stepped on the raw gradient.  ``mu``
-    is the projected-to-raw trunk gradient norm ratio, per agent.
+    is the projected-to-raw trunk gradient norm ratio, per agent.  Without
+    projection, the penalty of every state in ``fisher_states`` (empty but
+    for ``dewc``) is added to the trunk gradients.
     """
     loss, grads = loss_and_grad(model, bx, by, task)
     mu = np.ones(len(loss))
     if projection:
         raw_sq = np.zeros(len(loss))
         proj_sq = np.zeros(len(loss))
-        for l, g in enumerate(grads.layers):
+        # the trunk layers lead the list; indexed rather than sliced, so each
+        # raw gradient is freed once its projection replaces it
+        for l in range(len(model.layers)):
+            g = grads[l]
             gsq = np.sum(g * g, axis=(-2, -1))
             raw_sq += gsq
             g_tilde = project(g, gpm.layers[l].m)
@@ -265,15 +258,14 @@ def local_step(
                     f"projection identity violated: {ip} vs {tsq}"
                 )
             proj_sq += tsq
-            grads.layers[l] = g_tilde
+            grads[l] = g_tilde
         nonzero = raw_sq != 0.0
         mu[nonzero] = np.sqrt(proj_sq[nonzero]) / np.sqrt(raw_sq[nonzero])
         if debug:
             assert np.all(mu <= 1.0 + 1e-10), f"mu = {mu.max()} exceeds 1"
-    elif fisher_states and lam != 0.0:
-        for fs in fisher_states:
-            grads = ewc_grad(model, grads, fs, lam)
-    sgd_step(model, grads, eta)
+    else:
+        ewc_grad(model, grads, fisher_states, lam)
+    sgd_step(model, task, grads, eta)
     return loss, mu
 
 
@@ -291,7 +283,7 @@ def gossip_round(
     agents: Agents,
     mixing: MixingMatrix,
     task: int,
-    snapshots: list[np.ndarray] | None,
+    snapshots: list[np.ndarray],
     entry: TaskComm,
     *,
     compression: bool,
@@ -299,23 +291,23 @@ def gossip_round(
 ) -> list[int]:
     """One synchronous gossip exchange; returns scalars sent per agent.
 
-    ``snapshots`` are the pre-step values of ``gossiped(model, task)`` (None:
-    the current parameters).  Per array, every agent forms its mixed
-    parameters ``x + (a - s)`` from its tracked aggregate, its update is
-    ``q = x_new - s``, and each sender's update is encoded once and decoded
-    once with ``agents.memory``, the basis every agent holds.  An agent's
-    own update enters its aggregate without a codec round trip, matching
-    what a real node knows about itself; neighbors' decoded updates enter
-    through one product with the off-diagonal mixing weights.
+    ``snapshots`` are the pre-step values of ``task_params(model, task)``,
+    the arrays a round exchanges: the trunk layers (the codec's domain),
+    then the uncompressed layer biases, head and head bias.  Per array,
+    every agent forms its mixed parameters ``x + (a - s)`` from its tracked
+    aggregate, its update is ``q = x_new - s``, and each sender's update is
+    encoded once and decoded once with ``agents.memory``, the basis every
+    agent holds.  An agent's own update enters its aggregate without a codec
+    round trip, matching what a real node knows about itself; neighbors'
+    decoded updates enter through one product with the off-diagonal mixing
+    weights.
     """
     w = mixing.w
     own = np.diag(w).copy()
     w_off = w - np.diag(own)
     fanout = np.count_nonzero(w_off > 0.0, axis=0)  # receivers per sender
     messages = int(fanout.sum())
-    arrays = gossiped(agents.model, task)
-    if snapshots is None:
-        snapshots = [x.copy() for x in arrays]
+    arrays = task_params(agents.model, task)
     n_layers = len(agents.model.layers)
     basis = agents.memory
     per_message = 0
@@ -405,6 +397,12 @@ class _Engine:
             raise ValueError("epochs and batch_size must be at least 1")
         if config.seed < 0:
             raise ValueError("seed must be non-negative")
+        if config.rep_samples < 1:
+            raise ValueError(
+                f"rep_samples must be at least 1, got {config.rep_samples}"
+            )
+        if not config.lam >= 0.0:
+            raise ValueError(f"lam must be non-negative, got {config.lam}")
         if len(config.dims) < 1 or config.dims[0] != sequence.input_dim:
             raise ValueError(
                 f"model input width {config.dims[:1]} does not match data "
@@ -513,7 +511,7 @@ class _Engine:
             pool_x = np.concatenate([s.examples for s in shards])
             pool_y = np.concatenate([s.labels for s in shards])
             # task starts from consensus, so the own state is the aggregate
-            agents.aggregates = [x.copy() for x in gossiped(model, t)]
+            agents.aggregates = [x.copy() for x in task_params(model, t)]
             max_shard = max(len(s) for s in shards)
             rounds_per_epoch = math.ceil(max_shard / cfg.batch_size)
             total_rounds = cfg.epochs * rounds_per_epoch
@@ -525,7 +523,7 @@ class _Engine:
             for epoch in range(cfg.epochs):
                 batches = self._batches(shards, t, epoch, rounds_per_epoch)
                 for idx in batches:
-                    snapshots = [x.copy() for x in gossiped(model, t)]
+                    snapshots = [x.copy() for x in task_params(model, t)]
                     loss, mu = local_step(
                         model,
                         agents.memory,
@@ -538,7 +536,7 @@ class _Engine:
                         lam=cfg.lam,
                         debug=cfg.debug_checks,
                     )
-                    _check_finite(loss, mu, gossiped(model, t), t, round_idx)
+                    _check_finite(loss, mu, task_params(model, t), t, round_idx)
                     sent = gossip_round(
                         agents,
                         mixing,

@@ -15,8 +15,8 @@ from dccl.ewc import (
 )
 from dccl.gpm import ThresholdSchedule
 from dccl.metrics import compression_ratio
-from dccl.model import flatten_params, init_mlp, loss_and_grad, sgd_step, unflatten_params
-from dccl.tasks import TaskShard, generate_synthetic_sequence, shard_iid
+from dccl.model import flatten_params, init_mlp, loss_and_grad, trunk_params, unflatten_params
+from dccl.tasks import TaskShard, generate_synthetic_sequence
 from dccl.topology import parse_topology
 from dccl.trainer import TrainConfig, run
 
@@ -50,13 +50,13 @@ def test_fisher_matches_per_sample_oracle():
         shard = _shard(4, rows=7)
         state = fisher_estimate(model, shard, 0)
         # recompute: mean of squared per-sample trunk gradients
-        trunk = model.layers + (model.layer_biases or [])
+        trunk = trunk_params(model)
         sums = [np.zeros_like(w) for w in trunk]
         for i in range(7):
             _, grads = loss_and_grad(
                 model, shard.examples[i : i + 1], shard.labels[i : i + 1], 0
             )
-            for acc, g in zip(sums, grads.layers + (grads.layer_biases or [])):
+            for acc, g in zip(sums, grads):  # the trunk leads the gradient list
                 acc += g * g
         assert len(state.f) == len(trunk)
         for f, acc in zip(state.f, sums):
@@ -73,54 +73,53 @@ def test_fisher_anchor_copies_current_trunk():
 
 
 def test_penalized_gradient_matches_finite_differences():
-    model = _model(7)
-    shard = _shard(8, rows=5)
-    anchor_model = _model(9)
-    fisher = FisherState(
-        f=[np.abs(np.random.default_rng(10).standard_normal(w.shape)) for w in model.layers],
-        anchor=[w.copy() for w in anchor_model.layers],
-    )
-    lam = 3.0
+    for use_bias in (False, True):
+        model = _model(7, use_bias)
+        shard = _shard(8, rows=5)
+        rng = np.random.default_rng(10)
+        # a random anchor, so the penalty pulls on the (zero-initialized) biases too
+        fisher = FisherState(
+            f=[np.abs(rng.standard_normal(p.shape)) for p in trunk_params(model)],
+            anchor=[rng.standard_normal(p.shape) for p in trunk_params(model)],
+        )
+        lam = 3.0
 
-    def penalized_loss(flat):
-        probe = copy.deepcopy(model)
-        unflatten_params(probe, flat)
-        loss, _ = loss_and_grad(probe, shard.examples, shard.labels, 0)
-        for w, f, anchor in zip(probe.layers, fisher.f, fisher.anchor):
-            loss += 0.5 * lam * float(np.sum(f * (w - anchor) ** 2))
-        return loss
+        def penalized_loss(flat):
+            probe = copy.deepcopy(model)
+            unflatten_params(probe, flat)
+            loss, _ = loss_and_grad(probe, shard.examples, shard.labels, 0)
+            for p, f, anchor in zip(trunk_params(probe), fisher.f, fisher.anchor):
+                loss += 0.5 * lam * float(np.sum(f * (p - anchor) ** 2))
+            return loss
 
-    _, grads = loss_and_grad(model, shard.examples, shard.labels, 0)
-    grads = ewc_grad(model, grads, fisher, lam)
-    probe = copy.deepcopy(model)
-    unflatten_params(probe, np.zeros(flatten_params(probe).size))
-    sgd_step(probe, grads, -1.0)
-    analytic = flatten_params(probe)
+        _, grads = loss_and_grad(model, shard.examples, shard.labels, 0)
+        grads = ewc_grad(model, grads, (fisher,), lam)
+        analytic = np.concatenate([g.ravel() for g in grads])
 
-    base = flatten_params(model)
-    numeric = np.zeros_like(base)
-    h = 1e-6
-    for i in range(base.size):
-        up = base.copy()
-        up[i] += h
-        down = base.copy()
-        down[i] -= h
-        numeric[i] = (penalized_loss(up) - penalized_loss(down)) / (2.0 * h)
-    scale = max(1.0, float(np.max(np.abs(numeric))))
-    assert np.max(np.abs(analytic - numeric)) <= 1e-6 * scale
+        base = flatten_params(model)
+        numeric = np.zeros_like(base)
+        h = 1e-6
+        for i in range(base.size):
+            up = base.copy()
+            up[i] += h
+            down = base.copy()
+            down[i] -= h
+            numeric[i] = (penalized_loss(up) - penalized_loss(down)) / (2.0 * h)
+        scale = max(1.0, float(np.max(np.abs(numeric))))
+        assert np.max(np.abs(analytic - numeric)) <= 1e-6 * scale
 
 
 def test_zero_lambda_or_missing_fisher_leaves_gradients_alone():
     model = _model(11)
     shard = _shard(12)
     _, grads = loss_and_grad(model, shard.examples, shard.labels, 0)
-    layers_before = [g.copy() for g in grads.layers]
-    out = ewc_grad(model, grads, None, 5.0)
-    for a, b in zip(out.layers, layers_before):
+    before = [g.copy() for g in grads]
+    out = ewc_grad(model, grads, (), 5.0)
+    for a, b in zip(out, before):
         assert np.array_equal(a, b)
     fisher = fisher_estimate(model, shard, 0)
-    out = ewc_grad(model, grads, fisher, 0.0)
-    for a, b in zip(out.layers, layers_before):
+    out = ewc_grad(model, grads, (fisher,), 0.0)
+    for a, b in zip(out, before):
         assert np.array_equal(a, b)
 
 
@@ -140,16 +139,20 @@ def test_penalty_is_added_in_place_into_the_same_gradients():
     fisher = fisher_estimate(_model(15, use_bias=True), shard, 0)
     lam = 2.5
     _, grads = loss_and_grad(model, shard.examples, shard.labels, 0)
-    trunk = [*grads.layers, *grads.layer_biases]
-    params = [*model.layers, *model.layer_biases]
-    want = [g + lam * f * (p - a) for g, p, f, a in zip(trunk, params, fisher.f, fisher.anchor)]
-    head = grads.head.copy()
-    out = ewc_grad(model, grads, fisher, lam)
+    slots = list(grads)
+    n_trunk = len(trunk_params(model))
+    want = [
+        g + lam * f * (p - a)
+        for g, p, f, a in zip(grads, trunk_params(model), fisher.f, fisher.anchor)
+    ]
+    heads = [g.copy() for g in grads[n_trunk:]]
+    out = ewc_grad(model, grads, (fisher,), lam)
     assert out is grads
-    for slot, got, expected in zip(trunk, [*out.layers, *out.layer_biases], want):
+    for slot, got, expected in zip(slots, out, want):
         assert got is slot
         assert np.array_equal(got, expected)
-    assert np.array_equal(out.head, head)
+    for got, expected in zip(out[n_trunk:], heads):
+        assert np.array_equal(got, expected)
 
 
 def test_fisher_states_are_read_only_and_shared():

@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from dccl.metrics import (

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dccl.model import (
     capture_representation,
@@ -12,7 +14,10 @@ from dccl.model import (
     forward,
     init_mlp,
     loss_and_grad,
+    param_arrays,
     sgd_step,
+    task_params,
+    trunk_params,
     unflatten_params,
 )
 
@@ -43,14 +48,6 @@ def _fd_gradient(model, batch, labels, task, h=1e-6):
     return grad
 
 
-def _grad_to_flat(model, grads):
-    probe = copy.deepcopy(model)
-    zero = flatten_params(probe) * 0.0
-    unflatten_params(probe, zero)
-    sgd_step(probe, grads, -1.0)  # leaves exactly the gradient in each slot
-    return flatten_params(probe)
-
-
 def test_gradients_match_finite_differences():
     for use_bias in (False, True):
         model = init_mlp([4, 6, 5], _rng(1), use_bias)
@@ -58,7 +55,7 @@ def test_gradients_match_finite_differences():
         batch = _rng(3).standard_normal((3, 4))
         labels = np.array([0, 2, 1])
         _, grads = loss_and_grad(model, batch, labels, 0)
-        analytic = _grad_to_flat(model, grads)
+        analytic = np.concatenate([g.ravel() for g in grads])
         numeric = _fd_gradient(model, batch, labels, 0)
         scale = max(1.0, float(np.max(np.abs(numeric))))
         assert np.max(np.abs(analytic - numeric)) <= 1e-6 * scale
@@ -83,7 +80,7 @@ def test_loss_stays_finite_for_a_large_logit_gap():
     loss, grads = loss_and_grad(model, np.array([[1.0, 0.0]]), np.array([1]), 0)
     assert np.isfinite(loss)
     assert loss == pytest.approx(1000.0, rel=1e-12)
-    assert np.all(np.isfinite(grads.head))
+    assert all(np.all(np.isfinite(g)) for g in grads)
 
 
 def test_forward_without_trunk_layers():
@@ -131,11 +128,56 @@ def test_sgd_step_touches_only_current_task_head():
     before = model.heads[0].copy()
     batch = _rng(22).standard_normal((4, 4))
     _, grads = loss_and_grad(model, batch, np.array([0, 1, 2, 0]), 1)
-    sgd_step(model, grads, 0.5)
+    sgd_step(model, 1, grads, 0.5)
     assert np.array_equal(model.heads[0], before)
     assert not np.array_equal(
         model.heads[1], init_mlp([4, 6], _rng(19), False).layers[0][:3, :3]
     )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    use_bias=st.booleans(),
+    stack=st.sampled_from([(), (3,)]),
+    heads=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gradients_line_up_with_task_params_and_spare_other_heads(
+    dims, use_bias, stack, heads, seed
+):
+    rng = np.random.default_rng(seed)
+    model = init_mlp(dims, rng, use_bias)
+    if stack:
+        model = model.stacked(stack[0])
+    for t in range(heads):
+        model.add_head(t, int(rng.integers(2, 4)), rng)
+    for p in param_arrays(model):
+        p[...] = rng.standard_normal(p.shape)
+    task = int(rng.integers(0, heads))
+    classes = model.heads[task].shape[-1]
+    batch = rng.standard_normal((*stack, 4, dims[0]))
+    labels = rng.integers(0, classes, size=(*stack, 4))
+    _, grads = loss_and_grad(model, batch, labels, task)
+    params = task_params(model, task)
+    assert [g.shape for g in grads] == [p.shape for p in params]
+    n_trunk = 2 * (len(dims) - 1) if use_bias else len(dims) - 1
+    assert len(trunk_params(model)) == n_trunk
+    assert all(p is q for p, q in zip(params, trunk_params(model)))
+    assert params[n_trunk] is model.heads[task]
+    assert len(param_arrays(model)) == n_trunk + heads * (len(params) - n_trunk)
+    others = {
+        t: [h.copy() for h in task_params(model, t)[n_trunk:]]
+        for t in range(heads)
+        if t != task
+    }
+    want = [p - 0.5 * g for p, g in zip(params, grads)]
+    sgd_step(model, task, grads, 0.5)
+    for got, expected in zip(task_params(model, task), want):
+        assert np.array_equal(got, expected)
+    for t, before in others.items():
+        for got, kept in zip(task_params(model, t)[n_trunk:], before):
+            assert np.array_equal(got, kept)
 
 
 def test_init_is_deterministic_and_bounded():

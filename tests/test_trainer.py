@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dccl.gpm import GpmState, LayerBasis, ThresholdSchedule
-from dccl.model import flatten_params, init_mlp, unflatten_params
+from dccl.model import flatten_params, init_mlp, task_params, unflatten_params
 from dccl.tasks import generate_synthetic_sequence, shard_iid
 from dccl.topology import build_mixing, parse_topology
 import dccl.trainer
@@ -21,7 +21,6 @@ from dccl.trainer import (
     consensus_error,
     derive_rng,
     gossip_round,
-    gossiped,
     reset_aggregates,
     run,
     _derive_int,
@@ -51,8 +50,13 @@ def _entry(n_layers=len(DIMS) - 1):
     return TaskComm(task=0, layer_full=[0] * n_layers, layer_actual=[0] * n_layers)
 
 
+def _snapshots(agents):
+    """Pre-step values for a round with no local step: the current ones."""
+    return [x.copy() for x in task_params(agents.model, 0)]
+
+
 def _own_aggregates(agents):
-    agents.aggregates = [x.copy() for x in gossiped(agents.model, 0)]
+    agents.aggregates = _snapshots(agents)
 
 
 def _config(topology, agents, seed=7, method="codec", dims=None, **kw):
@@ -77,7 +81,9 @@ def test_identical_agents_are_a_fixed_point():
     _own_aggregates(agents)
     before = _flats(agents)
     for _ in range(5):
-        gossip_round(agents, mixing, 0, None, _entry(), compression=True, debug=True)
+        gossip_round(
+            agents, mixing, 0, _snapshots(agents), _entry(), compression=True, debug=True
+        )
     for got, b in zip(_flats(agents), before):
         assert np.array_equal(got, b)
     assert consensus_error(agents.model) == 0.0
@@ -88,7 +94,9 @@ def test_one_full_graph_round_reaches_the_mean():
     agents = _make_agents(3)
     reset_aggregates(agents, mixing, 0)
     mean = np.mean(_flats(agents), axis=0)
-    gossip_round(agents, mixing, 0, None, _entry(), compression=False, debug=True)
+    gossip_round(
+        agents, mixing, 0, _snapshots(agents), _entry(), compression=False, debug=True
+    )
     for got in _flats(agents):
         assert np.max(np.abs(got - mean)) <= 1e-12
 
@@ -101,7 +109,13 @@ def test_zero_gradient_ring_gossip_reaches_consensus_monotonically():
     entry = _entry()
     for r in range(200):
         gossip_round(
-            agents, mixing, 0, None, entry, compression=True, debug=(r % 40 == 0)
+            agents,
+            mixing,
+            0,
+            _snapshots(agents),
+            entry,
+            compression=True,
+            debug=(r % 40 == 0),
         )
         history.append(consensus_error(agents.model))
     assert history[-1] < 1e-12
@@ -165,7 +179,7 @@ def test_stacked_round_matches_per_message_reference(
     model = init_mlp(dims, rng, use_bias)
     model.add_head(0, int(rng.integers(2, 4)), rng)
     stacked = model.stacked(n)
-    arrays = gossiped(stacked, 0)
+    arrays = task_params(stacked, 0)
     for x in arrays:
         x[...] = rng.standard_normal(x.shape)
     snaps = [rng.standard_normal(x.shape) for x in arrays]
@@ -191,7 +205,7 @@ def test_stacked_round_matches_per_message_reference(
     entry = _entry(n_layers)
     got = gossip_round(agents, mixing, 0, snaps, entry, compression=compression)
     assert got == want
-    for k, (x, agg) in enumerate(zip(gossiped(stacked, 0), agents.aggregates)):
+    for k, (x, agg) in enumerate(zip(task_params(stacked, 0), agents.aggregates)):
         for i in range(n):
             assert np.max(np.abs(x[i] - ref_x[i][k]), initial=0.0) <= 1e-12
             assert np.max(np.abs(agg[i] - ref_aggs[i][k]), initial=0.0) <= 1e-12
@@ -348,6 +362,16 @@ def test_unknown_method_or_ewc_mode_rejected():
         run(_config("ring", 4, method="codecs"), seq)
     with pytest.raises(ValueError, match="unknown ewc mode 'offline'"):
         run(_config("ring", 4, method="dewc", ewc_mode="offline"), seq)
+
+
+def test_library_config_is_held_to_the_cli_limits():
+    seq = generate_synthetic_sequence(1, 2, 16, 40, 6)
+    with pytest.raises(ValueError, match="rep_samples must be at least 1, got 0"):
+        run(_config("ring", 4, rep_samples=0), seq)
+    with pytest.raises(ValueError, match="lam must be non-negative, got -5000.0"):
+        run(_config("ring", 4, method="dewc", lam=-5000.0), seq)
+    with pytest.raises(ValueError, match="lam must be non-negative, got nan"):
+        run(_config("ring", 4, method="dewc", lam=float("nan")), seq)
 
 
 def test_input_width_mismatch_rejected():
