@@ -2,8 +2,8 @@
 
 `dccl run` trains one of five methods on a shared task sequence and writes
 `rounds.csv`, `accuracy_matrix.csv` and `summary.json` under the output
-directory.  `dccl validate` checks a configuration and prints a mixing
-report without training.
+directory.  `dccl validate` runs the checks `dccl run` makes before training
+and prints a mixing report.
 
 Configuration comes from an INI-style file (sections are merged into one
 flat namespace), then `--set key=value` overrides, then dedicated flags.
@@ -22,7 +22,7 @@ from .gpm import ThresholdSchedule, save_state
 from .metrics import emit_reports
 from .tasks import TaskSequence, generate_synthetic_sequence, load_csv_dataset
 from .topology import build_mixing, parse_topology, validate_assumption3
-from .trainer import EWC_MODES, METHODS, NonFiniteError, TrainConfig, run
+from .trainer import EWC_MODES, METHODS, NonFiniteError, TrainConfig, check_run, run
 
 
 class ConfigError(ValueError):
@@ -329,8 +329,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     values = _resolve(args)
-    topology = parse_topology(str(values["topology"]), int(values["agents"]))
-    report = validate_assumption3(build_mixing(topology))
+    cfg = _train_config(values)
+    check_run(cfg, _build_sequence(values))
+    report = validate_assumption3(build_mixing(cfg.topology))
     print(f"method {values['method']}")
     print(f"topology {values['topology']} agents {values['agents']}")
     for line in report.lines():

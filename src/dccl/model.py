@@ -14,8 +14,8 @@ and head bias by task id (``param_arrays``, the layout of
 
 A model may carry leading axes in front of every array (``lead``): a stack
 of N agents holds trunk layers of shape (N, n_in, n_out) and heads of shape
-(N, d, c), and ``forward``, ``loss_and_grad`` and ``sgd_step`` treat each
-leading index as an independent model with its own batch.
+(N, d, c), and ``forward`` and ``loss_and_grad`` treat each leading index
+as an independent model with its own batch.
 """
 
 from __future__ import annotations
@@ -196,12 +196,6 @@ def sample_deltas(
     """
     trace, _, d = _output_delta(model, batch, labels, task)
     return trace.inputs, _layer_deltas(model, trace, d, task)
-
-
-def sgd_step(model: Mlp, task: int, grads: list[np.ndarray], eta: float) -> None:
-    """In-place step on ``task_params(model, task)``; other heads are untouched."""
-    for p, g in zip(task_params(model, task), grads, strict=True):
-        p -= eta * g
 
 
 def capture_representation(

@@ -7,10 +7,11 @@ coefficients when compression is on and decoded exactly at the receiver, so
 the compressed run follows the uncompressed trajectory.
 
 All agents share model shapes and step in lockstep, so their state is held
-stacked: every parameter array, tracked aggregate and pre-step snapshot has
-a leading agent axis, a local step is one batched forward/backward pass,
-and a gossip round is, per array, one encode and one decode for all senders
-and one mixing-matrix product.  All randomness is derived from the run seed
+stacked: every parameter array and tracked aggregate has a leading agent
+axis, a local step is one batched forward/backward pass returning the
+steps ``d = -eta g~``, and a gossip round is, per array, the update
+``q = (a - x) + d``, one encode and one decode for all senders and one
+mixing-matrix product.  All randomness is derived from the run seed
 through named streams, so a configuration reproduces itself exactly.
 
 Conventions that keep the subspace-closure argument airtight: all agents
@@ -53,7 +54,6 @@ from .model import (
     init_mlp,
     loss_and_grad,
     param_arrays,
-    sgd_step,
     task_params,
 )
 from .tasks import TaskSequence, TaskShard, shard_iid
@@ -74,7 +74,7 @@ EWC_MODES = ("online", "per_task")
 
 
 class NonFiniteError(ArithmeticError):
-    """Training produced a non-finite loss, mu, parameter or consensus error."""
+    """Training produced a non-finite loss, mu, step or consensus error."""
 
 
 def derive_rng(*entropy: int) -> np.random.Generator:
@@ -197,13 +197,13 @@ def _check_tracking(agents: Agents, mixing: MixingMatrix, task: int) -> None:
 def _check_finite(
     loss: np.ndarray,
     mu: np.ndarray,
-    arrays: list[np.ndarray],
+    steps: list[np.ndarray],
     task: int,
     round_idx: int,
 ) -> None:
     bad = ~(np.isfinite(loss) & np.isfinite(mu))
-    for a in arrays:
-        bad |= ~np.isfinite(_per_agent(a)).all(axis=1)
+    for d in steps:
+        bad |= ~np.isfinite(_per_agent(d)).all(axis=1)
     if bad.any():
         agent = int(np.flatnonzero(bad)[0])
         if not np.isfinite(loss[agent]):
@@ -211,7 +211,7 @@ def _check_finite(
         elif not np.isfinite(mu[agent]):
             what = "mu"
         else:
-            what = "parameters"
+            what = "step"
         raise NonFiniteError(
             f"task {task}, round {round_idx}: agent {agent} has non-finite {what}"
         )
@@ -229,14 +229,15 @@ def local_step(
     fisher_states: tuple[FisherState, ...] = (),
     lam: float = 0.0,
     debug: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One SGD step at every agent of a stacked model; returns loss and mu.
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """One SGD step at every agent of a stacked model, left unapplied.
 
-    With projection on, each trunk gradient has its memory-span component
-    removed before the step; heads are stepped on the raw gradient.  ``mu``
-    is the projected-to-raw trunk gradient norm ratio, per agent.  Without
-    projection, the penalty of every state in ``fisher_states`` (empty but
-    for ``dewc``) is added to the trunk gradients.
+    Returns loss, mu and the steps ``-eta * g~`` lined up with
+    ``task_params(model, task)``; the model is not changed.  With
+    projection on, trunk gradients lose their memory-span component and
+    ``mu`` is the projected-to-raw trunk gradient norm ratio per agent;
+    without it, every state in ``fisher_states`` (empty but for ``dewc``)
+    adds its penalty to the trunk gradients.
     """
     loss, grads = loss_and_grad(model, bx, by, task)
     mu = np.ones(len(loss))
@@ -265,8 +266,9 @@ def local_step(
             assert np.all(mu <= 1.0 + 1e-10), f"mu = {mu.max()} exceeds 1"
     else:
         ewc_grad(model, grads, fisher_states, lam)
-    sgd_step(model, task, grads, eta)
-    return loss, mu
+    for g in grads:
+        g *= -eta
+    return loss, mu, grads
 
 
 def _check_leak(q: np.ndarray, m: np.ndarray, layer: int) -> None:
@@ -283,7 +285,7 @@ def gossip_round(
     agents: Agents,
     mixing: MixingMatrix,
     task: int,
-    snapshots: list[np.ndarray],
+    steps: list[np.ndarray],
     entry: TaskComm,
     *,
     compression: bool,
@@ -291,16 +293,16 @@ def gossip_round(
 ) -> list[int]:
     """One synchronous gossip exchange; returns scalars sent per agent.
 
-    ``snapshots`` are the pre-step values of ``task_params(model, task)``,
-    the arrays a round exchanges: the trunk layers (the codec's domain),
-    then the uncompressed layer biases, head and head bias.  Per array,
-    every agent forms its mixed parameters ``x + (a - s)`` from its tracked
-    aggregate, its update is ``q = x_new - s``, and each sender's update is
-    encoded once and decoded once with ``agents.memory``, the basis every
-    agent holds.  An agent's own update enters its aggregate without a codec
-    round trip, matching what a real node knows about itself; neighbors'
-    decoded updates enter through one product with the off-diagonal mixing
-    weights.
+    ``steps`` are the local steps ``d`` from ``local_step``, one per array
+    of ``task_params(model, task)``, the arrays a round exchanges: the
+    trunk layers (the codec's domain), then the uncompressed layer biases,
+    head and head bias.  Per array, every agent's update is
+    ``q = (a - x) + d`` from its tracked aggregate ``a``, it moves to
+    ``x + q``, and each sender's update is encoded once and decoded once
+    with ``agents.memory``, the basis every agent holds.  An agent's own
+    update enters its aggregate without a codec round trip, matching what a
+    real node knows about itself; neighbors' decoded updates enter through
+    one product with the off-diagonal mixing weights.
     """
     w = mixing.w
     own = np.diag(w).copy()
@@ -311,10 +313,10 @@ def gossip_round(
     n_layers = len(agents.model.layers)
     basis = agents.memory
     per_message = 0
-    for l, (x, snap, agg) in enumerate(zip(arrays, snapshots, agents.aggregates)):
-        q = agg - snap
-        x += q  # gossip term first: it cancels exactly at a consensus fixed point
-        np.subtract(x, snap, out=q)
+    for l, (x, d, agg) in enumerate(zip(arrays, steps, agents.aggregates)):
+        q = agg - x  # gossip term first: it cancels exactly at a consensus fixed point
+        q += d
+        x += q
         coeffs = None
         if l < n_layers:
             if debug:
@@ -386,47 +388,48 @@ def gpm_broadcast(
     entry.overhead_full += (n - 1) * memory_cost
 
 
+def check_run(config: TrainConfig, sequence: TaskSequence) -> None:
+    """Raise ``ValueError`` for what ``run`` would reject before training."""
+    if config.method not in METHODS:
+        raise ValueError(f"unknown method {config.method!r}")
+    if config.eta <= 0:
+        raise ValueError("eta must be positive")
+    if config.epochs < 1 or config.batch_size < 1:
+        raise ValueError("epochs and batch_size must be at least 1")
+    if config.seed < 0:
+        raise ValueError("seed must be non-negative")
+    if config.rep_samples < 1:
+        raise ValueError(f"rep_samples must be at least 1, got {config.rep_samples}")
+    if not config.lam >= 0.0:
+        raise ValueError(f"lam must be non-negative, got {config.lam}")
+    if len(config.dims) < 1 or config.dims[0] != sequence.input_dim:
+        raise ValueError(
+            f"model input width {config.dims[:1]} does not match data "
+            f"dimension {sequence.input_dim}"
+        )
+    if config.ewc_mode not in EWC_MODES:
+        raise ValueError(f"unknown ewc mode {config.ewc_mode!r}")
+    n = config.topology.n
+    for t, data in enumerate(sequence.tasks):
+        rows = data.train_x.shape[0]
+        if rows < n:
+            raise ValueError(
+                f"task {t} has {rows} training samples, fewer than {n} agents"
+            )
+        if data.test_x.shape[0] == 0:
+            raise ValueError(f"task {t} has an empty test split")
+        if config.method in ("codec", "codec_fullcomm"):
+            config.threshold.value(t)  # raises if the schedule leaves (0, 1)
+
+
 class _Engine:
     def __init__(self, config: TrainConfig, sequence: TaskSequence):
-        method = config.method
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
-        if config.eta <= 0:
-            raise ValueError("eta must be positive")
-        if config.epochs < 1 or config.batch_size < 1:
-            raise ValueError("epochs and batch_size must be at least 1")
-        if config.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if config.rep_samples < 1:
-            raise ValueError(
-                f"rep_samples must be at least 1, got {config.rep_samples}"
-            )
-        if not config.lam >= 0.0:
-            raise ValueError(f"lam must be non-negative, got {config.lam}")
-        if len(config.dims) < 1 or config.dims[0] != sequence.input_dim:
-            raise ValueError(
-                f"model input width {config.dims[:1]} does not match data "
-                f"dimension {sequence.input_dim}"
-            )
-        if config.ewc_mode not in EWC_MODES:
-            raise ValueError(f"unknown ewc mode {config.ewc_mode!r}")
-        n = config.topology.n
-        for t, data in enumerate(sequence.tasks):
-            rows = data.train_x.shape[0]
-            if rows < n:
-                raise ValueError(
-                    f"task {t} has {rows} training samples, fewer than {n} agents"
-                )
-            if data.test_x.shape[0] == 0:
-                raise ValueError(f"task {t} has an empty test split")
+        check_run(config, sequence)
         self.cfg = config
         self.seq = sequence
-        self.method = method
+        self.method = method = config.method
         self.projection = method in ("codec", "codec_fullcomm")
         self.compression = method == "codec"
-        if self.projection:
-            for t in range(len(sequence.tasks)):
-                config.threshold.value(t)  # raises if the schedule leaves (0, 1)
         # dewc only: one accumulated state (online) or one per task
         self.fisher: list[FisherState] = []
 
@@ -523,8 +526,7 @@ class _Engine:
             for epoch in range(cfg.epochs):
                 batches = self._batches(shards, t, epoch, rounds_per_epoch)
                 for idx in batches:
-                    snapshots = [x.copy() for x in task_params(model, t)]
-                    loss, mu = local_step(
+                    loss, mu, steps = local_step(
                         model,
                         agents.memory,
                         pool_x[idx],
@@ -536,16 +538,17 @@ class _Engine:
                         lam=cfg.lam,
                         debug=cfg.debug_checks,
                     )
-                    _check_finite(loss, mu, task_params(model, t), t, round_idx)
+                    _check_finite(loss, mu, steps, t, round_idx)
                     sent = gossip_round(
                         agents,
                         mixing,
                         t,
-                        snapshots,
+                        steps,
                         entry,
                         compression=self.compression,
                         debug=cfg.debug_checks,
                     )
+                    del steps  # freed before the next round's are made
                     entry.rounds += 1
                     ce = consensus_error(model)
                     if not math.isfinite(ce):

@@ -222,9 +222,9 @@ def test_criterion_05_gossip_alone_reaches_consensus():
         entry = TaskComm(task=0, layer_full=[0, 0], layer_actual=[0, 0])
         history = [consensus_error(agents.model)]
         for r in range(200):
-            snapshots = [x.copy() for x in task_params(agents.model, 0)]
+            steps = [np.zeros_like(x) for x in task_params(agents.model, 0)]
             gossip_round(
-                agents, mixing, 0, snapshots, entry,
+                agents, mixing, 0, steps, entry,
                 compression=True, debug=(r % 40 == 0),
             )
             history.append(consensus_error(agents.model))

@@ -62,6 +62,27 @@ def test_validate_rejects_grid_agent_mismatch(capsys):
     assert "9" in err
 
 
+@pytest.mark.parametrize(
+    "args, cause",
+    [
+        (["--set", "classes_per_task=1"], "classes_per_task >= 2"),
+        (["--set", "samples_per_class=1"], "per_class >= 2"),
+        (["--agents", "200"], "task 0 has 160 training samples, fewer than 200 agents"),
+    ],
+    ids=["one-class", "one-sample", "more-agents-than-samples"],
+)
+def test_validate_rejects_what_run_rejects_before_training(
+    tmp_path, capsys, args, cause
+):
+    out = tmp_path / "out"
+    for command in ("validate", "run"):
+        rc = main([command, "--topology", "full", "--out", str(out), *args])
+        err = capsys.readouterr().err
+        assert rc == 1, command
+        assert cause in err, command
+    assert not out.exists()
+
+
 def test_unknown_method_and_key_are_rejected(capsys):
     rc = main(["validate", "--set", "method=foo"])
     err = capsys.readouterr().err

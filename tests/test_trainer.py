@@ -7,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dccl.gpm import GpmState, LayerBasis, ThresholdSchedule
-from dccl.model import flatten_params, init_mlp, task_params, unflatten_params
+from dccl.gpm import GpmState, LayerBasis, ThresholdSchedule, project
+from dccl.model import (
+    flatten_params,
+    init_mlp,
+    loss_and_grad,
+    task_params,
+    trunk_params,
+    unflatten_params,
+)
 from dccl.tasks import generate_synthetic_sequence, shard_iid
 from dccl.topology import build_mixing, parse_topology
 import dccl.trainer
@@ -21,6 +28,7 @@ from dccl.trainer import (
     consensus_error,
     derive_rng,
     gossip_round,
+    local_step,
     reset_aggregates,
     run,
     _derive_int,
@@ -50,13 +58,13 @@ def _entry(n_layers=len(DIMS) - 1):
     return TaskComm(task=0, layer_full=[0] * n_layers, layer_actual=[0] * n_layers)
 
 
-def _snapshots(agents):
-    """Pre-step values for a round with no local step: the current ones."""
-    return [x.copy() for x in task_params(agents.model, 0)]
+def _zero_steps(agents):
+    """Steps for a round with no local step."""
+    return [np.zeros_like(x) for x in task_params(agents.model, 0)]
 
 
 def _own_aggregates(agents):
-    agents.aggregates = _snapshots(agents)
+    agents.aggregates = [x.copy() for x in task_params(agents.model, 0)]
 
 
 def _config(topology, agents, seed=7, method="codec", dims=None, **kw):
@@ -82,7 +90,7 @@ def test_identical_agents_are_a_fixed_point():
     before = _flats(agents)
     for _ in range(5):
         gossip_round(
-            agents, mixing, 0, _snapshots(agents), _entry(), compression=True, debug=True
+            agents, mixing, 0, _zero_steps(agents), _entry(), compression=True, debug=True
         )
     for got, b in zip(_flats(agents), before):
         assert np.array_equal(got, b)
@@ -95,7 +103,7 @@ def test_one_full_graph_round_reaches_the_mean():
     reset_aggregates(agents, mixing, 0)
     mean = np.mean(_flats(agents), axis=0)
     gossip_round(
-        agents, mixing, 0, _snapshots(agents), _entry(), compression=False, debug=True
+        agents, mixing, 0, _zero_steps(agents), _entry(), compression=False, debug=True
     )
     for got in _flats(agents):
         assert np.max(np.abs(got - mean)) <= 1e-12
@@ -112,7 +120,7 @@ def test_zero_gradient_ring_gossip_reaches_consensus_monotonically():
             agents,
             mixing,
             0,
-            _snapshots(agents),
+            _zero_steps(agents),
             entry,
             compression=True,
             debug=(r % 40 == 0),
@@ -122,21 +130,21 @@ def test_zero_gradient_ring_gossip_reaches_consensus_monotonically():
     assert all(b <= a for a, b in zip(history, history[1:]))
 
 
-def _reference_round(xs, snaps, aggs, bases, w, n_layers, compression):
+def _reference_round(xs, steps, aggs, bases, w, n_layers, compression):
     """One gossip round message by message, as separate nodes would run it.
 
-    Every agent holds its own arrays.  A sender forms its update, encodes
-    the trunk layers with its own basis copy and sends one message per
-    receiver; each receiver decodes with its own copy and adds w_ji * q_hat.
+    Every agent holds its own arrays.  A sender forms its update
+    ``q = (a - x) + d``, encodes the trunk layers with its own basis copy
+    and sends one message per receiver; each receiver decodes with its own
+    copy and adds w_ji * q_hat.
     """
     n = len(xs)
     messages = []
     for i in range(n):
         qs = []
         for k in range(len(xs[i])):
-            new = xs[i][k] + (aggs[i][k] - snaps[i][k])
-            qs.append(new - snaps[i][k])
-            xs[i][k] = new
+            qs.append((aggs[i][k] - xs[i][k]) + steps[i][k])
+            xs[i][k] = xs[i][k] + qs[-1]
         payload = [
             bases[i].layers[k].o.T @ q if compression and k < n_layers else q
             for k, q in enumerate(qs)
@@ -182,7 +190,7 @@ def test_stacked_round_matches_per_message_reference(
     arrays = task_params(stacked, 0)
     for x in arrays:
         x[...] = rng.standard_normal(x.shape)
-    snaps = [rng.standard_normal(x.shape) for x in arrays]
+    steps = [rng.standard_normal(x.shape) for x in arrays]
     aggs = [rng.standard_normal(x.shape) for x in arrays]
     layers = []
     for width in dims[:-1]:
@@ -191,7 +199,7 @@ def test_stacked_round_matches_per_message_reference(
         layers.append(LayerBasis(m=q[:, :rank], o=q[:, rank:]))
     agents = Agents(model=stacked, memory=GpmState(layers=layers), aggregates=aggs)
     ref_x = [[x[i].copy() for x in arrays] for i in range(n)]
-    ref_snaps = [[s[i].copy() for s in snaps] for i in range(n)]
+    ref_steps = [[d[i].copy() for d in steps] for i in range(n)]
     ref_aggs = [[a[i].copy() for a in aggs] for i in range(n)]
     # each node holds its own copy of the broadcast basis
     ref_bases = [
@@ -200,10 +208,10 @@ def test_stacked_round_matches_per_message_reference(
     ]
     n_layers = len(dims) - 1
     want = _reference_round(
-        ref_x, ref_snaps, ref_aggs, ref_bases, mixing.w, n_layers, compression
+        ref_x, ref_steps, ref_aggs, ref_bases, mixing.w, n_layers, compression
     )
     entry = _entry(n_layers)
-    got = gossip_round(agents, mixing, 0, snaps, entry, compression=compression)
+    got = gossip_round(agents, mixing, 0, steps, entry, compression=compression)
     assert got == want
     for k, (x, agg) in enumerate(zip(task_params(stacked, 0), agents.aggregates)):
         for i in range(n):
@@ -217,6 +225,57 @@ def test_stacked_round_matches_per_message_reference(
         assert entry.layer_full[l] == messages * dims[l] * dims[l + 1]
     extra = sum(a[0].size for a in arrays[n_layers:])
     assert entry.extra_scalars == messages * extra
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 4),
+    use_bias=st.booleans(),
+    projection=st.booleans(),
+    heads=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_steps_are_minus_eta_g_and_a_round_spares_other_heads(
+    n, use_bias, projection, heads, seed
+):
+    rng = np.random.default_rng(seed)
+    dims = [int(d) for d in rng.integers(1, 6, size=3)]
+    model = init_mlp(dims, rng, use_bias).stacked(n)
+    for t in range(heads):
+        model.add_head(t, 3, rng)
+    layers = []
+    for width in dims[:-1]:
+        q, _ = np.linalg.qr(rng.standard_normal((width, width)))
+        rank = int(rng.integers(0, width + 1))
+        layers.append(LayerBasis(m=q[:, :rank], o=q[:, rank:]))
+    agents = Agents(model=model, memory=GpmState(layers=layers))
+    task = int(rng.integers(0, heads))
+    bx = rng.standard_normal((n, 4, dims[0]))
+    by = rng.integers(0, 3, size=(n, 4))
+    before = {t: [p.copy() for p in task_params(model, t)] for t in range(heads)}
+    _, grads = loss_and_grad(model, bx, by, task)
+    if projection:
+        for l, basis in enumerate(layers):
+            grads[l] = project(grads[l], basis.m)
+    _, _, steps = local_step(
+        model, agents.memory, bx, by, task, 0.3, projection=projection
+    )
+    assert [d.shape for d in steps] == [p.shape for p in task_params(model, task)]
+    for d, g in zip(steps, grads):
+        assert np.array_equal(d, -0.3 * g)
+    for t, kept in before.items():
+        for p, k in zip(task_params(model, t), kept):
+            assert np.array_equal(p, k)  # the step is not applied
+    mixing = build_mixing(parse_topology("full", n))
+    reset_aggregates(agents, mixing, task)
+    gossip_round(
+        agents, mixing, task, steps, _entry(len(dims) - 1), compression=projection
+    )
+    n_trunk = len(trunk_params(model))
+    for t, kept in before.items():
+        if t != task:
+            for p, k in zip(task_params(model, t)[n_trunk:], kept[n_trunk:]):
+                assert np.array_equal(p, k)
 
 
 def test_compression_does_not_change_the_trajectory():
