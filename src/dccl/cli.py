@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 
@@ -52,9 +53,12 @@ def _parse_nonneg_int(text: str) -> int:
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text.strip())
+        value = float(text.strip())
     except ValueError:
         raise ConfigError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text.strip()!r}")
+    return value
 
 
 def _parse_positive_float(text: str) -> float:

@@ -54,13 +54,19 @@ def ewc_grad(
 ) -> list[np.ndarray]:
     """Add each state's penalty gradient lambda * f * (x - x_prev) to the
     trunk slots of ``grads`` (laid out as ``task_params``) in place and
-    return the same list."""
+    return the same list.
+
+    The only stack-sized temporary is ``x - x_prev``, scaled in place by
+    the layer-sized ``lambda * f``.
+    """
     if lam == 0.0:
         return grads
     params = trunk_params(model)
     for fisher in fishers:
         for g, p, f, anchor in zip(grads, params, fisher.f, fisher.anchor):
-            g += lam * f * (p - anchor)
+            pen = p - anchor
+            pen *= lam * f
+            g += pen
     return grads
 
 

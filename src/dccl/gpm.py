@@ -74,13 +74,15 @@ def project(g: np.ndarray, m: np.ndarray) -> np.ndarray:
 
     With an empty memory the gradient is returned unchanged, so the very
     first task trains without any constraint.  ``g`` may carry leading axes
-    (one gradient per agent); the memory is shared.
+    (one gradient per agent); the memory is shared.  The result is a new
+    array, the buffer of the product ``m (m^T g)``; ``g`` is not changed.
     """
     if g.shape[-2] != m.shape[0]:
         raise ValueError(
             f"gradient rows {g.shape[-2]} do not match basis rows {m.shape[0]}"
         )
-    return g - m @ (m.T @ g)
+    out = m @ (m.T @ g)
+    return np.subtract(g, out, out=out)
 
 
 def update_memory(

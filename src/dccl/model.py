@@ -118,11 +118,11 @@ def forward(model: Mlp, batch: np.ndarray, task: int) -> ForwardTrace:
         inputs.append(act)
         z = act @ w
         if model.layer_biases is not None:
-            z = z + model.layer_biases[l][..., np.newaxis, :]
-        act = np.maximum(z, 0.0)
+            z += model.layer_biases[l][..., np.newaxis, :]
+        act = np.maximum(z, 0.0, out=z)
     logits = act @ model.heads[task]
     if model.use_bias:
-        logits = logits + model.head_biases[task][..., np.newaxis, :]
+        logits += model.head_biases[task][..., np.newaxis, :]
     return ForwardTrace(inputs=inputs, head_input=act, logits=logits)
 
 
@@ -161,7 +161,7 @@ def _layer_deltas(model: Mlp, trace: ForwardTrace, d: np.ndarray, task: int):
     upstream = d @ _t(model.heads[task])
     for l in range(len(model.layers) - 1, -1, -1):
         post = trace.head_input if l == len(model.layers) - 1 else trace.inputs[l + 1]
-        dzs[l] = upstream * (post > 0.0)
+        dzs[l] = np.multiply(upstream, post > 0.0, out=upstream)
         if l:
             upstream = dzs[l] @ _t(model.layers[l])
     return dzs

@@ -176,7 +176,8 @@ def consensus_error(model: Mlp) -> float:
     total = 0.0
     for a in param_arrays(model):
         dev = a - a.mean(axis=0)
-        total += float(np.sum(dev * dev))
+        dev *= dev
+        total += float(dev.sum())
     return total / model.lead[0]
 
 
@@ -233,11 +234,12 @@ def local_step(
     """One SGD step at every agent of a stacked model, left unapplied.
 
     Returns loss, mu and the steps ``-eta * g~`` lined up with
-    ``task_params(model, task)``; the model is not changed.  With
-    projection on, trunk gradients lose their memory-span component and
-    ``mu`` is the projected-to-raw trunk gradient norm ratio per agent;
-    without it, every state in ``fisher_states`` (empty but for ``dewc``)
-    adds its penalty to the trunk gradients.
+    ``task_params(model, task)``; the model is not changed.  The steps are
+    new arrays that ``gossip_round`` consumes.  With projection on, trunk
+    gradients lose their memory-span component and ``mu`` is the
+    projected-to-raw trunk gradient norm ratio per agent; without it, every
+    state in ``fisher_states`` (empty but for ``dewc``) adds its penalty to
+    the trunk gradients.
     """
     loss, grads = loss_and_grad(model, bx, by, task)
     mu = np.ones(len(loss))
@@ -248,12 +250,14 @@ def local_step(
         # raw gradient is freed once its projection replaces it
         for l in range(len(model.layers)):
             g = grads[l]
-            gsq = np.sum(g * g, axis=(-2, -1))
-            raw_sq += gsq
             g_tilde = project(g, gpm.layers[l].m)
-            tsq = np.sum(g_tilde * g_tilde, axis=(-2, -1))
             if debug:
                 ip = descent_check(g, g_tilde)
+            # g is dead from here: both squared norms are taken in its buffer
+            gsq = np.multiply(g, g, out=g).sum(axis=(-2, -1))
+            raw_sq += gsq
+            tsq = np.multiply(g_tilde, g_tilde, out=g).sum(axis=(-2, -1))
+            if debug:
                 assert np.all(ip >= -1e-12), f"descent check failed: <g, g~> = {ip}"
                 assert np.all(np.abs(ip - tsq) <= 1e-8 * gsq + 1e-300), (
                     f"projection identity violated: {ip} vs {tsq}"
@@ -302,7 +306,8 @@ def gossip_round(
     with ``agents.memory``, the basis every agent holds.  An agent's own
     update enters its aggregate without a codec round trip, matching what a
     real node knows about itself; neighbors' decoded updates enter through
-    one product with the off-diagonal mixing weights.
+    one product with the off-diagonal mixing weights, written into ``d``'s
+    buffer.  So the round consumes ``steps``: afterwards they hold no step.
     """
     w = mixing.w
     own = np.diag(w).copy()
@@ -331,16 +336,17 @@ def gossip_round(
             entry.extra_scalars += sent * messages
         per_message += sent
         # In place, one array at a time: a raw update is mixed before q is
-        # scaled by the own weight, coefficients are decoded into q after.
+        # scaled by the own weight, coefficients are decoded into q after;
+        # either is mixed into d's buffer, dead once d entered q.
         if coeffs is None:
-            mixed = _mix(w_off, q)
+            mixed = np.matmul(w_off, _per_agent(q), out=_per_agent(d))
         q *= own.reshape(-1, *[1] * (q.ndim - 1))
         agg += q  # the own update enters without a codec round trip
         if coeffs is not None:
             decode(coeffs, basis.layers[l].o, out=q)
             coeffs = None
-            mixed = _mix(w_off, q)
-        agg += mixed
+            mixed = np.matmul(w_off, _per_agent(q), out=_per_agent(d))
+        agg += mixed.reshape(agg.shape)
         del q, mixed  # freed before the next array's update is formed
     entry.messages += messages
     if debug:
@@ -392,8 +398,8 @@ def check_run(config: TrainConfig, sequence: TaskSequence) -> None:
     """Raise ``ValueError`` for what ``run`` would reject before training."""
     if config.method not in METHODS:
         raise ValueError(f"unknown method {config.method!r}")
-    if config.eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < config.eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {config.eta}")
     if config.epochs < 1 or config.batch_size < 1:
         raise ValueError("epochs and batch_size must be at least 1")
     if config.seed < 0:
@@ -402,6 +408,8 @@ def check_run(config: TrainConfig, sequence: TaskSequence) -> None:
         raise ValueError(f"rep_samples must be at least 1, got {config.rep_samples}")
     if not config.lam >= 0.0:
         raise ValueError(f"lam must be non-negative, got {config.lam}")
+    if config.lam == math.inf:
+        raise ValueError(f"lam must be finite, got {config.lam}")
     if len(config.dims) < 1 or config.dims[0] != sequence.input_dim:
         raise ValueError(
             f"model input width {config.dims[:1]} does not match data "
@@ -447,14 +455,19 @@ class _Engine:
     ) -> np.ndarray:
         """Row indices into the concatenated shards, shape (rounds, N, batch)."""
         size = self.cfg.batch_size
-        streams, offset = [], 0
-        for i, shard in enumerate(shards):
-            perm = derive_rng(self.cfg.seed, TAG_BATCH, i, task, epoch).permutation(
-                len(shard)
-            )
-            streams.append(offset + np.resize(perm, rounds * size))
+        # agent i's row is its shard's permutation (the stream derive_rng
+        # would give), repeated to length and shifted to the shard's offset
+        idx = np.empty((len(shards), rounds * size), dtype=np.int64)
+        offset = 0
+        for i, (shard, row) in enumerate(zip(shards, idx)):
+            seq = np.random.SeedSequence((self.cfg.seed, TAG_BATCH, i, task, epoch))
+            perm = np.random.Generator(np.random.PCG64(seq)).permutation(len(shard))
+            perm += offset
+            for start in range(0, len(row), len(perm)):
+                chunk = row[start : start + len(perm)]
+                chunk[...] = perm[: len(chunk)]
             offset += len(shard)
-        return np.stack(streams).reshape(len(shards), rounds, size).swapaxes(0, 1)
+        return idx.reshape(len(shards), rounds, size).swapaxes(0, 1)
 
     def _boundary_sync(self, model: Mlp, entry: TaskComm) -> None:
         for a in param_arrays(model):

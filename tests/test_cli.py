@@ -105,6 +105,20 @@ def test_bad_value_names_the_key(capsys):
     assert "agents" in err and "zero" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("eta", "nan"), ("eta", "inf"), ("separation", "nan"), ("lambda", "inf")],
+)
+def test_non_finite_floats_are_rejected_by_name(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    for command in ("validate", "run"):
+        rc = main([command, "--out", str(out), "--set", f"{key}={value}"])
+        err = capsys.readouterr().err
+        assert rc == 1, command
+        assert f"config key '{key}'" in err and "finite" in err, command
+    assert not out.exists()
+
+
 def test_dedicated_flags_go_through_the_schema(capsys):
     for flag, value, reason in (
         ("--agents", "abc", "expected an integer"),

@@ -1,12 +1,14 @@
 """Round mechanics, consensus behavior, lossless compression, determinism."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dccl.ewc import FisherState
 from dccl.gpm import GpmState, LayerBasis, ThresholdSchedule, project
 from dccl.model import (
     flatten_params,
@@ -431,9 +433,69 @@ def test_library_config_is_held_to_the_cli_limits():
         run(_config("ring", 4, method="dewc", lam=-5000.0), seq)
     with pytest.raises(ValueError, match="lam must be non-negative, got nan"):
         run(_config("ring", 4, method="dewc", lam=float("nan")), seq)
+    with pytest.raises(ValueError, match="lam must be finite, got inf"):
+        run(_config("ring", 4, method="dewc", lam=float("inf")), seq)
+    for eta in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(
+            ValueError, match=f"eta must be positive and finite, got {eta}"
+        ):
+            run(_config("ring", 4, eta=eta), seq)
 
 
 def test_input_width_mismatch_rejected():
     seq = generate_synthetic_sequence(1, 2, 8, 40, 6)
     with pytest.raises(ValueError):
         run(_config("ring", 4), seq)
+
+
+@pytest.mark.parametrize("method", ["codec", "dewc"])
+def test_round_heap_peak_stays_near_two_agent_stacks(method):
+    """Heap peak of one local step, gossip round and consensus error at the
+    ``wide`` benchmark's shapes, in units of the exchanged agent stack.
+
+    The raw gradients are one stack; projecting the widest layer adds its
+    product and ``m^T g``, about one more, and ``dewc``'s penalty
+    temporaries come to the same.  One more stack-sized temporary
+    (``g - m m^T g`` or ``lam * f * (x - x*)`` as one expression, or a
+    fresh mixing product) lifts the peak to ~2.35 stacks.
+    """
+    rng = np.random.default_rng(0)
+    dims, n = [64, 256, 128], 16
+    model = init_mlp(dims, rng).stacked(n)
+    model.add_head(0, 2, rng)
+    for x in task_params(model, 0):
+        x += 0.01 * rng.standard_normal(x.shape)
+    layers = []
+    for width in dims[:-1]:
+        q, _ = np.linalg.qr(rng.standard_normal((width, width)))
+        layers.append(LayerBasis(m=q[:, : width // 2], o=q[:, width // 2 :]))
+    agents = Agents(model=model, memory=GpmState(layers=layers))
+    mixing = build_mixing(parse_topology("torus:4x4", n))
+    reset_aggregates(agents, mixing, 0)
+    fishers = ()
+    if method == "dewc":
+        trunk = trunk_params(model)
+        fishers = (
+            FisherState(
+                f=[rng.random(p.shape[1:]) for p in trunk],
+                anchor=[p[0].copy() for p in trunk],
+            ),
+        )
+    bx = rng.standard_normal((n, 16, dims[0]))
+    by = rng.integers(0, 2, size=(n, 16))
+    stack = sum(x.nbytes for x in task_params(model, 0))
+    codec = method == "codec"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, _, steps = local_step(
+            model, agents.memory, bx, by, 0, 0.01,
+            projection=codec, fisher_states=fishers, lam=5000.0,
+        )
+        gossip_round(agents, mixing, 0, steps, _entry(2), compression=codec)
+        del steps
+        consensus_error(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / stack <= 2.15
