@@ -7,6 +7,11 @@ before stepping, so updates cannot disturb what earlier tasks rely on; the
 same fact makes model deltas expressible in ``o`` coordinates, which is
 what the communication codec exploits: coefficients ``c = o^T q`` are
 (n-r)/n the size of ``q`` and decode back exactly via ``q = o c``.
+
+A layer's gradient ``X^T dz`` is a product with its batch inputs, so the
+trainer projects the (n, batch) input matrix rather than the (n, cols)
+gradient: ``project(X^T, m) dz`` is the projected gradient.  While the
+memory is empty nothing is projected and ``o = I``, so updates travel raw.
 """
 
 from __future__ import annotations
@@ -70,16 +75,20 @@ class ThresholdSchedule:
 
 
 def project(g: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Remove the span(m) component of a gradient: g - m (m^T g).
+    """Remove the span(m) component of each column of g: g - m (m^T g).
 
-    With an empty memory the gradient is returned unchanged, so the very
-    first task trains without any constraint.  ``g`` may carry leading axes
-    (one gradient per agent); the memory is shared.  The result is a new
+    ``g`` is any matrix whose rows index the layer's input space: a
+    gradient, or a layer's transposed batch inputs ``X^T``, whose
+    projection times the layer's deltas is the projected gradient
+    (``project(X^T, m) dz = project(X^T dz, m)``; the trainer takes this
+    route, at ``2 batch n r`` instead of ``2 n cols r``).  With an empty
+    memory the columns are returned unchanged.  ``g`` may carry leading
+    axes (one matrix per agent); the memory is shared.  The result is a new
     array, the buffer of the product ``m (m^T g)``; ``g`` is not changed.
     """
     if g.shape[-2] != m.shape[0]:
         raise ValueError(
-            f"gradient rows {g.shape[-2]} do not match basis rows {m.shape[0]}"
+            f"matrix rows {g.shape[-2]} do not match basis rows {m.shape[0]}"
         )
     out = m @ (m.T @ g)
     return np.subtract(g, out, out=out)

@@ -14,8 +14,8 @@ and head bias by task id (``param_arrays``, the layout of
 
 A model may carry leading axes in front of every array (``lead``): a stack
 of N agents holds trunk layers of shape (N, n_in, n_out) and heads of shape
-(N, d, c), and ``forward`` and ``loss_and_grad`` treat each leading index
-as an independent model with its own batch.
+(N, d, c), and ``forward``, ``backward`` and ``loss_and_grad`` treat each
+leading index as an independent model with its own batch.
 """
 
 from __future__ import annotations
@@ -167,6 +167,29 @@ def _layer_deltas(model: Mlp, trace: ForwardTrace, d: np.ndarray, task: int):
     return dzs
 
 
+def backward(
+    model: Mlp, batch: np.ndarray, labels: np.ndarray, task: int
+) -> tuple[float | np.ndarray, list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """Mean cross-entropy over the batch, and its gradients left factored.
+
+    Returns the loss, each trunk layer's input ``X_l`` (*lead, batch, n_l)
+    and pre-activation delta ``dz_l`` (*lead, batch, n_out) of the mean
+    loss, and the gradients of the arrays that follow the trunk layers in
+    ``task_params(model, task)``: the layer biases, the head and the head
+    bias.  Trunk layer l's gradient is ``X_l^T dz_l``, so its columns lie in
+    the span of the batch's layer inputs; the caller forms it
+    (``loss_and_grad`` as it is, ``local_step`` from projected inputs).
+    """
+    trace, loss, d = _output_delta(model, batch, labels, task)
+    d /= d.shape[-2]
+    dzs = _layer_deltas(model, trace, d, task)
+    rest = [dz.sum(axis=-2) for dz in dzs] if model.use_bias else []
+    rest.append(_t(trace.head_input) @ d)
+    if model.use_bias:
+        rest.append(d.sum(axis=-2))
+    return loss, trace.inputs, dzs, rest
+
+
 def loss_and_grad(
     model: Mlp, batch: np.ndarray, labels: np.ndarray, task: int
 ) -> tuple[float | np.ndarray, list[np.ndarray]]:
@@ -175,15 +198,8 @@ def loss_and_grad(
 
     For a stacked model the loss is an array over the leading axes.
     """
-    trace, loss, d = _output_delta(model, batch, labels, task)
-    d /= d.shape[-2]
-    dzs = _layer_deltas(model, trace, d, task)
-    grads = [_t(x) @ dz for x, dz in zip(trace.inputs, dzs)]
-    head = [_t(trace.head_input) @ d]
-    if model.use_bias:
-        grads += [dz.sum(axis=-2) for dz in dzs]
-        head.append(d.sum(axis=-2))
-    return loss, grads + head
+    loss, inputs, dzs, rest = backward(model, batch, labels, task)
+    return loss, [_t(x) @ dz for x, dz in zip(inputs, dzs)] + rest
 
 
 def sample_deltas(

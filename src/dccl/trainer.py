@@ -48,11 +48,11 @@ from .gpm import (
 from .metrics import AccuracyMatrix
 from .model import (
     Mlp,
+    backward,
     capture_representation,
     flatten_params,
     forward,
     init_mlp,
-    loss_and_grad,
     param_arrays,
     task_params,
 )
@@ -218,6 +218,62 @@ def _check_finite(
         )
 
 
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared norm of each agent's array, with no temporary of ``a``'s size."""
+    n = len(a)
+    return (a.reshape(n, 1, -1) @ a.reshape(n, -1, 1)).reshape(n)
+
+
+def _check_descent(g: np.ndarray, g_tilde: np.ndarray, lost_sq: np.ndarray) -> None:
+    ip = descent_check(g, g_tilde)
+    gsq, tsq = _sq_norms(g), _sq_norms(g_tilde)
+    assert np.all(ip >= -1e-12), f"descent check failed: <g, g~> = {ip}"
+    assert np.all(np.abs(ip - tsq) <= 1e-8 * gsq + 1e-300), (
+        f"projection identity violated: {ip} vs {tsq}"
+    )
+    assert np.all(np.abs(gsq - tsq - lost_sq) <= 1e-8 * gsq + 1e-300), (
+        f"norm split violated: {gsq} vs {tsq} + {lost_sq}"
+    )
+
+
+def _gradients(
+    model: Mlp,
+    gpm: GpmState,
+    bx: np.ndarray,
+    by: np.ndarray,
+    task: int,
+    *,
+    projection: bool,
+    debug: bool,
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Loss, mu and the gradients of ``local_step``, before any scaling."""
+    loss, inputs, deltas, rest = backward(model, bx, by, task)
+    kept_sq = np.zeros(len(loss))  # ||g~||^2 over the trunk
+    lost_sq = np.zeros(len(loss))  # ||m^T g||^2 over the trunk
+    grads = []
+    for x, dz, basis in zip(inputs, deltas, gpm.layers):
+        xt = x.swapaxes(-1, -2)
+        if projection and basis.rank:
+            g = project(xt, basis.m) @ dz
+            lost = _sq_norms((basis.m.T @ xt) @ dz)
+            if debug:
+                _check_descent(xt @ dz, g, lost)
+            lost_sq += lost
+        else:
+            g = xt @ dz
+        if projection:
+            kept_sq += _sq_norms(g)
+        grads.append(g)
+    mu = np.ones(len(loss))
+    if projection:
+        raw_sq = kept_sq + lost_sq
+        nonzero = raw_sq != 0.0
+        mu[nonzero] = np.sqrt(kept_sq[nonzero]) / np.sqrt(raw_sq[nonzero])
+        if debug:
+            assert np.all(mu <= 1.0 + 1e-10), f"mu = {mu.max()} exceeds 1"
+    return loss, mu, grads + rest
+
+
 def local_step(
     model: Mlp,
     gpm: GpmState,
@@ -235,40 +291,21 @@ def local_step(
 
     Returns loss, mu and the steps ``-eta * g~`` lined up with
     ``task_params(model, task)``; the model is not changed.  The steps are
-    new arrays that ``gossip_round`` consumes.  With projection on, trunk
-    gradients lose their memory-span component and ``mu`` is the
-    projected-to-raw trunk gradient norm ratio per agent; without it, every
-    state in ``fisher_states`` (empty but for ``dewc``) adds its penalty to
-    the trunk gradients.
+    new arrays that ``gossip_round`` consumes.  With projection on, a trunk
+    layer's gradient ``g = X^T dz`` is taken from its projected batch
+    inputs, ``g~ = project(X^T, m) dz``, and the raw ``g`` is formed only
+    by the ``debug`` checks; a layer with an empty memory is not projected.
+    ``mu`` is the projected-to-raw trunk gradient norm ratio per agent,
+    with ``||g||^2 = ||g~||^2 + ||(m^T X^T) dz||^2``.  Without projection,
+    every state in ``fisher_states`` (empty but for ``dewc``) adds its
+    penalty to the trunk gradients.
     """
-    loss, grads = loss_and_grad(model, bx, by, task)
-    mu = np.ones(len(loss))
-    if projection:
-        raw_sq = np.zeros(len(loss))
-        proj_sq = np.zeros(len(loss))
-        # the trunk layers lead the list; indexed rather than sliced, so each
-        # raw gradient is freed once its projection replaces it
-        for l in range(len(model.layers)):
-            g = grads[l]
-            g_tilde = project(g, gpm.layers[l].m)
-            if debug:
-                ip = descent_check(g, g_tilde)
-            # g is dead from here: both squared norms are taken in its buffer
-            gsq = np.multiply(g, g, out=g).sum(axis=(-2, -1))
-            raw_sq += gsq
-            tsq = np.multiply(g_tilde, g_tilde, out=g).sum(axis=(-2, -1))
-            if debug:
-                assert np.all(ip >= -1e-12), f"descent check failed: <g, g~> = {ip}"
-                assert np.all(np.abs(ip - tsq) <= 1e-8 * gsq + 1e-300), (
-                    f"projection identity violated: {ip} vs {tsq}"
-                )
-            proj_sq += tsq
-            grads[l] = g_tilde
-        nonzero = raw_sq != 0.0
-        mu[nonzero] = np.sqrt(proj_sq[nonzero]) / np.sqrt(raw_sq[nonzero])
-        if debug:
-            assert np.all(mu <= 1.0 + 1e-10), f"mu = {mu.max()} exceeds 1"
-    else:
+    # the layer inputs and deltas are freed before the dewc penalty's
+    # temporaries are made
+    loss, mu, grads = _gradients(
+        model, gpm, bx, by, task, projection=projection, debug=debug
+    )
+    if not projection:
         ewc_grad(model, grads, fisher_states, lam)
     for g in grads:
         g *= -eta
@@ -303,11 +340,13 @@ def gossip_round(
     head and head bias.  Per array, every agent's update is
     ``q = (a - x) + d`` from its tracked aggregate ``a``, it moves to
     ``x + q``, and each sender's update is encoded once and decoded once
-    with ``agents.memory``, the basis every agent holds.  An agent's own
-    update enters its aggregate without a codec round trip, matching what a
-    real node knows about itself; neighbors' decoded updates enter through
-    one product with the off-diagonal mixing weights, written into ``d``'s
-    buffer.  So the round consumes ``steps``: afterwards they hold no step.
+    with ``agents.memory``, the basis every agent holds; a trunk layer whose
+    memory is empty (``o = I``) skips the codec and is sent raw.  An agent's
+    own update enters its aggregate without a codec round trip, matching
+    what a real node knows about itself; neighbors' decoded updates enter
+    through one product with the off-diagonal mixing weights, written into
+    ``d``'s buffer.  So the round consumes ``steps``: afterwards they hold
+    no step.
     """
     w = mixing.w
     own = np.diag(w).copy()
@@ -326,7 +365,9 @@ def gossip_round(
         if l < n_layers:
             if debug:
                 _check_leak(q, basis.layers[l].m, l)
-            if compression:
+            # an empty memory has o = I: q is sent raw, as many scalars as
+            # its coefficients would be
+            if compression and basis.layers[l].rank:
                 coeffs = encode(q, basis.layers[l].o)
             sent = q[0].size if coeffs is None else coeffs[0].size
             entry.layer_actual[l] += sent * messages

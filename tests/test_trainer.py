@@ -255,7 +255,8 @@ def test_steps_are_minus_eta_g_and_a_round_spares_other_heads(
     bx = rng.standard_normal((n, 4, dims[0]))
     by = rng.integers(0, 3, size=(n, 4))
     before = {t: [p.copy() for p in task_params(model, t)] for t in range(heads)}
-    _, grads = loss_and_grad(model, bx, by, task)
+    _, raw = loss_and_grad(model, bx, by, task)
+    grads = list(raw)
     if projection:
         for l, basis in enumerate(layers):
             grads[l] = project(grads[l], basis.m)
@@ -263,8 +264,14 @@ def test_steps_are_minus_eta_g_and_a_round_spares_other_heads(
         model, agents.memory, bx, by, task, 0.3, projection=projection
     )
     assert [d.shape for d in steps] == [p.shape for p in task_params(model, task)]
-    for d, g in zip(steps, grads):
-        assert np.array_equal(d, -0.3 * g)
+    for d, g, r in zip(steps, grads, raw):
+        if projection:
+            # taken from projected inputs, project(X^T, m) dz: the same
+            # step, rounded otherwise, so held to the raw step's scale
+            scale = np.max(np.abs(0.3 * r), initial=0.0)
+            assert np.max(np.abs(d + 0.3 * g), initial=0.0) <= 1e-12 * scale
+        else:
+            assert np.array_equal(d, -0.3 * g)
     for t, kept in before.items():
         for p, k in zip(task_params(model, t), kept):
             assert np.array_equal(p, k)  # the step is not applied
@@ -278,6 +285,52 @@ def test_steps_are_minus_eta_g_and_a_round_spares_other_heads(
         if t != task:
             for p, k in zip(task_params(model, t)[n_trunk:], kept[n_trunk:]):
                 assert np.array_equal(p, k)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 4),
+    use_bias=st.booleans(),
+    batch=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_input_space_projection_matches_the_projected_gradient(
+    n, use_bias, batch, seed
+):
+    """Steps taken from projected layer inputs are ``-eta project(g, m)``
+    and mu is ``||g~|| / ||g||``, at every pair of layer ranks from empty
+    to saturated, to 1e-12 of the largest magnitude."""
+    rng = np.random.default_rng(seed)
+    dims = [int(d) for d in rng.integers(1, 6, size=3)]
+    model = init_mlp(dims, rng, use_bias).stacked(n)
+    model.add_head(0, 3, rng)
+    for x in task_params(model, 0):
+        x += 0.1 * rng.standard_normal(x.shape)
+    bx = rng.standard_normal((n, batch, dims[0]))
+    by = rng.integers(0, 3, size=(n, batch))
+    _, raw = loss_and_grad(model, bx, by, 0)
+    eta = 0.3
+    qs = [np.linalg.qr(rng.standard_normal((w, w)))[0] for w in dims[:-1]]
+    for r0 in range(dims[0] + 1):
+        for r1 in range(dims[1] + 1):
+            layers = [
+                LayerBasis(m=q[:, :r], o=q[:, r:]) for q, r in zip(qs, (r0, r1))
+            ]
+            _, mu, steps = local_step(
+                model, GpmState(layers=layers), bx, by, 0, eta, projection=True
+            )
+            want = [project(g, b.m) for g, b in zip(raw, layers)] + raw[2:]
+            for d, w, g in zip(steps, want, raw):
+                err = np.max(np.abs(d + eta * w), initial=0.0)
+                assert err <= 1e-12 * np.max(np.abs(eta * g), initial=0.0)
+            kept = sum(np.sum(w * w, axis=(-2, -1)) for w in want[:2])
+            total = sum(np.sum(g * g, axis=(-2, -1)) for g in raw[:2])
+            want_mu = np.ones(n)
+            nonzero = total != 0.0
+            want_mu[nonzero] = np.sqrt(kept[nonzero] / total[nonzero])
+            assert np.max(np.abs(mu - want_mu)) <= 1e-12
+            if r0 == r1 == 0:
+                assert np.array_equal(mu, np.ones(n))
 
 
 def test_compression_does_not_change_the_trajectory():
@@ -300,11 +353,18 @@ def test_single_agent_codec_is_bitwise_invariant():
 
 
 def test_single_task_codec_equals_plain_decentralized_sgd():
+    """The memory is empty throughout one task, so nothing is projected or
+    encoded: codec is naive decentralized SGD bit for bit."""
     seq = generate_synthetic_sequence(1, 2, 16, 60, 5)
-    codec = run(_config("ring", 4, method="codec"), seq)
-    naive = run(_config("ring", 4, method="naive"), seq)
-    assert np.max(np.abs(codec.final_params - naive.final_params)) <= 1e-12
-    assert codec.accuracy.get(0, 0) == naive.accuracy.get(0, 0)
+    for topology in ("ring", "full"):
+        codec = run(_config(topology, 4, method="codec"), seq)
+        naive = run(_config(topology, 4, method="naive"), seq)
+        assert np.array_equal(codec.final_params, naive.final_params)
+        assert [(r.loss, r.ce) for r in codec.logs] == [
+            (r.loss, r.ce) for r in naive.logs
+        ]
+        assert all(r.mu == 1.0 for r in codec.logs)
+        assert codec.accuracy.get(0, 0) == naive.accuracy.get(0, 0)
 
 
 def test_runs_are_deterministic():
@@ -453,11 +513,13 @@ def test_round_heap_peak_stays_near_two_agent_stacks(method):
     """Heap peak of one local step, gossip round and consensus error at the
     ``wide`` benchmark's shapes, in units of the exchanged agent stack.
 
-    The raw gradients are one stack; projecting the widest layer adds its
-    product and ``m^T g``, about one more, and ``dewc``'s penalty
-    temporaries come to the same.  One more stack-sized temporary
-    (``g - m m^T g`` or ``lam * f * (x - x*)`` as one expression, or a
-    fresh mixing product) lifts the peak to ~2.35 stacks.
+    The steps are one stack, and the round's update and coefficients for
+    the widest layer about one more.  Projection forms batch-sized arrays
+    and ``(m^T X^T) dz`` beside the steps, and ``dewc``'s penalty one
+    layer-sized temporary at a time, both below the round's peak.  One
+    more stack-sized temporary lifts the peak to 2.3-2.55 stacks: the raw
+    gradient projected as ``g - m m^T g``, ``lam * f * (x - x*)`` as one
+    expression, or a fresh mixing product.
     """
     rng = np.random.default_rng(0)
     dims, n = [64, 256, 128], 16
