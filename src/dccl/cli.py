@@ -23,7 +23,8 @@ from .gpm import ThresholdSchedule, save_state
 from .metrics import emit_reports
 from .tasks import TaskSequence, generate_synthetic_sequence, load_csv_dataset
 from .topology import build_mixing, parse_topology, validate_assumption3
-from .trainer import EWC_MODES, METHODS, NonFiniteError, TrainConfig, check_run, run
+from .trainer import EWC_MODES, METHODS, TrainConfig, check_run, run
+from .trainer import InvariantError, NonFiniteError
 
 
 class ConfigError(ValueError):
@@ -384,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_validate(args)
-    except (ConfigError, ValueError, OSError, NonFiniteError) as exc:
+    except (ConfigError, ValueError, OSError, NonFiniteError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,12 +6,14 @@ spans its orthogonal complement.  Gradients are projected onto span(o)
 before stepping, so updates cannot disturb what earlier tasks rely on; the
 same fact makes model deltas expressible in ``o`` coordinates, which is
 what the communication codec exploits: coefficients ``c = o^T q`` are
-(n-r)/n the size of ``q`` and decode back exactly via ``q = o c``.
+(n-r)/n the size of ``q`` and decode back exactly via ``q = o c``.  So
+the trainer mixes ``q`` itself and charges the ledger for ``c``.
 
 A layer's gradient ``X^T dz`` is a product with its batch inputs, so the
 trainer projects the (n, batch) input matrix rather than the (n, cols)
 gradient: ``project(X^T, m) dz`` is the projected gradient.  While the
-memory is empty nothing is projected and ``o = I``, so updates travel raw.
+memory is empty nothing is projected and ``o = I``; once it spans the
+whole input the projection is exactly zero, so the layer is frozen.
 """
 
 from __future__ import annotations
@@ -82,14 +84,17 @@ def project(g: np.ndarray, m: np.ndarray) -> np.ndarray:
     projection times the layer's deltas is the projected gradient
     (``project(X^T, m) dz = project(X^T dz, m)``; the trainer takes this
     route, at ``2 batch n r`` instead of ``2 n cols r``).  With an empty
-    memory the columns are returned unchanged.  ``g`` may carry leading
-    axes (one matrix per agent); the memory is shared.  The result is a new
-    array, the buffer of the product ``m (m^T g)``; ``g`` is not changed.
+    memory the columns are returned unchanged, with a saturated one (``m``
+    square) as exact zeros.  ``g`` may carry leading axes (one matrix per
+    agent); the memory is shared.  The result is a new array, the buffer of
+    the product ``m (m^T g)``; ``g`` is not changed.
     """
     if g.shape[-2] != m.shape[0]:
         raise ValueError(
             f"matrix rows {g.shape[-2]} do not match basis rows {m.shape[0]}"
         )
+    if m.shape[1] == m.shape[0]:
+        return np.zeros_like(g)
     out = m @ (m.T @ g)
     return np.subtract(g, out, out=out)
 
@@ -168,16 +173,13 @@ def encode(q: np.ndarray, o: np.ndarray) -> np.ndarray:
     return o.T @ q
 
 
-def decode(c: np.ndarray, o: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Reconstruct an update o @ c from its subspace coefficients.
-
-    ``out``, if given, receives the update in place of a new array.
-    """
+def decode(c: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Reconstruct an update o @ c from its subspace coefficients."""
     if c.shape[-2] != o.shape[1]:
         raise ValueError(
             f"coefficient rows {c.shape[-2]} do not match basis columns {o.shape[1]}"
         )
-    return np.matmul(o, c, out=out)
+    return o @ c
 
 
 def descent_check(g: np.ndarray, g_tilde: np.ndarray) -> float | np.ndarray:

@@ -2,17 +2,18 @@
 
 Every round, each agent takes one (optionally projected) SGD step on its own
 shard, then a gossip exchange mixes parameters using each agent's running
-aggregate of neighbor states.  Updates are communicated as subspace
-coefficients when compression is on and decoded exactly at the receiver, so
-the compressed run follows the uncompressed trajectory.
+aggregate of neighbor states.  A projected trunk update lies in the span of
+the memory's complement ``o``, so its subspace coefficients decode back to
+it exactly: compression changes what the ledger charges, not the
+arithmetic, and the compressed run is the uncompressed one bit for bit.
 
 All agents share model shapes and step in lockstep, so their state is held
 stacked: every parameter array and tracked aggregate has a leading agent
 axis, a local step is one batched forward/backward pass returning the
 steps ``d = -eta g~``, and a gossip round is, per array, the update
-``q = (a - x) + d``, one encode and one decode for all senders and one
-mixing-matrix product.  All randomness is derived from the run seed
-through named streams, so a configuration reproduces itself exactly.
+``q = (a - x) + d`` and one mixing-matrix product.  All randomness is
+derived from the run seed through named streams, so a configuration
+reproduces itself exactly.
 
 Conventions that keep the subspace-closure argument airtight: all agents
 start a task from the same parameters (models are averaged at every task
@@ -39,9 +40,7 @@ from .ewc import (
 from .gpm import (
     GpmState,
     ThresholdSchedule,
-    decode,
     descent_check,
-    encode,
     project,
     update_memory,
 )
@@ -75,6 +74,10 @@ EWC_MODES = ("online", "per_task")
 
 class NonFiniteError(ArithmeticError):
     """Training produced a non-finite loss, mu, step or consensus error."""
+
+
+class InvariantError(RuntimeError):
+    """A ``debug_checks`` invariant failed: descent, mu, span or tracking."""
 
 
 def derive_rng(*entropy: int) -> np.random.Generator:
@@ -119,7 +122,7 @@ class Agents:
     """Every agent's state, stacked along a leading agent axis."""
 
     model: Mlp  # each array has shape (N, ...)
-    memory: GpmState  # the one read-only basis every agent encodes and decodes with
+    memory: GpmState  # the one read-only basis every agent projects with
     # one per array of task_params(): the tracked sum_j w_ij x_j
     aggregates: list[np.ndarray] = field(default_factory=list)
 
@@ -186,13 +189,20 @@ def reset_aggregates(agents: Agents, mixing: MixingMatrix, task: int) -> None:
     agents.aggregates = [_mix(mixing.w, x) for x in task_params(agents.model, task)]
 
 
+def _require(ok: np.ndarray, what: str, *values: np.ndarray) -> None:
+    """Raise ``InvariantError`` at the first agent where ``ok`` is false,
+    ``what`` formatted with that agent's entries of ``values``."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        i = int(bad[0])
+        raise InvariantError(f"agent {i} " + what.format(*(v[i] for v in values)))
+
+
 def _check_tracking(agents: Agents, mixing: MixingMatrix, task: int) -> None:
-    for x, agg in zip(task_params(agents.model, task), agents.aggregates):
+    arrays = task_params(agents.model, task)
+    for k, (x, agg) in enumerate(zip(arrays, agents.aggregates)):
         drift = np.max(np.abs(_per_agent(_mix(mixing.w, x) - agg)), axis=1)
-        worst = int(np.argmax(drift))
-        assert drift[worst] <= 1e-9, (
-            f"agent {worst} aggregate drifted by {drift[worst]}"
-        )
+        _require(drift <= 1e-9, f"array {k}: " + "aggregate drifted by {}", drift)
 
 
 def _check_finite(
@@ -224,16 +234,16 @@ def _sq_norms(a: np.ndarray) -> np.ndarray:
     return (a.reshape(n, 1, -1) @ a.reshape(n, -1, 1)).reshape(n)
 
 
-def _check_descent(g: np.ndarray, g_tilde: np.ndarray, lost_sq: np.ndarray) -> None:
-    ip = descent_check(g, g_tilde)
-    gsq, tsq = _sq_norms(g), _sq_norms(g_tilde)
-    assert np.all(ip >= -1e-12), f"descent check failed: <g, g~> = {ip}"
-    assert np.all(np.abs(ip - tsq) <= 1e-8 * gsq + 1e-300), (
-        f"projection identity violated: {ip} vs {tsq}"
-    )
-    assert np.all(np.abs(gsq - tsq - lost_sq) <= 1e-8 * gsq + 1e-300), (
-        f"norm split violated: {gsq} vs {tsq} + {lost_sq}"
-    )
+def _check_descent(g: np.ndarray, gt: np.ndarray, lost: np.ndarray, layer: int) -> None:
+    ip = descent_check(g, gt)
+    gsq, tsq = _sq_norms(g), _sq_norms(gt)
+    slack = 1e-8 * gsq + 1e-300
+    at = f"layer {layer}: "
+    _require(ip >= -1e-12, at + "descent check failed: <g, g~> = {}", ip)
+    identity = np.abs(ip - tsq) <= slack
+    _require(identity, at + "projection identity violated: {} vs {}", ip, tsq)
+    split = np.abs(gsq - tsq - lost) <= slack
+    _require(split, at + "norm split violated: {} vs {} + {}", gsq, tsq, lost)
 
 
 def _gradients(
@@ -251,13 +261,13 @@ def _gradients(
     kept_sq = np.zeros(len(loss))  # ||g~||^2 over the trunk
     lost_sq = np.zeros(len(loss))  # ||m^T g||^2 over the trunk
     grads = []
-    for x, dz, basis in zip(inputs, deltas, gpm.layers):
+    for l, (x, dz, basis) in enumerate(zip(inputs, deltas, gpm.layers)):
         xt = x.swapaxes(-1, -2)
         if projection and basis.rank:
             g = project(xt, basis.m) @ dz
             lost = _sq_norms((basis.m.T @ xt) @ dz)
             if debug:
-                _check_descent(xt @ dz, g, lost)
+                _check_descent(xt @ dz, g, lost, l)
             lost_sq += lost
         else:
             g = xt @ dz
@@ -270,7 +280,7 @@ def _gradients(
         nonzero = raw_sq != 0.0
         mu[nonzero] = np.sqrt(kept_sq[nonzero]) / np.sqrt(raw_sq[nonzero])
         if debug:
-            assert np.all(mu <= 1.0 + 1e-10), f"mu = {mu.max()} exceeds 1"
+            _require(mu <= 1.0 + 1e-10, "has mu = {} above 1", mu)
     return loss, mu, grads + rest
 
 
@@ -294,7 +304,8 @@ def local_step(
     new arrays that ``gossip_round`` consumes.  With projection on, a trunk
     layer's gradient ``g = X^T dz`` is taken from its projected batch
     inputs, ``g~ = project(X^T, m) dz``, and the raw ``g`` is formed only
-    by the ``debug`` checks; a layer with an empty memory is not projected.
+    by the ``debug`` checks; a layer with an empty memory is not projected,
+    and one whose memory is saturated steps by exact zeros.
     ``mu`` is the projected-to-raw trunk gradient norm ratio per agent,
     with ``||g||^2 = ||g~||^2 + ||(m^T X^T) dz||^2``.  Without projection,
     every state in ``fisher_states`` (empty but for ``dewc``) adds its
@@ -315,11 +326,8 @@ def local_step(
 def _check_leak(q: np.ndarray, m: np.ndarray, layer: int) -> None:
     qn = np.sqrt(np.sum(q * q, axis=(-2, -1)))
     leak = np.sqrt(np.sum((m.T @ q) ** 2, axis=(-2, -1)))
-    bad = np.flatnonzero(leak > 1e-8 * qn + 1e-300)
-    assert not bad.size, (
-        f"update of agent {bad[0]} layer {layer} leaks outside the "
-        f"transmittable span: {leak[bad[0]]} vs norm {qn[bad[0]]}"
-    )
+    what = f"layer {layer}: update leaks outside the transmittable span: "
+    _require(leak <= 1e-8 * qn + 1e-300, what + "{} vs norm {}", leak, qn)
 
 
 def gossip_round(
@@ -335,60 +343,44 @@ def gossip_round(
     """One synchronous gossip exchange; returns scalars sent per agent.
 
     ``steps`` are the local steps ``d`` from ``local_step``, one per array
-    of ``task_params(model, task)``, the arrays a round exchanges: the
-    trunk layers (the codec's domain), then the uncompressed layer biases,
-    head and head bias.  Per array, every agent's update is
+    of ``task_params(model, task)``: the trunk layers, then the layer
+    biases, head and head bias.  Per array, every agent's update is
     ``q = (a - x) + d`` from its tracked aggregate ``a``, it moves to
-    ``x + q``, and each sender's update is encoded once and decoded once
-    with ``agents.memory``, the basis every agent holds; a trunk layer whose
-    memory is empty (``o = I``) skips the codec and is sent raw.  An agent's
-    own update enters its aggregate without a codec round trip, matching
-    what a real node knows about itself; neighbors' decoded updates enter
-    through one product with the off-diagonal mixing weights, written into
-    ``d``'s buffer.  So the round consumes ``steps``: afterwards they hold
-    no step.
+    ``x + q``, and every aggregate takes in ``W q``, one mixing product
+    written into ``d``'s buffer: the round consumes ``steps``.
+
+    ``compression`` touches only the ledger.  A projected trunk update lies
+    in span(o) of ``agents.memory``, so its coefficients ``o^T q`` decode
+    back to ``q``: the round mixes ``q`` and charges a message the
+    ``o.shape[1] * cols`` scalars ``encode`` would send (``debug`` checks
+    the span).  Everything else is charged raw.
     """
     w = mixing.w
-    own = np.diag(w).copy()
-    w_off = w - np.diag(own)
-    fanout = np.count_nonzero(w_off > 0.0, axis=0)  # receivers per sender
+    # receivers per sender: the positive off-diagonal weights of its column
+    fanout = np.count_nonzero(w > 0.0, axis=0) - (np.diag(w) > 0.0)
     messages = int(fanout.sum())
     arrays = task_params(agents.model, task)
     n_layers = len(agents.model.layers)
-    basis = agents.memory
     per_message = 0
     for l, (x, d, agg) in enumerate(zip(arrays, steps, agents.aggregates)):
         q = agg - x  # gossip term first: it cancels exactly at a consensus fixed point
         q += d
         x += q
-        coeffs = None
+        sent = q[0].size
         if l < n_layers:
+            basis = agents.memory.layers[l]
             if debug:
-                _check_leak(q, basis.layers[l].m, l)
-            # an empty memory has o = I: q is sent raw, as many scalars as
-            # its coefficients would be
-            if compression and basis.layers[l].rank:
-                coeffs = encode(q, basis.layers[l].o)
-            sent = q[0].size if coeffs is None else coeffs[0].size
+                _check_leak(q, basis.m, l)
+            if compression:
+                sent = basis.o.shape[1] * q.shape[-1]
             entry.layer_actual[l] += sent * messages
             entry.layer_full[l] += q[0].size * messages
         else:
-            sent = q[0].size
             entry.extra_scalars += sent * messages
         per_message += sent
-        # In place, one array at a time: a raw update is mixed before q is
-        # scaled by the own weight, coefficients are decoded into q after;
-        # either is mixed into d's buffer, dead once d entered q.
-        if coeffs is None:
-            mixed = np.matmul(w_off, _per_agent(q), out=_per_agent(d))
-        q *= own.reshape(-1, *[1] * (q.ndim - 1))
-        agg += q  # the own update enters without a codec round trip
-        if coeffs is not None:
-            decode(coeffs, basis.layers[l].o, out=q)
-            coeffs = None
-            mixed = np.matmul(w_off, _per_agent(q), out=_per_agent(d))
-        agg += mixed.reshape(agg.shape)
-        del q, mixed  # freed before the next array's update is formed
+        # d entered q, so its buffer takes the mixing product
+        agg += np.matmul(w, _per_agent(q), out=_per_agent(d)).reshape(agg.shape)
+        del q  # freed before the next array's update is formed
     entry.messages += messages
     if debug:
         _check_tracking(agents, mixing, task)
@@ -580,28 +572,32 @@ class _Engine:
             for epoch in range(cfg.epochs):
                 batches = self._batches(shards, t, epoch, rounds_per_epoch)
                 for idx in batches:
-                    loss, mu, steps = local_step(
-                        model,
-                        agents.memory,
-                        pool_x[idx],
-                        pool_y[idx],
-                        t,
-                        self._eta(round_idx, total_rounds),
-                        projection=self.projection,
-                        fisher_states=tuple(self.fisher),
-                        lam=cfg.lam,
-                        debug=cfg.debug_checks,
-                    )
-                    _check_finite(loss, mu, steps, t, round_idx)
-                    sent = gossip_round(
-                        agents,
-                        mixing,
-                        t,
-                        steps,
-                        entry,
-                        compression=self.compression,
-                        debug=cfg.debug_checks,
-                    )
+                    try:
+                        loss, mu, steps = local_step(
+                            model,
+                            agents.memory,
+                            pool_x[idx],
+                            pool_y[idx],
+                            t,
+                            self._eta(round_idx, total_rounds),
+                            projection=self.projection,
+                            fisher_states=tuple(self.fisher),
+                            lam=cfg.lam,
+                            debug=cfg.debug_checks,
+                        )
+                        _check_finite(loss, mu, steps, t, round_idx)
+                        sent = gossip_round(
+                            agents,
+                            mixing,
+                            t,
+                            steps,
+                            entry,
+                            compression=self.compression,
+                            debug=cfg.debug_checks,
+                        )
+                    except InvariantError as exc:
+                        exc.args = (f"task {t}, round {round_idx}: {exc}",)
+                        raise
                     del steps  # freed before the next round's are made
                     entry.rounds += 1
                     ce = consensus_error(model)

@@ -1,10 +1,12 @@
 """End-to-end command line behaviour, config precedence, and report files."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+import dccl.trainer
 from dccl.cli import ConfigError, main, resolve_config, _build_sequence
 from dccl.tasks import generate_synthetic_sequence, save_csv_dataset
 
@@ -174,6 +176,38 @@ def test_non_finite_mu_or_consensus_error_stops_the_run(
     err = capsys.readouterr().err
     assert rc == 1
     assert f"task 0, round 1: {cause}" in err
+    assert not out.exists()
+
+
+def test_saturated_layer_is_frozen_and_passes_the_live_checks(tmp_path, capsys):
+    """Layer 0's memory spans its four inputs after the first task, so its
+    steps from then on are exact zeros and the span check has nothing to
+    flag."""
+    out = tmp_path / "saturated"
+    rc = main([
+        "run", "--method", "codec", "--topology", "ring", "--agents", "4",
+        "--tasks", "3", "--out", str(out),
+        "--set", "dims=4,8,4", "--set", "input_dim=4",
+        "--set", "samples_per_class=40", "--set", "epochs=1",
+        "--set", "rep_samples=16", "--set", "debug_checks=true",
+    ])
+    assert rc == 0, capsys.readouterr().err
+    assert "layer 0 dim 4 rank 4" in (out / "gpm_state.txt").read_text()
+
+
+def test_a_broken_invariant_exits_one_naming_its_cause(
+    tmp_path, capsys, monkeypatch
+):
+    # a projection that keeps the memory's component breaks the norm split
+    monkeypatch.setattr(dccl.trainer, "project", lambda g, m: g)
+    out = tmp_path / "broken"
+    args = _run_args(out, "--method", "codec", "--tasks", "2", "--set", "debug_checks=true")
+    rc = main(args)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert re.search(
+        r"^error: task 1, round 0: agent \d+ layer \d+: norm split violated", err, re.M
+    ), err
     assert not out.exists()
 
 

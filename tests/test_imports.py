@@ -1,12 +1,12 @@
-"""Every imported name is read somewhere in its module."""
+"""Every imported name is read somewhere in its module, and the library
+checks its invariants with named errors, which ``python -O`` keeps."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    [*(ROOT / "src" / "dccl").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-)
+LIBRARY = sorted((ROOT / "src" / "dccl").glob("*.py"))
+MODULES = sorted([*LIBRARY, *(ROOT / "tests").glob("*.py")])
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -53,3 +53,14 @@ def test_no_module_imports_a_name_it_never_reads():
         if (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def test_no_library_module_uses_a_bare_assert():
+    assert LIBRARY
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in LIBRARY
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
