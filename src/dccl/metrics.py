@@ -93,7 +93,7 @@ def compression_ratio(ledger, scope: str = "overall", variant: str = "pure_subsp
     and basis or Fisher broadcasts) to both sides.
     """
     per_task = []
-    for entry in ledger.tasks:
+    for entry in ledger:
         full, actual = _task_totals(entry, variant)
         if actual == 0:
             raise ValueError(f"task {entry.task} sent zero scalars; ratio undefined")
@@ -101,8 +101,8 @@ def compression_ratio(ledger, scope: str = "overall", variant: str = "pure_subsp
     if scope == "per_task":
         return per_task
     if scope == "overall":
-        full = sum(_task_totals(e, variant)[0] for e in ledger.tasks)
-        actual = sum(_task_totals(e, variant)[1] for e in ledger.tasks)
+        full = sum(_task_totals(e, variant)[0] for e in ledger)
+        actual = sum(_task_totals(e, variant)[1] for e in ledger)
         if actual == 0:
             raise ValueError("ledger records zero scalars sent; ratio undefined")
         return full / actual
@@ -112,7 +112,7 @@ def compression_ratio(ledger, scope: str = "overall", variant: str = "pure_subsp
 def per_layer_compression(ledger) -> list[list[float | None]]:
     """Per task, per trunk layer: full/actual scalar ratio, None if untransmitted."""
     out = []
-    for entry in ledger.tasks:
+    for entry in ledger:
         row = []
         for full, actual in zip(entry.layer_full, entry.layer_actual):
             row.append(full / actual if actual else None)

@@ -6,6 +6,9 @@ aggregate of neighbor states.  A projected trunk update lies in the span of
 the memory's complement ``o``, so its subspace coefficients decode back to
 it exactly: compression changes what the ledger charges, not the
 arithmetic, and the compressed run is the uncompressed one bit for bit.
+The memory is fixed within a task, so the ledger prices each task once
+from its widths (``price_task``); the rounds, the boundary sync, the basis
+broadcast and the Fisher phase only compute.
 
 All agents share model shapes and step in lockstep, so their state is held
 stacked: every parameter array and tracked aggregate has a leading agent
@@ -54,6 +57,7 @@ from .model import (
     init_mlp,
     param_arrays,
     task_params,
+    trunk_params,
 )
 from .tasks import TaskSequence, TaskShard, shard_iid
 from .topology import MixingMatrix, Topology, build_mixing
@@ -138,8 +142,11 @@ class LogRecord:
     scalars_sent: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskComm:
+    """Scalars one task sent, full and actual: each trunk layer's round
+    payloads, the raw heads and biases, and the boundary phases' overhead."""
+
     task: int
     layer_full: list[int]
     layer_actual: list[int]
@@ -151,15 +158,10 @@ class TaskComm:
 
 
 @dataclass
-class CommLedger:
-    tasks: list[TaskComm] = field(default_factory=list)
-
-
-@dataclass
 class RunResult:
     method: str
     accuracy: AccuracyMatrix
-    ledger: CommLedger
+    ledger: list[TaskComm]  # one record per task
     logs: list[LogRecord]
     final_params: np.ndarray
     gpm: GpmState | None
@@ -335,12 +337,10 @@ def gossip_round(
     mixing: MixingMatrix,
     task: int,
     steps: list[np.ndarray],
-    entry: TaskComm,
     *,
-    compression: bool,
     debug: bool = False,
-) -> list[int]:
-    """One synchronous gossip exchange; returns scalars sent per agent.
+) -> None:
+    """One synchronous gossip exchange.
 
     ``steps`` are the local steps ``d`` from ``local_step``, one per array
     of ``task_params(model, task)``: the trunk layers, then the layer
@@ -349,42 +349,70 @@ def gossip_round(
     ``x + q``, and every aggregate takes in ``W q``, one mixing product
     written into ``d``'s buffer: the round consumes ``steps``.
 
-    ``compression`` touches only the ledger.  A projected trunk update lies
-    in span(o) of ``agents.memory``, so its coefficients ``o^T q`` decode
-    back to ``q``: the round mixes ``q`` and charges a message the
-    ``o.shape[1] * cols`` scalars ``encode`` would send (``debug`` checks
-    the span).  Everything else is charged raw.
+    A projected trunk update lies in span(o) of ``agents.memory``, so the
+    coefficients ``o^T q`` the codec sends decode back to ``q``: the round
+    mixes ``q`` whatever travels (``debug`` checks the span), and
+    ``message_sizes`` prices a message once per task.
     """
     w = mixing.w
-    # receivers per sender: the positive off-diagonal weights of its column
-    fanout = np.count_nonzero(w > 0.0, axis=0) - (np.diag(w) > 0.0)
-    messages = int(fanout.sum())
     arrays = task_params(agents.model, task)
-    n_layers = len(agents.model.layers)
-    per_message = 0
     for l, (x, d, agg) in enumerate(zip(arrays, steps, agents.aggregates)):
         q = agg - x  # gossip term first: it cancels exactly at a consensus fixed point
         q += d
         x += q
-        sent = q[0].size
-        if l < n_layers:
-            basis = agents.memory.layers[l]
-            if debug:
-                _check_leak(q, basis.m, l)
-            if compression:
-                sent = basis.o.shape[1] * q.shape[-1]
-            entry.layer_actual[l] += sent * messages
-            entry.layer_full[l] += q[0].size * messages
-        else:
-            entry.extra_scalars += sent * messages
-        per_message += sent
+        if debug and l < len(agents.memory.layers):
+            _check_leak(q, agents.memory.layers[l].m, l)
         # d entered q, so its buffer takes the mixing product
         agg += np.matmul(w, _per_agent(q), out=_per_agent(d)).reshape(agg.shape)
         del q  # freed before the next array's update is formed
-    entry.messages += messages
     if debug:
         _check_tracking(agents, mixing, task)
-    return [per_message * int(k) for k in fanout]
+
+
+def fanout(mixing: MixingMatrix) -> np.ndarray:
+    """Receivers per sender: the positive off-diagonal weights of its column."""
+    return np.count_nonzero(mixing.w > 0.0, axis=0) - (np.diag(mixing.w) > 0.0)
+
+
+def message_sizes(model: Mlp, memory: GpmState, task: int, compression: bool) -> list[int]:
+    """Scalars one message carries per array of ``task_params(model, task)``:
+    a compressed trunk layer's coefficients ``o^T q`` are ``o.shape[1] *
+    cols``, every other array travels raw.  Fixed while the memory is."""
+    sizes = [x[0].size for x in task_params(model, task)]
+    if compression:
+        for l, (x, basis) in enumerate(zip(model.layers, memory.layers)):
+            sizes[l] = basis.o.shape[1] * x.shape[-1]
+    return sizes
+
+
+def price_task(
+    agents: Agents, task: int, method: str, sizes: list[int], rounds: int, messages: int
+) -> TaskComm:
+    """Task ``task``'s record, priced once its boundary phases ran, from its
+    ``message_sizes``, its rounds and the ``messages`` of one round."""
+    model, memory = agents.model, agents.memory
+    n = model.lead[0]
+    n_layers = len(model.layers)
+    sent = rounds * messages
+    # the boundary sync sends every agent's whole model
+    fixed = n * sum(a[0].size for a in param_arrays(model))
+    if method == "dewc":  # the trunk Fisher diagonal, gathered and sent back
+        fixed += 2 * (n - 1) * sum(p[0].size for p in trunk_params(model))
+    basis = actual = 0
+    if method in ("codec", "codec_fullcomm"):  # the grown memory, to the others
+        basis = actual = (n - 1) * sum(b.dim * b.rank for b in memory.layers)
+        if method == "codec":  # with its complement, to decode by
+            actual = (n - 1) * sum(b.dim * b.dim for b in memory.layers)
+    return TaskComm(
+        task=task,
+        layer_full=[sent * x[0].size for x in model.layers],
+        layer_actual=[sent * s for s in sizes[:n_layers]],
+        rounds=rounds,
+        messages=sent,
+        extra_scalars=sent * sum(sizes[n_layers:]),
+        overhead_actual=fixed + actual,
+        overhead_full=fixed + basis,
+    )
 
 
 def gpm_broadcast(
@@ -394,37 +422,19 @@ def gpm_broadcast(
     eps_th: float,
     cfg: TrainConfig,
     pick_stream: np.random.Generator,
-    entry: TaskComm,
-    *,
-    compression: bool,
 ) -> None:
     """End-of-task memory update at one randomly chosen agent, sent to all.
 
-    The chosen agent captures layer inputs on a sample of its own shard and
-    grows the memory, which replaces ``agents.memory`` for everyone.  The ledger
-    charges the basis broadcast to the relaying edges: both spans when the
-    codec is in use (receivers need the complement to decode), only the
-    memory span otherwise.
+    The chosen agent captures layer inputs on a sample of at most
+    ``cfg.rep_samples`` rows of its own shard and grows the memory, which
+    replaces ``agents.memory`` for everyone.
     """
-    n = len(shards)
-    p = int(pick_stream.integers(0, n))
+    p = int(pick_stream.integers(0, len(shards)))
     shard = shards[p]
-    n_s = cfg.rep_samples
-    if len(shard) < n_s:
-        log.warning(
-            "agent %d shard has %d samples; clamping representation batch from %d",
-            p,
-            len(shard),
-            n_s,
-        )
-        n_s = len(shard)
+    n_s = min(cfg.rep_samples, len(shard))
     idx = derive_rng(cfg.seed, TAG_REP, task).permutation(len(shard))[:n_s]
     reps = capture_representation(agents.model.view(p), shard.examples[idx], task)
     agents.memory = update_memory(agents.memory, reps, eps_th)
-    memory_cost = sum(b.dim * b.rank for b in agents.memory.layers)
-    both_cost = sum(b.dim * b.dim for b in agents.memory.layers)
-    entry.overhead_actual += (n - 1) * (both_cost if compression else memory_cost)
-    entry.overhead_full += (n - 1) * memory_cost
 
 
 def check_run(config: TrainConfig, sequence: TaskSequence) -> None:
@@ -451,6 +461,7 @@ def check_run(config: TrainConfig, sequence: TaskSequence) -> None:
     if config.ewc_mode not in EWC_MODES:
         raise ValueError(f"unknown ewc mode {config.ewc_mode!r}")
     n = config.topology.n
+    projection = config.method in ("codec", "codec_fullcomm")
     for t, data in enumerate(sequence.tasks):
         rows = data.train_x.shape[0]
         if rows < n:
@@ -459,8 +470,16 @@ def check_run(config: TrainConfig, sequence: TaskSequence) -> None:
             )
         if data.test_x.shape[0] == 0:
             raise ValueError(f"task {t} has an empty test split")
-        if config.method in ("codec", "codec_fullcomm"):
+        if projection:
             config.threshold.value(t)  # raises if the schedule leaves (0, 1)
+    smallest = min(data.train_x.shape[0] // n for data in sequence.tasks)
+    if projection and config.rep_samples > smallest:
+        log.warning(
+            "rep_samples %d exceeds the smallest shard (%d samples); "
+            "a representation batch is clamped to its shard",
+            config.rep_samples,
+            smallest,
+        )
 
 
 class _Engine:
@@ -502,20 +521,12 @@ class _Engine:
             offset += len(shard)
         return idx.reshape(len(shards), rounds, size).swapaxes(0, 1)
 
-    def _boundary_sync(self, model: Mlp, entry: TaskComm) -> None:
+    @staticmethod
+    def _boundary_sync(model: Mlp) -> None:
         for a in param_arrays(model):
             a[...] = a.mean(axis=0)
-        cost = model.lead[0] * sum(a[0].size for a in param_arrays(model))
-        entry.overhead_actual += cost
-        entry.overhead_full += cost
 
-    def _fisher_phase(
-        self,
-        model: Mlp,
-        shards: list[TaskShard],
-        task: int,
-        entry: TaskComm,
-    ) -> None:
+    def _fisher_phase(self, model: Mlp, shards: list[TaskShard], task: int) -> None:
         # after the boundary sync every agent holds the same parameters, so
         # the average's anchor (agent 0's) is everyone's
         states = [fisher_estimate(model.view(i), s, task) for i, s in enumerate(shards)]
@@ -525,10 +536,6 @@ class _Engine:
             self.fisher = [accumulate_fisher(running, avg)]
         else:
             self.fisher.append(avg)
-        count = sum(a.size for a in avg.f)
-        cost = 2 * (len(shards) - 1) * count
-        entry.overhead_actual += cost
-        entry.overhead_full += cost
 
     def _evaluate(self, model: Mlp, upto: int, matrix: AccuracyMatrix) -> None:
         task_ids = [upto] if self.method == "stl" else list(range(upto + 1))
@@ -544,12 +551,13 @@ class _Engine:
         mixing = build_mixing(cfg.topology)
         t_count = len(self.seq.tasks)
         matrix = AccuracyMatrix(t_count)
-        ledger = CommLedger()
+        ledger: list[TaskComm] = []
         logs: list[LogRecord] = []
         pick_stream = derive_rng(cfg.seed, TAG_PICK)
         base = init_mlp(cfg.dims, derive_rng(cfg.seed, TAG_INIT, 0), cfg.use_bias)
         agents = Agents(model=base.stacked(n), memory=GpmState.fresh(cfg.dims[:-1]))
-        n_layers = len(cfg.dims) - 1
+        receivers = fanout(mixing)
+        messages = int(receivers.sum())
         for t, data in enumerate(self.seq.tasks):
             if self.method == "stl" and t > 0:
                 fresh = init_mlp(cfg.dims, derive_rng(cfg.seed, TAG_INIT, t), cfg.use_bias)
@@ -564,10 +572,8 @@ class _Engine:
             max_shard = max(len(s) for s in shards)
             rounds_per_epoch = math.ceil(max_shard / cfg.batch_size)
             total_rounds = cfg.epochs * rounds_per_epoch
-            entry = TaskComm(
-                task=t, layer_full=[0] * n_layers, layer_actual=[0] * n_layers
-            )
-            ledger.tasks.append(entry)
+            sizes = message_sizes(model, agents.memory, t, self.compression)
+            sent = [sum(sizes) * int(k) for k in receivers]
             round_idx = 0
             for epoch in range(cfg.epochs):
                 batches = self._batches(shards, t, epoch, rounds_per_epoch)
@@ -586,20 +592,11 @@ class _Engine:
                             debug=cfg.debug_checks,
                         )
                         _check_finite(loss, mu, steps, t, round_idx)
-                        sent = gossip_round(
-                            agents,
-                            mixing,
-                            t,
-                            steps,
-                            entry,
-                            compression=self.compression,
-                            debug=cfg.debug_checks,
-                        )
+                        gossip_round(agents, mixing, t, steps, debug=cfg.debug_checks)
                     except InvariantError as exc:
                         exc.args = (f"task {t}, round {round_idx}: {exc}",)
                         raise
                     del steps  # freed before the next round's are made
-                    entry.rounds += 1
                     ce = consensus_error(model)
                     if not math.isfinite(ce):
                         raise NonFiniteError(
@@ -618,20 +615,15 @@ class _Engine:
                         for i in range(n)
                     )
                     round_idx += 1
-            self._boundary_sync(model, entry)
+            self._boundary_sync(model)
             if self.projection:
-                gpm_broadcast(
-                    agents,
-                    shards,
-                    t,
-                    cfg.threshold.value(t),
-                    cfg,
-                    pick_stream,
-                    entry,
-                    compression=self.compression,
-                )
+                eps_th = cfg.threshold.value(t)
+                gpm_broadcast(agents, shards, t, eps_th, cfg, pick_stream)
             if self.method == "dewc":
-                self._fisher_phase(model, shards, t, entry)
+                self._fisher_phase(model, shards, t)
+            ledger.append(
+                price_task(agents, t, self.method, sizes, total_rounds, messages)
+            )
             self._evaluate(model.view(0), t, matrix)
         return RunResult(
             method=self.method,

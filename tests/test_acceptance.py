@@ -33,7 +33,6 @@ from dccl.tasks import TaskSequence, TaskShard, generate_synthetic_sequence
 from dccl.topology import build_mixing, parse_topology
 from dccl.trainer import (
     Agents,
-    TaskComm,
     TrainConfig,
     consensus_error,
     derive_rng,
@@ -219,14 +218,10 @@ def test_criterion_05_gossip_alone_reaches_consensus():
             unflatten_params(stacked.view(i), flatten_params(model))
         agents = Agents(model=stacked, memory=GpmState.fresh(SMALL_DIMS[:-1]))
         reset_aggregates(agents, mixing, 0)
-        entry = TaskComm(task=0, layer_full=[0, 0], layer_actual=[0, 0])
         history = [consensus_error(agents.model)]
         for r in range(200):
             steps = [np.zeros_like(x) for x in task_params(agents.model, 0)]
-            gossip_round(
-                agents, mixing, 0, steps, entry,
-                compression=True, debug=(r % 40 == 0),
-            )
+            gossip_round(agents, mixing, 0, steps, debug=(r % 40 == 0))
             history.append(consensus_error(agents.model))
         assert history[0] > 1.0  # the random starting points really disagree
         assert history[-1] < 1e-12

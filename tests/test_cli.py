@@ -1,6 +1,7 @@
 """End-to-end command line behaviour, config precedence, and report files."""
 
 import json
+import logging
 import re
 
 import numpy as np
@@ -209,6 +210,23 @@ def test_a_broken_invariant_exits_one_naming_its_cause(
         r"^error: task 1, round 0: agent \d+ layer \d+: norm split violated", err, re.M
     ), err
     assert not out.exists()
+
+
+def test_an_oversized_representation_batch_warns_once(tmp_path, caplog):
+    """The default 64-row representation batch exceeds every 40-row shard of
+    the default two-task run: said once, before training, and by
+    ``validate`` too; a method without a memory is not warned."""
+    caplog.set_level(logging.WARNING)
+    want = ["rep_samples 64 exceeds the smallest shard (40 samples); "
+            "a representation batch is clamped to its shard"]
+    assert main(["run", "--out", str(tmp_path / "run")]) == 0
+    assert [r.getMessage() for r in caplog.records] == want
+    caplog.clear()
+    assert main(["validate"]) == 0
+    assert [r.getMessage() for r in caplog.records] == want
+    caplog.clear()
+    assert main(["validate", "--method", "naive"]) == 0
+    assert caplog.records == []
 
 
 def test_run_single_agent_all_inclusive_ratio_is_one(tmp_path):

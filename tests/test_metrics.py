@@ -13,7 +13,7 @@ from dccl.metrics import (
     emit_reports,
     per_layer_compression,
 )
-from dccl.trainer import CommLedger, LogRecord, TaskComm
+from dccl.trainer import LogRecord, TaskComm
 
 
 def _matrix(rows):
@@ -65,18 +65,16 @@ def test_diagonal_mean():
 
 
 def _ledger_single_layer(full, actual, extra=0, over_full=0, over_actual=0):
-    return CommLedger(
-        tasks=[
-            TaskComm(
-                task=0,
-                layer_full=[full],
-                layer_actual=[actual],
-                extra_scalars=extra,
-                overhead_full=over_full,
-                overhead_actual=over_actual,
-            )
-        ]
-    )
+    return [
+        TaskComm(
+            task=0,
+            layer_full=[full],
+            layer_actual=[actual],
+            extra_scalars=extra,
+            overhead_full=over_full,
+            overhead_actual=over_actual,
+        )
+    ]
 
 
 def test_compression_ratio_closed_form():
@@ -105,25 +103,21 @@ def test_compression_ratio_rejects_zero_actual_and_bad_args():
 
 
 def test_per_task_scope_returns_a_list():
-    ledger = CommLedger(
-        tasks=[
-            TaskComm(task=0, layer_full=[40], layer_actual=[40]),
-            TaskComm(task=1, layer_full=[40], layer_actual=[20]),
-        ]
-    )
+    ledger = [
+        TaskComm(task=0, layer_full=[40], layer_actual=[40]),
+        TaskComm(task=1, layer_full=[40], layer_actual=[20]),
+    ]
     assert compression_ratio(ledger, "per_task", "pure_subspace") == [1.0, 2.0]
 
 
 def _tiny_run():
     matrix = _matrix([[0.5], [0.75, 1.0]])
-    ledger = CommLedger(
-        tasks=[
-            TaskComm(task=0, layer_full=[8], layer_actual=[8], extra_scalars=2,
-                     overhead_full=4, overhead_actual=4),
-            TaskComm(task=1, layer_full=[8], layer_actual=[4], extra_scalars=2,
-                     overhead_full=4, overhead_actual=4),
-        ]
-    )
+    ledger = [
+        TaskComm(task=0, layer_full=[8], layer_actual=[8], extra_scalars=2,
+                 overhead_full=4, overhead_actual=4),
+        TaskComm(task=1, layer_full=[8], layer_actual=[4], extra_scalars=2,
+                 overhead_full=4, overhead_actual=4),
+    ]
     logs = [
         LogRecord(task=0, round=0, agent=0, loss=0.7, ce=0.1, mu=1.0, scalars_sent=10),
         LogRecord(task=1, round=0, agent=0, loss=0.6, ce=0.05, mu=0.5, scalars_sent=6),
@@ -165,7 +159,7 @@ def test_emit_reports_is_byte_deterministic(tmp_path):
 
 def test_emit_reports_empty_logs_headers_only(tmp_path):
     matrix = _matrix([[0.5]])
-    ledger = CommLedger(tasks=[TaskComm(task=0, layer_full=[4], layer_actual=[4])])
+    ledger = [TaskComm(task=0, layer_full=[4], layer_actual=[4])]
     out = tmp_path / "empty"
     summary = emit_reports(
         matrix, ledger, [], str(out), method="codec", seed=0, config_echo={}
@@ -180,7 +174,7 @@ def test_emit_reports_stl_uses_diagonal(tmp_path):
     matrix = AccuracyMatrix(2)
     matrix.set(0, 0, 0.8)
     matrix.set(1, 1, 0.9)
-    ledger = CommLedger(tasks=[TaskComm(task=0, layer_full=[4], layer_actual=[4])])
+    ledger = [TaskComm(task=0, layer_full=[4], layer_actual=[4])]
     summary = emit_reports(
         matrix, ledger, [], str(tmp_path / "stl"), method="stl", seed=0, config_echo={}
     )

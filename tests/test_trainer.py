@@ -26,12 +26,13 @@ from dccl.trainer import (
     Agents,
     InvariantError,
     NonFiniteError,
-    TaskComm,
     TrainConfig,
     consensus_error,
     derive_rng,
+    fanout,
     gossip_round,
     local_step,
+    message_sizes,
     reset_aggregates,
     run,
     _derive_int,
@@ -55,10 +56,6 @@ def _make_agents(n, seed=0, identical=False, dims=DIMS, classes=3):
 
 def _flats(agents):
     return [flatten_params(agents.model.view(i)) for i in range(agents.model.lead[0])]
-
-
-def _entry(n_layers=len(DIMS) - 1):
-    return TaskComm(task=0, layer_full=[0] * n_layers, layer_actual=[0] * n_layers)
 
 
 def _zero_steps(agents):
@@ -92,9 +89,7 @@ def test_identical_agents_are_a_fixed_point():
     _own_aggregates(agents)
     before = _flats(agents)
     for _ in range(5):
-        gossip_round(
-            agents, mixing, 0, _zero_steps(agents), _entry(), compression=True, debug=True
-        )
+        gossip_round(agents, mixing, 0, _zero_steps(agents), debug=True)
     for got, b in zip(_flats(agents), before):
         assert np.array_equal(got, b)
     assert consensus_error(agents.model) == 0.0
@@ -105,9 +100,7 @@ def test_one_full_graph_round_reaches_the_mean():
     agents = _make_agents(3)
     reset_aggregates(agents, mixing, 0)
     mean = np.mean(_flats(agents), axis=0)
-    gossip_round(
-        agents, mixing, 0, _zero_steps(agents), _entry(), compression=False, debug=True
-    )
+    gossip_round(agents, mixing, 0, _zero_steps(agents), debug=True)
     for got in _flats(agents):
         assert np.max(np.abs(got - mean)) <= 1e-12
 
@@ -117,17 +110,8 @@ def test_zero_gradient_ring_gossip_reaches_consensus_monotonically():
     agents = _make_agents(8)
     reset_aggregates(agents, mixing, 0)
     history = [consensus_error(agents.model)]
-    entry = _entry()
     for r in range(200):
-        gossip_round(
-            agents,
-            mixing,
-            0,
-            _zero_steps(agents),
-            entry,
-            compression=True,
-            debug=(r % 40 == 0),
-        )
+        gossip_round(agents, mixing, 0, _zero_steps(agents), debug=(r % 40 == 0))
         history.append(consensus_error(agents.model))
     assert history[-1] < 1e-12
     assert all(b <= a for a, b in zip(history, history[1:]))
@@ -228,21 +212,23 @@ def test_stacked_round_matches_per_message_reference(
     want = _reference_round(
         ref_x, ref_steps, ref_aggs, ref_bases, mixing.w, n_layers, compression
     )
-    entry = _entry(n_layers)
-    got = gossip_round(agents, mixing, 0, steps, entry, compression=compression)
-    assert got == want
+    sizes = message_sizes(stacked, agents.memory, 0, compression)
+    receivers = fanout(mixing)
+    assert gossip_round(agents, mixing, 0, steps) is None
+    assert [sum(sizes) * int(k) for k in receivers] == want
     for k, (x, agg) in enumerate(zip(task_params(stacked, 0), agents.aggregates)):
         for i in range(n):
             assert np.max(np.abs(x[i] - ref_x[i][k]), initial=0.0) <= 1e-12
             assert np.max(np.abs(agg[i] - ref_aggs[i][k]), initial=0.0) <= 1e-12
     messages = int(np.count_nonzero(mixing.w - np.diag(np.diag(mixing.w)) > 0.0))
-    assert entry.messages == messages
+    assert int(receivers.sum()) == messages
+    raw = message_sizes(stacked, agents.memory, 0, False)
     for l in range(n_layers):
         sent = layers[l].o.shape[1] if compression else dims[l]
-        assert entry.layer_actual[l] == messages * sent * dims[l + 1]
-        assert entry.layer_full[l] == messages * dims[l] * dims[l + 1]
+        assert sizes[l] == sent * dims[l + 1]
+        assert raw[l] == dims[l] * dims[l + 1]
     extra = sum(a[0].size for a in arrays[n_layers:])
-    assert entry.extra_scalars == messages * extra
+    assert sum(sizes[n_layers:]) == extra
 
 
 def test_a_round_rejects_an_update_outside_the_transmittable_span():
@@ -257,7 +243,7 @@ def test_a_round_rejects_an_update_outside_the_transmittable_span():
     agents = Agents(model=stacked, memory=GpmState(layers=layers), aggregates=aggs)
     mixing = build_mixing(parse_topology("ring", n))
     with pytest.raises(InvariantError, match="agent 0 layer 1: update leaks outside"):
-        gossip_round(agents, mixing, 0, steps, _entry(), compression=True, debug=True)
+        gossip_round(agents, mixing, 0, steps, debug=True)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -308,9 +294,7 @@ def test_steps_are_minus_eta_g_and_a_round_spares_other_heads(
             assert np.array_equal(p, k)  # the step is not applied
     mixing = build_mixing(parse_topology("full", n))
     reset_aggregates(agents, mixing, task)
-    gossip_round(
-        agents, mixing, task, steps, _entry(len(dims) - 1), compression=projection
-    )
+    gossip_round(agents, mixing, task, steps)
     n_trunk = len(trunk_params(model))
     for t, kept in before.items():
         if t != task:
@@ -414,30 +398,62 @@ def test_round_count_and_log_shape():
     # 80 training rows over 4 agents: shards of 20, batches of 8 -> 3 rounds
     cfg = _config("ring", 4, epochs=2)
     result = run(cfg, seq)
-    entry = result.ledger.tasks[0]
+    entry = result.ledger[0]
     assert entry.rounds == 6
     assert len(result.logs) == 6 * 4
     mus = {r.mu for r in result.logs}
     assert mus == {1.0}  # task 1 is unconstrained
 
 
-def test_scalar_accounting_matches_closed_form():
-    seq = generate_synthetic_sequence(1, 2, 16, 50, 2)
-    cfg = _config("ring", 4, epochs=1, method="codec_fullcomm")
+@pytest.mark.parametrize(
+    "method, n_tasks, use_bias",
+    [("codec_fullcomm", 1, False), ("codec", 2, False), ("dewc", 2, True)],
+)
+def test_scalar_accounting_matches_closed_form(method, n_tasks, use_bias):
+    seq = generate_synthetic_sequence(n_tasks, 2, 16, 50, 2)
+    cfg = _config("ring", 4, epochs=1, method=method, use_bias=use_bias)
     result = run(cfg, seq)
-    entry = result.ledger.tasks[0]
-    n_rounds = entry.rounds
-    # directed ring: each message reaches exactly one peer
-    assert entry.layer_full[0] == n_rounds * 4 * 16 * 32
-    assert entry.layer_full[1] == n_rounds * 4 * 32 * 16
-    assert entry.layer_actual == entry.layer_full
-    head_scalars = 16 * 2
-    assert entry.extra_scalars == n_rounds * 4 * head_scalars
-    per_model = 16 * 32 + 32 * 16 + head_scalars
-    ranks = result.gpm.ranks()
-    basis_cost = 3 * (16 * ranks[0] + 32 * ranks[1])
-    assert entry.overhead_full == 4 * per_model + basis_cost
-    assert entry.overhead_actual == entry.overhead_full
+    biases = 32 + 16 if use_bias else 0
+    trunk = 16 * 32 + 32 * 16 + biases
+    head_scalars = 16 * 2 + (2 if use_bias else 0)
+    # ranks[t] is the memory task t projected with, ranks[t + 1] the one it
+    # broadcast: task t's memory comes from a run on the first t + 1 tasks
+    ranks = [[0, 0]]
+    if method != "dewc":
+        for t in range(n_tasks - 1):
+            prefix = dataclasses.replace(seq, tasks=seq.tasks[: t + 1])
+            ranks.append(run(cfg, prefix).gpm.ranks())
+        ranks.append(result.gpm.ranks())
+    assert [entry.task for entry in result.ledger] == list(range(n_tasks))
+    for t, entry in enumerate(result.ledger):
+        n_rounds = entry.rounds
+        assert n_rounds == 3  # shards of 20 rows, batches of 8, one epoch
+        # directed ring: each round's 4 messages reach exactly one peer each
+        assert entry.messages == n_rounds * 4
+        assert entry.layer_full[0] == n_rounds * 4 * 16 * 32
+        assert entry.layer_full[1] == n_rounds * 4 * 32 * 16
+        if method == "codec":
+            r = ranks[t]
+            assert entry.layer_actual == [
+                n_rounds * 4 * (16 - r[0]) * 32,
+                n_rounds * 4 * (32 - r[1]) * 16,
+            ]
+        else:
+            assert entry.layer_actual == entry.layer_full
+        assert entry.extra_scalars == n_rounds * 4 * (biases + head_scalars)
+        sync = 4 * (trunk + (t + 1) * head_scalars)  # the model holds t + 1 heads
+        if method == "dewc":
+            # the trunk Fisher diagonal is gathered and sent back; no memory
+            exchange_full = exchange_actual = 2 * 3 * trunk
+        else:
+            exchange_full = 3 * (16 * ranks[t + 1][0] + 32 * ranks[t + 1][1])
+            exchange_actual = exchange_full
+            if method == "codec":  # both spans travel, for decoding
+                exchange_actual = 3 * (16 * 16 + 32 * 32)
+        assert entry.overhead_full == sync + exchange_full
+        assert entry.overhead_actual == sync + exchange_actual
+    if method == "codec":
+        assert all(0 < r < n for r, n in zip(ranks[1], (16, 32)))  # task 1 compresses
 
 
 def test_debug_checks_pass_on_a_live_run():
@@ -587,7 +603,7 @@ def test_round_heap_peak_stays_near_two_agent_stacks(method):
             model, agents.memory, bx, by, 0, 0.01,
             projection=codec, fisher_states=fishers, lam=5000.0,
         )
-        gossip_round(agents, mixing, 0, steps, _entry(2), compression=codec)
+        gossip_round(agents, mixing, 0, steps)
         del steps
         consensus_error(model)
         peak = tracemalloc.get_traced_memory()[1]
