@@ -4,10 +4,13 @@ Supported graph kinds: a directed ring, a 2-D torus (row-major node ids,
 duplicate edges from 1- or 2-row/column wraparound merged), a fully
 connected graph, and a custom undirected adjacency loaded from a text file.
 Each is held as one 0/1 adjacency matrix with self loops, checked once when
-the topology is built; the mixing weights are read from it.
-Mixing weights are Metropolis style, 1/(1 + max degree) per edge with the
-remainder on the self loop, which reduces to the uniform 1/(deg+1) rule on
-regular graphs and is doubly stochastic on any connected graph.
+the topology is built; the mixing matrix W is read from it by one rule for
+every kind: Metropolis weights, 1/(1 + max degree) per edge with the
+remainder on the self loop.  That is the uniform 1/(deg+1) rule on regular
+graphs (1/2 on the self loop and 1/2 on the successor for the directed
+ring) and doubly stochastic on any connected undirected graph.  Training
+only multiplies by W; its spectral gap, which enters only the convergence
+bound, is computed by ``validate_assumption3`` alone.
 """
 
 from __future__ import annotations
@@ -86,13 +89,6 @@ class Topology:
 
 
 @dataclass
-class MixingMatrix:
-    w: np.ndarray
-    topology: Topology
-    sqrt_rho: float
-
-
-@dataclass
 class Assumption3Report:
     row_residual: float
     col_residual: float
@@ -163,56 +159,42 @@ def load_custom_topology(path: str, n: int) -> Topology:
 def _nontrivial_radius(w: np.ndarray) -> float:
     """Largest eigenvalue magnitude of the disagreement operator of ``w``.
 
-    For a doubly stochastic ``w`` (both callers guarantee it) this is the
-    contraction factor on the subspace orthogonal to consensus, i.e. the
-    spectral radius of ``(I - (1/N) 1 1^T) w``.  Directed topologies give
-    complex eigenvalues, hence the general (non-symmetric) eigensolver.
+    For a doubly stochastic ``w`` (its caller checks the sums first) this
+    is the contraction factor on the subspace orthogonal to consensus, i.e.
+    the spectral radius of ``(I - (1/N) 1 1^T) w``.  Directed topologies
+    give complex eigenvalues, hence the general (non-symmetric) eigensolver.
     """
     n = w.shape[0]
-    if n == 1:
-        return 0.0
     b = (np.eye(n) - np.full((n, n), 1.0 / n)) @ w
     if np.linalg.norm(b) < 1e-14:
         return 0.0
     radius = float(np.max(np.abs(np.linalg.eigvals(b))))
-    # a doubly stochastic matrix cannot contract by less than 0 or expand;
-    # trim eigensolver rounding that lands a hair outside [0, 1]
-    return min(max(radius, 0.0), 1.0)
+    # a doubly stochastic matrix cannot expand; trim eigensolver rounding
+    # that lands a hair above 1
+    return min(radius, 1.0)
 
 
-def build_mixing(topology: Topology) -> MixingMatrix:
-    """Construct the gossip weight matrix from the topology's adjacency.
-
-    The directed ring places 1/2 on the self loop and 1/2 on the successor;
-    every other kind uses Metropolis weights on the undirected edge set.
-    """
+def build_mixing(topology: Topology) -> np.ndarray:
+    """The gossip weight matrix W: Metropolis weights on the adjacency."""
     a = topology.adjacency
-    if topology.kind == "ring":
-        w = a / a.sum(axis=1, keepdims=True)
-    else:
-        degree = a.sum(axis=1) - 1.0
-        w = (a - np.eye(topology.n)) / (1.0 + np.maximum.outer(degree, degree))
-        np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return MixingMatrix(w=w, topology=topology, sqrt_rho=_nontrivial_radius(w))
+    degree = a.sum(axis=1) - 1.0
+    w = (a - np.eye(topology.n)) / (1.0 + np.maximum.outer(degree, degree))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return w
 
 
-def validate_assumption3(w: np.ndarray | MixingMatrix) -> Assumption3Report:
-    """Check double stochasticity and the spectral gap of a weight matrix.
+def validate_assumption3(w: np.ndarray) -> Assumption3Report:
+    """Check that a weight matrix is doubly stochastic, nonnegative and
+    contracting toward consensus, and report its spectral gap.
 
     Never raises for a 2-D input; failures (non-finite entries included)
     are carried in the report so the caller can print them.
     """
-    mat = w.w if isinstance(w, MixingMatrix) else np.asarray(w, dtype=np.float64)
+    mat = np.asarray(w, dtype=np.float64)
     row_res = float(np.max(np.abs(mat.sum(axis=1) - 1.0)))
     col_res = float(np.max(np.abs(mat.sum(axis=0) - 1.0)))
     in_range = bool(np.all(mat >= -1e-15) and np.all(mat <= 1.0 + 1e-15))
     sums_ok = max(row_res, col_res) <= _RESIDUAL_TOL
     sqrt_rho = _nontrivial_radius(mat) if sums_ok else math.nan
-    passed = sums_ok and sqrt_rho <= 1.0 - _GAP_TOL
-    return Assumption3Report(
-        row_residual=row_res,
-        col_residual=col_res,
-        entries_in_range=in_range,
-        sqrt_rho=sqrt_rho,
-        passed=passed,
-    )
+    passed = sums_ok and in_range and sqrt_rho <= 1.0 - _GAP_TOL
+    return Assumption3Report(row_res, col_res, in_range, sqrt_rho, passed)

@@ -60,7 +60,7 @@ from .model import (
     trunk_params,
 )
 from .tasks import TaskSequence, TaskShard, shard_iid
-from .topology import MixingMatrix, Topology, build_mixing
+from .topology import Topology, build_mixing
 
 log = logging.getLogger(__name__)
 
@@ -186,9 +186,9 @@ def consensus_error(model: Mlp) -> float:
     return total / model.lead[0]
 
 
-def reset_aggregates(agents: Agents, mixing: MixingMatrix, task: int) -> None:
+def reset_aggregates(agents: Agents, w: np.ndarray, task: int) -> None:
     """Recompute every tracked aggregate from the true neighbor states."""
-    agents.aggregates = [_mix(mixing.w, x) for x in task_params(agents.model, task)]
+    agents.aggregates = [_mix(w, x) for x in task_params(agents.model, task)]
 
 
 def _require(ok: np.ndarray, what: str, *values: np.ndarray) -> None:
@@ -200,10 +200,10 @@ def _require(ok: np.ndarray, what: str, *values: np.ndarray) -> None:
         raise InvariantError(f"agent {i} " + what.format(*(v[i] for v in values)))
 
 
-def _check_tracking(agents: Agents, mixing: MixingMatrix, task: int) -> None:
+def _check_tracking(agents: Agents, w: np.ndarray, task: int) -> None:
     arrays = task_params(agents.model, task)
     for k, (x, agg) in enumerate(zip(arrays, agents.aggregates)):
-        drift = np.max(np.abs(_per_agent(_mix(mixing.w, x) - agg)), axis=1)
+        drift = np.max(np.abs(_per_agent(_mix(w, x) - agg)), axis=1)
         _require(drift <= 1e-9, f"array {k}: " + "aggregate drifted by {}", drift)
 
 
@@ -334,7 +334,7 @@ def _check_leak(q: np.ndarray, m: np.ndarray, layer: int) -> None:
 
 def gossip_round(
     agents: Agents,
-    mixing: MixingMatrix,
+    w: np.ndarray,
     task: int,
     steps: list[np.ndarray],
     *,
@@ -354,7 +354,6 @@ def gossip_round(
     mixes ``q`` whatever travels (``debug`` checks the span), and
     ``message_sizes`` prices a message once per task.
     """
-    w = mixing.w
     arrays = task_params(agents.model, task)
     for l, (x, d, agg) in enumerate(zip(arrays, steps, agents.aggregates)):
         q = agg - x  # gossip term first: it cancels exactly at a consensus fixed point
@@ -366,12 +365,12 @@ def gossip_round(
         agg += np.matmul(w, _per_agent(q), out=_per_agent(d)).reshape(agg.shape)
         del q  # freed before the next array's update is formed
     if debug:
-        _check_tracking(agents, mixing, task)
+        _check_tracking(agents, w, task)
 
 
-def fanout(mixing: MixingMatrix) -> np.ndarray:
+def fanout(w: np.ndarray) -> np.ndarray:
     """Receivers per sender: the positive off-diagonal weights of its column."""
-    return np.count_nonzero(mixing.w > 0.0, axis=0) - (np.diag(mixing.w) > 0.0)
+    return np.count_nonzero(w > 0.0, axis=0) - (np.diag(w) > 0.0)
 
 
 def message_sizes(model: Mlp, memory: GpmState, task: int, compression: bool) -> list[int]:
@@ -492,6 +491,7 @@ class _Engine:
         self.compression = method == "codec"
         # dewc only: one accumulated state (online) or one per task
         self.fisher: list[FisherState] = []
+        self.stiff_warned = False
 
     def _eta(self, round_idx: int, total_rounds: int) -> float:
         if not self.cfg.lr_decay:
@@ -536,6 +536,16 @@ class _Engine:
             self.fisher = [accumulate_fisher(running, avg)]
         else:
             self.fisher.append(avg)
+        # the next task steps the penalty explicitly, x -= eta lam F (x - anchor),
+        # which is stable only while eta lam F < 2 on every entry of the summed F
+        f_max = max(float(sum(f).max()) for f in zip(*(s.f for s in self.fisher)))
+        stiff = self.cfg.eta * self.cfg.lam * f_max
+        if stiff >= 2.0 and not self.stiff_warned and task + 1 < len(self.seq.tasks):
+            self.stiff_warned = True
+            log.warning(
+                "dewc penalty after task %d has eta*lambda*max(F) = %.1f, not below 2: "
+                "the explicit penalty step can diverge", task, stiff,
+            )
 
     def _evaluate(self, model: Mlp, upto: int, matrix: AccuracyMatrix) -> None:
         task_ids = [upto] if self.method == "stl" else list(range(upto + 1))
@@ -548,7 +558,7 @@ class _Engine:
     def run(self) -> RunResult:
         cfg = self.cfg
         n = cfg.topology.n
-        mixing = build_mixing(cfg.topology)
+        w = build_mixing(cfg.topology)
         t_count = len(self.seq.tasks)
         matrix = AccuracyMatrix(t_count)
         ledger: list[TaskComm] = []
@@ -556,7 +566,7 @@ class _Engine:
         pick_stream = derive_rng(cfg.seed, TAG_PICK)
         base = init_mlp(cfg.dims, derive_rng(cfg.seed, TAG_INIT, 0), cfg.use_bias)
         agents = Agents(model=base.stacked(n), memory=GpmState.fresh(cfg.dims[:-1]))
-        receivers = fanout(mixing)
+        receivers = fanout(w)
         messages = int(receivers.sum())
         for t, data in enumerate(self.seq.tasks):
             if self.method == "stl" and t > 0:
@@ -592,7 +602,7 @@ class _Engine:
                             debug=cfg.debug_checks,
                         )
                         _check_finite(loss, mu, steps, t, round_idx)
-                        gossip_round(agents, mixing, t, steps, debug=cfg.debug_checks)
+                        gossip_round(agents, w, t, steps, debug=cfg.debug_checks)
                     except InvariantError as exc:
                         exc.args = (f"task {t}, round {round_idx}: {exc}",)
                         raise

@@ -30,7 +30,7 @@ from dccl.model import (
 )
 from dccl.ewc import ewc_grad, fisher_estimate
 from dccl.tasks import TaskSequence, TaskShard, generate_synthetic_sequence
-from dccl.topology import build_mixing, parse_topology
+from dccl.topology import build_mixing, parse_topology, validate_assumption3
 from dccl.trainer import (
     Agents,
     TrainConfig,
@@ -189,20 +189,20 @@ def test_criterion_04_mixing_matrices_and_contraction():
             ("full", 1), ("full", 4), ("full", 8), ("full", 16),
         ]
         for spec, n in cases:
-            mix = build_mixing(parse_topology(spec, n))
-            w = mix.w
+            w = build_mixing(parse_topology(spec, n))
+            sqrt_rho = validate_assumption3(w).sqrt_rho
             ones = np.ones(n)
             assert np.max(np.abs(w @ ones - ones)) <= 1e-12
             assert np.max(np.abs(w.T @ ones - ones)) <= 1e-12
             assert np.min(w) >= 0.0
-            assert mix.sqrt_rho < 1.0
+            assert sqrt_rho < 1.0
             if spec.startswith("full") or n == 1:
-                assert mix.sqrt_rho == 0.0
+                assert sqrt_rho == 0.0
             deflated = (np.eye(n) - np.ones((n, n)) / n) @ w
             oracle = float(np.max(np.abs(np.linalg.eigvals(deflated))))
-            assert abs(mix.sqrt_rho - oracle) <= 1e-10
+            assert abs(sqrt_rho - oracle) <= 1e-10
             if spec == "ring" and n == 4:
-                assert abs(mix.sqrt_rho - 0.7071067811865476) <= 1e-10
+                assert abs(sqrt_rho - 0.7071067811865476) <= 1e-10
 
 
 def test_criterion_05_gossip_alone_reaches_consensus():

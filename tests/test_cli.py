@@ -229,6 +229,28 @@ def test_an_oversized_representation_batch_warns_once(tmp_path, caplog):
     assert caplog.records == []
 
 
+def test_a_stiff_dewc_penalty_warns_once(tmp_path, caplog):
+    """The default two-task dewc run trains task 1 under a penalty with
+    eta * lambda * max(F) = 14 > 2: said once per run, naming the first
+    such task, and the run still exits 0; lambda = 50 keeps the explicit
+    step stable."""
+    caplog.set_level(logging.WARNING)
+    assert main(["run", "--method", "dewc", "--out", str(tmp_path / "a")]) == 0
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 1, messages
+    assert messages[0].startswith("dewc penalty after task 0 has eta*lambda*max(F) = 14.0")
+    caplog.clear()
+    # the penalty stays stiff after task 1 too, and is not said again
+    args = ["run", "--method", "dewc", "--tasks", "3", "--set", "epochs=1"]
+    assert main([*args, "--out", str(tmp_path / "b")]) == 0
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 1 and "after task 0" in messages[0], messages
+    caplog.clear()
+    args = ["run", "--method", "dewc", "--set", "lambda=50", "--out", str(tmp_path / "c")]
+    assert main(args) == 0
+    assert caplog.records == []
+
+
 def test_run_single_agent_all_inclusive_ratio_is_one(tmp_path):
     out = tmp_path / "solo"
     rc = main(_run_args(out, "--method", "codec", "--agents", "1"))

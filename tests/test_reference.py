@@ -62,7 +62,7 @@ def _lr(cfg, r, total):
 
 def reference_run(cfg: TrainConfig, seq):
     n, t_count = cfg.topology.n, len(seq.tasks)
-    w = build_mixing(cfg.topology).w
+    w = build_mixing(cfg.topology)
     projected = cfg.method in ("codec", "codec_fullcomm")
     compressed = cfg.method == "codec"
     n_layers = len(cfg.dims) - 1

@@ -1,14 +1,15 @@
 """Graph construction, mixing weights, and the consensus-feasibility check.
 
-The mixing matrix is built from the adjacency by matrix expressions; the
-reference here is a per-edge loop over per-kind neighbor lists.  The
-spectral gap is cross-checked against a dense numpy.linalg.eigvals of the
-disagreement operator built here.
+The mixing matrix is built from the adjacency by one matrix expression;
+the reference here is a per-edge loop over per-kind neighbor lists, with
+the ring's 1/2-1/2 rule written out on its own.  The spectral gap is
+cross-checked against a dense numpy.linalg.eigvals of the disagreement
+operator built here.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dccl.topology import (
@@ -108,7 +109,7 @@ def test_mixing_is_doubly_stochastic():
         ("torus:3x3", 9),
         ("full", 6),
     ):
-        w = build_mixing(parse_topology(text, n)).w
+        w = build_mixing(parse_topology(text, n))
         assert np.all(w >= 0.0)
         assert np.max(np.abs(w.sum(axis=0) - 1.0)) <= 1e-12
         assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
@@ -132,18 +133,17 @@ def _random_connected(n, density, seed):
 )
 def test_mixing_is_doubly_stochastic_on_random_connected_graphs(n, density, seed):
     adj = _random_connected(n, density, seed)
-    mixing = build_mixing(Topology("custom", n, adjacency=adj))
-    w = mixing.w
+    w = build_mixing(Topology("custom", n, adjacency=adj))
     assert np.all(w >= 0.0)
     assert np.array_equal(w, w.T)
     assert np.max(np.abs(w.sum(axis=0) - 1.0)) <= 1e-12
     assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
     assert np.all((w > 0.0) == (adj > 0.0))
-    assert validate_assumption3(mixing).passed
+    assert validate_assumption3(w).passed
 
 
 def test_ring_mixing_weights_are_half_half():
-    w = build_mixing(parse_topology("ring", 5)).w
+    w = build_mixing(parse_topology("ring", 5))
     for i in range(5):
         assert w[i, i] == 0.5
         assert w[i, (i + 1) % 5] == 0.5
@@ -151,7 +151,7 @@ def test_ring_mixing_weights_are_half_half():
 
 
 def test_full_mixing_is_uniform():
-    w = build_mixing(parse_topology("full", 4)).w
+    w = build_mixing(parse_topology("full", 4))
     assert np.max(np.abs(w - 0.25)) <= 1e-15
 
 
@@ -167,17 +167,17 @@ def test_powers_converge_to_uniform():
         ("full", 16, 2),
     ]
     for text, n, k in cases:
-        w = build_mixing(parse_topology(text, n)).w
+        w = build_mixing(parse_topology(text, n))
         p = np.linalg.matrix_power(w, k)
         assert np.max(np.abs(p - 1.0 / n)) <= 1e-12, (text, n, k)
 
 
 def test_sqrt_rho_matches_eig_oracle():
     for text, n in (("ring", 4), ("ring", 8), ("torus:2x4", 8), ("full", 5)):
-        mixing = build_mixing(parse_topology(text, n))
-        b = (np.eye(n) - np.ones((n, n)) / n) @ mixing.w
+        w = build_mixing(parse_topology(text, n))
+        b = (np.eye(n) - np.ones((n, n)) / n) @ w
         want = float(np.max(np.abs(np.linalg.eigvals(b))))
-        assert mixing.sqrt_rho == pytest.approx(want, abs=1e-10)
+        assert validate_assumption3(w).sqrt_rho == pytest.approx(want, abs=1e-10)
 
 
 def test_validator_passes_connected_graphs():
@@ -192,6 +192,18 @@ def test_validator_fails_identity_blocks():
     report = validate_assumption3(np.eye(2))
     assert not report.passed
     assert report.sqrt_rho >= 1.0 - 1e-12
+
+
+def test_validator_fails_a_doubly_stochastic_matrix_with_a_negative_entry():
+    # a circulant: every row and column sums to 1 and the gap is open, but
+    # a negative weight is no averaging
+    w = np.array([[0.6, 0.5, -0.1], [-0.1, 0.6, 0.5], [0.5, -0.1, 0.6]])
+    report = validate_assumption3(w)
+    assert max(report.row_residual, report.col_residual) <= 1e-12
+    assert report.sqrt_rho < 1.0
+    assert not report.entries_in_range
+    assert not report.passed
+    assert "FAIL" in "\n".join(report.lines())
 
 
 def test_validator_fails_non_stochastic_without_raising():
@@ -267,8 +279,10 @@ def _topologies(draw):
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(topology=_topologies())
+@example(topology=Topology("ring", 64))  # the many workload's graph
+@example(topology=Topology("torus", 16, rows=4, cols=4))  # wide's and dewc's
 def test_matrix_built_mixing_equals_the_per_edge_loop(topology):
-    assert np.array_equal(build_mixing(topology).w, _reference_mixing(topology))
+    assert np.array_equal(build_mixing(topology), _reference_mixing(topology))
     for i in range(topology.n):
         assert _row(topology, i) == set(_reference_neighbors(topology, i))
 

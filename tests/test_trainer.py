@@ -210,7 +210,7 @@ def test_stacked_round_matches_per_message_reference(
     ]
     n_layers = len(dims) - 1
     want = _reference_round(
-        ref_x, ref_steps, ref_aggs, ref_bases, mixing.w, n_layers, compression
+        ref_x, ref_steps, ref_aggs, ref_bases, mixing, n_layers, compression
     )
     sizes = message_sizes(stacked, agents.memory, 0, compression)
     receivers = fanout(mixing)
@@ -220,7 +220,7 @@ def test_stacked_round_matches_per_message_reference(
         for i in range(n):
             assert np.max(np.abs(x[i] - ref_x[i][k]), initial=0.0) <= 1e-12
             assert np.max(np.abs(agg[i] - ref_aggs[i][k]), initial=0.0) <= 1e-12
-    messages = int(np.count_nonzero(mixing.w - np.diag(np.diag(mixing.w)) > 0.0))
+    messages = int(np.count_nonzero(mixing - np.diag(np.diag(mixing)) > 0.0))
     assert int(receivers.sum()) == messages
     raw = message_sizes(stacked, agents.memory, 0, False)
     for l in range(n_layers):
