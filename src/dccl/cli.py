@@ -212,14 +212,6 @@ def _cross_check(values: dict[str, object]) -> None:
         raise ConfigError(
             f"dims[0] = {dims[0]} does not match input_dim = {values['input_dim']}"
         )
-    schedule = ThresholdSchedule(
-        base=float(values["eps_base"]),
-        increment_per_task=float(values["eps_increment"]),
-    )
-    # the first and the last task's thresholds must lie in (0, 1), as the
-    # engine checks them; the schedule only rises in between
-    schedule.value(0)
-    schedule.value(int(values["tasks"]) - 1)
     paths = values["dataset_path"]
     if paths is not None and len(paths) != int(values["tasks"]):
         raise ConfigError(

@@ -67,6 +67,13 @@ class ThresholdSchedule:
     base: float
     increment_per_task: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not self.increment_per_task >= 0.0:
+            raise ValueError(
+                "threshold increment must be non-negative, "
+                f"got {self.increment_per_task}"
+            )
+
     def value(self, task_index: int) -> float:
         eps = self.base + self.increment_per_task * task_index
         if not 0.0 < eps < 1.0:

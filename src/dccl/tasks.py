@@ -111,7 +111,7 @@ def shard_iid(dataset: LabeledDataset, n: int, seed: int) -> list[TaskShard]:
     return shards
 
 
-def load_csv_dataset(path: str, train_fraction: float = 0.8) -> LabeledDataset:
+def load_csv_dataset(path: str) -> LabeledDataset:
     """Parse ``label,feature...`` rows into a dataset with an 80/20 split.
 
     Label sets are remapped to local indices; the split is per class, first
@@ -156,7 +156,7 @@ def load_csv_dataset(path: str, train_fraction: float = 0.8) -> LabeledDataset:
     train_parts, test_parts, train_labels, test_labels = [], [], [], []
     for c in range(len(classes)):
         idx = np.flatnonzero(y == c)
-        n_train = max(1, int(len(idx) * train_fraction)) if len(idx) > 1 else 1
+        n_train = max(1, int(len(idx) * 0.8)) if len(idx) > 1 else 1
         n_train = min(n_train, len(idx))
         train_parts.append(x[idx[:n_train]])
         train_labels.append(y[idx[:n_train]])

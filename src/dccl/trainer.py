@@ -1,14 +1,16 @@
 """Bulk-synchronous decentralized training over a task sequence.
 
-Every round, each agent takes one (optionally projected) SGD step on its own
-shard, then a gossip exchange mixes parameters using each agent's running
-aggregate of neighbor states.  A projected trunk update lies in the span of
-the memory's complement ``o``, so its subspace coefficients decode back to
-it exactly: compression changes what the ledger charges, not the
-arithmetic, and the compressed run is the uncompressed one bit for bit.
-The memory is fixed within a task, so the ledger prices each task once
-from its widths (``price_task``); the rounds, the boundary sync, the basis
-broadcast and the Fisher phase only compute.
+The loop is ``run``: per task, rounds of a local step and a gossip round,
+then the boundary average, the memory growth (or the Fisher phase) and the
+evaluation.  Every round, each agent takes one (optionally projected) SGD
+step on its own shard, then a gossip exchange mixes parameters using each
+agent's running aggregate of neighbor states.  A projected trunk update
+lies in the span of the memory's complement ``o``, so its subspace
+coefficients decode back to it exactly: compression changes what the ledger
+charges, not the arithmetic, and the compressed run is the uncompressed one
+bit for bit.  The memory is fixed within a task, so the ledger prices each
+task once from its widths (``price_task``); the rounds, the boundary sync,
+the basis broadcast and the Fisher phase only compute.
 
 All agents share model shapes and step in lockstep, so their state is held
 stacked: every parameter array and tracked aggregate has a leading agent
@@ -207,13 +209,7 @@ def _check_tracking(agents: Agents, w: np.ndarray, task: int) -> None:
         _require(drift <= 1e-9, f"array {k}: " + "aggregate drifted by {}", drift)
 
 
-def _check_finite(
-    loss: np.ndarray,
-    mu: np.ndarray,
-    steps: list[np.ndarray],
-    task: int,
-    round_idx: int,
-) -> None:
+def _check_finite(loss: np.ndarray, mu: np.ndarray, steps: list[np.ndarray]) -> None:
     bad = ~(np.isfinite(loss) & np.isfinite(mu))
     for d in steps:
         bad |= ~np.isfinite(_per_agent(d)).all(axis=1)
@@ -225,9 +221,7 @@ def _check_finite(
             what = "mu"
         else:
             what = "step"
-        raise NonFiniteError(
-            f"task {task}, round {round_idx}: agent {agent} has non-finite {what}"
-        )
+        raise NonFiniteError(f"agent {agent} has non-finite {what}")
 
 
 def _sq_norms(a: np.ndarray) -> np.ndarray:
@@ -469,8 +463,7 @@ def check_run(config: TrainConfig, sequence: TaskSequence) -> None:
             )
         if data.test_x.shape[0] == 0:
             raise ValueError(f"task {t} has an empty test split")
-        if projection:
-            config.threshold.value(t)  # raises if the schedule leaves (0, 1)
+        config.threshold.value(t)  # raises if the schedule leaves (0, 1)
     smallest = min(data.train_x.shape[0] // n for data in sequence.tasks)
     if projection and config.rep_samples > smallest:
         log.warning(
@@ -481,170 +474,149 @@ def check_run(config: TrainConfig, sequence: TaskSequence) -> None:
         )
 
 
-class _Engine:
-    def __init__(self, config: TrainConfig, sequence: TaskSequence):
-        check_run(config, sequence)
-        self.cfg = config
-        self.seq = sequence
-        self.method = method = config.method
-        self.projection = method in ("codec", "codec_fullcomm")
-        self.compression = method == "codec"
-        # dewc only: one accumulated state (online) or one per task
-        self.fisher: list[FisherState] = []
-        self.stiff_warned = False
+def _batches(
+    shards: list[TaskShard], seed: int, task: int, epoch: int, rounds: int, size: int
+) -> np.ndarray:
+    """Row indices into the concatenated shards, shape (rounds, N, size)."""
+    # agent i's row is its shard's permutation (the stream derive_rng
+    # would give), repeated to length and shifted to the shard's offset
+    idx = np.empty((len(shards), rounds * size), dtype=np.int64)
+    cycle = np.arange(rounds * size)
+    offset = 0
+    for i, (shard, row) in enumerate(zip(shards, idx)):
+        seq = np.random.SeedSequence((seed, TAG_BATCH, i, task, epoch))
+        perm = np.random.Generator(np.random.PCG64(seq)).permutation(len(shard))
+        perm += offset
+        perm.take(cycle, mode="wrap", out=row)
+        offset += len(shard)
+    return idx.reshape(len(shards), rounds, size).swapaxes(0, 1)
 
-    def _eta(self, round_idx: int, total_rounds: int) -> float:
-        if not self.cfg.lr_decay:
-            return self.cfg.eta
-        if 4 * round_idx >= 3 * total_rounds:
-            return self.cfg.eta * 0.01
-        if 2 * round_idx >= total_rounds:
-            return self.cfg.eta * 0.1
-        return self.cfg.eta
 
-    def _batches(
-        self, shards: list[TaskShard], task: int, epoch: int, rounds: int
-    ) -> np.ndarray:
-        """Row indices into the concatenated shards, shape (rounds, N, batch)."""
-        size = self.cfg.batch_size
-        # agent i's row is its shard's permutation (the stream derive_rng
-        # would give), repeated to length and shifted to the shard's offset
-        idx = np.empty((len(shards), rounds * size), dtype=np.int64)
-        offset = 0
-        for i, (shard, row) in enumerate(zip(shards, idx)):
-            seq = np.random.SeedSequence((self.cfg.seed, TAG_BATCH, i, task, epoch))
-            perm = np.random.Generator(np.random.PCG64(seq)).permutation(len(shard))
-            perm += offset
-            for start in range(0, len(row), len(perm)):
-                chunk = row[start : start + len(perm)]
-                chunk[...] = perm[: len(chunk)]
-            offset += len(shard)
-        return idx.reshape(len(shards), rounds, size).swapaxes(0, 1)
-
-    @staticmethod
-    def _boundary_sync(model: Mlp) -> None:
-        for a in param_arrays(model):
-            a[...] = a.mean(axis=0)
-
-    def _fisher_phase(self, model: Mlp, shards: list[TaskShard], task: int) -> None:
-        # after the boundary sync every agent holds the same parameters, so
-        # the average's anchor (agent 0's) is everyone's
-        states = [fisher_estimate(model.view(i), s, task) for i, s in enumerate(shards)]
-        avg = fisher_average(states)
-        if self.cfg.ewc_mode == "online":
-            running = self.fisher[0] if self.fisher else None
-            self.fisher = [accumulate_fisher(running, avg)]
-        else:
-            self.fisher.append(avg)
-        # the next task steps the penalty explicitly, x -= eta lam F (x - anchor),
-        # which is stable only while eta lam F < 2 on every entry of the summed F
-        f_max = max(float(sum(f).max()) for f in zip(*(s.f for s in self.fisher)))
-        stiff = self.cfg.eta * self.cfg.lam * f_max
-        if stiff >= 2.0 and not self.stiff_warned and task + 1 < len(self.seq.tasks):
-            self.stiff_warned = True
-            log.warning(
-                "dewc penalty after task %d has eta*lambda*max(F) = %.1f, not below 2: "
-                "the explicit penalty step can diverge", task, stiff,
-            )
-
-    def _evaluate(self, model: Mlp, upto: int, matrix: AccuracyMatrix) -> None:
-        task_ids = [upto] if self.method == "stl" else list(range(upto + 1))
-        for i in task_ids:
-            data = self.seq.tasks[i]
-            trace = forward(model, data.test_x, i)
-            pred = np.argmax(trace.logits, axis=1)
-            matrix.set(upto, i, float(np.mean(pred == data.test_y)))
-
-    def run(self) -> RunResult:
-        cfg = self.cfg
-        n = cfg.topology.n
-        w = build_mixing(cfg.topology)
-        t_count = len(self.seq.tasks)
-        matrix = AccuracyMatrix(t_count)
-        ledger: list[TaskComm] = []
-        logs: list[LogRecord] = []
-        pick_stream = derive_rng(cfg.seed, TAG_PICK)
-        base = init_mlp(cfg.dims, derive_rng(cfg.seed, TAG_INIT, 0), cfg.use_bias)
-        agents = Agents(model=base.stacked(n), memory=GpmState.fresh(cfg.dims[:-1]))
-        receivers = fanout(w)
-        messages = int(receivers.sum())
-        for t, data in enumerate(self.seq.tasks):
-            if self.method == "stl" and t > 0:
-                fresh = init_mlp(cfg.dims, derive_rng(cfg.seed, TAG_INIT, t), cfg.use_bias)
-                agents.model = fresh.stacked(n)
-            model = agents.model
-            model.add_head(t, len(data.classes), derive_rng(cfg.seed, TAG_HEAD, t))
-            shards = shard_iid(data, n, _derive_int(cfg.seed, TAG_SHARD, t))
-            pool_x = np.concatenate([s.examples for s in shards])
-            pool_y = np.concatenate([s.labels for s in shards])
-            # task starts from consensus, so the own state is the aggregate
-            agents.aggregates = [x.copy() for x in task_params(model, t)]
-            max_shard = max(len(s) for s in shards)
-            rounds_per_epoch = math.ceil(max_shard / cfg.batch_size)
-            total_rounds = cfg.epochs * rounds_per_epoch
-            sizes = message_sizes(model, agents.memory, t, self.compression)
-            sent = [sum(sizes) * int(k) for k in receivers]
-            round_idx = 0
-            for epoch in range(cfg.epochs):
-                batches = self._batches(shards, t, epoch, rounds_per_epoch)
-                for idx in batches:
-                    try:
-                        loss, mu, steps = local_step(
-                            model,
-                            agents.memory,
-                            pool_x[idx],
-                            pool_y[idx],
-                            t,
-                            self._eta(round_idx, total_rounds),
-                            projection=self.projection,
-                            fisher_states=tuple(self.fisher),
-                            lam=cfg.lam,
-                            debug=cfg.debug_checks,
-                        )
-                        _check_finite(loss, mu, steps, t, round_idx)
-                        gossip_round(agents, w, t, steps, debug=cfg.debug_checks)
-                    except InvariantError as exc:
-                        exc.args = (f"task {t}, round {round_idx}: {exc}",)
-                        raise
-                    del steps  # freed before the next round's are made
-                    ce = consensus_error(model)
-                    if not math.isfinite(ce):
-                        raise NonFiniteError(
-                            f"task {t}, round {round_idx}: non-finite consensus error"
-                        )
-                    logs.extend(
-                        LogRecord(
-                            task=t,
-                            round=round_idx,
-                            agent=i,
-                            loss=float(loss[i]),
-                            ce=ce,
-                            mu=float(mu[i]),
-                            scalars_sent=sent[i],
-                        )
-                        for i in range(n)
-                    )
-                    round_idx += 1
-            self._boundary_sync(model)
-            if self.projection:
-                eps_th = cfg.threshold.value(t)
-                gpm_broadcast(agents, shards, t, eps_th, cfg, pick_stream)
-            if self.method == "dewc":
-                self._fisher_phase(model, shards, t)
-            ledger.append(
-                price_task(agents, t, self.method, sizes, total_rounds, messages)
-            )
-            self._evaluate(model.view(0), t, matrix)
-        return RunResult(
-            method=self.method,
-            accuracy=matrix,
-            ledger=ledger,
-            logs=logs,
-            final_params=flatten_params(agents.model.view(0)),
-            gpm=agents.memory if self.projection else None,
-        )
+def _fisher_phase(
+    model: Mlp, shards: list[TaskShard], task: int, fisher: list[FisherState], mode: str
+) -> list[FisherState]:
+    """The dewc penalty states after task ``task``: one accumulated state
+    (``online``) or one per task (``per_task``)."""
+    # after the boundary sync every agent holds the same parameters, so
+    # the average's anchor (agent 0's) is everyone's
+    states = [fisher_estimate(model.view(i), s, task) for i, s in enumerate(shards)]
+    avg = fisher_average(states)
+    if mode == "online":
+        return [accumulate_fisher(fisher[0] if fisher else None, avg)]
+    return fisher + [avg]
 
 
 def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
     """Train ``config.method`` over the task sequence; the config is not changed."""
-    return _Engine(config, sequence).run()
+    check_run(config, sequence)
+    n = config.topology.n
+    method = config.method
+    projection = method in ("codec", "codec_fullcomm")
+    w = build_mixing(config.topology)
+    t_count = len(sequence.tasks)
+    matrix = AccuracyMatrix(t_count)
+    ledger: list[TaskComm] = []
+    logs: list[LogRecord] = []
+    fisher: list[FisherState] = []  # the dewc penalty states
+    stiff_warned = False
+    pick_stream = derive_rng(config.seed, TAG_PICK)
+    base = init_mlp(config.dims, derive_rng(config.seed, TAG_INIT, 0), config.use_bias)
+    agents = Agents(model=base.stacked(n), memory=GpmState.fresh(config.dims[:-1]))
+    receivers = fanout(w)
+    messages = int(receivers.sum())
+    for t, data in enumerate(sequence.tasks):
+        if method == "stl" and t > 0:
+            stream = derive_rng(config.seed, TAG_INIT, t)
+            fresh = init_mlp(config.dims, stream, config.use_bias)
+            agents.model = fresh.stacked(n)
+        model = agents.model
+        model.add_head(t, len(data.classes), derive_rng(config.seed, TAG_HEAD, t))
+        shards = shard_iid(data, n, _derive_int(config.seed, TAG_SHARD, t))
+        pool_x = np.concatenate([s.examples for s in shards])
+        pool_y = np.concatenate([s.labels for s in shards])
+        # task starts from consensus, so the own state is the aggregate
+        agents.aggregates = [x.copy() for x in task_params(model, t)]
+        max_shard = max(len(s) for s in shards)
+        rounds_per_epoch = math.ceil(max_shard / config.batch_size)
+        total_rounds = config.epochs * rounds_per_epoch
+        sizes = message_sizes(model, agents.memory, t, method == "codec")
+        sent = [sum(sizes) * int(k) for k in receivers]
+        batches = (
+            idx
+            for epoch in range(config.epochs)
+            for idx in _batches(
+                shards, config.seed, t, epoch, rounds_per_epoch, config.batch_size
+            )
+        )
+        for r, idx in enumerate(batches):
+            eta = config.eta
+            if config.lr_decay and 2 * r >= total_rounds:
+                eta *= 0.01 if 4 * r >= 3 * total_rounds else 0.1
+            try:
+                loss, mu, steps = local_step(
+                    model,
+                    agents.memory,
+                    pool_x[idx],
+                    pool_y[idx],
+                    t,
+                    eta,
+                    projection=projection,
+                    fisher_states=tuple(fisher),
+                    lam=config.lam,
+                    debug=config.debug_checks,
+                )
+                _check_finite(loss, mu, steps)
+                gossip_round(agents, w, t, steps, debug=config.debug_checks)
+                del steps  # freed before the next round's are made
+                ce = consensus_error(model)
+                if not math.isfinite(ce):
+                    raise NonFiniteError("non-finite consensus error")
+            except (NonFiniteError, InvariantError) as exc:
+                exc.args = (f"task {t}, round {r}: {exc}",)
+                raise
+            logs.extend(
+                LogRecord(
+                    task=t,
+                    round=r,
+                    agent=i,
+                    loss=float(loss[i]),
+                    ce=ce,
+                    mu=float(mu[i]),
+                    scalars_sent=sent[i],
+                )
+                for i in range(n)
+            )
+        # the boundary sync: every agent takes the average
+        for a in param_arrays(model):
+            a[...] = a.mean(axis=0)
+        if projection:
+            eps_th = config.threshold.value(t)
+            gpm_broadcast(agents, shards, t, eps_th, config, pick_stream)
+        if method == "dewc":
+            fisher = _fisher_phase(model, shards, t, fisher, config.ewc_mode)
+            # the next task steps the penalty explicitly, x -= eta lam F (x - anchor),
+            # which is stable only while eta lam F < 2 on every entry of the summed F
+            f_max = max(float(sum(f).max()) for f in zip(*(s.f for s in fisher)))
+            stiff = config.eta * config.lam * f_max
+            if stiff >= 2.0 and not stiff_warned and t + 1 < t_count:
+                stiff_warned = True
+                log.warning(
+                    "dewc penalty after task %d has eta*lambda*max(F) = %.1f, "
+                    "not below 2: the explicit penalty step can diverge",
+                    t,
+                    stiff,
+                )
+        ledger.append(price_task(agents, t, method, sizes, total_rounds, messages))
+        view = model.view(0)
+        for i in [t] if method == "stl" else range(t + 1):
+            test = sequence.tasks[i]
+            pred = np.argmax(forward(view, test.test_x, i).logits, axis=1)
+            matrix.set(t, i, float(np.mean(pred == test.test_y)))
+    return RunResult(
+        method=method,
+        accuracy=matrix,
+        ledger=ledger,
+        logs=logs,
+        final_params=flatten_params(agents.model.view(0)),
+        gpm=agents.memory if projection else None,
+    )

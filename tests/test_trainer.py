@@ -550,6 +550,18 @@ def test_library_config_is_held_to_the_cli_limits():
             run(_config("ring", 4, eta=eta), seq)
 
 
+def test_library_thresholds_are_held_to_the_cli_limits():
+    """A falling schedule is rejected when it is made, and a threshold
+    outside (0, 1) under every method, not only the projected ones."""
+    seq = generate_synthetic_sequence(3, 2, 16, 40, 6)
+    for increment in (-0.01, float("nan")):
+        with pytest.raises(ValueError, match="threshold increment must be non-negative"):
+            run(_config("ring", 4, threshold=ThresholdSchedule(0.97, increment)), seq)
+    stray = ThresholdSchedule(1.5, 0.0)
+    with pytest.raises(ValueError, match=r"threshold 1.5 for task 0 is outside \(0, 1\)"):
+        run(_config("ring", 4, method="dewc", threshold=stray), seq)
+
+
 def test_input_width_mismatch_rejected():
     seq = generate_synthetic_sequence(1, 2, 8, 40, 6)
     with pytest.raises(ValueError):
