@@ -16,6 +16,10 @@ A model may carry leading axes in front of every array (``lead``): a stack
 of N agents holds trunk layers of shape (N, n_in, n_out) and heads of shape
 (N, d, c), and ``forward``, ``backward`` and ``loss_and_grad`` treat each
 leading index as an independent model with its own batch.
+
+A trunk layer may be held factored (``Mlp.factor``) as ``x0 + o c``: ``x0``
+and an orthonormal ``o`` (n_in, k) shared by a stack, and each model's
+coefficients ``c`` (k, n_out) in ``layers``, which is what trains.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ class ForwardTrace:
     """Per-layer input activations captured during a forward pass."""
 
     inputs: list[np.ndarray]  # one (*lead, batch, n_l) array per trunk layer
+    coords: list[np.ndarray]  # the inputs in each layer's coordinates: X or X o
     head_input: np.ndarray  # (*lead, batch, dims[-1])
     logits: np.ndarray  # (*lead, batch, classes)
 
@@ -53,6 +58,8 @@ class Mlp:
         )
         self.heads: dict[int, np.ndarray] = {}
         self.head_biases: dict[int, np.ndarray] = {}
+        # (x0, o) while layer l is held as x0 + o layers[l] (``factor``)
+        self.bases: list[tuple | None] = [None] * len(self.layers)
 
     def _map(self, fn, lead: tuple[int, ...]) -> "Mlp":
         other = Mlp(self.dims, self.use_bias)
@@ -62,6 +69,7 @@ class Mlp:
             other.layer_biases = [fn(b) for b in self.layer_biases]
         other.heads = {t: fn(w) for t, w in self.heads.items()}
         other.head_biases = {t: fn(b) for t, b in self.head_biases.items()}
+        other.bases = list(self.bases)
         return other
 
     def stacked(self, n: int) -> "Mlp":
@@ -80,6 +88,22 @@ class Mlp:
         self.heads[task] = np.broadcast_to(head, (*self.lead, *head.shape)).copy()
         if self.use_bias:
             self.head_biases[task] = np.zeros((*self.lead, classes))
+
+    def factor(self, l: int, o: np.ndarray) -> None:
+        """Hold trunk layer l as ``x0 + o c``: ``x0`` is the first model's
+        layer, which every model must share, and each ``c`` starts at 0."""
+        x0 = self.layers[l][(0,) * len(self.lead)].copy()
+        self.bases[l] = (x0, o)
+        self.layers[l] = np.zeros((*self.lead, o.shape[1], x0.shape[1]))
+
+    def fold(self) -> None:
+        """Hold every layer plain again, as the first model's ``x0 + o c``,
+        which every model must share."""
+        for l, base in enumerate(self.bases):
+            if base is not None:
+                x = base[0] + base[1] @ self.layers[l][(0,) * len(self.lead)]
+                self.layers[l] = np.broadcast_to(x, (*self.lead, *x.shape)).copy()
+        self.bases = [None] * len(self.layers)
 
 
 def _glorot(n_in: int, n_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -112,18 +136,21 @@ def forward(model: Mlp, batch: np.ndarray, task: int) -> ForwardTrace:
         )
     if task not in model.heads:
         raise ValueError(f"no head for task {task}")
-    inputs = []
+    inputs, coords = [], []
     act = batch
-    for l, w in enumerate(model.layers):
+    for l, (w, base) in enumerate(zip(model.layers, model.bases)):
         inputs.append(act)
-        z = act @ w
+        coords.append(act if base is None else act @ base[1])
+        z = coords[-1] @ w
+        if base is not None:
+            z += act @ base[0]
         if model.layer_biases is not None:
             z += model.layer_biases[l][..., np.newaxis, :]
         act = np.maximum(z, 0.0, out=z)
     logits = act @ model.heads[task]
     if model.use_bias:
         logits += model.head_biases[task][..., np.newaxis, :]
-    return ForwardTrace(inputs=inputs, head_input=act, logits=logits)
+    return ForwardTrace(inputs=inputs, coords=coords, head_input=act, logits=logits)
 
 
 def _output_delta(
@@ -164,21 +191,24 @@ def _layer_deltas(model: Mlp, trace: ForwardTrace, d: np.ndarray, task: int):
         dzs[l] = np.multiply(upstream, post > 0.0, out=upstream)
         if l:
             upstream = dzs[l] @ _t(model.layers[l])
+            base = model.bases[l]
+            if base is not None:  # dz (x0 + o c)^T
+                upstream = upstream @ base[1].T + dzs[l] @ base[0].T
     return dzs
 
 
 def backward(
     model: Mlp, batch: np.ndarray, labels: np.ndarray, task: int
-) -> tuple[float | np.ndarray, list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+) -> tuple[float | np.ndarray, ForwardTrace, list[np.ndarray], list[np.ndarray]]:
     """Mean cross-entropy over the batch, and its gradients left factored.
 
-    Returns the loss, each trunk layer's input ``X_l`` (*lead, batch, n_l)
-    and pre-activation delta ``dz_l`` (*lead, batch, n_out) of the mean
-    loss, and the gradients of the arrays that follow the trunk layers in
-    ``task_params(model, task)``: the layer biases, the head and the head
-    bias.  Trunk layer l's gradient is ``X_l^T dz_l``, so its columns lie in
-    the span of the batch's layer inputs; the caller forms it
-    (``loss_and_grad`` as it is, ``local_step`` from projected inputs).
+    Returns the loss, the forward trace, each trunk layer's pre-activation
+    delta ``dz_l`` (*lead, batch, n_out) of the mean loss, and the gradients
+    of the arrays that follow the trunk layers in ``task_params(model,
+    task)``: the layer biases, the head and the head bias.  The gradient of
+    trunk layer l's stored array is ``trace.coords[l]^T dz_l``: ``X_l^T
+    dz_l`` for a plain layer, whose columns lie in the span of the batch's
+    layer inputs, and ``(X_l o)^T dz_l`` for a factored one.
     """
     trace, loss, d = _output_delta(model, batch, labels, task)
     d /= d.shape[-2]
@@ -187,7 +217,7 @@ def backward(
     rest.append(_t(trace.head_input) @ d)
     if model.use_bias:
         rest.append(d.sum(axis=-2))
-    return loss, trace.inputs, dzs, rest
+    return loss, trace, dzs, rest
 
 
 def loss_and_grad(
@@ -198,8 +228,8 @@ def loss_and_grad(
 
     For a stacked model the loss is an array over the leading axes.
     """
-    loss, inputs, dzs, rest = backward(model, batch, labels, task)
-    return loss, [_t(x) @ dz for x, dz in zip(inputs, dzs)] + rest
+    loss, trace, dzs, rest = backward(model, batch, labels, task)
+    return loss, [_t(x) @ dz for x, dz in zip(trace.coords, dzs)] + rest
 
 
 def sample_deltas(

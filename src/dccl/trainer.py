@@ -5,12 +5,13 @@ then the boundary average, the memory growth (or the Fisher phase) and the
 evaluation.  Every round, each agent takes one (optionally projected) SGD
 step on its own shard, then a gossip exchange mixes parameters using each
 agent's running aggregate of neighbor states.  A projected trunk update
-lies in the span of the memory's complement ``o``, so its subspace
-coefficients decode back to it exactly: compression changes what the ledger
-charges, not the arithmetic, and the compressed run is the uncompressed one
-bit for bit.  The memory is fixed within a task, so the ledger prices each
-task once from its widths (``price_task``); the rounds, the boundary sync,
-the basis broadcast and the Fisher phase only compute.
+lies in the span of the memory's complement ``o`` and every agent starts
+the task from the same ``x0``, so a layer with a memory is held as ``x0 +
+o c``: the passes, the step, the round and the consensus error work on the
+coefficients ``c``, which are what the codec sends, and the boundary folds
+the average ``c`` into ``x0`` once.  Compression changes what the ledger
+charges, not the arithmetic.  The memory is fixed within a task, so the
+ledger prices each task once (``price_task``).
 
 All agents share model shapes and step in lockstep, so their state is held
 stacked: every parameter array and tracked aggregate has a leading agent
@@ -46,7 +47,6 @@ from .gpm import (
     GpmState,
     ThresholdSchedule,
     descent_check,
-    project,
     update_memory,
 )
 from .metrics import AccuracyMatrix
@@ -83,19 +83,23 @@ class NonFiniteError(ArithmeticError):
 
 
 class InvariantError(RuntimeError):
-    """A ``debug_checks`` invariant failed: descent, mu, span or tracking."""
+    """A ``debug_checks`` invariant failed: descent, mu, norm split or tracking."""
+
+
+def _entropy(seed: int, *rest: int) -> np.ndarray:
+    """The uint32 words ``SeedSequence`` makes of ``(seed, *rest)``: the
+    seed's little-endian 32-bit words, then one word per value of ``rest``."""
+    seed = int(seed)
+    words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    return np.array(words + [int(v) for v in rest], dtype=np.uint32)
 
 
 def derive_rng(*entropy: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=tuple(int(e) for e in entropy))
-    )
+    return np.random.default_rng(np.random.SeedSequence(_entropy(*entropy)))
 
 
 def _derive_int(*entropy: int) -> int:
-    return int(
-        np.random.SeedSequence(entropy=tuple(int(e) for e in entropy)).generate_state(1)[0]
-    )
+    return int(np.random.SeedSequence(_entropy(*entropy)).generate_state(1)[0])
 
 
 @dataclass
@@ -179,7 +183,8 @@ def _per_agent(x: np.ndarray) -> np.ndarray:
 
 
 def consensus_error(model: Mlp) -> float:
-    """Mean squared distance of agent parameters from their average."""
+    """Mean squared distance of agent parameters from their average; a
+    factored layer's is its coefficients', as its ``o`` is orthonormal."""
     total = 0.0
     for a in param_arrays(model):
         dev = a - a.mean(axis=0)
@@ -205,8 +210,10 @@ def _require(ok: np.ndarray, what: str, *values: np.ndarray) -> None:
 def _check_tracking(agents: Agents, w: np.ndarray, task: int) -> None:
     arrays = task_params(agents.model, task)
     for k, (x, agg) in enumerate(zip(arrays, agents.aggregates)):
-        drift = np.max(np.abs(_per_agent(_mix(w, x) - agg)), axis=1)
-        _require(drift <= 1e-9, f"array {k}: " + "aggregate drifted by {}", drift)
+        drift = np.max(np.abs(_per_agent(_mix(w, x) - agg)), axis=1, initial=0.0)
+        # rounding grows with the aggregate, so a large one is held relative to its size
+        scale = np.max(np.abs(_per_agent(agg)), axis=1, initial=1.0)
+        _require(drift <= 1e-9 * scale, f"array {k}: " + "aggregate drifted by {}", drift)
 
 
 def _check_finite(loss: np.ndarray, mu: np.ndarray, steps: list[np.ndarray]) -> None:
@@ -224,15 +231,15 @@ def _check_finite(loss: np.ndarray, mu: np.ndarray, steps: list[np.ndarray]) -> 
         raise NonFiniteError(f"agent {agent} has non-finite {what}")
 
 
-def _sq_norms(a: np.ndarray) -> np.ndarray:
-    """Squared norm of each agent's array, with no temporary of ``a``'s size."""
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product of each agent's arrays, with no temporary of their size."""
     n = len(a)
-    return (a.reshape(n, 1, -1) @ a.reshape(n, -1, 1)).reshape(n)
+    return (a.reshape(n, 1, -1) @ b.reshape(n, -1, 1)).reshape(n)
 
 
 def _check_descent(g: np.ndarray, gt: np.ndarray, lost: np.ndarray, layer: int) -> None:
     ip = descent_check(g, gt)
-    gsq, tsq = _sq_norms(g), _sq_norms(gt)
+    gsq, tsq = _dots(g, g), _dots(gt, gt)
     slack = 1e-8 * gsq + 1e-300
     at = f"layer {layer}: "
     _require(ip >= -1e-12, at + "descent check failed: <g, g~> = {}", ip)
@@ -240,6 +247,17 @@ def _check_descent(g: np.ndarray, gt: np.ndarray, lost: np.ndarray, layer: int) 
     _require(identity, at + "projection identity violated: {} vs {}", ip, tsq)
     split = np.abs(gsq - tsq - lost) <= slack
     _require(split, at + "norm split violated: {} vs {} + {}", gsq, tsq, lost)
+
+
+def _lost_sq(x: np.ndarray, m: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """``||(X m)^T dz||^2`` per agent, formed directly while ``(X m)^T dz``
+    is no larger than the batch, else from the batch-sized Grams
+    ``<(X m)(X m)^T, dz dz^T>``: no temporary of the layer's size."""
+    xm = x @ m
+    if m.shape[1] * dz.shape[-1] <= dz.shape[-2] * (m.shape[1] + dz.shape[-1]):
+        xm = xm.swapaxes(-1, -2) @ dz
+        return _dots(xm, xm)
+    return _dots(xm @ xm.swapaxes(-1, -2), dz @ dz.swapaxes(-1, -2))
 
 
 def _gradients(
@@ -253,22 +271,19 @@ def _gradients(
     debug: bool,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Loss, mu and the gradients of ``local_step``, before any scaling."""
-    loss, inputs, deltas, rest = backward(model, bx, by, task)
+    loss, trace, deltas, rest = backward(model, bx, by, task)
     kept_sq = np.zeros(len(loss))  # ||g~||^2 over the trunk
     lost_sq = np.zeros(len(loss))  # ||m^T g||^2 over the trunk
     grads = []
-    for l, (x, dz, basis) in enumerate(zip(inputs, deltas, gpm.layers)):
-        xt = x.swapaxes(-1, -2)
-        if projection and basis.rank:
-            g = project(xt, basis.m) @ dz
-            lost = _sq_norms((basis.m.T @ xt) @ dz)
+    for l, (x, dz, basis) in enumerate(zip(trace.inputs, deltas, gpm.layers)):
+        g = trace.coords[l].swapaxes(-1, -2) @ dz
+        if model.bases[l] is not None:
+            lost = _lost_sq(x, basis.m, dz)
             if debug:
-                _check_descent(xt @ dz, g, lost, l)
+                _check_descent(x.swapaxes(-1, -2) @ dz, basis.o @ g, lost, l)
             lost_sq += lost
-        else:
-            g = xt @ dz
         if projection:
-            kept_sq += _sq_norms(g)
+            kept_sq += _dots(g, g)
         grads.append(g)
     mu = np.ones(len(loss))
     if projection:
@@ -297,15 +312,15 @@ def local_step(
 
     Returns loss, mu and the steps ``-eta * g~`` lined up with
     ``task_params(model, task)``; the model is not changed.  The steps are
-    new arrays that ``gossip_round`` consumes.  With projection on, a trunk
-    layer's gradient ``g = X^T dz`` is taken from its projected batch
-    inputs, ``g~ = project(X^T, m) dz``, and the raw ``g`` is formed only
-    by the ``debug`` checks; a layer with an empty memory is not projected,
-    and one whose memory is saturated steps by exact zeros.
-    ``mu`` is the projected-to-raw trunk gradient norm ratio per agent,
-    with ``||g||^2 = ||g~||^2 + ||(m^T X^T) dz||^2``.  Without projection,
-    every state in ``fisher_states`` (empty but for ``dewc``) adds its
-    penalty to the trunk gradients.
+    new arrays that ``gossip_round`` consumes.  A trunk layer that the
+    model holds factored over its memory's complement, ``x0 + o c``, steps
+    its coefficients by ``-eta (X o)^T dz``: the projected gradient
+    ``project(X^T dz, m)`` in ``o`` coordinates, of width 0 for a saturated
+    memory.  The raw ``g = X^T dz`` is formed only by the ``debug`` checks.
+    With projection on, ``mu`` is the projected-to-raw trunk gradient norm
+    ratio per agent, with ``||g||^2 = ||g~||^2 + ||(X m)^T dz||^2``.
+    Without projection, every state in ``fisher_states`` (empty but for
+    ``dewc``) adds its penalty to the trunk gradients.
     """
     # the layer inputs and deltas are freed before the dewc penalty's
     # temporaries are made
@@ -317,13 +332,6 @@ def local_step(
     for g in grads:
         g *= -eta
     return loss, mu, grads
-
-
-def _check_leak(q: np.ndarray, m: np.ndarray, layer: int) -> None:
-    qn = np.sqrt(np.sum(q * q, axis=(-2, -1)))
-    leak = np.sqrt(np.sum((m.T @ q) ** 2, axis=(-2, -1)))
-    what = f"layer {layer}: update leaks outside the transmittable span: "
-    _require(leak <= 1e-8 * qn + 1e-300, what + "{} vs norm {}", leak, qn)
 
 
 def gossip_round(
@@ -343,18 +351,16 @@ def gossip_round(
     ``x + q``, and every aggregate takes in ``W q``, one mixing product
     written into ``d``'s buffer: the round consumes ``steps``.
 
-    A projected trunk update lies in span(o) of ``agents.memory``, so the
-    coefficients ``o^T q`` the codec sends decode back to ``q``: the round
-    mixes ``q`` whatever travels (``debug`` checks the span), and
-    ``message_sizes`` prices a message once per task.
+    A trunk layer held factored is its coefficients ``c``, so its update
+    is the coefficients the codec sends, and its aggregate tracks ``sum_j
+    w_ij c_j``: the round never forms the layer, and an update outside the
+    memory's complement cannot be represented.
     """
     arrays = task_params(agents.model, task)
-    for l, (x, d, agg) in enumerate(zip(arrays, steps, agents.aggregates)):
+    for x, d, agg in zip(arrays, steps, agents.aggregates):
         q = agg - x  # gossip term first: it cancels exactly at a consensus fixed point
         q += d
         x += q
-        if debug and l < len(agents.memory.layers):
-            _check_leak(q, agents.memory.layers[l].m, l)
         # d entered q, so its buffer takes the mixing product
         agg += np.matmul(w, _per_agent(q), out=_per_agent(d)).reshape(agg.shape)
         del q  # freed before the next array's update is formed
@@ -368,9 +374,10 @@ def fanout(w: np.ndarray) -> np.ndarray:
 
 
 def message_sizes(model: Mlp, memory: GpmState, task: int, compression: bool) -> list[int]:
-    """Scalars one message carries per array of ``task_params(model, task)``:
-    a compressed trunk layer's coefficients ``o^T q`` are ``o.shape[1] *
-    cols``, every other array travels raw.  Fixed while the memory is."""
+    """Scalars one message carries per array of ``task_params(model, task)``
+    of the plain model: a compressed trunk layer's coefficients are
+    ``o.shape[1] * cols``, every other array travels raw.  Fixed while the
+    memory is."""
     sizes = [x[0].size for x in task_params(model, task)]
     if compression:
         for l, (x, basis) in enumerate(zip(model.layers, memory.layers)):
@@ -482,9 +489,11 @@ def _batches(
     # would give), repeated to length and shifted to the shard's offset
     idx = np.empty((len(shards), rounds * size), dtype=np.int64)
     cycle = np.arange(rounds * size)
+    entropy = _entropy(seed, TAG_BATCH, 0, task, epoch)
     offset = 0
     for i, (shard, row) in enumerate(zip(shards, idx)):
-        seq = np.random.SeedSequence((seed, TAG_BATCH, i, task, epoch))
+        entropy[-3] = i  # the agent's word
+        seq = np.random.SeedSequence(entropy)
         perm = np.random.Generator(np.random.PCG64(seq)).permutation(len(shard))
         perm += offset
         perm.take(cycle, mode="wrap", out=row)
@@ -534,13 +543,18 @@ def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
         shards = shard_iid(data, n, _derive_int(config.seed, TAG_SHARD, t))
         pool_x = np.concatenate([s.examples for s in shards])
         pool_y = np.concatenate([s.labels for s in shards])
+        sizes = message_sizes(model, agents.memory, t, method == "codec")
+        sent = [sum(sizes) * int(k) for k in receivers]
+        # every update of the task lies in span(o), so a layer with a memory
+        # trains and gossips its coefficients over the shared start
+        for l, basis in enumerate(agents.memory.layers):
+            if basis.rank:
+                model.factor(l, basis.o)
         # task starts from consensus, so the own state is the aggregate
         agents.aggregates = [x.copy() for x in task_params(model, t)]
         max_shard = max(len(s) for s in shards)
         rounds_per_epoch = math.ceil(max_shard / config.batch_size)
         total_rounds = config.epochs * rounds_per_epoch
-        sizes = message_sizes(model, agents.memory, t, method == "codec")
-        sent = [sum(sizes) * int(k) for k in receivers]
         batches = (
             idx
             for epoch in range(config.epochs)
@@ -589,6 +603,7 @@ def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
         # the boundary sync: every agent takes the average
         for a in param_arrays(model):
             a[...] = a.mean(axis=0)
+        model.fold()  # plain layers for the memory, the Fisher and the evaluation
         if projection:
             eps_th = config.threshold.value(t)
             gpm_broadcast(agents, shards, t, eps_th, config, pick_stream)

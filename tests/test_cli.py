@@ -179,10 +179,28 @@ def test_non_finite_mu_or_consensus_error_stops_the_run(
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_diverging_run_with_live_checks_names_the_blow_up(tmp_path, capsys):
+    """The aggregates grow to about 3e7 before the loss overflows, so the
+    tracking check holds their drift relative to their size and the run
+    stops on the non-finite loss, not on a rounding-level drift."""
+    out = tmp_path / "diverged"
+    rc = main([
+        "run", "--method", "dewc", "--topology", "torus:2x3", "--agents", "6",
+        "--tasks", "3", "--out", str(out), "--set", "use_bias=true",
+        "--set", "lr_decay=true", "--set", "debug_checks=true",
+    ])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert re.search(r"^error: task 2, round \d+: agent \d+ has non-finite loss$", err, re.M), err
+    assert not out.exists()
+
+
 def test_saturated_layer_is_frozen_and_passes_the_live_checks(tmp_path, capsys):
-    """Layer 0's memory spans its four inputs after the first task, so its
-    steps from then on are exact zeros and the span check has nothing to
-    flag."""
+    """Layer 0's memory spans its four inputs after the first task, so from
+    then on it trains coefficients of width 0 and cannot move, and the live
+    checks pass."""
     out = tmp_path / "saturated"
     rc = main([
         "run", "--method", "codec", "--topology", "ring", "--agents", "4",
@@ -198,8 +216,8 @@ def test_saturated_layer_is_frozen_and_passes_the_live_checks(tmp_path, capsys):
 def test_a_broken_invariant_exits_one_naming_its_cause(
     tmp_path, capsys, monkeypatch
 ):
-    # a projection that keeps the memory's component breaks the norm split
-    monkeypatch.setattr(dccl.trainer, "project", lambda g, m: g)
+    # a lost norm that drops the memory's share of the gradient breaks the norm split
+    monkeypatch.setattr(dccl.trainer, "_lost_sq", lambda x, m, dz: np.zeros(len(x)))
     out = tmp_path / "broken"
     args = _run_args(out, "--method", "codec", "--tasks", "2", "--set", "debug_checks=true")
     rc = main(args)

@@ -15,7 +15,7 @@ import copy
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dccl.ewc import fisher_estimate
@@ -186,6 +186,17 @@ def _custom_graph(n, rng):
     lr_decay=st.booleans(),
     ewc_mode=st.sampled_from(EWC_MODES),
     seed=st.integers(0, 2**31 - 1),
+)
+# layer 0 (width 2) saturates after task 0, so tasks 1 and 2 train it with
+# coefficients of width 0 beside a factored layer 1 of rank 1
+@example(
+    method="codec", graph="ring", n=3, tasks=3, use_bias=False, lr_decay=False,
+    ewc_mode="online", seed=14,
+)
+# the coefficient state with biases and the step-size decay on torus:2x3
+@example(
+    method="codec", graph="torus", n=6, tasks=3, use_bias=True, lr_decay=True,
+    ewc_mode="online", seed=6,
 )
 def test_run_matches_the_per_agent_reference(
     method, graph, n, tasks, use_bias, lr_decay, ewc_mode, seed

@@ -1,5 +1,6 @@
 """Round mechanics, consensus behavior, lossless compression, determinism."""
 
+import copy
 import dataclasses
 import tracemalloc
 
@@ -22,9 +23,9 @@ from dccl.tasks import generate_synthetic_sequence, shard_iid
 from dccl.topology import build_mixing, parse_topology
 import dccl.trainer
 from dccl.trainer import (
+    TAG_BATCH,
     TAG_SHARD,
     Agents,
-    InvariantError,
     NonFiniteError,
     TrainConfig,
     consensus_error,
@@ -35,6 +36,7 @@ from dccl.trainer import (
     message_sizes,
     reset_aggregates,
     run,
+    _batches,
     _derive_int,
 )
 
@@ -231,19 +233,50 @@ def test_stacked_round_matches_per_message_reference(
     assert sum(sizes[n_layers:]) == extra
 
 
-def test_a_round_rejects_an_update_outside_the_transmittable_span():
-    """The round sends trunk updates as they are, so one with a component
-    in span(m) would reach the neighbors; ``debug`` stops it instead."""
-    rng = np.random.default_rng(3)
-    n, dims = 4, [5, 4, 3]
-    stacked, layers, steps, aggs = _round_inputs(rng, n, dims, False)
-    layers[1] = LayerBasis(m=np.eye(4)[:, :2], o=np.eye(4)[:, 2:])
-    steps[1] = rng.standard_normal(steps[1].shape)
-    aggs[1] = task_params(stacked, 0)[1].copy()
-    agents = Agents(model=stacked, memory=GpmState(layers=layers), aggregates=aggs)
-    mixing = build_mixing(parse_topology("ring", n))
-    with pytest.raises(InvariantError, match="agent 0 layer 1: update leaks outside"):
-        gossip_round(agents, mixing, 0, steps, debug=True)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 6),
+    kind=st.sampled_from(["ring", "full"]),
+    use_bias=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_factored_round_is_the_plain_round_in_the_complement(
+    n, kind, use_bias, seed
+):
+    """Rounds on the coefficients ``c`` of layers held as ``x0 + o c`` move
+    every agent as rounds on the plain layers with steps ``o d`` do, to
+    1e-12 of the largest magnitude, and no agent leaves ``x0 + span(o)``:
+    an update with a span(m) component cannot be represented."""
+    rng = np.random.default_rng(seed)
+    dims = [int(d) for d in rng.integers(1, 6, size=3)]
+    model = init_mlp(dims, rng, use_bias)
+    model.add_head(0, 3, rng)
+    plain, factored = model.stacked(n), model.stacked(n)
+    layers = []
+    for l, width in enumerate(dims[:-1]):
+        q, _ = np.linalg.qr(rng.standard_normal((width, width)))
+        layers.append(LayerBasis(m=q[:, : l + 1], o=q[:, l + 1 :]))
+        factored.factor(l, layers[-1].o)
+    mixing = build_mixing(parse_topology(kind, n))
+    a = Agents(model=plain, memory=GpmState(layers=layers))
+    b = Agents(model=factored, memory=a.memory)
+    reset_aggregates(a, mixing, 0)
+    reset_aggregates(b, mixing, 0)
+    for _ in range(3):
+        steps = [rng.standard_normal(x.shape) for x in task_params(factored, 0)]
+        lifted = [basis.o @ d for basis, d in zip(layers, steps)]
+        gossip_round(a, mixing, 0, lifted + [d.copy() for d in steps[len(layers):]])
+        gossip_round(b, mixing, 0, steps, debug=True)
+    for l, (basis, c) in enumerate(zip(layers, factored.layers)):
+        x0 = factored.bases[l][0]
+        want = plain.layers[l]
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(x0 + basis.o @ c - want)) <= 1e-12 * scale
+        assert np.max(np.abs(basis.m.T @ (want - x0))) <= 1e-12 * scale
+    rest = zip(task_params(factored, 0)[len(layers):], task_params(plain, 0)[len(layers):])
+    for x, want in rest:
+        scale = np.max(np.abs(want), initial=0.0)
+        assert np.max(np.abs(x - want), initial=0.0) <= 1e-12 * scale
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -271,22 +304,25 @@ def test_steps_are_minus_eta_g_and_a_round_spares_other_heads(
     task = int(rng.integers(0, heads))
     bx = rng.standard_normal((n, 4, dims[0]))
     by = rng.integers(0, 3, size=(n, 4))
-    before = {t: [p.copy() for p in task_params(model, t)] for t in range(heads)}
     _, raw = loss_and_grad(model, bx, by, task)
     grads = list(raw)
-    if projection:
+    if projection:  # as a run holds a layer with a memory: x0 + o c
         for l, basis in enumerate(layers):
             grads[l] = project(grads[l], basis.m)
+            if basis.rank:
+                model.factor(l, basis.o)
+    before = {t: [p.copy() for p in task_params(model, t)] for t in range(heads)}
     _, _, steps = local_step(
         model, agents.memory, bx, by, task, 0.3, projection=projection
     )
     assert [d.shape for d in steps] == [p.shape for p in task_params(model, task)]
-    for d, g, r in zip(steps, grads, raw):
-        if projection:
-            # taken from projected inputs, project(X^T, m) dz: the same
-            # step, rounded otherwise, so held to the raw step's scale
+    for l, (d, g, r) in enumerate(zip(steps, grads, raw)):
+        if l < len(layers) and model.bases[l] is not None:
+            # the coefficients (X o)^T dz of the projected step, rounded
+            # otherwise, so held to the raw step's scale
             scale = np.max(np.abs(0.3 * r), initial=0.0)
-            assert np.max(np.abs(d + 0.3 * g), initial=0.0) <= 1e-12 * scale
+            err = np.max(np.abs(layers[l].o @ d + 0.3 * g), initial=0.0)
+            assert err <= 1e-12 * scale
         else:
             assert np.array_equal(d, -0.3 * g)
     for t, kept in before.items():
@@ -312,15 +348,16 @@ def test_steps_are_minus_eta_g_and_a_round_spares_other_heads(
 def test_input_space_projection_matches_the_projected_gradient(
     n, use_bias, batch, seed
 ):
-    """Steps taken from projected layer inputs are ``-eta project(g, m)``
-    and mu is ``||g~|| / ||g||``, at every pair of layer ranks from empty
-    to saturated, to 1e-12 of the largest magnitude."""
+    """Steps taken on a layer held as ``x0 + o c`` are the coefficients of
+    ``-eta project(g, m)`` and mu is ``||g~|| / ||g||``, at every pair of
+    layer ranks from empty to saturated, to 1e-12 of the largest
+    magnitude."""
     rng = np.random.default_rng(seed)
     dims = [int(d) for d in rng.integers(1, 6, size=3)]
     model = init_mlp(dims, rng, use_bias).stacked(n)
     model.add_head(0, 3, rng)
-    for x in task_params(model, 0):
-        x += 0.1 * rng.standard_normal(x.shape)
+    for x in task_params(model, 0):  # one start for all, as after a boundary
+        x += 0.1 * rng.standard_normal(x.shape[1:])
     bx = rng.standard_normal((n, batch, dims[0]))
     by = rng.integers(0, 3, size=(n, batch))
     _, raw = loss_and_grad(model, bx, by, 0)
@@ -331,9 +368,14 @@ def test_input_space_projection_matches_the_projected_gradient(
             layers = [
                 LayerBasis(m=q[:, :r], o=q[:, r:]) for q, r in zip(qs, (r0, r1))
             ]
+            factored = copy.deepcopy(model)
+            for l, b in enumerate(layers):
+                if b.rank:
+                    factored.factor(l, b.o)
             _, mu, steps = local_step(
-                model, GpmState(layers=layers), bx, by, 0, eta, projection=True
+                factored, GpmState(layers=layers), bx, by, 0, eta, projection=True
             )
+            steps[:2] = [b.o @ d if b.rank else d for b, d in zip(layers, steps)]
             want = [project(g, b.m) for g, b in zip(raw, layers)] + raw[2:]
             for d, w, g in zip(steps, want, raw):
                 err = np.max(np.abs(d + eta * w), initial=0.0)
@@ -391,6 +433,26 @@ def test_runs_are_deterministic():
     assert [(r.task, r.round, r.agent, r.loss, r.ce, r.mu, r.scalars_sent) for r in a.logs] == [
         (r.task, r.round, r.agent, r.loss, r.ce, r.mu, r.scalars_sent) for r in b.logs
     ]
+
+
+@pytest.mark.parametrize("seed", [0, 4, 2**32 - 1, 2**32, 2**40 + 5, 2**70])
+def test_seed_streams_are_numpys_tuple_streams(seed):
+    """Entropy built as uint32 words gives the streams ``SeedSequence``
+    makes of the plain tuple, for seeds of 2**32 and above too."""
+    want = np.random.default_rng(np.random.SeedSequence((seed, 4, 3, 2, 1)))
+    got = derive_rng(seed, 4, 3, 2, 1)
+    assert np.array_equal(got.integers(0, 2**62, 16), want.integers(0, 2**62, 16))
+    state = np.random.SeedSequence((seed, TAG_SHARD, 3)).generate_state(1)[0]
+    assert _derive_int(seed, TAG_SHARD, 3) == int(state)
+    shards = [range(7), range(5), range(6)]  # only their lengths are read
+    rows, offset = [], 0
+    for i, shard in enumerate(shards):
+        ss = np.random.SeedSequence((seed, TAG_BATCH, i, 2, 1))
+        perm = np.random.default_rng(ss).permutation(len(shard)) + offset
+        rows.append(perm[np.arange(4 * 3) % len(shard)])
+        offset += len(shard)
+    want_idx = np.stack(rows).reshape(3, 4, 3).swapaxes(0, 1)
+    assert np.array_equal(_batches(shards, seed, 2, 1, 4, 3), want_idx)
 
 
 def test_round_count_and_log_shape():
@@ -568,19 +630,23 @@ def test_input_width_mismatch_rejected():
         run(_config("ring", 4), seq)
 
 
-@pytest.mark.parametrize("method", ["codec", "dewc"])
-def test_round_heap_peak_stays_near_two_agent_stacks(method):
+@pytest.mark.parametrize("case", ["codec", "dewc", "codec_half_rank"])
+def test_round_heap_peak_stays_near_two_agent_stacks(case):
     """Heap peak of one local step, gossip round and consensus error at the
-    ``wide`` benchmark's shapes, in units of the exchanged agent stack.
+    ``wide`` benchmark's shapes, in units of the exchanged agent stack: the
+    plain layers of a first ``codec`` task or of ``dewc``, or, at a later
+    ``codec`` task whose memories are half rank, the coefficients of the
+    layers held as ``x0 + o c`` plus the live head.
 
     The steps are one stack, and the round's update ``q`` for the widest
     layer about one more; its mixing product goes into the spent step's
-    buffer.  Projection forms batch-sized arrays
-    and ``(m^T X^T) dz`` beside the steps, and ``dewc``'s penalty one
-    layer-sized temporary at a time, both below the round's peak.  One
-    more stack-sized temporary lifts the peak to 2.3-2.55 stacks: the raw
-    gradient projected as ``g - m m^T g``, ``lam * f * (x - x*)`` as one
-    expression, or a fresh mixing product.
+    buffer.  ``dewc``'s penalty forms one layer-sized temporary at a time,
+    and the factored step only batch-sized ones (its lost norm from the
+    ``(batch, batch)`` Grams), all below the round's peak.  One more
+    stack-sized temporary lifts the peak to 2.3-2.55 stacks:
+    ``lam * f * (x - x*)`` as one expression or a fresh mixing product;
+    in the factored case, ``(X m)^T dz`` lifts it to 2.34 and the plain
+    layer ``x0 + o c`` in the forward pass to 2.9.
     """
     rng = np.random.default_rng(0)
     dims, n = [64, 256, 128], 16
@@ -588,15 +654,20 @@ def test_round_heap_peak_stays_near_two_agent_stacks(method):
     model.add_head(0, 2, rng)
     for x in task_params(model, 0):
         x += 0.01 * rng.standard_normal(x.shape)
-    layers = []
-    for width in dims[:-1]:
-        q, _ = np.linalg.qr(rng.standard_normal((width, width)))
-        layers.append(LayerBasis(m=q[:, : width // 2], o=q[:, width // 2 :]))
-    agents = Agents(model=model, memory=GpmState(layers=layers))
+    memory = GpmState.fresh(dims[:-1])
+    if case == "codec_half_rank":
+        layers = []
+        for l, width in enumerate(dims[:-1]):
+            q, _ = np.linalg.qr(rng.standard_normal((width, width)))
+            layers.append(LayerBasis(m=q[:, : width // 2], o=q[:, width // 2 :]))
+            model.factor(l, layers[-1].o)
+            model.layers[l] += 0.01 * rng.standard_normal(model.layers[l].shape)
+        memory = GpmState(layers=layers)
+    agents = Agents(model=model, memory=memory)
     mixing = build_mixing(parse_topology("torus:4x4", n))
     reset_aggregates(agents, mixing, 0)
     fishers = ()
-    if method == "dewc":
+    if case == "dewc":
         trunk = trunk_params(model)
         fishers = (
             FisherState(
@@ -607,13 +678,12 @@ def test_round_heap_peak_stays_near_two_agent_stacks(method):
     bx = rng.standard_normal((n, 16, dims[0]))
     by = rng.integers(0, 2, size=(n, 16))
     stack = sum(x.nbytes for x in task_params(model, 0))
-    codec = method == "codec"
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         _, _, steps = local_step(
             model, agents.memory, bx, by, 0, 0.01,
-            projection=codec, fisher_states=fishers, lam=5000.0,
+            projection=case != "dewc", fisher_states=fishers, lam=5000.0,
         )
         gossip_round(agents, mixing, 0, steps)
         del steps
