@@ -1,6 +1,6 @@
 """Command-line experiment runner.
 
-`dccl run` trains one of five methods on a shared task sequence and writes
+`dccl run` trains one of four methods on a shared task sequence and writes
 `rounds.csv`, `accuracy_matrix.csv` and `summary.json` under the output
 directory.  `dccl validate` runs the checks `dccl run` makes before training
 and prints a mixing report.

@@ -8,11 +8,12 @@ same fact makes model deltas expressible in ``o`` coordinates, which is
 what the communication codec exploits: coefficients ``c = o^T q`` are
 (n-r)/n the size of ``q`` and decode back exactly via ``q = o c``.
 
-So the trainer never projects: during a task it holds a layer with a
-memory as ``x0 + o c`` and trains the coefficients ``c``, whose gradient
-``(X o)^T dz`` is the projected one and whose updates are the codec's
-messages.  While the memory is empty ``o = I`` and the layer stays plain;
-once it spans the whole input ``c`` has no rows, so the layer is frozen.
+So the trainer never projects, encodes or decodes: during a task it holds
+a layer with a memory as ``x0 + o c`` and trains the coefficients ``c``,
+whose gradient ``(X o)^T dz`` is the projected one and whose updates are
+the codec's messages.  While the memory is empty ``o = I`` and the layer
+stays plain; once it spans the whole input ``c`` has no rows, so the layer
+is frozen.
 """
 
 from __future__ import annotations
@@ -158,35 +159,6 @@ def update_memory(
             )
         )
     return GpmState(layers=new_layers)
-
-
-def encode(q: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """Subspace coefficients o^T q of an update; empty when o has no columns.
-
-    ``q`` may carry leading axes (one update per sender).
-    """
-    if q.shape[-2] != o.shape[0]:
-        raise ValueError(
-            f"update rows {q.shape[-2]} do not match basis rows {o.shape[0]}"
-        )
-    return o.T @ q
-
-
-def decode(c: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """Reconstruct an update o @ c from its subspace coefficients."""
-    if c.shape[-2] != o.shape[1]:
-        raise ValueError(
-            f"coefficient rows {c.shape[-2]} do not match basis columns {o.shape[1]}"
-        )
-    return o @ c
-
-
-def descent_check(g: np.ndarray, g_tilde: np.ndarray) -> float | np.ndarray:
-    """Inner product <g, g_tilde>; equals ||g_tilde||^2 for a projection.
-
-    One value per leading index when the gradients carry leading axes.
-    """
-    return np.sum(np.asarray(g) * np.asarray(g_tilde), axis=(-2, -1))
 
 
 def save_state(state: GpmState, path: str) -> None:

@@ -9,9 +9,10 @@ lies in the span of the memory's complement ``o`` and every agent starts
 the task from the same ``x0``, so a layer with a memory is held as ``x0 +
 o c``: the passes, the step, the round and the consensus error work on the
 coefficients ``c``, which are what the codec sends, and the boundary folds
-the average ``c`` into ``x0`` once.  Compression changes what the ledger
-charges, not the arithmetic.  The memory is fixed within a task, so the
-ledger prices each task once (``price_task``).
+the average ``c`` into ``x0`` once.  Each ledger record also prices the
+same traffic sent raw, its ``full`` side: the full-communication baseline.
+The memory is fixed within a task, so the ledger prices each task once
+(``price_task``).
 
 All agents share model shapes and step in lockstep, so their state is held
 stacked: every parameter array and tracked aggregate has a leading agent
@@ -43,12 +44,7 @@ from .ewc import (
     fisher_average,
     fisher_estimate,
 )
-from .gpm import (
-    GpmState,
-    ThresholdSchedule,
-    descent_check,
-    update_memory,
-)
+from .gpm import GpmState, ThresholdSchedule, update_memory
 from .metrics import AccuracyMatrix
 from .model import (
     Mlp,
@@ -74,7 +70,7 @@ TAG_BATCH = 4
 TAG_PICK = 5
 TAG_REP = 7
 
-METHODS = ("codec", "codec_fullcomm", "dewc", "stl", "naive")
+METHODS = ("codec", "dewc", "stl", "naive")
 EWC_MODES = ("online", "per_task")
 
 
@@ -238,7 +234,7 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _check_descent(g: np.ndarray, gt: np.ndarray, lost: np.ndarray, layer: int) -> None:
-    ip = descent_check(g, gt)
+    ip = _dots(g, gt)
     gsq, tsq = _dots(g, g), _dots(gt, gt)
     slack = 1e-8 * gsq + 1e-300
     at = f"layer {layer}: "
@@ -373,23 +369,12 @@ def fanout(w: np.ndarray) -> np.ndarray:
     return np.count_nonzero(w > 0.0, axis=0) - (np.diag(w) > 0.0)
 
 
-def message_sizes(model: Mlp, memory: GpmState, task: int, compression: bool) -> list[int]:
-    """Scalars one message carries per array of ``task_params(model, task)``
-    of the plain model: a compressed trunk layer's coefficients are
-    ``o.shape[1] * cols``, every other array travels raw.  Fixed while the
-    memory is."""
-    sizes = [x[0].size for x in task_params(model, task)]
-    if compression:
-        for l, (x, basis) in enumerate(zip(model.layers, memory.layers)):
-            sizes[l] = basis.o.shape[1] * x.shape[-1]
-    return sizes
-
-
 def price_task(
     agents: Agents, task: int, method: str, sizes: list[int], rounds: int, messages: int
 ) -> TaskComm:
-    """Task ``task``'s record, priced once its boundary phases ran, from its
-    ``message_sizes``, its rounds and the ``messages`` of one round."""
+    """Task ``task``'s record, priced once its boundary phases ran, from the
+    scalars one message carries per array of ``task_params`` while the task
+    trained, its rounds and the ``messages`` of one round."""
     model, memory = agents.model, agents.memory
     n = model.lead[0]
     n_layers = len(model.layers)
@@ -399,10 +384,9 @@ def price_task(
     if method == "dewc":  # the trunk Fisher diagonal, gathered and sent back
         fixed += 2 * (n - 1) * sum(p[0].size for p in trunk_params(model))
     basis = actual = 0
-    if method in ("codec", "codec_fullcomm"):  # the grown memory, to the others
-        basis = actual = (n - 1) * sum(b.dim * b.rank for b in memory.layers)
-        if method == "codec":  # with its complement, to decode by
-            actual = (n - 1) * sum(b.dim * b.dim for b in memory.layers)
+    if method == "codec":  # the grown memory, with its complement to decode by
+        basis = (n - 1) * sum(b.dim * b.rank for b in memory.layers)
+        actual = (n - 1) * sum(b.dim * b.dim for b in memory.layers)
     return TaskComm(
         task=task,
         layer_full=[sent * x[0].size for x in model.layers],
@@ -461,7 +445,7 @@ def check_run(config: TrainConfig, sequence: TaskSequence) -> None:
     if config.ewc_mode not in EWC_MODES:
         raise ValueError(f"unknown ewc mode {config.ewc_mode!r}")
     n = config.topology.n
-    projection = config.method in ("codec", "codec_fullcomm")
+    projection = config.method == "codec"
     for t, data in enumerate(sequence.tasks):
         rows = data.train_x.shape[0]
         if rows < n:
@@ -520,7 +504,7 @@ def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
     check_run(config, sequence)
     n = config.topology.n
     method = config.method
-    projection = method in ("codec", "codec_fullcomm")
+    projection = method == "codec"
     w = build_mixing(config.topology)
     t_count = len(sequence.tasks)
     matrix = AccuracyMatrix(t_count)
@@ -543,13 +527,14 @@ def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
         shards = shard_iid(data, n, _derive_int(config.seed, TAG_SHARD, t))
         pool_x = np.concatenate([s.examples for s in shards])
         pool_y = np.concatenate([s.labels for s in shards])
-        sizes = message_sizes(model, agents.memory, t, method == "codec")
-        sent = [sum(sizes) * int(k) for k in receivers]
         # every update of the task lies in span(o), so a layer with a memory
         # trains and gossips its coefficients over the shared start
         for l, basis in enumerate(agents.memory.layers):
             if basis.rank:
                 model.factor(l, basis.o)
+        # a message carries each array as held: a factored layer's c, raw otherwise
+        sizes = [x[0].size for x in task_params(model, t)]
+        sent = [sum(sizes) * int(k) for k in receivers]
         # task starts from consensus, so the own state is the aggregate
         agents.aggregates = [x.copy() for x in task_params(model, t)]
         max_shard = max(len(s) for s in shards)

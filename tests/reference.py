@@ -1,0 +1,149 @@
+"""A plain per-agent reference engine for whole runs of ``run``.
+
+The reference holds one ``Mlp`` per agent and sends every message on its
+own, as separate nodes would.  It reads as the algorithm: a projected
+(GPM, Saha, Garg & Roy 2021) or EWC-penalised local step ``d = -eta g~``,
+the CHOCO-SGD update ``q = (x_hat - x) + d`` (Koloskova, Stich & Jaggi
+2019), for ``codec`` encoded as the subspace coefficients ``o^T q`` and
+decoded as ``o c`` by each receiver into its tracked aggregate ``x_hat``,
+an average at every task boundary, the memory grown at one picked agent,
+and for ``dewc`` the averaged diagonal Fisher (Kirkpatrick et al. 2017).
+It draws from the same named seed streams as the engine, so both runs
+must agree up to rounding.
+"""
+
+import copy
+import math
+
+import numpy as np
+
+from dccl.ewc import fisher_estimate
+from dccl.gpm import GpmState, update_memory
+from dccl.model import (
+    capture_representation,
+    flatten_params,
+    forward,
+    init_mlp,
+    loss_and_grad,
+    task_params,
+    trunk_params,
+    unflatten_params,
+)
+from dccl.tasks import shard_iid
+from dccl.topology import build_mixing
+from dccl.trainer import (
+    TAG_BATCH,
+    TAG_HEAD,
+    TAG_INIT,
+    TAG_PICK,
+    TAG_REP,
+    TAG_SHARD,
+    TrainConfig,
+    _derive_int,
+    derive_rng,
+)
+
+
+def _lr(cfg, r, total):
+    if cfg.lr_decay and r / total >= 0.75:
+        return cfg.eta * 0.01
+    if cfg.lr_decay and r / total >= 0.5:
+        return cfg.eta * 0.1
+    return cfg.eta
+
+
+def reference_run(cfg: TrainConfig, seq):
+    """Train ``cfg.method`` over ``seq`` with one model per agent; returns
+    the accuracy matrix, the per-round log rows, the final parameters and
+    the final memory (``None`` but for ``codec``)."""
+    n, t_count = cfg.topology.n, len(seq.tasks)
+    w = build_mixing(cfg.topology)
+    projected = cfg.method == "codec"
+    n_layers = len(cfg.dims) - 1
+    pick = derive_rng(cfg.seed, TAG_PICK)
+    memory = GpmState.fresh(cfg.dims[:-1])
+    fishers = []  # (f, anchor) per penalty term, trunk arrays only
+    acc = np.full((t_count, t_count), np.nan)
+    logs = []
+    agents = []
+    bs = cfg.batch_size
+    for t, data in enumerate(seq.tasks):
+        if t == 0 or cfg.method == "stl":
+            init = init_mlp(cfg.dims, derive_rng(cfg.seed, TAG_INIT, t), cfg.use_bias)
+            agents = [copy.deepcopy(init) for _ in range(n)]
+        for a in agents:
+            a.add_head(t, len(data.classes), derive_rng(cfg.seed, TAG_HEAD, t))
+        shards = shard_iid(data, n, _derive_int(cfg.seed, TAG_SHARD, t))
+        # every agent starts the task from the common model, so the
+        # weighted sum of its neighbours' states is its own state
+        x_hat = [[p.copy() for p in task_params(a, t)] for a in agents]
+        per_epoch = math.ceil(max(len(s) for s in shards) / bs)
+        total = cfg.epochs * per_epoch
+        for r in range(total):
+            epoch, k = divmod(r, per_epoch)
+            eta = _lr(cfg, r, total)
+            steps, losses, mus = [], [], []
+            for i, (a, shard) in enumerate(zip(agents, shards)):
+                # each epoch walks the shard in a fresh order, wrapping around
+                order = derive_rng(cfg.seed, TAG_BATCH, i, t, epoch).permutation(len(shard))
+                rows = order[np.arange(k * bs, (k + 1) * bs) % len(shard)]
+                loss, g = loss_and_grad(a, shard.examples[rows], shard.labels[rows], t)
+                mu = 1.0
+                if projected:
+                    raw = math.sqrt(sum(np.sum(g[l] ** 2) for l in range(n_layers)))
+                    for l, basis in enumerate(memory.layers):
+                        g[l] = g[l] - basis.m @ (basis.m.T @ g[l])
+                    kept = math.sqrt(sum(np.sum(g[l] ** 2) for l in range(n_layers)))
+                    mu = kept / raw if raw else 1.0
+                for f, anchor in fishers:
+                    for j, p in enumerate(trunk_params(a)):
+                        g[j] = g[j] + cfg.lam * f[j] * (p - anchor[j])
+                steps.append([-eta * gk for gk in g])
+                losses.append(float(loss))
+                mus.append(mu)
+            updates = []
+            for a, h, d in zip(agents, x_hat, steps):
+                q = [(hk - p) + dk for p, hk, dk in zip(task_params(a, t), h, d)]
+                for p, qk in zip(task_params(a, t), q):
+                    p += qk
+                updates.append(q)
+            sent = []
+            for i, q in enumerate(updates):
+                msg = [
+                    memory.layers[l].o.T @ qk if projected and l < n_layers else qk
+                    for l, qk in enumerate(q)
+                ]
+                receivers = [j for j in range(n) if j != i and w[j, i] > 0.0]
+                sent.append(len(receivers) * sum(c.size for c in msg))
+                for l, qk in enumerate(q):
+                    x_hat[i][l] += w[i, i] * qk
+                for j in receivers:
+                    for l, c in enumerate(msg):
+                        dq = memory.layers[l].o @ c if projected and l < n_layers else c
+                        x_hat[j][l] += w[j, i] * dq
+            flats = np.array([flatten_params(a) for a in agents])
+            ce = float(np.sum((flats - flats.mean(axis=0)) ** 2)) / n
+            logs += [(t, r, i, losses[i], ce, mus[i], sent[i]) for i in range(n)]
+        mean = np.mean([flatten_params(a) for a in agents], axis=0)
+        for a in agents:
+            unflatten_params(a, mean)
+        if projected:
+            p = int(pick.integers(0, n))
+            shard = shards[p]
+            rows = derive_rng(cfg.seed, TAG_REP, t).permutation(len(shard))
+            rows = rows[: min(cfg.rep_samples, len(shard))]
+            reps = capture_representation(agents[p], shard.examples[rows], t)
+            memory = update_memory(memory, reps, cfg.threshold.value(t))
+        if cfg.method == "dewc":
+            states = [fisher_estimate(a, s, t) for a, s in zip(agents, shards)]
+            f = [np.mean(parts, axis=0) for parts in zip(*(s.f for s in states))]
+            anchor = [p.copy() for p in trunk_params(agents[0])]
+            if cfg.ewc_mode == "online" and fishers:
+                f = [a + b for a, b in zip(fishers[0][0], f)]
+                fishers = []
+            fishers.append((f, anchor))
+        for i in [t] if cfg.method == "stl" else range(t + 1):
+            test = seq.tasks[i]
+            logits = forward(agents[0], test.test_x, i).logits
+            acc[t, i] = float(np.mean(np.argmax(logits, axis=1) == test.test_y))
+    return acc, logs, flatten_params(agents[0]), memory if projected else None

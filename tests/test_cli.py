@@ -127,6 +127,7 @@ def test_dedicated_flags_go_through_the_schema(capsys):
         ("--agents", "abc", "expected an integer"),
         ("--agents", "0", "at least 1"),
         ("--method", "foo", "unknown method"),
+        ("--method", "codec_fullcomm", "unknown method"),
     ):
         rc = main(["validate", flag, value])
         err = capsys.readouterr().err

@@ -33,7 +33,6 @@ from dccl.trainer import (
     fanout,
     gossip_round,
     local_step,
-    message_sizes,
     reset_aggregates,
     run,
     _batches,
@@ -214,7 +213,11 @@ def test_stacked_round_matches_per_message_reference(
     want = _reference_round(
         ref_x, ref_steps, ref_aggs, ref_bases, mixing, n_layers, compression
     )
-    sizes = message_sizes(stacked, agents.memory, 0, compression)
+    # a message carries each array as a run holds it: factored while compressed
+    held = copy.deepcopy(stacked)
+    for l, basis in enumerate(layers if compression else []):
+        held.factor(l, basis.o)
+    sizes = [x[0].size for x in task_params(held, 0)]
     receivers = fanout(mixing)
     assert gossip_round(agents, mixing, 0, steps) is None
     assert [sum(sizes) * int(k) for k in receivers] == want
@@ -224,13 +227,6 @@ def test_stacked_round_matches_per_message_reference(
             assert np.max(np.abs(agg[i] - ref_aggs[i][k]), initial=0.0) <= 1e-12
     messages = int(np.count_nonzero(mixing - np.diag(np.diag(mixing)) > 0.0))
     assert int(receivers.sum()) == messages
-    raw = message_sizes(stacked, agents.memory, 0, False)
-    for l in range(n_layers):
-        sent = layers[l].o.shape[1] if compression else dims[l]
-        assert sizes[l] == sent * dims[l + 1]
-        assert raw[l] == dims[l] * dims[l + 1]
-    extra = sum(a[0].size for a in arrays[n_layers:])
-    assert sum(sizes[n_layers:]) == extra
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -246,7 +242,9 @@ def test_a_factored_round_is_the_plain_round_in_the_complement(
     """Rounds on the coefficients ``c`` of layers held as ``x0 + o c`` move
     every agent as rounds on the plain layers with steps ``o d`` do, to
     1e-12 of the largest magnitude, and no agent leaves ``x0 + span(o)``:
-    an update with a span(m) component cannot be represented."""
+    an update with a span(m) component cannot be represented.  A message
+    carries ``o.shape[1] * cols`` scalars per factored layer, every other
+    array raw."""
     rng = np.random.default_rng(seed)
     dims = [int(d) for d in rng.integers(1, 6, size=3)]
     model = init_mlp(dims, rng, use_bias)
@@ -257,6 +255,11 @@ def test_a_factored_round_is_the_plain_round_in_the_complement(
         q, _ = np.linalg.qr(rng.standard_normal((width, width)))
         layers.append(LayerBasis(m=q[:, : l + 1], o=q[:, l + 1 :]))
         factored.factor(l, layers[-1].o)
+    sizes = [x[0].size for x in task_params(factored, 0)]
+    raw = [x[0].size for x in task_params(plain, 0)]
+    assert raw[: len(layers)] == [a * b for a, b in zip(dims, dims[1:])]
+    assert sizes[: len(layers)] == [b.o.shape[1] * d for b, d in zip(layers, dims[1:])]
+    assert sizes[len(layers) :] == raw[len(layers) :]
     mixing = build_mixing(parse_topology(kind, n))
     a = Agents(model=plain, memory=GpmState(layers=layers))
     b = Agents(model=factored, memory=a.memory)
@@ -390,26 +393,6 @@ def test_input_space_projection_matches_the_projected_gradient(
                 assert np.array_equal(mu, np.ones(n))
 
 
-def test_compression_does_not_change_the_trajectory():
-    seq = generate_synthetic_sequence(2, 2, 16, 60, 3)
-    on = run(_config("ring", 4, method="codec"), seq)
-    off = run(_config("ring", 4, method="codec_fullcomm"), seq)
-    assert np.array_equal(on.final_params, off.final_params)
-    assert [(r.loss, r.ce, r.mu) for r in on.logs] == [
-        (r.loss, r.ce, r.mu) for r in off.logs
-    ]
-    for t in range(2):
-        for i in range(t + 1):
-            assert on.accuracy.get(t, i) == off.accuracy.get(t, i)
-
-
-def test_single_agent_codec_is_bitwise_invariant():
-    seq = generate_synthetic_sequence(2, 2, 16, 40, 5)
-    on = run(_config("full", 1, method="codec"), seq)
-    off = run(_config("full", 1, method="codec_fullcomm"), seq)
-    assert np.array_equal(on.final_params, off.final_params)
-
-
 def test_single_task_codec_equals_plain_decentralized_sgd():
     """The memory is empty throughout one task, so nothing is projected or
     encoded: codec is naive decentralized SGD bit for bit."""
@@ -469,7 +452,7 @@ def test_round_count_and_log_shape():
 
 @pytest.mark.parametrize(
     "method, n_tasks, use_bias",
-    [("codec_fullcomm", 1, False), ("codec", 2, False), ("dewc", 2, True)],
+    [("codec", 1, True), ("codec", 2, False), ("dewc", 2, True)],
 )
 def test_scalar_accounting_matches_closed_form(method, n_tasks, use_bias):
     seq = generate_synthetic_sequence(n_tasks, 2, 16, 50, 2)
