@@ -1,9 +1,9 @@
 """Command-line experiment runner.
 
 `dccl run` trains one of four methods on a shared task sequence and writes
-`rounds.csv`, `accuracy_matrix.csv` and `summary.json` under the output
-directory.  `dccl validate` runs the checks `dccl run` makes before training
-and prints a mixing report.
+`rounds.csv`, `accuracy_matrix.csv`, `summary.json` and, for `codec`,
+`gpm_state.txt` under the output directory.  `dccl validate` runs the checks
+`dccl run` makes before training and prints a mixing report.
 
 Configuration comes from an INI-style file (sections are merged into one
 flat namespace), then `--set key=value` overrides, then dedicated flags.
@@ -16,10 +16,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
-import os
 import sys
 
-from .gpm import ThresholdSchedule, save_state
+from .gpm import ThresholdSchedule
 from .metrics import emit_reports
 from .tasks import TaskSequence, generate_synthetic_sequence, load_csv_dataset
 from .topology import build_mixing, parse_topology, validate_assumption3
@@ -306,16 +305,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = run(cfg, sequence)
     out_dir = str(values["out"])
     summary = emit_reports(
-        result.accuracy,
-        result.ledger,
-        result.logs,
-        out_dir,
-        method=cfg.method,
-        seed=int(values["seed"]),
-        config_echo=_echo(values),
+        result, out_dir, seed=int(values["seed"]), config_echo=_echo(values)
     )
-    if result.gpm is not None:
-        save_state(result.gpm, os.path.join(out_dir, "gpm_state.txt"))
     overall = summary["compression"]["all_inclusive"]["overall"]
     print(f"method {cfg.method} seed {values['seed']} out {out_dir}")
     print(f"accuracy_percent {_fmt(summary['accuracy_percent'])}")

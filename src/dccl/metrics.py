@@ -12,6 +12,8 @@ import os
 
 import numpy as np
 
+from .gpm import save_state
+
 
 class AccuracyMatrix:
     """Lower-triangular matrix; entry (t, i) is task-i accuracy after task t."""
@@ -74,39 +76,30 @@ def diagonal_mean(matrix: AccuracyMatrix) -> float:
     return float(np.mean(matrix.diagonal()))
 
 
-def _task_totals(entry, variant: str) -> tuple[int, int]:
-    full = sum(entry.layer_full)
-    actual = sum(entry.layer_actual)
-    if variant == "all_inclusive":
-        full += entry.extra_scalars + entry.overhead_full
-        actual += entry.extra_scalars + entry.overhead_actual
-    elif variant != "pure_subspace":
-        raise ValueError(f"unknown compression variant {variant!r}")
-    return full, actual
-
-
-def compression_ratio(ledger, scope: str = "overall", variant: str = "pure_subspace"):
-    """Communication compression: full-communication scalars over actual.
+def compression(ledger) -> dict:
+    """The summary's compression block: full-communication scalars over
+    actual, per task and overall, for two variants.
 
     ``pure_subspace`` counts trunk update payloads only; ``all_inclusive``
     adds head/bias deltas and protocol overhead (boundary synchronization
-    and basis or Fisher broadcasts) to both sides.
+    and basis or Fisher broadcasts) to both sides.  A variant's ratios are
+    ``None`` if any task sent zero actual scalars in it.
     """
-    per_task = []
-    for entry in ledger:
-        full, actual = _task_totals(entry, variant)
-        if actual == 0:
-            raise ValueError(f"task {entry.task} sent zero scalars; ratio undefined")
-        per_task.append(full / actual)
-    if scope == "per_task":
-        return per_task
-    if scope == "overall":
-        full = sum(_task_totals(e, variant)[0] for e in ledger)
-        actual = sum(_task_totals(e, variant)[1] for e in ledger)
-        if actual == 0:
-            raise ValueError("ledger records zero scalars sent; ratio undefined")
-        return full / actual
-    raise ValueError(f"unknown scope {scope!r}")
+    pure = [(sum(e.layer_full), sum(e.layer_actual)) for e in ledger]
+    inclusive = [
+        (f + e.extra_scalars + e.overhead_full, a + e.extra_scalars + e.overhead_actual)
+        for (f, a), e in zip(pure, ledger)
+    ]
+    block = {}
+    for variant, totals in (("pure_subspace", pure), ("all_inclusive", inclusive)):
+        defined = all(a for _, a in totals)
+        full = sum(f for f, _ in totals)
+        actual = sum(a for _, a in totals)
+        block[variant] = {
+            "overall": full / actual if defined and actual else None,
+            "per_task": [f / a for f, a in totals] if defined else None,
+        }
+    return block
 
 
 def per_layer_compression(ledger) -> list[list[float | None]]:
@@ -124,26 +117,22 @@ def _fmt_percent(fraction: float) -> str:
     return f"{fraction * 100.0:.6f}"
 
 
-def emit_reports(
-    matrix: AccuracyMatrix,
-    ledger,
-    logs,
-    out_dir: str,
-    *,
-    method: str,
-    seed: int,
-    config_echo: dict,
-) -> dict:
-    """Write rounds.csv, accuracy_matrix.csv and summary.json under out_dir."""
+def emit_reports(result, out_dir: str, *, seed: int, config_echo: dict) -> dict:
+    """Write a ``RunResult``'s rounds.csv, accuracy_matrix.csv, summary.json
+    and, for a method with a memory, gpm_state.txt under out_dir; a
+    gpm_state.txt left there by an earlier run is removed otherwise."""
     os.makedirs(out_dir, exist_ok=True)
+    matrix, method = result.accuracy, result.method
 
     with open(os.path.join(out_dir, "rounds.csv"), "w", encoding="utf-8") as handle:
         handle.write("task,round,agent,loss,consensus_error,mu,scalars_sent\n")
-        for rec in logs:
-            handle.write(
-                f"{rec.task},{rec.round},{rec.agent},{float(rec.loss)!r},"
-                f"{float(rec.ce)!r},{float(rec.mu)!r},{rec.scalars_sent}\n"
-            )
+        ces = result.consensus_error.tolist()
+        rows = zip(result.loss.tolist(), result.mu.tolist(), ces)
+        for entry in result.ledger:
+            for r, (losses, mus, ce) in zip(range(entry.rounds), rows):
+                for i, sent in enumerate(entry.scalars_sent):
+                    row = f"{entry.task},{r},{i},{losses[i]!r},{ce!r},{mus[i]!r},{sent}"
+                    handle.write(row + "\n")
 
     with open(
         os.path.join(out_dir, "accuracy_matrix.csv"), "w", encoding="utf-8"
@@ -166,19 +155,7 @@ def emit_reports(
             bwt(matrix) if matrix.t >= 2 and matrix.complete else None
         )
 
-    def _maybe_ratio(scope, variant):
-        try:
-            return compression_ratio(ledger, scope, variant)
-        except ValueError:
-            return None
-
-    mus = [float(rec.mu) for rec in logs]
-    mu_stats = {
-        "min": min(mus) if mus else None,
-        "max": max(mus) if mus else None,
-        "mean": float(np.mean(mus)) if mus else None,
-    }
-
+    mu = result.mu
     summary = {
         "schema_version": 1,
         "method": method,
@@ -188,21 +165,22 @@ def emit_reports(
         "final_accuracies_percent": [
             None if np.isnan(v) else v * 100.0 for v in matrix.last_row()
         ],
-        "compression": {
-            "pure_subspace": {
-                "overall": _maybe_ratio("overall", "pure_subspace"),
-                "per_task": _maybe_ratio("per_task", "pure_subspace"),
-            },
-            "all_inclusive": {
-                "overall": _maybe_ratio("overall", "all_inclusive"),
-                "per_task": _maybe_ratio("per_task", "all_inclusive"),
-            },
+        "compression": compression(result.ledger),
+        "per_layer_compression": per_layer_compression(result.ledger),
+        "mu": {
+            "min": float(mu.min()) if mu.size else None,
+            "max": float(mu.max()) if mu.size else None,
+            "mean": float(mu.mean()) if mu.size else None,
         },
-        "per_layer_compression": per_layer_compression(ledger),
-        "mu": mu_stats,
         "config": config_echo,
     }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+    gpm_path = os.path.join(out_dir, "gpm_state.txt")
+    if result.gpm is not None:
+        save_state(result.gpm, gpm_path)
+    elif os.path.exists(gpm_path):
+        os.remove(gpm_path)
     return summary

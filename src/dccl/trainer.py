@@ -133,26 +133,17 @@ class Agents:
     aggregates: list[np.ndarray] = field(default_factory=list)
 
 
-@dataclass
-class LogRecord:
-    task: int
-    round: int
-    agent: int
-    loss: float
-    ce: float
-    mu: float
-    scalars_sent: int
-
-
 @dataclass(frozen=True)
 class TaskComm:
     """Scalars one task sent, full and actual: each trunk layer's round
-    payloads, the raw heads and biases, and the boundary phases' overhead."""
+    payloads, the raw heads and biases, and the boundary phases' overhead;
+    ``scalars_sent`` holds what each agent sent in one round."""
 
     task: int
     layer_full: list[int]
     layer_actual: list[int]
     rounds: int = 0
+    scalars_sent: tuple[int, ...] = ()
     messages: int = 0
     extra_scalars: int = 0
     overhead_actual: int = 0
@@ -161,10 +152,17 @@ class TaskComm:
 
 @dataclass
 class RunResult:
+    """What ``run`` returns.  ``loss`` and ``mu`` hold every agent's value
+    per round, shape ``(rounds, N)``, and ``consensus_error`` one value per
+    round, shape ``(rounds,)``, over every task's rounds in order: the
+    ledger's ``rounds`` split them by task."""
+
     method: str
     accuracy: AccuracyMatrix
     ledger: list[TaskComm]  # one record per task
-    logs: list[LogRecord]
+    loss: np.ndarray
+    mu: np.ndarray
+    consensus_error: np.ndarray
     final_params: np.ndarray
     gpm: GpmState | None
 
@@ -370,15 +368,20 @@ def fanout(w: np.ndarray) -> np.ndarray:
 
 
 def price_task(
-    agents: Agents, task: int, method: str, sizes: list[int], rounds: int, messages: int
+    agents: Agents,
+    task: int,
+    method: str,
+    sizes: list[int],
+    rounds: int,
+    receivers: np.ndarray,
 ) -> TaskComm:
     """Task ``task``'s record, priced once its boundary phases ran, from the
     scalars one message carries per array of ``task_params`` while the task
-    trained, its rounds and the ``messages`` of one round."""
+    trained, its rounds and each agent's ``receivers`` (``fanout``)."""
     model, memory = agents.model, agents.memory
     n = model.lead[0]
     n_layers = len(model.layers)
-    sent = rounds * messages
+    sent = rounds * int(receivers.sum())
     # the boundary sync sends every agent's whole model
     fixed = n * sum(a[0].size for a in param_arrays(model))
     if method == "dewc":  # the trunk Fisher diagonal, gathered and sent back
@@ -392,6 +395,7 @@ def price_task(
         layer_full=[sent * x[0].size for x in model.layers],
         layer_actual=[sent * s for s in sizes[:n_layers]],
         rounds=rounds,
+        scalars_sent=tuple(sum(sizes) * int(k) for k in receivers),
         messages=sent,
         extra_scalars=sent * sum(sizes[n_layers:]),
         overhead_actual=fixed + actual,
@@ -509,14 +513,13 @@ def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
     t_count = len(sequence.tasks)
     matrix = AccuracyMatrix(t_count)
     ledger: list[TaskComm] = []
-    logs: list[LogRecord] = []
+    losses, mus, ces = [], [], []  # one entry per round
     fisher: list[FisherState] = []  # the dewc penalty states
     stiff_warned = False
     pick_stream = derive_rng(config.seed, TAG_PICK)
     base = init_mlp(config.dims, derive_rng(config.seed, TAG_INIT, 0), config.use_bias)
     agents = Agents(model=base.stacked(n), memory=GpmState.fresh(config.dims[:-1]))
     receivers = fanout(w)
-    messages = int(receivers.sum())
     for t, data in enumerate(sequence.tasks):
         if method == "stl" and t > 0:
             stream = derive_rng(config.seed, TAG_INIT, t)
@@ -534,7 +537,6 @@ def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
                 model.factor(l, basis.o)
         # a message carries each array as held: a factored layer's c, raw otherwise
         sizes = [x[0].size for x in task_params(model, t)]
-        sent = [sum(sizes) * int(k) for k in receivers]
         # task starts from consensus, so the own state is the aggregate
         agents.aggregates = [x.copy() for x in task_params(model, t)]
         max_shard = max(len(s) for s in shards)
@@ -573,18 +575,9 @@ def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
             except (NonFiniteError, InvariantError) as exc:
                 exc.args = (f"task {t}, round {r}: {exc}",)
                 raise
-            logs.extend(
-                LogRecord(
-                    task=t,
-                    round=r,
-                    agent=i,
-                    loss=float(loss[i]),
-                    ce=ce,
-                    mu=float(mu[i]),
-                    scalars_sent=sent[i],
-                )
-                for i in range(n)
-            )
+            losses.append(loss)
+            mus.append(mu)
+            ces.append(ce)
         # the boundary sync: every agent takes the average
         for a in param_arrays(model):
             a[...] = a.mean(axis=0)
@@ -596,7 +589,8 @@ def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
             fisher = _fisher_phase(model, shards, t, fisher, config.ewc_mode)
             # the next task steps the penalty explicitly, x -= eta lam F (x - anchor),
             # which is stable only while eta lam F < 2 on every entry of the summed F
-            f_max = max(float(sum(f).max()) for f in zip(*(s.f for s in fisher)))
+            layers = zip(*(s.f for s in fisher))  # none without a hidden layer
+            f_max = max((float(sum(f).max()) for f in layers), default=0.0)
             stiff = config.eta * config.lam * f_max
             if stiff >= 2.0 and not stiff_warned and t + 1 < t_count:
                 stiff_warned = True
@@ -606,7 +600,7 @@ def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
                     t,
                     stiff,
                 )
-        ledger.append(price_task(agents, t, method, sizes, total_rounds, messages))
+        ledger.append(price_task(agents, t, method, sizes, total_rounds, receivers))
         view = model.view(0)
         for i in [t] if method == "stl" else range(t + 1):
             test = sequence.tasks[i]
@@ -616,7 +610,9 @@ def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
         method=method,
         accuracy=matrix,
         ledger=ledger,
-        logs=logs,
+        loss=np.array(losses, dtype=float).reshape(-1, n),
+        mu=np.array(mus, dtype=float).reshape(-1, n),
+        consensus_error=np.array(ces, dtype=float),
         final_params=flatten_params(agents.model.view(0)),
         gpm=agents.memory if projection else None,
     )

@@ -286,6 +286,15 @@ def test_run_naive_writes_no_memory_file(tmp_path):
     assert not (out / "gpm_state.txt").exists()
 
 
+@pytest.mark.parametrize("method", ["naive", "dewc", "stl"])
+def test_a_run_without_memory_removes_a_stale_memory_file(tmp_path, method):
+    out = tmp_path / "reused"
+    assert main(_run_args(out, "--method", "codec")) == 0
+    assert (out / "gpm_state.txt").exists()
+    assert main(_run_args(out, "--method", method)) == 0
+    assert not (out / "gpm_state.txt").exists()
+
+
 def test_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "repeat"
     args = _run_args(out, "--method", "codec")

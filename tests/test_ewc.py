@@ -14,7 +14,7 @@ from dccl.ewc import (
     fisher_estimate,
 )
 from dccl.gpm import ThresholdSchedule
-from dccl.metrics import compression_ratio
+from dccl.metrics import compression
 from dccl.model import flatten_params, init_mlp, loss_and_grad, trunk_params, unflatten_params
 from dccl.tasks import TaskShard, generate_synthetic_sequence
 from dccl.topology import parse_topology
@@ -211,8 +211,15 @@ def test_dewc_sends_updates_uncompressed():
     seq = generate_synthetic_sequence(2, 2, 16, 40, 3)
     result = run(_config(lam=10.0), seq)
     for variant in ("pure_subspace", "all_inclusive"):
-        assert compression_ratio(result.ledger, "overall", variant) == 1.0
-        assert compression_ratio(result.ledger, "per_task", variant) == [1.0, 1.0]
+        want = {"overall": 1.0, "per_task": [1.0, 1.0]}
+        assert compression(result.ledger)[variant] == want
+
+
+def test_dewc_without_a_hidden_layer_finishes():
+    # dims [16]: the head reads the input, so no trunk layer has a Fisher diagonal
+    seq = generate_synthetic_sequence(2, 2, 16, 40, 3)
+    result = run(_config(dims=[16]), seq)
+    assert result.accuracy.complete
 
 
 def test_dewc_per_task_mode_runs():

@@ -1,19 +1,25 @@
 """Accuracy summaries, compression ratios, and report files."""
 
+import csv
 import json
 
+import numpy as np
 import pytest
+
+from dccl.gpm import ThresholdSchedule
 
 from dccl.metrics import (
     AccuracyMatrix,
     acc,
     bwt,
-    compression_ratio,
+    compression,
     diagonal_mean,
     emit_reports,
     per_layer_compression,
 )
-from dccl.trainer import LogRecord, TaskComm
+from dccl.tasks import generate_synthetic_sequence
+from dccl.topology import Topology
+from dccl.trainer import RunResult, TaskComm, TrainConfig, run
 
 
 def _matrix(rows):
@@ -80,26 +86,30 @@ def _ledger_single_layer(full, actual, extra=0, over_full=0, over_actual=0):
 def test_compression_ratio_closed_form():
     # one layer of width 10 with rank 5 memory: exactly 2x
     ledger = _ledger_single_layer(full=10 * 7, actual=5 * 7)
-    assert compression_ratio(ledger, "overall", "pure_subspace") == 2.0
+    assert compression(ledger)["pure_subspace"]["overall"] == 2.0
     assert per_layer_compression(ledger) == [[2.0]]
 
 
 def test_compression_ratio_all_inclusive_adds_overhead_to_both_sides():
     ledger = _ledger_single_layer(full=100, actual=50, extra=10, over_full=40, over_actual=40)
-    assert compression_ratio(ledger, "overall", "pure_subspace") == 2.0
-    got = compression_ratio(ledger, "overall", "all_inclusive")
-    assert got == pytest.approx(150.0 / 100.0)
+    block = compression(ledger)
+    assert block["pure_subspace"]["overall"] == 2.0
+    assert block["all_inclusive"]["overall"] == pytest.approx(150.0 / 100.0)
 
 
-def test_compression_ratio_rejects_zero_actual_and_bad_args():
-    ledger = _ledger_single_layer(full=10, actual=0)
-    with pytest.raises(ValueError):
-        compression_ratio(ledger, "overall", "pure_subspace")
-    ok = _ledger_single_layer(full=10, actual=10)
-    with pytest.raises(ValueError):
-        compression_ratio(ok, "weekly")
-    with pytest.raises(ValueError):
-        compression_ratio(ok, "overall", "optimistic")
+def test_compression_is_null_where_a_task_sent_nothing():
+    ledger = [
+        TaskComm(task=t, layer_full=[10], layer_actual=[a], overhead_full=4, overhead_actual=4)
+        for t, a in enumerate([10, 0])
+    ]
+    block = compression(ledger)
+    # one silent task leaves its variant's per-task list and overall ratio null
+    assert block["pure_subspace"] == {"overall": None, "per_task": None}
+    assert block["all_inclusive"] == {"overall": 28 / 18, "per_task": [1.0, 14 / 4]}
+    assert compression([]) == {
+        variant: {"overall": None, "per_task": []}
+        for variant in ("pure_subspace", "all_inclusive")
+    }
 
 
 def test_per_task_scope_returns_a_list():
@@ -107,33 +117,43 @@ def test_per_task_scope_returns_a_list():
         TaskComm(task=0, layer_full=[40], layer_actual=[40]),
         TaskComm(task=1, layer_full=[40], layer_actual=[20]),
     ]
-    assert compression_ratio(ledger, "per_task", "pure_subspace") == [1.0, 2.0]
+    assert compression(ledger)["pure_subspace"]["per_task"] == [1.0, 2.0]
+
+
+def _result(matrix, ledger, method="codec", loss=(), mu=(), ce=()):
+    """A one-agent ``RunResult`` with one round per entry of ``loss``."""
+    return RunResult(
+        method=method,
+        accuracy=matrix,
+        ledger=ledger,
+        loss=np.array(loss, dtype=float).reshape(-1, 1),
+        mu=np.array(mu, dtype=float).reshape(-1, 1),
+        consensus_error=np.array(ce, dtype=float),
+        final_params=np.zeros(1),
+        gpm=None,
+    )
 
 
 def _tiny_run():
     matrix = _matrix([[0.5], [0.75, 1.0]])
     ledger = [
-        TaskComm(task=0, layer_full=[8], layer_actual=[8], extra_scalars=2,
-                 overhead_full=4, overhead_actual=4),
-        TaskComm(task=1, layer_full=[8], layer_actual=[4], extra_scalars=2,
-                 overhead_full=4, overhead_actual=4),
+        TaskComm(task=0, layer_full=[8], layer_actual=[8], rounds=1, scalars_sent=(10,),
+                 extra_scalars=2, overhead_full=4, overhead_actual=4),
+        TaskComm(task=1, layer_full=[8], layer_actual=[4], rounds=1, scalars_sent=(6,),
+                 extra_scalars=2, overhead_full=4, overhead_actual=4),
     ]
-    logs = [
-        LogRecord(task=0, round=0, agent=0, loss=0.7, ce=0.1, mu=1.0, scalars_sent=10),
-        LogRecord(task=1, round=0, agent=0, loss=0.6, ce=0.05, mu=0.5, scalars_sent=6),
-    ]
-    return matrix, ledger, logs
+    return _result(matrix, ledger, loss=[0.7, 0.6], mu=[1.0, 0.5], ce=[0.1, 0.05])
 
 
 def test_emit_reports_files_and_summary(tmp_path):
-    matrix, ledger, logs = _tiny_run()
     out = tmp_path / "out"
-    summary = emit_reports(
-        matrix, ledger, logs, str(out), method="codec", seed=5, config_echo={"eta": 0.1}
-    )
+    summary = emit_reports(_tiny_run(), str(out), seed=5, config_echo={"eta": 0.1})
     rounds = (out / "rounds.csv").read_text().splitlines()
-    assert rounds[0] == "task,round,agent,loss,consensus_error,mu,scalars_sent"
-    assert len(rounds) == 3
+    assert rounds == [
+        "task,round,agent,loss,consensus_error,mu,scalars_sent",
+        "0,0,0,0.7,0.1,1.0,10",
+        "1,0,0,0.6,0.05,0.5,6",
+    ]
     grid = (out / "accuracy_matrix.csv").read_text().splitlines()
     assert grid[0] == "after_task,task_0,task_1"
     assert grid[1] == "0,50.000000,"
@@ -145,14 +165,15 @@ def test_emit_reports_files_and_summary(tmp_path):
     assert parsed["mu"]["min"] == 0.5
     assert parsed["config"] == {"eta": 0.1}
     assert parsed["compression"]["pure_subspace"]["per_task"] == [1.0, 2.0]
+    assert not (out / "gpm_state.txt").exists()
 
 
 def test_emit_reports_is_byte_deterministic(tmp_path):
-    matrix, ledger, logs = _tiny_run()
+    result = _tiny_run()
     a = tmp_path / "a"
     b = tmp_path / "b"
-    emit_reports(matrix, ledger, logs, str(a), method="codec", seed=5, config_echo={})
-    emit_reports(matrix, ledger, logs, str(b), method="codec", seed=5, config_echo={})
+    emit_reports(result, str(a), seed=5, config_echo={})
+    emit_reports(result, str(b), seed=5, config_echo={})
     for name in ("rounds.csv", "accuracy_matrix.csv", "summary.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -161,9 +182,7 @@ def test_emit_reports_empty_logs_headers_only(tmp_path):
     matrix = _matrix([[0.5]])
     ledger = [TaskComm(task=0, layer_full=[4], layer_actual=[4])]
     out = tmp_path / "empty"
-    summary = emit_reports(
-        matrix, ledger, [], str(out), method="codec", seed=0, config_echo={}
-    )
+    summary = emit_reports(_result(matrix, ledger), str(out), seed=0, config_echo={})
     rounds = (out / "rounds.csv").read_text().splitlines()
     assert rounds == ["task,round,agent,loss,consensus_error,mu,scalars_sent"]
     assert summary["mu"]["min"] is None
@@ -175,8 +194,35 @@ def test_emit_reports_stl_uses_diagonal(tmp_path):
     matrix.set(0, 0, 0.8)
     matrix.set(1, 1, 0.9)
     ledger = [TaskComm(task=0, layer_full=[4], layer_actual=[4])]
-    summary = emit_reports(
-        matrix, ledger, [], str(tmp_path / "stl"), method="stl", seed=0, config_echo={}
-    )
+    result = _result(matrix, ledger, method="stl")
+    summary = emit_reports(result, str(tmp_path / "stl"), seed=0, config_echo={})
     assert summary["accuracy_percent"] == pytest.approx(85.0)
     assert summary["bwt_percent"] is None
+
+
+def test_report_files_agree_with_each_other_and_the_ledger(tmp_path):
+    # a path graph 0 - 1 - 2: the middle agent sends twice what the ends do
+    path = Topology("custom", 3, adjacency=np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
+    cfg = TrainConfig(
+        eta=0.1,
+        epochs=1,
+        batch_size=8,
+        threshold=ThresholdSchedule(0.95, 0.003),
+        topology=path,
+        seed=2,
+        rep_samples=16,
+    )
+    result = run(cfg, generate_synthetic_sequence(2, 2, 16, 30, 1))
+    out = tmp_path / "agree"
+    emit_reports(result, str(out), seed=2, config_echo={})
+    with open(out / "rounds.csv", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 3 * sum(entry.rounds for entry in result.ledger)
+    mus = [float(row["mu"]) for row in rows]
+    written = json.loads((out / "summary.json").read_text())["mu"]
+    assert written == {"min": min(mus), "max": max(mus), "mean": float(np.mean(mus))}
+    assert written["min"] < 1.0  # task 1 projects
+    for entry in result.ledger:
+        sent = [int(row["scalars_sent"]) for row in rows if int(row["task"]) == entry.task]
+        assert sent == list(entry.scalars_sent) * entry.rounds
+    assert result.ledger[0].scalars_sent[1] == 2 * result.ledger[0].scalars_sent[0]

@@ -94,10 +94,17 @@ def test_run_matches_the_per_agent_reference(
     acc, logs, final, memory = reference_run(cfg, seq)
     matrix = [[got.accuracy.get(t, i) for i in range(tasks)] for t in range(tasks)]
     assert np.array_equal(matrix, acc, equal_nan=True)
-    rows = [(r.task, r.round, r.agent, r.loss, r.ce, r.mu, r.scalars_sent) for r in got.logs]
-    assert [(*r[:3], r[6]) for r in rows] == [(*r[:3], r[6]) for r in logs]
-    for col, name in ((3, "loss"), (4, "consensus error"), (5, "mu")):
-        _close([row[col] for row in rows], [row[col] for row in logs], name)
+    rows = [
+        (e.task, r, i, sent)
+        for e in got.ledger
+        for r in range(e.rounds)
+        for i, sent in enumerate(e.scalars_sent)
+    ]
+    assert rows == [(*r[:3], r[6]) for r in logs]
+    want = np.array([row[3:6] for row in logs]).reshape(-1, 3)
+    _close(got.loss.ravel(), want[:, 0], "loss")
+    _close(np.repeat(got.consensus_error, n), want[:, 1], "consensus error")
+    _close(got.mu.ravel(), want[:, 2], "mu")
     _close(got.final_params, final, "final parameters")
     if memory is None:
         assert got.gpm is None

@@ -401,10 +401,9 @@ def test_single_task_codec_equals_plain_decentralized_sgd():
         codec = run(_config(topology, 4, method="codec"), seq)
         naive = run(_config(topology, 4, method="naive"), seq)
         assert np.array_equal(codec.final_params, naive.final_params)
-        assert [(r.loss, r.ce) for r in codec.logs] == [
-            (r.loss, r.ce) for r in naive.logs
-        ]
-        assert all(r.mu == 1.0 for r in codec.logs)
+        assert np.array_equal(codec.loss, naive.loss)
+        assert np.array_equal(codec.consensus_error, naive.consensus_error)
+        assert np.all(codec.mu == 1.0)
         assert codec.accuracy.get(0, 0) == naive.accuracy.get(0, 0)
 
 
@@ -413,9 +412,9 @@ def test_runs_are_deterministic():
     a = run(_config("ring", 4), seq)
     b = run(_config("ring", 4), seq)
     assert np.array_equal(a.final_params, b.final_params)
-    assert [(r.task, r.round, r.agent, r.loss, r.ce, r.mu, r.scalars_sent) for r in a.logs] == [
-        (r.task, r.round, r.agent, r.loss, r.ce, r.mu, r.scalars_sent) for r in b.logs
-    ]
+    for name in ("loss", "mu", "consensus_error"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert a.ledger == b.ledger
 
 
 @pytest.mark.parametrize("seed", [0, 4, 2**32 - 1, 2**32, 2**40 + 5, 2**70])
@@ -445,9 +444,9 @@ def test_round_count_and_log_shape():
     result = run(cfg, seq)
     entry = result.ledger[0]
     assert entry.rounds == 6
-    assert len(result.logs) == 6 * 4
-    mus = {r.mu for r in result.logs}
-    assert mus == {1.0}  # task 1 is unconstrained
+    assert result.loss.shape == result.mu.shape == (6, 4)
+    assert result.consensus_error.shape == (6,)
+    assert np.all(result.mu == 1.0)  # task 1 is unconstrained
 
 
 @pytest.mark.parametrize(
