@@ -17,8 +17,8 @@ The memory is fixed within a task, so the ledger prices each task once
 All agents share model shapes and step in lockstep, so their state is held
 stacked: every parameter array and tracked aggregate has a leading agent
 axis, a local step is one batched forward/backward pass returning the
-steps ``d = -eta g~``, and a gossip round is, per array, the update
-``q = (a - x) + d`` and one mixing-matrix product.  All randomness is
+steps ``d = -eta g~``, and a gossip round is one sweep that updates, mixes
+and measures the arrays a column block at a time.  All randomness is
 derived from the run seed through named streams, so a configuration
 reproduces itself exactly.
 
@@ -176,15 +176,7 @@ def _per_agent(x: np.ndarray) -> np.ndarray:
     return x.reshape(len(x), -1)
 
 
-def consensus_error(model: Mlp) -> float:
-    """Mean squared distance of agent parameters from their average; a
-    factored layer's is its coefficients', as its ``o`` is orthonormal."""
-    total = 0.0
-    for a in param_arrays(model):
-        dev = a - a.mean(axis=0)
-        dev *= dev
-        total += float(dev.sum())
-    return total / model.lead[0]
+_BLOCK = 1 << 16  # elements in a block of the round's sweep: 512 KiB, cached in L2
 
 
 def reset_aggregates(agents: Agents, w: np.ndarray, task: int) -> None:
@@ -210,19 +202,13 @@ def _check_tracking(agents: Agents, w: np.ndarray, task: int) -> None:
         _require(drift <= 1e-9 * scale, f"array {k}: " + "aggregate drifted by {}", drift)
 
 
-def _check_finite(loss: np.ndarray, mu: np.ndarray, steps: list[np.ndarray]) -> None:
-    bad = ~(np.isfinite(loss) & np.isfinite(mu))
-    for d in steps:
-        bad |= ~np.isfinite(_per_agent(d)).all(axis=1)
-    if bad.any():
-        agent = int(np.flatnonzero(bad)[0])
-        if not np.isfinite(loss[agent]):
-            what = "loss"
-        elif not np.isfinite(mu[agent]):
-            what = "mu"
-        else:
-            what = "step"
-        raise NonFiniteError(f"agent {agent} has non-finite {what}")
+def _non_finite(steps: list[np.ndarray], **values: np.ndarray) -> NonFiniteError:
+    """Name the first agent with a non-finite value, first of ``values``, then step."""
+    ok = {what: np.isfinite(v) for what, v in values.items()}
+    ok["step"] = np.all([np.isfinite(_per_agent(d)).all(1) for d in steps], axis=0)
+    agent = int(np.flatnonzero(~np.all(list(ok.values()), axis=0))[0])
+    what = next(what for what, fine in ok.items() if not fine[agent])
+    return NonFiniteError(f"agent {agent} has non-finite {what}")
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -335,31 +321,45 @@ def gossip_round(
     steps: list[np.ndarray],
     *,
     debug: bool = False,
-) -> None:
-    """One synchronous gossip exchange.
+) -> float:
+    """One synchronous gossip exchange; returns the consensus error.
 
     ``steps`` are the local steps ``d`` from ``local_step``, one per array
-    of ``task_params(model, task)``: the trunk layers, then the layer
-    biases, head and head bias.  Per array, every agent's update is
-    ``q = (a - x) + d`` from its tracked aggregate ``a``, it moves to
-    ``x + q``, and every aggregate takes in ``W q``, one mixing product
-    written into ``d``'s buffer: the round consumes ``steps``.
+    of ``task_params(model, task)``, and the round consumes them.  Per
+    array, every agent's update is ``q = (a - x) + d`` from its tracked
+    aggregate ``a``, it moves to ``x + q``, and every aggregate takes in
+    ``W q``.  The consensus error is the mean squared distance of the agents
+    from their average over these arrays, where a factored layer's ``c``
+    stands for the layer, as its ``o`` is orthonormal.
 
-    A trunk layer held factored is its coefficients ``c``, so its update
-    is the coefficients the codec sends, and its aggregate tracks ``sum_j
-    w_ij c_j``: the round never forms the layer, and an update outside the
-    memory's complement cannot be represented.
+    Each array, viewed as ``(N, cols)``, is swept in column blocks of
+    ``_BLOCK`` elements, each in cache from the scan of ``d`` to its
+    deviation sum; a non-finite step stops the sweep before its block mixes.
     """
     arrays = task_params(agents.model, task)
-    for x, d, agg in zip(arrays, steps, agents.aggregates):
-        q = agg - x  # gossip term first: it cancels exactly at a consensus fixed point
-        q += d
-        x += q
-        # d entered q, so its buffer takes the mixing product
-        agg += np.matmul(w, _per_agent(q), out=_per_agent(d)).reshape(agg.shape)
-        del q  # freed before the next array's update is formed
+    n, total = len(w), 0.0
+    cols = max(1, _BLOCK // n)  # 4,096 at N = 16
+    buf = np.empty(n * min(cols, max(x[0].size for x in arrays)))
+    for k, (x, d, agg) in enumerate(zip(arrays, steps, agents.aggregates)):
+        x, d, agg = _per_agent(x), _per_agent(d), _per_agent(agg)
+        for s in range(0, x.shape[1], cols):
+            xb, q, ab = x[:, s : s + cols], d[:, s : s + cols], agg[:, s : s + cols]
+            # q goes into d's block, and b holds d's copy, W q, then the squared
+            # deviations: a ufunc writing b from one block alone buffers 64 KiB
+            b = buf[: q.size].reshape(q.shape)
+            np.copyto(b, q)
+            if not (np.isfinite(b.min()) and np.isfinite(b.max())):
+                raise _non_finite([d[:, s:], *steps[k + 1 :]])
+            np.subtract(ab, xb, out=q)  # gossip term first: it cancels at a fixed point
+            q += b
+            xb += q
+            ab += np.matmul(w, q, out=b)
+            np.subtract(xb, xb.mean(axis=0), out=b)
+            b *= b
+            total += float(b.sum())
     if debug:
         _check_tracking(agents, w, task)
+    return total / n
 
 
 def fanout(w: np.ndarray) -> np.ndarray:
@@ -566,10 +566,10 @@ def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
                     lam=config.lam,
                     debug=config.debug_checks,
                 )
-                _check_finite(loss, mu, steps)
-                gossip_round(agents, w, t, steps, debug=config.debug_checks)
+                if not (np.isfinite(loss).all() and np.isfinite(mu).all()):
+                    raise _non_finite(steps, loss=loss, mu=mu)
+                ce = gossip_round(agents, w, t, steps, debug=config.debug_checks)
                 del steps  # freed before the next round's are made
-                ce = consensus_error(model)
                 if not math.isfinite(ce):
                     raise NonFiniteError("non-finite consensus error")
             except (NonFiniteError, InvariantError) as exc:

@@ -9,7 +9,8 @@ decoded as ``o c`` by each receiver into its tracked aggregate ``x_hat``,
 an average at every task boundary, the memory grown at one picked agent,
 and for ``dewc`` the averaged diagonal Fisher (Kirkpatrick et al. 2017).
 It draws from the same named seed streams as the engine, so both runs
-must agree up to rounding.
+must agree up to rounding.  ``consensus_error`` is the two-pass reference
+for the consensus error that ``gossip_round`` sums block by block.
 """
 
 import copy
@@ -42,6 +43,17 @@ from dccl.trainer import (
     _derive_int,
     derive_rng,
 )
+
+
+def consensus_error(model, task=0):
+    """Mean squared distance of a stack's agents from their average over
+    the arrays ``task`` trains, in two whole-array passes per array."""
+    total = 0.0
+    for a in task_params(model, task):
+        dev = a - a.mean(axis=0)
+        dev *= dev
+        total += float(dev.sum())
+    return total / model.lead[0]
 
 
 def _lr(cfg, r, total):

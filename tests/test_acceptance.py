@@ -34,13 +34,12 @@ from dccl.topology import build_mixing, parse_topology, validate_assumption3
 from dccl.trainer import (
     Agents,
     TrainConfig,
-    consensus_error,
     derive_rng,
     gossip_round,
     reset_aggregates,
     run,
 )
-from reference import reference_run
+from reference import consensus_error, reference_run
 
 
 @contextlib.contextmanager
