@@ -171,10 +171,8 @@ def save_state(state: GpmState, path: str) -> None:
             handle.write(f"layer {idx} dim {n} rank {r}\n")
             for name, mat in (("m", basis.m), ("o", basis.o)):
                 handle.write(f"{name} {mat.shape[1]}\n")
-                for col in range(mat.shape[1]):
-                    handle.write(
-                        " ".join(float(v).hex() for v in mat[:, col]) + "\n"
-                    )
+                for col in mat.T:
+                    handle.write(" ".join(map(float.hex, col.tolist())) + "\n")
 
 
 def load_state(path: str) -> GpmState:

@@ -126,13 +126,14 @@ def emit_reports(result, out_dir: str, *, seed: int, config_echo: dict) -> dict:
 
     with open(os.path.join(out_dir, "rounds.csv"), "w", encoding="utf-8") as handle:
         handle.write("task,round,agent,loss,consensus_error,mu,scalars_sent\n")
-        ces = result.consensus_error.tolist()
-        rows = zip(result.loss.tolist(), result.mu.tolist(), ces)
+        # one round's rows at a time: no list of the whole run's values
+        rows = zip(result.loss, result.mu, result.consensus_error.tolist())
         for entry in result.ledger:
             for r, (losses, mus, ce) in zip(range(entry.rounds), rows):
-                for i, sent in enumerate(entry.scalars_sent):
-                    row = f"{entry.task},{r},{i},{losses[i]!r},{ce!r},{mus[i]!r},{sent}"
-                    handle.write(row + "\n")
+                ce = repr(ce)
+                values = zip(losses.tolist(), mus.tolist(), entry.scalars_sent)
+                for i, (loss, mu, sent) in enumerate(values):
+                    handle.write(f"{entry.task},{r},{i},{loss!r},{ce},{mu!r},{sent}\n")
 
     with open(
         os.path.join(out_dir, "accuracy_matrix.csv"), "w", encoding="utf-8"

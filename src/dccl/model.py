@@ -20,10 +20,17 @@ leading index as an independent model with its own batch.
 A trunk layer may be held factored (``Mlp.factor``) as ``x0 + o c``: ``x0``
 and an orthonormal ``o`` (n_in, k) shared by a stack, and each model's
 coefficients ``c`` (k, n_out) in ``layers``, which is what trains.
+
+A training loop may pass a workspace, a dict that holds the pass's
+layer-sized products across calls of the same shapes (``_matmul``), and
+one scratch buffer for the products that are used at once (``_scratch``),
+so that a step after the first allocates none; without one (``None``)
+every product is a fresh array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,8 +131,36 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def forward(model: Mlp, batch: np.ndarray, task: int) -> ForwardTrace:
-    """Run the trunk plus the given task's head, recording layer inputs."""
+def _matmul(a: np.ndarray, b: np.ndarray, ws: dict | None, key) -> np.ndarray:
+    """``a @ b``, written into the workspace's buffer ``key`` if there is a
+    workspace: the first call makes the buffer, later calls reuse it."""
+    if ws is None:
+        return a @ b
+    out = ws.get(key)
+    if out is None:
+        out = ws[key] = a @ b
+        return out
+    return np.matmul(a, b, out=out)
+
+
+def _scratch(ws: dict | None, shape: tuple[int, ...]) -> np.ndarray:
+    """An array of ``shape``, dead by the next call on the same workspace: a
+    view of the workspace's scratch buffer, grown to fit, or a fresh array
+    without a workspace."""
+    if ws is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    buf = ws.get("scratch")
+    if buf is None or buf.size < size:
+        buf = ws["scratch"] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def forward(
+    model: Mlp, batch: np.ndarray, task: int, ws: dict | None = None
+) -> ForwardTrace:
+    """Run the trunk plus the given task's head, recording layer inputs;
+    ``ws`` is an optional workspace (see the module docstring)."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.shape[:-2] != model.lead or batch.ndim != len(model.lead) + 2 or (
         batch.shape[-1] != model.dims[0]
@@ -140,10 +175,10 @@ def forward(model: Mlp, batch: np.ndarray, task: int) -> ForwardTrace:
     act = batch
     for l, (w, base) in enumerate(zip(model.layers, model.bases)):
         inputs.append(act)
-        coords.append(act if base is None else act @ base[1])
-        z = coords[-1] @ w
+        coords.append(act if base is None else _matmul(act, base[1], ws, ("xo", l)))
+        z = _matmul(coords[-1], w, ws, ("z", l))
         if base is not None:
-            z += act @ base[0]
+            z += np.matmul(act, base[0], out=_scratch(ws, z.shape))
         if model.layer_biases is not None:
             z += model.layer_biases[l][..., np.newaxis, :]
         act = np.maximum(z, 0.0, out=z)
@@ -154,7 +189,7 @@ def forward(model: Mlp, batch: np.ndarray, task: int) -> ForwardTrace:
 
 
 def _output_delta(
-    model: Mlp, batch: np.ndarray, labels: np.ndarray, task: int
+    model: Mlp, batch: np.ndarray, labels: np.ndarray, task: int, ws: dict | None
 ) -> tuple[ForwardTrace, np.ndarray, np.ndarray]:
     """Forward pass, mean cross-entropy, and per-sample ``softmax - onehot``.
 
@@ -166,7 +201,7 @@ def _output_delta(
         raise ValueError("labels must match the batch shape without its last axis")
     if labels.shape[-1] == 0:
         raise ValueError("empty batch")
-    trace = forward(model, batch, task)
+    trace = forward(model, batch, task, ws)
     classes = trace.logits.shape[-1]
     if labels.min() < 0 or labels.max() >= classes:
         raise ValueError(
@@ -182,23 +217,41 @@ def _output_delta(
     return trace, loss, d
 
 
-def _layer_deltas(model: Mlp, trace: ForwardTrace, d: np.ndarray, task: int):
+def _layer_deltas(
+    model: Mlp, trace: ForwardTrace, d: np.ndarray, task: int, ws: dict | None
+):
     """Backpropagate an output delta to each trunk layer's pre-activation."""
+    last = len(model.layers) - 1
     dzs: list[np.ndarray] = [np.empty(0)] * len(model.layers)
-    upstream = d @ _t(model.heads[task])
-    for l in range(len(model.layers) - 1, -1, -1):
-        post = trace.head_input if l == len(model.layers) - 1 else trace.inputs[l + 1]
-        dzs[l] = np.multiply(upstream, post > 0.0, out=upstream)
-        if l:
-            upstream = dzs[l] @ _t(model.layers[l])
-            base = model.bases[l]
-            if base is not None:  # dz (x0 + o c)^T
-                upstream = upstream @ base[1].T + dzs[l] @ base[0].T
+    upstream = _matmul(d, _t(model.heads[task]), ws, ("up", last))
+    for l in range(last, -1, -1):
+        post = trace.head_input if l == last else trace.inputs[l + 1]
+        # the ReLU's derivative, 1 where post > 0, else 0, as floats: post is
+        # a ReLU output, so ceil(min(post, 1)); a bool mask is cast through a
+        # 64 KiB buffer
+        mask = np.minimum(post, 1.0, out=_scratch(ws, post.shape))
+        dzs[l] = np.multiply(upstream, np.ceil(mask, out=mask), out=upstream)
+        if not l:
+            break
+        base = model.bases[l]
+        if base is None:
+            upstream = _matmul(dzs[l], _t(model.layers[l]), ws, ("up", l - 1))
+        else:  # dz (x0 + o c)^T
+            c = model.layers[l]
+            dz_c = _scratch(ws, (*d.shape[:-1], c.shape[-2]))
+            np.matmul(dzs[l], _t(c), out=dz_c)
+            upstream = _matmul(dz_c, base[1].T, ws, ("up", l - 1))
+            x0_term = _scratch(ws, upstream.shape)
+            upstream += np.matmul(dzs[l], base[0].T, out=x0_term)
     return dzs
 
 
 def backward(
-    model: Mlp, batch: np.ndarray, labels: np.ndarray, task: int
+    model: Mlp,
+    batch: np.ndarray,
+    labels: np.ndarray,
+    task: int,
+    ws: dict | None = None,
 ) -> tuple[float | np.ndarray, ForwardTrace, list[np.ndarray], list[np.ndarray]]:
     """Mean cross-entropy over the batch, and its gradients left factored.
 
@@ -208,11 +261,12 @@ def backward(
     task)``: the layer biases, the head and the head bias.  The gradient of
     trunk layer l's stored array is ``trace.coords[l]^T dz_l``: ``X_l^T
     dz_l`` for a plain layer, whose columns lie in the span of the batch's
-    layer inputs, and ``(X_l o)^T dz_l`` for a factored one.
+    layer inputs, and ``(X_l o)^T dz_l`` for a factored one.  With a
+    workspace ``ws`` the trace and the deltas live in its buffers.
     """
-    trace, loss, d = _output_delta(model, batch, labels, task)
+    trace, loss, d = _output_delta(model, batch, labels, task, ws)
     d /= d.shape[-2]
-    dzs = _layer_deltas(model, trace, d, task)
+    dzs = _layer_deltas(model, trace, d, task, ws)
     rest = [dz.sum(axis=-2) for dz in dzs] if model.use_bias else []
     rest.append(_t(trace.head_input) @ d)
     if model.use_bias:
@@ -240,8 +294,8 @@ def sample_deltas(
     The loss gradient of sample i alone is ``outer(inputs[l][i], deltas[l][i])``
     for trunk layer l, and ``deltas[l][i]`` for its bias.
     """
-    trace, _, d = _output_delta(model, batch, labels, task)
-    return trace.inputs, _layer_deltas(model, trace, d, task)
+    trace, _, d = _output_delta(model, batch, labels, task, None)
+    return trace.inputs, _layer_deltas(model, trace, d, task, None)
 
 
 def capture_representation(

@@ -48,6 +48,8 @@ from .gpm import GpmState, ThresholdSchedule, update_memory
 from .metrics import AccuracyMatrix
 from .model import (
     Mlp,
+    _matmul,
+    _scratch,
     backward,
     capture_representation,
     flatten_params,
@@ -88,6 +90,58 @@ def _entropy(seed: int, *rest: int) -> np.ndarray:
     seed = int(seed)
     words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
     return np.array(words + [int(v) for v in rest], dtype=np.uint32)
+
+
+_M32 = 0xFFFFFFFF
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of
+    the uint32 matrix ``entropy``, in one pass: numpy's documented mixing
+    (pool of four words, ``mix_entropy``, then eight output words), whose
+    hash constants advance alike for every row of one length."""
+    rows, length = entropy.shape
+    const = 0x43B0D7E5
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * 0x931E8875 & _M32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return out ^ out >> np.uint32(16)
+
+    zero = np.zeros(rows, dtype=np.uint32)  # a row shorter than the pool is padded
+    pool = [hashmix(entropy[:, i] if i < length else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, length):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    state = np.empty((rows, 8), dtype=np.uint32)
+    const = 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(const)
+        const = const * 0x58F38DED & _M32
+        value = value * np.uint32(const)
+        state[:, i] = value ^ value >> np.uint32(16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Seed words made in advance by ``_seed_words``, for a bit generator:
+    ``PCG64`` asks for the four uint64 words they are."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 def derive_rng(*entropy: int) -> np.random.Generator:
@@ -229,15 +283,20 @@ def _check_descent(g: np.ndarray, gt: np.ndarray, lost: np.ndarray, layer: int) 
     _require(split, at + "norm split violated: {} vs {} + {}", gsq, tsq, lost)
 
 
-def _lost_sq(x: np.ndarray, m: np.ndarray, dz: np.ndarray) -> np.ndarray:
+def _lost_sq(
+    x: np.ndarray, m: np.ndarray, dz: np.ndarray, ws: dict | None, l: int
+) -> np.ndarray:
     """``||(X m)^T dz||^2`` per agent, formed directly while ``(X m)^T dz``
     is no larger than the batch, else from the batch-sized Grams
     ``<(X m)(X m)^T, dz dz^T>``: no temporary of the layer's size."""
-    xm = x @ m
+    xm = _matmul(x, m, ws, ("xm", l))
     if m.shape[1] * dz.shape[-1] <= dz.shape[-2] * (m.shape[1] + dz.shape[-1]):
-        xm = xm.swapaxes(-1, -2) @ dz
-        return _dots(xm, xm)
-    return _dots(xm @ xm.swapaxes(-1, -2), dz @ dz.swapaxes(-1, -2))
+        xm_dz = _scratch(ws, (*xm.shape[:-2], xm.shape[-1], dz.shape[-1]))
+        np.matmul(xm.swapaxes(-1, -2), dz, out=xm_dz)
+        return _dots(xm_dz, xm_dz)
+    grams = _matmul(xm, xm.swapaxes(-1, -2), ws, ("xm_xm", l))
+    dz_dz = _scratch(ws, grams.shape)
+    return _dots(grams, np.matmul(dz, dz.swapaxes(-1, -2), out=dz_dz))
 
 
 def _gradients(
@@ -249,16 +308,17 @@ def _gradients(
     *,
     projection: bool,
     debug: bool,
+    ws: dict | None,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Loss, mu and the gradients of ``local_step``, before any scaling."""
-    loss, trace, deltas, rest = backward(model, bx, by, task)
+    loss, trace, deltas, rest = backward(model, bx, by, task, ws)
     kept_sq = np.zeros(len(loss))  # ||g~||^2 over the trunk
     lost_sq = np.zeros(len(loss))  # ||m^T g||^2 over the trunk
     grads = []
     for l, (x, dz, basis) in enumerate(zip(trace.inputs, deltas, gpm.layers)):
-        g = trace.coords[l].swapaxes(-1, -2) @ dz
+        g = _matmul(trace.coords[l].swapaxes(-1, -2), dz, ws, ("g", l))
         if model.bases[l] is not None:
-            lost = _lost_sq(x, basis.m, dz)
+            lost = _lost_sq(x, basis.m, dz, ws, l)
             if debug:
                 _check_descent(x.swapaxes(-1, -2) @ dz, basis.o @ g, lost, l)
             lost_sq += lost
@@ -287,12 +347,16 @@ def local_step(
     fisher_states: tuple[FisherState, ...] = (),
     lam: float = 0.0,
     debug: bool = False,
+    ws: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """One SGD step at every agent of a stacked model, left unapplied.
 
     Returns loss, mu and the steps ``-eta * g~`` lined up with
-    ``task_params(model, task)``; the model is not changed.  The steps are
-    new arrays that ``gossip_round`` consumes.  A trunk layer that the
+    ``task_params(model, task)``; the model is not changed, and
+    ``gossip_round`` consumes the steps.  With a workspace ``ws``, a dict
+    kept for one task (whose shapes do not change), the pass's layer-sized
+    products and the trunk steps live in its buffers, which the next call
+    overwrites; without one they are fresh arrays.  A trunk layer that the
     model holds factored over its memory's complement, ``x0 + o c``, steps
     its coefficients by ``-eta (X o)^T dz``: the projected gradient
     ``project(X^T dz, m)`` in ``o`` coordinates, of width 0 for a saturated
@@ -302,10 +366,10 @@ def local_step(
     Without projection, every state in ``fisher_states`` (empty but for
     ``dewc``) adds its penalty to the trunk gradients.
     """
-    # the layer inputs and deltas are freed before the dewc penalty's
-    # temporaries are made
+    # without a workspace the layer inputs and deltas are freed before the
+    # dewc penalty's temporaries are made
     loss, mu, grads = _gradients(
-        model, gpm, bx, by, task, projection=projection, debug=debug
+        model, gpm, bx, by, task, projection=projection, debug=debug, ws=ws
     )
     if not projection:
         ewc_grad(model, grads, fisher_states, lam)
@@ -321,6 +385,7 @@ def gossip_round(
     steps: list[np.ndarray],
     *,
     debug: bool = False,
+    ws: dict | None = None,
 ) -> float:
     """One synchronous gossip exchange; returns the consensus error.
 
@@ -335,11 +400,13 @@ def gossip_round(
     Each array, viewed as ``(N, cols)``, is swept in column blocks of
     ``_BLOCK`` elements, each in cache from the scan of ``d`` to its
     deviation sum; a non-finite step stops the sweep before its block mixes.
+    The block buffer is the scratch buffer of the workspace ``ws`` (see
+    ``local_step``) if one is given, else made for this round.
     """
     arrays = task_params(agents.model, task)
     n, total = len(w), 0.0
     cols = max(1, _BLOCK // n)  # 4,096 at N = 16
-    buf = np.empty(n * min(cols, max(x[0].size for x in arrays)))
+    buf = _scratch(ws, (n * min(cols, max(x[0].size for x in arrays)),))
     for k, (x, d, agg) in enumerate(zip(arrays, steps, agents.aggregates)):
         x, d, agg = _per_agent(x), _per_agent(d), _per_agent(agg)
         for s in range(0, x.shape[1], cols):
@@ -354,7 +421,11 @@ def gossip_round(
             q += b
             xb += q
             ab += np.matmul(w, q, out=b)
-            np.subtract(xb, xb.mean(axis=0), out=b)
+            if q.flags.c_contiguous:  # numpy would buffer the broadcast's short rows
+                np.copyto(q, xb.mean(axis=0))  # q is spent: the mean in every row
+                np.subtract(xb, q, out=b)
+            else:
+                np.subtract(xb, xb.mean(axis=0), out=b)
             b *= b
             total += float(b.sum())
     if debug:
@@ -470,23 +541,31 @@ def check_run(config: TrainConfig, sequence: TaskSequence) -> None:
 
 
 def _batches(
-    shards: list[TaskShard], seed: int, task: int, epoch: int, rounds: int, size: int
+    shards: list[TaskShard], seed: int, task: int, epochs: int, rounds: int, size: int
 ) -> np.ndarray:
-    """Row indices into the concatenated shards, shape (rounds, N, size)."""
-    # agent i's row is its shard's permutation (the stream derive_rng
-    # would give), repeated to length and shifted to the shard's offset
-    idx = np.empty((len(shards), rounds * size), dtype=np.int64)
-    cycle = np.arange(rounds * size)
-    entropy = _entropy(seed, TAG_BATCH, 0, task, epoch)
-    offset = 0
-    for i, (shard, row) in enumerate(zip(shards, idx)):
-        entropy[-3] = i  # the agent's word
-        seq = np.random.SeedSequence(entropy)
-        perm = np.random.Generator(np.random.PCG64(seq)).permutation(len(shard))
-        perm += offset
-        perm.take(cycle, mode="wrap", out=row)
-        offset += len(shard)
-    return idx.reshape(len(shards), rounds, size).swapaxes(0, 1)
+    """Row indices into the concatenated shards for every round of a task,
+    shape (epochs * rounds, N, size)."""
+    # in each epoch agent i's rows are its shard's permutation (the stream
+    # derive_rng(seed, TAG_BATCH, i, task, epoch) would give), shifted to
+    # the shard's offset and repeated to length
+    n = len(shards)
+    lengths = np.array([len(s) for s in shards])
+    offsets = np.cumsum(lengths) - lengths
+    entropy = np.tile(_entropy(seed, TAG_BATCH, 0, task, 0), (epochs, n, 1))
+    entropy[..., -3] = np.arange(n)
+    entropy[..., -1] = np.arange(epochs)[:, np.newaxis]
+    words = iter(_seed_words(entropy.reshape(epochs * n, -1)))
+    # a shard's slice of an arange is its offset plus its own arange, so
+    # shuffling the slice in place shifts the shard's permutation
+    perms = np.tile(np.arange(lengths.sum()), (epochs, 1))
+    spans = list(zip(offsets.tolist(), (offsets + lengths).tolist()))
+    for perm in perms:
+        for start, stop in spans:
+            bits = np.random.PCG64(_SeedWords(next(words)))
+            np.random.Generator(bits).shuffle(perm[start:stop])
+    cycle = np.arange(rounds * size).reshape(rounds, 1, size)
+    cycle = cycle % lengths[:, np.newaxis] + offsets[:, np.newaxis]
+    return perms[:, cycle].reshape(-1, n, size)
 
 
 def _fisher_phase(
@@ -542,22 +621,24 @@ def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
         max_shard = max(len(s) for s in shards)
         rounds_per_epoch = math.ceil(max_shard / config.batch_size)
         total_rounds = config.epochs * rounds_per_epoch
-        batches = (
-            idx
-            for epoch in range(config.epochs)
-            for idx in _batches(
-                shards, config.seed, t, epoch, rounds_per_epoch, config.batch_size
-            )
+        batches = _batches(
+            shards, config.seed, t, config.epochs, rounds_per_epoch, config.batch_size
         )
+        # the round's layer-sized arrays, made by the first round and
+        # reused by the rest: the shapes hold for the whole task
+        ws: dict = {}
+        bx = np.empty((*batches.shape[1:], pool_x.shape[1]), dtype=pool_x.dtype)
         for r, idx in enumerate(batches):
             eta = config.eta
             if config.lr_decay and 2 * r >= total_rounds:
                 eta *= 0.01 if 4 * r >= 3 * total_rounds else 0.1
             try:
+                # mode="raise" (the default) would buffer a copy
+                np.take(pool_x, idx, axis=0, out=bx, mode="clip")
                 loss, mu, steps = local_step(
                     model,
                     agents.memory,
-                    pool_x[idx],
+                    bx,
                     pool_y[idx],
                     t,
                     eta,
@@ -565,11 +646,13 @@ def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
                     fisher_states=tuple(fisher),
                     lam=config.lam,
                     debug=config.debug_checks,
+                    ws=ws,
                 )
                 if not (np.isfinite(loss).all() and np.isfinite(mu).all()):
                     raise _non_finite(steps, loss=loss, mu=mu)
-                ce = gossip_round(agents, w, t, steps, debug=config.debug_checks)
-                del steps  # freed before the next round's are made
+                ce = gossip_round(
+                    agents, w, t, steps, debug=config.debug_checks, ws=ws
+                )
                 if not math.isfinite(ce):
                     raise NonFiniteError("non-finite consensus error")
             except (NonFiniteError, InvariantError) as exc:
@@ -578,6 +661,7 @@ def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
             losses.append(loss)
             mus.append(mu)
             ces.append(ce)
+        del ws, bx, batches, idx, steps  # the round's buffers go before the boundary's
         # the boundary sync: every agent takes the average
         for a in param_arrays(model):
             a[...] = a.mean(axis=0)

@@ -218,7 +218,7 @@ def test_a_broken_invariant_exits_one_naming_its_cause(
     tmp_path, capsys, monkeypatch
 ):
     # a lost norm that drops the memory's share of the gradient breaks the norm split
-    monkeypatch.setattr(dccl.trainer, "_lost_sq", lambda x, m, dz: np.zeros(len(x)))
+    monkeypatch.setattr(dccl.trainer, "_lost_sq", lambda x, *_: np.zeros(len(x)))
     out = tmp_path / "broken"
     args = _run_args(out, "--method", "codec", "--tasks", "2", "--set", "debug_checks=true")
     rc = main(args)

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -37,6 +38,8 @@ from dccl.trainer import (
     _BLOCK,
     _batches,
     _derive_int,
+    _entropy,
+    _seed_words,
 )
 from reference import consensus_error
 
@@ -509,14 +512,32 @@ def test_seed_streams_are_numpys_tuple_streams(seed):
     state = np.random.SeedSequence((seed, TAG_SHARD, 3)).generate_state(1)[0]
     assert _derive_int(seed, TAG_SHARD, 3) == int(state)
     shards = [range(7), range(5), range(6)]  # only their lengths are read
-    rows, offset = [], 0
-    for i, shard in enumerate(shards):
-        ss = np.random.SeedSequence((seed, TAG_BATCH, i, 2, 1))
-        perm = np.random.default_rng(ss).permutation(len(shard)) + offset
-        rows.append(perm[np.arange(4 * 3) % len(shard)])
-        offset += len(shard)
-    want_idx = np.stack(rows).reshape(3, 4, 3).swapaxes(0, 1)
-    assert np.array_equal(_batches(shards, seed, 2, 1, 4, 3), want_idx)
+    epochs = []
+    for epoch in range(3):
+        rows, offset = [], 0
+        for i, shard in enumerate(shards):
+            ss = np.random.SeedSequence((seed, TAG_BATCH, i, 2, epoch))
+            perm = np.random.default_rng(ss).permutation(len(shard)) + offset
+            rows.append(perm[np.arange(4 * 3) % len(shard)])
+            offset += len(shard)
+        epochs.append(np.stack(rows).reshape(3, 4, 3).swapaxes(0, 1))
+    assert np.array_equal(_batches(shards, seed, 2, 3, 4, 3), np.concatenate(epochs))
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**70])
+def test_seed_words_are_numpys_seed_sequence_state(seed):
+    """The one-pass hash gives ``SeedSequence(row).generate_state(4,
+    np.uint64)`` for every row, at entropy lengths 1 to 9 (shorter than the
+    four-word pool, equal and longer) and for all-zero rows."""
+    rng = np.random.default_rng(seed % 2**32)
+    words = _entropy(seed)
+    for length in range(1, 10):
+        rows = rng.integers(0, 2**32, size=(6, length), dtype=np.uint64)
+        rows = rows.astype(np.uint32)
+        rows[1] = 0
+        rows[2, : len(words)] = words[:length]
+        want = [np.random.SeedSequence(r).generate_state(4, np.uint64) for r in rows]
+        assert np.array_equal(_seed_words(rows), np.array(want))
 
 
 def test_round_count_and_log_shape():
@@ -759,3 +780,110 @@ def test_round_heap_peak_stays_near_two_agent_stacks(case):
         tracemalloc.stop()
     assert round_peak - stepped <= block + 64 * 1024
     assert (max(step_peak, round_peak) - base) / stack <= 2.15
+
+
+def _held_agents(rng, dims, n, ranks, task, use_bias, classes=3):
+    """Agents at one start whose layer l has a memory of rank ``ranks[l]``,
+    held as ``x0 + o c`` where the rank is positive, each agent's ``c``,
+    plain layers, biases and head then moved apart."""
+    model = init_mlp(dims, rng, use_bias).stacked(n)
+    model.add_head(task, classes, rng)
+    layers = []
+    for l, (width, rank) in enumerate(zip(dims[:-1], ranks)):
+        q, _ = np.linalg.qr(rng.standard_normal((width, width)))
+        layers.append(LayerBasis(m=q[:, :rank], o=q[:, rank:]))
+        if rank:
+            model.factor(l, layers[-1].o)
+    for x in task_params(model, task):
+        x += 0.1 * rng.standard_normal(x.shape)
+    agents = Agents(model=model, memory=GpmState(layers=layers))
+    agents.aggregates = [x.copy() for x in task_params(model, task)]
+    return agents
+
+
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_a_workspace_step_and_round_are_the_fresh_ones(use_bias):
+    """``local_step`` and ``gossip_round`` with a workspace give bitwise
+    the loss, mu, steps, states, aggregates and consensus error of fresh
+    arrays, for two tasks with one workspace each, whose memories differ:
+    a plain layer, layers held at low and high rank (the direct lost norm
+    and the Grams) and a saturated one of width 0 in either task.  From
+    the second round on the workspace's buffers are the same arrays."""
+    rng = np.random.default_rng(5)
+    dims, n, batch = [6, 10, 8, 4], 5, 3
+    mixing = build_mixing(parse_topology("ring", n))
+    for task, ranks in enumerate([(0, 7, 8), (2, 10, 3)]):
+        fresh = _held_agents(rng, dims, n, ranks, task, use_bias)
+        held = copy.deepcopy(fresh)
+        ws, kept = {}, None
+        for _ in range(3):
+            bx = rng.standard_normal((n, batch, dims[0]))
+            by = rng.integers(0, 3, size=(n, batch))
+            out = [
+                local_step(
+                    a.model, a.memory, bx, by, task, 0.2, projection=True, ws=w
+                )
+                for a, w in ((fresh, None), (held, ws))
+            ]
+            (loss, mu, steps), (ws_loss, ws_mu, ws_steps) = out
+            assert np.array_equal(loss, ws_loss) and np.array_equal(mu, ws_mu)
+            assert all(map(np.array_equal, steps, ws_steps))
+            ce = gossip_round(fresh, mixing, task, steps)
+            assert gossip_round(held, mixing, task, ws_steps, ws=ws) == ce
+            pairs = zip(task_params(fresh.model, task), task_params(held.model, task))
+            assert all(np.array_equal(a, b) for a, b in pairs)
+            assert all(map(np.array_equal, fresh.aggregates, held.aggregates))
+            if kept is not None:
+                assert {k: id(v) for k, v in ws.items()} == kept
+            kept = {k: id(v) for k, v in ws.items()}
+
+
+def test_a_round_after_the_first_makes_no_large_block():
+    """At the ``many`` benchmark's shapes (64 agents, batches of 16, two
+    classes and 16-32-16 layers, held over a memory or not) a round that
+    reuses its task's workspace allocates no block of 64 KiB or more: no
+    bytecode of the step or the round, a numpy call included, raises the
+    heap by that much.  Without the workspace the first layer's
+    activations alone are 256 KiB, and a ufunc that casts or broadcasts
+    over short rows buffers 64 KiB."""
+    rng = np.random.default_rng(2)
+    dims, n, batch = [16, 32, 16], 64, 16
+    mixing = build_mixing(parse_topology("ring", n))
+    worst = {}
+    for ranks in [(0, 0), (5, 20)]:
+        agents = _held_agents(rng, dims, n, ranks, 0, False, classes=2)
+        bx = rng.standard_normal((n, batch, dims[0]))
+        by = rng.integers(0, 2, size=(n, batch))
+        ws = {}
+
+        def one_round():
+            _, _, steps = local_step(
+                agents.model, agents.memory, bx, by, 0, 0.01, projection=True, ws=ws
+            )
+            gossip_round(agents, mixing, 0, steps, ws=ws)
+
+        one_round()
+        rise = 0
+
+        def trace(frame, event, arg):
+            nonlocal rise
+            frame.f_trace_opcodes = True
+            peak = tracemalloc.get_traced_memory()[1]
+            rise = max(rise, peak - trace.last)
+            tracemalloc.reset_peak()
+            trace.last = tracemalloc.get_traced_memory()[0]
+            return trace
+
+        previous = sys.gettrace()  # a coverage tool's, if any
+        tracemalloc.start()
+        try:
+            trace.last = tracemalloc.get_traced_memory()[0]
+            sys.settrace(trace)
+            try:
+                one_round()
+            finally:
+                sys.settrace(previous)
+        finally:
+            tracemalloc.stop()
+        worst[ranks] = rise
+    assert max(worst.values()) < 64 * 1024, worst
