@@ -1,10 +1,18 @@
 """Decentralized elastic weight consolidation pieces.
 
-The quadratic penalty (lambda/2) * sum f * (x - x_prev)^2 acts on trunk
+The quadratic penalty (lambda/2) * sum_k f_k * (x - a_k)^2 acts on trunk
 parameters only; heads are per task and never revisited, so there is
 nothing to anchor them to.  Fisher information is the empirical diagonal:
-the mean of squared per-sample loss gradients over an agent's shard.  The
-penalty gradient broadcasts over a leading agent axis of the parameters.
+the mean of squared per-sample loss gradients over an agent's shard.
+
+Training steps the penalty implicitly: the step ``d`` minimises the
+linearised loss plus the penalty at ``x + d`` (a proximal step), ``d =
+-eta (g + lam sum_k f_k (x - a_k)) / (1 + eta lam sum_k f_k)``, stable for
+every ``eta`` and ``lam``.  ``implicit_rows`` makes its coefficients once
+per step size, and the trainer's gossip round forms the step from them.
+``fisher_mean`` gives the agents' averaged Fisher in one pass.
+``fisher_estimate``, ``fisher_average`` and the explicit penalty gradient
+``ewc_grad`` are the per-agent forms the tests hold those to.
 """
 
 from __future__ import annotations
@@ -49,15 +57,53 @@ def fisher_estimate(model: Mlp, shard: TaskShard, task: int) -> FisherState:
     return FisherState(f=f, anchor=anchor)
 
 
+def fisher_mean(model: Mlp, shards: list[TaskShard], task: int) -> FisherState:
+    """The mean over ``shards`` of ``fisher_estimate``'s Fishers, in one pass
+    over the pooled shards: row r of shard i weighs ``1 / (N n_i)``, for N
+    shards, shard i of n_i rows.  The anchor is the model's trunk."""
+    lengths = np.array([len(s) for s in shards])
+    if not shards or lengths.min() == 0:
+        raise ValueError("cannot estimate Fisher information on an empty shard")
+    weights = np.repeat(1.0 / (len(shards) * lengths), lengths)[:, np.newaxis]
+    examples = np.concatenate([s.examples for s in shards])
+    labels = np.concatenate([s.labels for s in shards])
+    inputs, deltas = sample_deltas(model, examples, labels, task)
+    squares = [dz * dz * weights for dz in deltas]
+    f = [(x * x).T @ sq for x, sq in zip(inputs, squares)]
+    if model.layer_biases is not None:
+        f += [sq.sum(axis=0) for sq in squares]
+    anchor = [p.copy() for p in trunk_params(model)]
+    return FisherState(f=f, anchor=anchor)
+
+
+def implicit_rows(
+    states: list[FisherState], lam: float, eta: float
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The implicit penalised step's coefficients at step size ``eta``, one
+    triple of flat rows ``(-alpha, -beta, gamma)`` per trunk array.
+
+    With ``s = lam sum_k f_k`` and ``t = lam sum_k f_k a_k`` the step is
+    ``-eta (g + s x - t) / (1 + eta s) = -alpha g - beta x + gamma``:
+    ``alpha = eta / (1 + eta s)``, ``beta = eta s / (1 + eta s)`` and
+    ``gamma = eta t / (1 + eta s)``.
+    """
+    rows = []
+    per_array = zip(zip(*(s.f for s in states)), zip(*(s.anchor for s in states)))
+    for fs, anchors in per_array:
+        stiff = lam * sum(fs)
+        pull = lam * sum(f * a for f, a in zip(fs, anchors))
+        den = 1.0 + eta * stiff
+        rows.append(tuple((c / den).ravel() for c in (-eta, -eta * stiff, eta * pull)))
+    return rows
+
+
 def ewc_grad(
     model: Mlp, grads: list[np.ndarray], fishers: tuple[FisherState, ...], lam: float
 ) -> list[np.ndarray]:
     """Add each state's penalty gradient lambda * f * (x - x_prev) to the
     trunk slots of ``grads`` (laid out as ``task_params``) in place and
-    return the same list.
-
-    The only stack-sized temporary is ``x - x_prev``, scaled in place by
-    the layer-sized ``lambda * f``.
+    return the same list: the explicit form of the penalty, which training
+    folds into ``implicit_rows`` instead.
     """
     if lam == 0.0:
         return grads

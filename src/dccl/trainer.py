@@ -17,10 +17,12 @@ The memory is fixed within a task, so the ledger prices each task once
 All agents share model shapes and step in lockstep, so their state is held
 stacked: every parameter array and tracked aggregate has a leading agent
 axis, a local step is one batched forward/backward pass returning the
-steps ``d = -eta g~``, and a gossip round is one sweep that updates, mixes
-and measures the arrays a column block at a time.  All randomness is
-derived from the run seed through named streams, so a configuration
-reproduces itself exactly.
+(projected) gradients ``g~``, and a gossip round is one sweep that forms
+the steps ``d`` from them, then updates, mixes and measures the arrays a
+column block at a time: ``d = -eta g~``, but for ``dewc``'s trunk under a
+penalty, whose step is the implicit one of ``ewc.implicit_rows``.  All
+randomness is derived from the run seed through named streams, so a
+configuration reproduces itself exactly.
 
 Conventions that keep the subspace-closure argument airtight: all agents
 start a task from the same parameters (models are averaged at every task
@@ -37,13 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ewc import (
-    FisherState,
-    accumulate_fisher,
-    ewc_grad,
-    fisher_average,
-    fisher_estimate,
-)
+from .ewc import FisherState, accumulate_fisher, fisher_mean, implicit_rows
 from .gpm import GpmState, ThresholdSchedule, update_memory
 from .metrics import AccuracyMatrix
 from .model import (
@@ -231,6 +227,10 @@ def _per_agent(x: np.ndarray) -> np.ndarray:
 
 
 _BLOCK = 1 << 16  # elements in a block of the round's sweep: 512 KiB, cached in L2
+# numpy's ufunc buffer, in elements, while a penalised round runs: a ufunc
+# that broadcasts a row over rows shorter than the default buffer (8,192
+# elements) buffers them, 64 KiB and more, and a smaller buffer needs none
+_ROW_BUFSIZE = 16
 
 
 def reset_aggregates(agents: Agents, w: np.ndarray, task: int) -> None:
@@ -299,7 +299,7 @@ def _lost_sq(
     return _dots(grams, np.matmul(dz, dz.swapaxes(-1, -2), out=dz_dz))
 
 
-def _gradients(
+def local_step(
     model: Mlp,
     gpm: GpmState,
     bx: np.ndarray,
@@ -307,10 +307,25 @@ def _gradients(
     task: int,
     *,
     projection: bool,
-    debug: bool,
-    ws: dict | None,
+    debug: bool = False,
+    ws: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Loss, mu and the gradients of ``local_step``, before any scaling."""
+    """One batched forward/backward pass at every agent of a stacked model.
+
+    Returns loss, mu and the (projected) gradients ``g~`` lined up with
+    ``task_params(model, task)``, unscaled; the model is not changed, and
+    ``gossip_round`` forms the steps from the gradients and consumes them.
+    With a workspace ``ws``, a dict kept for one task (whose shapes do not
+    change), the pass's layer-sized products and the trunk gradients live
+    in its buffers, which the next call overwrites; without one they are
+    fresh arrays.  A trunk layer that the model holds factored over its
+    memory's complement, ``x0 + o c``, has the coefficient gradient ``(X
+    o)^T dz``: the projected gradient ``project(X^T dz, m)`` in ``o``
+    coordinates, of width 0 for a saturated memory.  The raw ``g = X^T
+    dz`` is formed only by the ``debug`` checks.  With projection on,
+    ``mu`` is the projected-to-raw trunk gradient norm ratio per agent,
+    with ``||g||^2 = ||g~||^2 + ||(X m)^T dz||^2``.
+    """
     loss, trace, deltas, rest = backward(model, bx, by, task, ws)
     kept_sq = np.zeros(len(loss))  # ||g~||^2 over the trunk
     lost_sq = np.zeros(len(loss))  # ||m^T g||^2 over the trunk
@@ -335,99 +350,131 @@ def _gradients(
     return loss, mu, grads + rest
 
 
-def local_step(
-    model: Mlp,
-    gpm: GpmState,
-    bx: np.ndarray,
-    by: np.ndarray,
-    task: int,
+def _step(
+    g: np.ndarray,
+    x: np.ndarray,
+    rows: list[np.ndarray] | None,
     eta: float,
-    *,
-    projection: bool,
-    fisher_states: tuple[FisherState, ...] = (),
-    lam: float = 0.0,
-    debug: bool = False,
-    ws: dict | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """One SGD step at every agent of a stacked model, left unapplied.
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The step of gradients ``g`` at parameters ``x`` (both ``(N, cols)``),
+    written into ``out`` (fresh if ``None``) and returned: ``-eta g``, or
+    with a penalty's rows ``(-alpha, -beta, gamma)`` (``implicit_rows``)
+    ``-alpha g - beta x + gamma``, which spends ``g``.  ``-eta g`` is copied,
+    then scaled in place: a ufunc that writes a contiguous block from a
+    strided one alone buffers 64 KiB.  The penalised step's ufuncs do write
+    so, and a penalised round runs them under ``_ROW_BUFSIZE``, which needs
+    no buffer."""
+    if out is None:
+        out = np.empty(g.shape)
+    if rows is None:
+        np.copyto(out, g)
+        out *= -eta
+        return out
+    neg_alpha, neg_beta, gamma = rows
+    np.multiply(g, neg_alpha, out=out)
+    out += np.multiply(x, neg_beta, out=g)
+    out += gamma
+    return out
 
-    Returns loss, mu and the steps ``-eta * g~`` lined up with
-    ``task_params(model, task)``; the model is not changed, and
-    ``gossip_round`` consumes the steps.  With a workspace ``ws``, a dict
-    kept for one task (whose shapes do not change), the pass's layer-sized
-    products and the trunk steps live in its buffers, which the next call
-    overwrites; without one they are fresh arrays.  A trunk layer that the
-    model holds factored over its memory's complement, ``x0 + o c``, steps
-    its coefficients by ``-eta (X o)^T dz``: the projected gradient
-    ``project(X^T dz, m)`` in ``o`` coordinates, of width 0 for a saturated
-    memory.  The raw ``g = X^T dz`` is formed only by the ``debug`` checks.
-    With projection on, ``mu`` is the projected-to-raw trunk gradient norm
-    ratio per agent, with ``||g||^2 = ||g~||^2 + ||(X m)^T dz||^2``.
-    Without projection, every state in ``fisher_states`` (empty but for
-    ``dewc``) adds its penalty to the trunk gradients.
-    """
-    # without a workspace the layer inputs and deltas are freed before the
-    # dewc penalty's temporaries are made
-    loss, mu, grads = _gradients(
-        model, gpm, bx, by, task, projection=projection, debug=debug, ws=ws
-    )
-    if not projection:
-        ewc_grad(model, grads, fisher_states, lam)
-    for g in grads:
-        g *= -eta
-    return loss, mu, grads
+
+def _padded(penalty: list | None, count: int) -> list:
+    """``penalty``'s row triples, then ``None`` up to ``count`` arrays."""
+    rows_of = list(penalty or [])
+    return rows_of + [None] * (count - len(rows_of))
+
+
+def _steps(
+    arrays: list[np.ndarray],
+    grads: list[np.ndarray],
+    penalty: list | None,
+    eta: float,
+    k: int = 0,
+    start: int = 0,
+) -> list[np.ndarray]:
+    """Fresh steps of array ``k`` from column ``start`` on and of every
+    later array, of all by default, for naming an agent: the gradients are
+    spent."""
+    rows_of = _padded(penalty, len(arrays))
+    steps = []
+    for j in range(k, len(arrays)):
+        s = start if j == k else 0
+        rows = rows_of[j] and [r[s:] for r in rows_of[j]]
+        g, x = _per_agent(grads[j])[:, s:], _per_agent(arrays[j])[:, s:]
+        steps.append(_step(g, x, rows, eta))
+    return steps
 
 
 def gossip_round(
     agents: Agents,
     w: np.ndarray,
     task: int,
-    steps: list[np.ndarray],
+    grads: list[np.ndarray],
+    eta: float,
     *,
+    penalty: list[tuple[np.ndarray, ...]] | None = None,
     debug: bool = False,
     ws: dict | None = None,
 ) -> float:
     """One synchronous gossip exchange; returns the consensus error.
 
-    ``steps`` are the local steps ``d`` from ``local_step``, one per array
-    of ``task_params(model, task)``, and the round consumes them.  Per
-    array, every agent's update is ``q = (a - x) + d`` from its tracked
-    aggregate ``a``, it moves to ``x + q``, and every aggregate takes in
-    ``W q``.  The consensus error is the mean squared distance of the agents
-    from their average over these arrays, where a factored layer's ``c``
-    stands for the layer, as its ``o`` is orthonormal.
+    ``grads`` are the gradients from ``local_step``, one per array of
+    ``task_params(model, task)``, and the round consumes them.  Per array,
+    every agent's step is ``d = -eta g``, or for the first arrays, one per
+    row triple of ``penalty`` (``implicit_rows`` at this ``eta``: ``dewc``'s
+    trunk under its Fisher states), the implicit penalised step ``d =
+    -alpha g - beta x + gamma``.  Its update is ``q = (a - x) + d`` from its
+    tracked aggregate ``a``, it moves to ``x + q``, and every aggregate
+    takes in ``W q``.  The consensus error is the mean squared distance of
+    the agents from their average over these arrays, where a factored
+    layer's ``c`` stands for the layer, as its ``o`` is orthonormal.
 
     Each array, viewed as ``(N, cols)``, is swept in column blocks of
-    ``_BLOCK`` elements, each in cache from the scan of ``d`` to its
-    deviation sum; a non-finite step stops the sweep before its block mixes.
-    The block buffer is the scratch buffer of the workspace ``ws`` (see
+    ``_BLOCK`` elements, each in cache from its step to its deviation sum;
+    a non-finite step stops the sweep before its block mixes.  The block
+    buffer is the scratch buffer of the workspace ``ws`` (see
     ``local_step``) if one is given, else made for this round.
     """
     arrays = task_params(agents.model, task)
+    rows_of = _padded(penalty, len(arrays))
     n, total = len(w), 0.0
     cols = max(1, _BLOCK // n)  # 4,096 at N = 16
     buf = _scratch(ws, (n * min(cols, max(x[0].size for x in arrays)),))
-    for k, (x, d, agg) in enumerate(zip(arrays, steps, agents.aggregates)):
-        x, d, agg = _per_agent(x), _per_agent(d), _per_agent(agg)
-        for s in range(0, x.shape[1], cols):
-            xb, q, ab = x[:, s : s + cols], d[:, s : s + cols], agg[:, s : s + cols]
-            # q goes into d's block, and b holds d's copy, W q, then the squared
-            # deviations: a ufunc writing b from one block alone buffers 64 KiB
-            b = buf[: q.size].reshape(q.shape)
-            np.copyto(b, q)
-            if not (np.isfinite(b.min()) and np.isfinite(b.max())):
-                raise _non_finite([d[:, s:], *steps[k + 1 :]])
-            np.subtract(ab, xb, out=q)  # gossip term first: it cancels at a fixed point
-            q += b
-            xb += q
-            ab += np.matmul(w, q, out=b)
-            if q.flags.c_contiguous:  # numpy would buffer the broadcast's short rows
-                np.copyto(q, xb.mean(axis=0))  # q is spent: the mean in every row
-                np.subtract(xb, q, out=b)
-            else:
-                np.subtract(xb, xb.mean(axis=0), out=b)
-            b *= b
-            total += float(b.sum())
+    bufsize = np.setbufsize(_ROW_BUFSIZE) if penalty else None
+    try:
+        for k, (x, g, agg, rows) in enumerate(
+            zip(arrays, grads, agents.aggregates, rows_of)
+        ):
+            x, g, agg = _per_agent(x), _per_agent(g), _per_agent(agg)
+            for s in range(0, x.shape[1], cols):
+                span = slice(s, s + cols)
+                xb, q, ab = x[:, span], g[:, span], agg[:, span]
+                # q goes into g's block, and b holds the step d, W q, then the
+                # squared deviations
+                b = buf[: q.size].reshape(q.shape)
+                if rows is None:  # _step's -eta g, inline in the hot loop
+                    np.copyto(b, q)
+                    b *= -eta
+                else:
+                    _step(q, xb, [r[span] for r in rows], eta, b)
+                if not (np.isfinite(b.min()) and np.isfinite(b.max())):
+                    later = _steps(arrays, grads, penalty, eta, k, s + cols)
+                    raise _non_finite([b, *later])
+                # the gossip term first: it cancels at a fixed point
+                np.subtract(ab, xb, out=q)
+                q += b
+                xb += q
+                ab += np.matmul(w, q, out=b)
+                if q.flags.c_contiguous:  # numpy would buffer the broadcast's short rows
+                    np.copyto(q, xb.mean(axis=0))  # q is spent: the mean in every row
+                    np.subtract(xb, q, out=b)
+                else:
+                    np.subtract(xb, xb.mean(axis=0), out=b)
+                b *= b
+                total += float(b.sum())
+    finally:
+        if bufsize is not None:
+            np.setbufsize(bufsize)
     if debug:
         _check_tracking(agents, w, task)
     return total / n
@@ -574,9 +621,9 @@ def _fisher_phase(
     """The dewc penalty states after task ``task``: one accumulated state
     (``online``) or one per task (``per_task``)."""
     # after the boundary sync every agent holds the same parameters, so
-    # the average's anchor (agent 0's) is everyone's
-    states = [fisher_estimate(model.view(i), s, task) for i, s in enumerate(shards)]
-    avg = fisher_average(states)
+    # agent 0's Fisher over the pooled shards is the agents' average, and
+    # its anchor is everyone's
+    avg = fisher_mean(model.view(0), shards, task)
     if mode == "online":
         return [accumulate_fisher(fisher[0] if fisher else None, avg)]
     return fisher + [avg]
@@ -594,7 +641,6 @@ def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
     ledger: list[TaskComm] = []
     losses, mus, ces = [], [], []  # one entry per round
     fisher: list[FisherState] = []  # the dewc penalty states
-    stiff_warned = False
     pick_stream = derive_rng(config.seed, TAG_PICK)
     base = init_mlp(config.dims, derive_rng(config.seed, TAG_INIT, 0), config.use_bias)
     agents = Agents(model=base.stacked(n), memory=GpmState.fresh(config.dims[:-1]))
@@ -628,30 +674,39 @@ def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
         # reused by the rest: the shapes hold for the whole task
         ws: dict = {}
         bx = np.empty((*batches.shape[1:], pool_x.shape[1]), dtype=pool_x.dtype)
+        # the dewc penalty's step rows, made once for each step size of the task
+        penalty, penalty_eta = None, None
         for r, idx in enumerate(batches):
             eta = config.eta
             if config.lr_decay and 2 * r >= total_rounds:
                 eta *= 0.01 if 4 * r >= 3 * total_rounds else 0.1
+            if fisher and config.lam > 0.0 and eta != penalty_eta:
+                penalty, penalty_eta = implicit_rows(fisher, config.lam, eta), eta
             try:
                 # mode="raise" (the default) would buffer a copy
                 np.take(pool_x, idx, axis=0, out=bx, mode="clip")
-                loss, mu, steps = local_step(
+                loss, mu, grads = local_step(
                     model,
                     agents.memory,
                     bx,
                     pool_y[idx],
                     t,
-                    eta,
                     projection=projection,
-                    fisher_states=tuple(fisher),
-                    lam=config.lam,
                     debug=config.debug_checks,
                     ws=ws,
                 )
                 if not (np.isfinite(loss).all() and np.isfinite(mu).all()):
+                    steps = _steps(task_params(model, t), grads, penalty, eta)
                     raise _non_finite(steps, loss=loss, mu=mu)
                 ce = gossip_round(
-                    agents, w, t, steps, debug=config.debug_checks, ws=ws
+                    agents,
+                    w,
+                    t,
+                    grads,
+                    eta,
+                    penalty=penalty,
+                    debug=config.debug_checks,
+                    ws=ws,
                 )
                 if not math.isfinite(ce):
                     raise NonFiniteError("non-finite consensus error")
@@ -661,7 +716,8 @@ def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
             losses.append(loss)
             mus.append(mu)
             ces.append(ce)
-        del ws, bx, batches, idx, steps  # the round's buffers go before the boundary's
+        # the round's buffers go before the boundary's
+        del ws, bx, batches, idx, grads, penalty
         # the boundary sync: every agent takes the average
         for a in param_arrays(model):
             a[...] = a.mean(axis=0)
@@ -671,19 +727,6 @@ def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
             gpm_broadcast(agents, shards, t, eps_th, config, pick_stream)
         if method == "dewc":
             fisher = _fisher_phase(model, shards, t, fisher, config.ewc_mode)
-            # the next task steps the penalty explicitly, x -= eta lam F (x - anchor),
-            # which is stable only while eta lam F < 2 on every entry of the summed F
-            layers = zip(*(s.f for s in fisher))  # none without a hidden layer
-            f_max = max((float(sum(f).max()) for f in layers), default=0.0)
-            stiff = config.eta * config.lam * f_max
-            if stiff >= 2.0 and not stiff_warned and t + 1 < t_count:
-                stiff_warned = True
-                log.warning(
-                    "dewc penalty after task %d has eta*lambda*max(F) = %.1f, "
-                    "not below 2: the explicit penalty step can diverge",
-                    t,
-                    stiff,
-                )
         ledger.append(price_task(agents, t, method, sizes, total_rounds, receivers))
         view = model.view(0)
         for i in [t] if method == "stl" else range(t + 1):

@@ -2,8 +2,10 @@
 
 The reference holds one ``Mlp`` per agent and sends every message on its
 own, as separate nodes would.  It reads as the algorithm: a projected
-(GPM, Saha, Garg & Roy 2021) or EWC-penalised local step ``d = -eta g~``,
-the CHOCO-SGD update ``q = (x_hat - x) + d`` (Koloskova, Stich & Jaggi
+(GPM, Saha, Garg & Roy 2021) local step ``d = -eta g~``, or for ``dewc``
+the implicit step of the EWC penalty (Kirkpatrick et al. 2017), which
+minimises the linearised loss plus the penalty at ``x + d``, the CHOCO-SGD
+update ``q = (x_hat - x) + d`` (Koloskova, Stich & Jaggi
 2019), for ``codec`` encoded as the subspace coefficients ``o^T q`` and
 decoded as ``o c`` by each receiver into its tracked aggregate ``x_hat``,
 an average at every task boundary, the memory grown at one picked agent,
@@ -107,10 +109,13 @@ def reference_run(cfg: TrainConfig, seq):
                         g[l] = g[l] - basis.m @ (basis.m.T @ g[l])
                     kept = math.sqrt(sum(np.sum(g[l] ** 2) for l in range(n_layers)))
                     mu = kept / raw if raw else 1.0
-                for f, anchor in fishers:
-                    for j, p in enumerate(trunk_params(a)):
-                        g[j] = g[j] + cfg.lam * f[j] * (p - anchor[j])
-                steps.append([-eta * gk for gk in g])
+                d = [-eta * gk for gk in g]
+                for j, p in enumerate(trunk_params(a) if fishers else []):
+                    # d = -eta (g + lam sum_k f_k (x - a_k)) / (1 + eta lam sum_k f_k)
+                    pull = sum(cfg.lam * f[j] * (p - anchor[j]) for f, anchor in fishers)
+                    stiff = sum(cfg.lam * f[j] for f, _ in fishers)
+                    d[j] = -eta * (g[j] + pull) / (1.0 + eta * stiff)
+                steps.append(d)
                 losses.append(float(loss))
                 mus.append(mu)
             updates = []

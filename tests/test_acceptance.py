@@ -222,7 +222,7 @@ def test_criterion_05_gossip_alone_reaches_consensus():
         history = [consensus_error(agents.model)]
         for r in range(200):
             steps = [np.zeros_like(x) for x in task_params(agents.model, 0)]
-            gossip_round(agents, mixing, 0, steps, debug=(r % 40 == 0))
+            gossip_round(agents, mixing, 0, steps, 0.1, debug=(r % 40 == 0))
             history.append(consensus_error(agents.model))
         assert history[0] > 1.0  # the random starting points really disagree
         assert history[-1] < 1e-12

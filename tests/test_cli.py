@@ -1,5 +1,6 @@
 """End-to-end command line behaviour, config precedence, and report files."""
 
+import dataclasses
 import json
 import logging
 import re
@@ -183,14 +184,26 @@ def test_non_finite_mu_or_consensus_error_stops_the_run(
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_a_diverging_run_with_live_checks_names_the_blow_up(tmp_path, capsys):
-    """The aggregates grow to about 3e7 before the loss overflows, so the
-    tracking check holds their drift relative to their size and the run
-    stops on the non-finite loss, not on a rounding-level drift."""
+    """Task 2's features are 1e100 times the first two tasks', so its first
+    round moves the parameters and their aggregates to about 2e98 under the
+    penalty of both earlier tasks; the tracking check holds their drift
+    relative to their size, and the run stops on the next round's
+    non-finite loss, not on a rounding-level drift."""
+    seq = generate_synthetic_sequence(3, 2, 16, 40, 5, separation=4.0)
+    paths = []
+    for t, data in enumerate(seq.tasks):
+        if t == 2:
+            data = dataclasses.replace(
+                data, train_x=1e100 * data.train_x, test_x=1e100 * data.test_x
+            )
+        paths.append(str(tmp_path / f"task{t}.csv"))
+        save_csv_dataset(data, paths[-1])
     out = tmp_path / "diverged"
     rc = main([
         "run", "--method", "dewc", "--topology", "torus:2x3", "--agents", "6",
         "--tasks", "3", "--out", str(out), "--set", "use_bias=true",
         "--set", "lr_decay=true", "--set", "debug_checks=true",
+        "--set", f"dataset_path={','.join(paths)}",
     ])
     err = capsys.readouterr().err
     assert rc == 1
@@ -247,26 +260,19 @@ def test_an_oversized_representation_batch_warns_once(tmp_path, caplog):
     assert caplog.records == []
 
 
-def test_a_stiff_dewc_penalty_warns_once(tmp_path, caplog):
-    """The default two-task dewc run trains task 1 under a penalty with
-    eta * lambda * max(F) = 14 > 2: said once per run, naming the first
-    such task, and the run still exits 0; lambda = 50 keeps the explicit
-    step stable."""
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_the_default_dewc_config_learns_three_tasks(tmp_path, caplog, seed):
+    """The penalty's implicit step is stable at the default eta * lambda,
+    so three tasks under it finish with no warning, above chance (50%); an
+    explicit step diverges in task 2 on seeds 0, 1 and 3, and reaches 50%
+    on seed 2."""
     caplog.set_level(logging.WARNING)
-    assert main(["run", "--method", "dewc", "--out", str(tmp_path / "a")]) == 0
-    messages = [r.getMessage() for r in caplog.records]
-    assert len(messages) == 1, messages
-    assert messages[0].startswith("dewc penalty after task 0 has eta*lambda*max(F) = 14.0")
-    caplog.clear()
-    # the penalty stays stiff after task 1 too, and is not said again
-    args = ["run", "--method", "dewc", "--tasks", "3", "--set", "epochs=1"]
-    assert main([*args, "--out", str(tmp_path / "b")]) == 0
-    messages = [r.getMessage() for r in caplog.records]
-    assert len(messages) == 1 and "after task 0" in messages[0], messages
-    caplog.clear()
-    args = ["run", "--method", "dewc", "--set", "lambda=50", "--out", str(tmp_path / "c")]
-    assert main(args) == 0
+    out = tmp_path / "dewc"
+    args = ["run", "--method", "dewc", "--tasks", "3", "--seed", str(seed)]
+    assert main([*args, "--out", str(out)]) == 0
     assert caplog.records == []
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["accuracy_percent"] > 50.0
 
 
 def test_run_single_agent_all_inclusive_ratio_is_one(tmp_path):

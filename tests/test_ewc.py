@@ -12,13 +12,14 @@ from dccl.ewc import (
     ewc_grad,
     fisher_average,
     fisher_estimate,
+    fisher_mean,
 )
 from dccl.gpm import ThresholdSchedule
 from dccl.metrics import compression
 from dccl.model import flatten_params, init_mlp, loss_and_grad, trunk_params, unflatten_params
 from dccl.tasks import TaskShard, generate_synthetic_sequence
 from dccl.topology import parse_topology
-from dccl.trainer import TrainConfig, run
+from dccl.trainer import TrainConfig, _fisher_phase, run
 
 
 def _model(seed=0, use_bias=False):
@@ -174,6 +175,33 @@ def test_fisher_states_are_read_only_and_shared():
         assert not array.flags.writeable
 
 
+@pytest.mark.parametrize("mode", ["online", "per_task"])
+def test_the_pooled_fisher_phase_is_the_mean_of_the_agents_fishers(mode):
+    """One pass over 7 agents' pooled shards of 3 to 9 rows, each row
+    weighted by 1 / (7 n_i), gives the mean of the agents' own Fishers, with
+    biases: to 1e-12 of the largest entry, accumulated onto (``online``) or
+    appended to (``per_task``) an earlier state, and anchored at the
+    model's trunk."""
+    rng = np.random.default_rng(19)
+    model, other = (init_mlp([4, 6, 5], rng, use_bias=True) for _ in range(2))
+    for m in (model, other):
+        m.add_head(0, 3, rng)
+    stack = model.stacked(7)  # every agent holds the model, as after a sync
+    shards = [_shard(20 + i, rows=3 + i) for i in range(7)]
+    earlier = [fisher_estimate(other, _shard(27), 0)]
+    got = _fisher_phase(stack, shards, 0, earlier, mode)
+    avg = fisher_average([fisher_estimate(stack.view(i), s, 0) for i, s in enumerate(shards)])
+    want = [accumulate_fisher(earlier[0], avg)] if mode == "online" else earlier + [avg]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert len(a.f) == len(b.f) == 4  # two layers, two biases
+        for f, g in zip(a.f, b.f):
+            assert np.max(np.abs(f - g)) <= 1e-12 * np.max(np.abs(g))
+        assert all(map(np.array_equal, a.anchor, b.anchor))
+    with pytest.raises(ValueError, match="empty shard"):
+        fisher_mean(model, [shards[0], _shard(23, rows=0)], 0)
+
+
 def test_accumulate_fisher_sums_and_rebases():
     a = FisherState(f=[np.full((2, 2), 2.0)], anchor=[np.full((2, 2), 1.0)])
     b = FisherState(f=[np.full((2, 2), 4.0)], anchor=[np.full((2, 2), 9.0)])
@@ -205,6 +233,17 @@ def test_zero_lambda_single_task_equals_naive():
     dewc = run(_config(lam=0.0), seq)
     naive = run(_config(method="naive"), seq)
     assert np.max(np.abs(dewc.final_params - naive.final_params)) <= 1e-12
+
+
+def test_a_zero_lambda_dewc_run_is_the_naive_run_bit_for_bit():
+    """Without a penalty to step, a two-task dewc run takes naive's unpenalised
+    rounds: every loss, consensus error and parameter is bitwise naive's."""
+    seq = generate_synthetic_sequence(2, 2, 16, 40, 3)
+    dewc = run(_config(lam=0.0, use_bias=True), seq)
+    naive = run(_config(method="naive", use_bias=True), seq)
+    assert np.array_equal(dewc.loss, naive.loss)
+    assert np.array_equal(dewc.consensus_error, naive.consensus_error)
+    assert np.array_equal(dewc.final_params, naive.final_params)
 
 
 def test_dewc_sends_updates_uncompressed():
