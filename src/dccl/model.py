@@ -19,7 +19,13 @@ leading index as an independent model with its own batch.
 
 A trunk layer may be held factored (``Mlp.factor``) as ``x0 + o c``: ``x0``
 and an orthonormal ``o`` (n_in, k) shared by a stack, and each model's
-coefficients ``c`` (k, n_out) in ``layers``, which is what trains.
+coefficients ``c`` (k, n_out) in ``layers``, which is what trains.  A held
+layer keeps these shared factors with C-contiguous copies of their
+transposes (``Factor``), which the backward pass multiplies by.
+
+The loss reduces over the class axis one class at a time (``_over_classes``)
+while there are fewer than 8 classes, and with numpy's reductions from 8 on,
+with the same bits either way.
 
 A training loop may pass a workspace, a dict that holds the pass's
 layer-sized products across calls of the same shapes (``_matmul``), and
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +51,17 @@ class ForwardTrace:
     coords: list[np.ndarray]  # the inputs in each layer's coordinates: X or X o
     head_input: np.ndarray  # (*lead, batch, dims[-1])
     logits: np.ndarray  # (*lead, batch, classes)
+
+
+class Factor(NamedTuple):
+    """The shared factors of a layer held as ``x0 + o c``, with C-contiguous
+    copies of their transposes: a batched matmul by a shared transposed
+    view runs 2-3x slower than by a contiguous array."""
+
+    x0: np.ndarray  # (n_in, n_out)
+    o: np.ndarray  # (n_in, k), orthonormal columns
+    x0_t: np.ndarray  # x0^T
+    o_t: np.ndarray  # o^T
 
 
 class Mlp:
@@ -65,8 +83,8 @@ class Mlp:
         )
         self.heads: dict[int, np.ndarray] = {}
         self.head_biases: dict[int, np.ndarray] = {}
-        # (x0, o) while layer l is held as x0 + o layers[l] (``factor``)
-        self.bases: list[tuple | None] = [None] * len(self.layers)
+        # while layer l is held as x0 + o layers[l] (``factor``)
+        self.bases: list[Factor | None] = [None] * len(self.layers)
 
     def _map(self, fn, lead: tuple[int, ...]) -> "Mlp":
         other = Mlp(self.dims, self.use_bias)
@@ -100,7 +118,8 @@ class Mlp:
         """Hold trunk layer l as ``x0 + o c``: ``x0`` is the first model's
         layer, which every model must share, and each ``c`` starts at 0."""
         x0 = self.layers[l][(0,) * len(self.lead)].copy()
-        self.bases[l] = (x0, o)
+        t = np.ascontiguousarray
+        self.bases[l] = Factor(x0, o, t(x0.T), t(o.T))
         self.layers[l] = np.zeros((*self.lead, o.shape[1], x0.shape[1]))
 
     def fold(self) -> None:
@@ -108,7 +127,7 @@ class Mlp:
         which every model must share."""
         for l, base in enumerate(self.bases):
             if base is not None:
-                x = base[0] + base[1] @ self.layers[l][(0,) * len(self.lead)]
+                x = base.x0 + base.o @ self.layers[l][(0,) * len(self.lead)]
                 self.layers[l] = np.broadcast_to(x, (*self.lead, *x.shape)).copy()
         self.bases = [None] * len(self.layers)
 
@@ -175,10 +194,10 @@ def forward(
     act = batch
     for l, (w, base) in enumerate(zip(model.layers, model.bases)):
         inputs.append(act)
-        coords.append(act if base is None else _matmul(act, base[1], ws, ("xo", l)))
+        coords.append(act if base is None else _matmul(act, base.o, ws, ("xo", l)))
         z = _matmul(coords[-1], w, ws, ("z", l))
         if base is not None:
-            z += np.matmul(act, base[0], out=_scratch(ws, z.shape))
+            z += np.matmul(act, base.x0, out=_scratch(ws, z.shape))
         if model.layer_biases is not None:
             z += model.layer_biases[l][..., np.newaxis, :]
         act = np.maximum(z, 0.0, out=z)
@@ -208,13 +227,26 @@ def _output_delta(
             f"labels must lie in 0..{classes - 1}, got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    shifted = trace.logits - trace.logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=-1, keepdims=True)
-    picked = np.take_along_axis(shifted, labels[..., np.newaxis], axis=-1)[..., 0]
-    loss = np.mean(np.log(total[..., 0]) - picked, axis=-1)
-    d = e / total - (labels[..., np.newaxis] == np.arange(classes))
+    shifted = trace.logits - _over_classes(np.maximum, trace.logits)[..., np.newaxis]
+    d = np.exp(shifted)
+    total = _over_classes(np.add, d)
+    hot = labels[..., np.newaxis] == np.arange(classes)
+    loss = np.mean(np.log(total) - shifted[hot].reshape(labels.shape), axis=-1)
+    d /= total[..., np.newaxis]
+    d[hot] -= 1.0
     return trace, loss, d
+
+
+def _over_classes(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=-1)``, bit for bit.  Below 8 classes it is one
+    call per class, left to right: numpy reduces so short an axis ~10x
+    slower, and sums it in the same order; from 8 on its sum is pairwise."""
+    if a.shape[-1] >= 8:
+        return ufunc.reduce(a, axis=-1)
+    out = a[..., 0].copy()
+    for k in range(1, a.shape[-1]):
+        ufunc(out, a[..., k], out=out)
+    return out
 
 
 def _layer_deltas(
@@ -240,9 +272,9 @@ def _layer_deltas(
             c = model.layers[l]
             dz_c = _scratch(ws, (*d.shape[:-1], c.shape[-2]))
             np.matmul(dzs[l], _t(c), out=dz_c)
-            upstream = _matmul(dz_c, base[1].T, ws, ("up", l - 1))
+            upstream = _matmul(dz_c, base.o_t, ws, ("up", l - 1))
             x0_term = _scratch(ws, upstream.shape)
-            upstream += np.matmul(dzs[l], base[0].T, out=x0_term)
+            upstream += np.matmul(dzs[l], base.x0_t, out=x0_term)
     return dzs
 
 

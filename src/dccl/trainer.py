@@ -227,9 +227,10 @@ def _per_agent(x: np.ndarray) -> np.ndarray:
 
 
 _BLOCK = 1 << 16  # elements in a block of the round's sweep: 512 KiB, cached in L2
-# numpy's ufunc buffer, in elements, while a penalised round runs: a ufunc
-# that broadcasts a row over rows shorter than the default buffer (8,192
-# elements) buffers them, 64 KiB and more, and a smaller buffer needs none
+# numpy's ufunc buffer, in elements, while a round runs: a ufunc on a
+# strided block, or one that broadcasts a row, over rows shorter than the
+# default buffer (8,192 elements) buffers them, 64 KiB and more, and a
+# smaller buffer needs none
 _ROW_BUFSIZE = 16
 
 
@@ -363,8 +364,8 @@ def _step(
     ``-alpha g - beta x + gamma``, which spends ``g``.  ``-eta g`` is copied,
     then scaled in place: a ufunc that writes a contiguous block from a
     strided one alone buffers 64 KiB.  The penalised step's ufuncs do write
-    so, and a penalised round runs them under ``_ROW_BUFSIZE``, which needs
-    no buffer."""
+    so, and a round runs them under ``_ROW_BUFSIZE``, which needs no
+    buffer."""
     if out is None:
         out = np.empty(g.shape)
     if rows is None:
@@ -440,7 +441,7 @@ def gossip_round(
     n, total = len(w), 0.0
     cols = max(1, _BLOCK // n)  # 4,096 at N = 16
     buf = _scratch(ws, (n * min(cols, max(x[0].size for x in arrays)),))
-    bufsize = np.setbufsize(_ROW_BUFSIZE) if penalty else None
+    bufsize = np.setbufsize(_ROW_BUFSIZE)
     try:
         for k, (x, g, agg, rows) in enumerate(
             zip(arrays, grads, agents.aggregates, rows_of)
@@ -473,8 +474,7 @@ def gossip_round(
                 b *= b
                 total += float(b.sum())
     finally:
-        if bufsize is not None:
-            np.setbufsize(bufsize)
+        np.setbufsize(bufsize)
     if debug:
         _check_tracking(agents, w, task)
     return total / n

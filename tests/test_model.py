@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dccl.model import (
+    _output_delta,
+    backward,
     capture_representation,
     flatten_params,
     forward,
@@ -149,6 +151,124 @@ def test_gradients_line_up_with_task_params(dims, use_bias, stack, heads, seed):
     assert all(p is q for p, q in zip(params, trunk_params(model)))
     assert params[n_trunk] is model.heads[task]
     assert len(param_arrays(model)) == n_trunk + heads * (len(params) - n_trunk)
+
+
+def _softmax_oracle(logits, labels):
+    """The mean loss and output delta by numpy's class-axis reductions."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    picked = np.take_along_axis(shifted, labels[..., np.newaxis], axis=-1)[..., 0]
+    loss = np.mean(np.log(total[..., 0]) - picked, axis=-1)
+    return loss, e / total - (labels[..., np.newaxis] == np.arange(logits.shape[-1]))
+
+
+@pytest.mark.parametrize("classes", range(2, 13))
+@pytest.mark.parametrize("stack", [(), (7,)])
+def test_the_class_axis_loops_are_numpys_reductions(classes, stack):
+    """The loss and the output delta are the formulas of numpy's class-axis
+    reductions bit for bit, on plain and stacked batches: below 8 classes
+    the per-class loops sum left to right, as numpy does over so short an
+    axis, and from 8 on numpy's pairwise sum runs.  The logits of a row
+    span up to ~30, so its exponentials span up to 13 decades."""
+    rng = _rng(100 + classes)
+    model = init_mlp([4, 6], rng, True)
+    if stack:
+        model = model.stacked(stack[0])
+    model.add_head(0, classes, rng)
+    for p in param_arrays(model):
+        p[...] = rng.standard_normal(p.shape)
+    batch = rng.standard_normal((*stack, 33, 4))
+    labels = rng.integers(0, classes, size=(*stack, 33))
+    trace, loss, d = _output_delta(model, batch, labels, 0, None)
+    want_loss, want_d = _softmax_oracle(trace.logits, labels)
+    assert np.array_equal(loss, want_loss)
+    assert np.array_equal(d, want_d)
+    assert np.array_equal(backward(model, batch, labels, 0)[0], want_loss)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("classes", [2, 9])
+def test_a_non_finite_logit_gives_a_non_finite_loss(bad, classes):
+    """An inf or nan logit makes its model's loss non-finite, and only
+    its model's, so a run stops naming the agent
+    (``test_non_finite_training_data_stops_the_run_naming_the_agent``)."""
+    model = init_mlp([3, 4], _rng(40), True).stacked(3)
+    model.add_head(0, classes, _rng(41))
+    model.head_biases[0][1, 1] = bad
+    batch = _rng(42).standard_normal((3, 5, 3))
+    labels = np.zeros((3, 5), dtype=int)
+    with np.errstate(invalid="ignore"):  # inf - inf, as in a diverging run
+        loss, _ = loss_and_grad(model, batch, labels, 0)
+    assert np.isfinite(loss).tolist() == [True, False, True]
+
+
+def test_a_held_layer_keeps_contiguous_transposes():
+    """``factor`` keeps C-contiguous copies of ``x0^T`` and ``o^T``, also
+    for a column slice ``o`` and one of width 0; views and stacks carry
+    them, and ``fold`` drops them."""
+    rng = _rng(50)
+    model = init_mlp([5, 7, 4], rng).stacked(3)
+    q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+    x0 = model.layers[1][0].copy()
+    for l, o in ((1, q[:, 2:]), (0, np.zeros((5, 0)))):
+        model.factor(l, o)
+        base = model.bases[l]
+        assert base.o is o
+        for t, a in ((base.x0_t, base.x0), (base.o_t, o)):
+            assert t.flags.c_contiguous and np.array_equal(t, a.T)
+    assert np.array_equal(model.bases[1].x0, x0)
+    assert model.view(2).bases == model.bases
+    assert model.view(0).stacked(2).bases == model.bases
+    model.fold()
+    assert model.bases == [None, None]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.lists(st.integers(1, 6), min_size=5, max_size=5),
+    n=st.integers(1, 3),
+    use_bias=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_factored_backward_is_the_folded_plain_one(dims, n, use_bias, seed):
+    """A stack whose 4-layer trunk is held over random memories (empty,
+    partial or saturated, with ``o`` of width 0), each model at its own
+    coefficients ``c``, gives the loss, the layer deltas and the gradients
+    of each model folded plain to 1e-12 of their largest magnitude: a held
+    layer's ``(X o)^T dz`` is ``o^T`` times the plain ``X^T dz``."""
+    rng = np.random.default_rng(seed)
+    model = init_mlp(dims, rng, use_bias)
+    model.add_head(0, 3, rng)
+    for p in param_arrays(model):
+        p[...] = rng.standard_normal(p.shape)
+    held = model.stacked(n)
+    for l, width in enumerate(dims[:-1]):
+        rank = int(rng.integers(0, width + 1))
+        if rank:
+            q, _ = np.linalg.qr(rng.standard_normal((width, width)))
+            held.factor(l, q[:, rank:])
+            held.layers[l][...] = rng.standard_normal(held.layers[l].shape)
+    batch = rng.standard_normal((n, 5, dims[0]))
+    labels = rng.integers(0, 3, size=(n, 5))
+    loss, trace, dzs, rest = backward(held, batch, labels, 0)
+    for i in range(n):
+        plain = copy.deepcopy(held.view(i))
+        plain.fold()
+        want_loss, want = loss_and_grad(plain, batch[i], labels[i], 0)
+        _, _, want_dzs, _ = backward(plain, batch[i], labels[i], 0)
+        assert abs(loss[i] - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+        got = [x[i].T @ dz[i] for x, dz in zip(trace.coords, dzs)] + [r[i] for r in rest]
+        for l, base in enumerate(held.bases):
+            got_dz, want_dz = dzs[l][i], want_dzs[l]
+            assert np.max(np.abs(got_dz - want_dz)) <= 1e-12 * np.max(np.abs(want_dz))
+            if base is not None:
+                got[l] = base.o @ got[l]  # the span(o) part of the plain gradient
+                want[l] = base.o @ (base.o.T @ want[l])
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w), initial=0.0) <= 1e-12 * np.max(
+                np.abs(w), initial=0.0
+            )
 
 
 def test_init_is_deterministic_and_bounded():

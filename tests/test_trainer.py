@@ -920,9 +920,12 @@ def test_a_round_after_the_first_makes_no_large_block():
     block of 64 KiB or more: no bytecode of the step or the round, a numpy
     call included, raises the heap by that much.  So does a penalised
     ``dewc`` round at 16 agents with 16-512-16 layers, whose steps the
-    round forms in strided column blocks of 4,096.  Without the workspace
-    the first layer's activations alone are 256 KiB, and a ufunc that
-    casts or broadcasts over short rows buffers 64 KiB."""
+    round forms in strided column blocks of 4,096, and so do unpenalised
+    rounds over strided blocks: 16-128-16 layers at 64 agents (blocks of
+    1,024 of 2,048 columns) and 64-256-129 ones at 16 (a ragged last block
+    of 256 of 33,024).  Without the workspace the first layer's activations
+    alone are 256 KiB, and a ufunc that casts or broadcasts over short
+    rows, or reads a strided block, buffers 64 KiB."""
     rng = np.random.default_rng(2)
     batch = 16
     worst = {}
@@ -931,6 +934,8 @@ def test_a_round_after_the_first_makes_no_large_block():
         "held": ([16, 32, 16], "ring", 64, (5, 20), False),
         "dewc": ([16, 32, 16], "ring", 64, (0, 0), True),
         "dewc, strided blocks": ([16, 512, 16], "torus:4x4", 16, (0, 0), True),
+        "strided blocks": ([16, 128, 16], "ring", 64, (0, 0), False),
+        "ragged last block": ([64, 256, 129], "torus:4x4", 16, (0, 0), False),
     }
     for case, (dims, spec, n, ranks, penalised) in cases.items():
         mixing = build_mixing(parse_topology(spec, n))
