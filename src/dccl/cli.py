@@ -20,7 +20,7 @@ import sys
 
 from .gpm import ThresholdSchedule
 from .metrics import emit_reports
-from .tasks import TaskSequence, generate_synthetic_sequence, load_csv_dataset
+from .tasks import LabeledDataset, generate_synthetic_sequence, load_csv_dataset
 from .topology import build_mixing, parse_topology, validate_assumption3
 from .trainer import EWC_MODES, METHODS, TrainConfig, check_run, run
 from .trainer import InvariantError, NonFiniteError
@@ -218,7 +218,7 @@ def _cross_check(values: dict[str, object]) -> None:
         )
 
 
-def _build_sequence(values: dict[str, object]) -> TaskSequence:
+def _build_sequence(values: dict[str, object]) -> list[LabeledDataset]:
     paths = values["dataset_path"]
     if paths is None:
         data_seed = values["data_seed"]
@@ -232,16 +232,11 @@ def _build_sequence(values: dict[str, object]) -> TaskSequence:
             int(data_seed),
             separation=float(values["separation"]),
         )
+    # check_run compares every task's feature width with dims[0]
     datasets = [load_csv_dataset(p) for p in paths]
-    dim = datasets[0].train_x.shape[1]
     classes = len(datasets[0].classes)
     seen: set[int] = set()
     for i, ds in enumerate(datasets):
-        if ds.train_x.shape[1] != dim:
-            raise ConfigError(
-                f"dataset {paths[i]} has dimension {ds.train_x.shape[1]}, "
-                f"expected {dim}"
-            )
         if len(ds.classes) != classes:
             raise ConfigError(
                 f"dataset {paths[i]} has {len(ds.classes)} classes, expected {classes}"
@@ -253,11 +248,7 @@ def _build_sequence(values: dict[str, object]) -> TaskSequence:
                 "tasks must be class-disjoint"
             )
         seen.update(ds.classes)
-    if dim != int(values["input_dim"]):
-        raise ConfigError(
-            f"dataset dimension {dim} does not match input_dim = {values['input_dim']}"
-        )
-    return TaskSequence(tasks=datasets, classes_per_task=classes, input_dim=dim)
+    return datasets
 
 
 def _train_config(values: dict[str, object]) -> TrainConfig:

@@ -8,6 +8,7 @@ re-running the same configuration reproduces byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -15,65 +16,33 @@ import numpy as np
 from .gpm import save_state
 
 
-class AccuracyMatrix:
-    """Lower-triangular matrix; entry (t, i) is task-i accuracy after task t."""
-
-    def __init__(self, t: int):
-        if t < 1:
-            raise ValueError("need at least one task")
-        self.t = t
-        self._a = np.full((t, t), np.nan)
-
-    def set(self, after_task: int, task: int, value: float) -> None:
-        if not 0 <= task <= after_task < self.t:
-            raise ValueError(f"bad cell ({after_task}, {task}) for {self.t} tasks")
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"accuracy {value} outside [0, 1]")
-        self._a[after_task, task] = value
-
-    def get(self, after_task: int, task: int) -> float:
-        return float(self._a[after_task, task])
-
-    @property
-    def complete(self) -> bool:
-        return not any(
-            np.isnan(self._a[t, i]) for t in range(self.t) for i in range(t + 1)
-        )
-
-    @property
-    def diagonal_complete(self) -> bool:
-        return not any(np.isnan(self._a[t, t]) for t in range(self.t))
-
-    def last_row(self) -> list[float]:
-        return [float(v) for v in self._a[self.t - 1, :]]
-
-    def diagonal(self) -> list[float]:
-        return [float(self._a[t, t]) for t in range(self.t)]
-
-
-def acc(matrix: AccuracyMatrix) -> float:
-    """Mean final accuracy over all tasks (the last matrix row)."""
-    if not matrix.complete:
+def _check_complete(cells: np.ndarray) -> None:
+    if cells.size == 0:
+        raise ValueError("need at least one task")
+    if np.isnan(cells).any():
         raise ValueError("accuracy matrix is incomplete")
-    return float(np.mean(matrix.last_row()))
 
 
-def bwt(matrix: AccuracyMatrix) -> float:
+def acc(matrix: np.ndarray) -> float:
+    """Mean final accuracy over all tasks: the last row of the ``(T, T)``
+    accuracy array, whose ``[t, i]`` is task i's accuracy after task t."""
+    _check_complete(matrix[np.tril_indices(len(matrix))])
+    return float(np.mean(matrix[-1]))
+
+
+def bwt(matrix: np.ndarray) -> float:
     """Mean drop from just-trained to final accuracy; needs at least 2 tasks."""
-    if matrix.t < 2:
+    if len(matrix) < 2:
         raise ValueError("backward transfer needs at least two tasks")
-    if not matrix.complete:
-        raise ValueError("accuracy matrix is incomplete")
-    last = matrix.last_row()
-    diag = matrix.diagonal()
-    return float(np.mean([last[i] - diag[i] for i in range(matrix.t - 1)]))
+    _check_complete(matrix[np.tril_indices(len(matrix))])
+    return float(np.mean(matrix[-1, :-1] - np.diag(matrix)[:-1]))
 
 
-def diagonal_mean(matrix: AccuracyMatrix) -> float:
+def diagonal_mean(matrix: np.ndarray) -> float:
     """Mean of just-trained accuracies; the natural summary for per-task models."""
-    if not matrix.diagonal_complete:
-        raise ValueError("diagonal is incomplete")
-    return float(np.mean(matrix.diagonal()))
+    diag = np.diag(matrix)
+    _check_complete(diag)
+    return float(np.mean(diag))
 
 
 def compression(ledger) -> dict:
@@ -138,33 +107,27 @@ def emit_reports(result, out_dir: str, *, seed: int, config_echo: dict) -> dict:
     with open(
         os.path.join(out_dir, "accuracy_matrix.csv"), "w", encoding="utf-8"
     ) as handle:
-        header = "after_task," + ",".join(f"task_{i}" for i in range(matrix.t))
+        header = "after_task," + ",".join(f"task_{i}" for i in range(len(matrix)))
         handle.write(header + "\n")
-        for t in range(matrix.t):
-            cells = []
-            for i in range(matrix.t):
-                v = matrix.get(t, i)
-                cells.append("" if np.isnan(v) else _fmt_percent(v))
+        for t, row in enumerate(matrix.tolist()):
+            cells = ["" if math.isnan(v) else _fmt_percent(v) for v in row]
             handle.write(f"{t}," + ",".join(cells) + "\n")
 
     if method == "stl":
-        accuracy = diagonal_mean(matrix) if matrix.diagonal_complete else None
-        backward = None
+        accuracy, backward = diagonal_mean(matrix), None
     else:
-        accuracy = acc(matrix) if matrix.complete else None
-        backward = (
-            bwt(matrix) if matrix.t >= 2 and matrix.complete else None
-        )
+        accuracy = acc(matrix)
+        backward = bwt(matrix) if len(matrix) >= 2 else None
 
     mu = result.mu
     summary = {
         "schema_version": 1,
         "method": method,
         "seed": seed,
-        "accuracy_percent": None if accuracy is None else accuracy * 100.0,
+        "accuracy_percent": accuracy * 100.0,
         "bwt_percent": None if backward is None else backward * 100.0,
         "final_accuracies_percent": [
-            None if np.isnan(v) else v * 100.0 for v in matrix.last_row()
+            None if math.isnan(v) else v * 100.0 for v in matrix[-1].tolist()
         ],
         "compression": compression(result.ledger),
         "per_layer_compression": per_layer_compression(result.ledger),

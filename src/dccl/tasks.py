@@ -20,13 +20,6 @@ class LabeledDataset:
 
 
 @dataclass
-class TaskSequence:
-    tasks: list[LabeledDataset]
-    classes_per_task: int
-    input_dim: int
-
-
-@dataclass
 class TaskShard:
     examples: np.ndarray
     labels: np.ndarray
@@ -42,7 +35,7 @@ def generate_synthetic_sequence(
     per_class: int,
     seed: int,
     separation: float = 4.0,
-) -> TaskSequence:
+) -> list[LabeledDataset]:
     """Gaussian blob tasks with globally disjoint label sets.
 
     Each class is an isotropic Gaussian with standard deviation
@@ -79,7 +72,7 @@ def generate_synthetic_sequence(
                 classes=classes,
             )
         )
-    return TaskSequence(tasks=tasks, classes_per_task=classes_per_task, input_dim=dim)
+    return tasks
 
 
 def shard_iid(dataset: LabeledDataset, n: int, seed: int) -> list[TaskShard]:

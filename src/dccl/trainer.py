@@ -41,7 +41,6 @@ import numpy as np
 
 from .ewc import FisherState, accumulate_fisher, fisher_mean, implicit_rows
 from .gpm import GpmState, ThresholdSchedule, update_memory
-from .metrics import AccuracyMatrix
 from .model import (
     Mlp,
     _matmul,
@@ -55,7 +54,7 @@ from .model import (
     task_params,
     trunk_params,
 )
-from .tasks import TaskSequence, TaskShard, shard_iid
+from .tasks import LabeledDataset, TaskShard, shard_iid
 from .topology import Topology, build_mixing
 
 log = logging.getLogger(__name__)
@@ -205,10 +204,12 @@ class RunResult:
     """What ``run`` returns.  ``loss`` and ``mu`` hold every agent's value
     per round, shape ``(rounds, N)``, and ``consensus_error`` one value per
     round, shape ``(rounds,)``, over every task's rounds in order: the
-    ledger's ``rounds`` split them by task."""
+    ledger's ``rounds`` split them by task.  ``accuracy[t, i]`` is task i's
+    accuracy after task t, NaN where it was not measured: above the
+    diagonal, and off it for ``stl``."""
 
     method: str
-    accuracy: AccuracyMatrix
+    accuracy: np.ndarray  # (T, T)
     ledger: list[TaskComm]  # one record per task
     loss: np.ndarray
     mu: np.ndarray
@@ -356,22 +357,16 @@ def _step(
     x: np.ndarray,
     rows: list[np.ndarray] | None,
     eta: float,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> np.ndarray:
     """The step of gradients ``g`` at parameters ``x`` (both ``(N, cols)``),
-    written into ``out`` (fresh if ``None``) and returned: ``-eta g``, or
-    with a penalty's rows ``(-alpha, -beta, gamma)`` (``implicit_rows``)
-    ``-alpha g - beta x + gamma``, which spends ``g``.  ``-eta g`` is copied,
-    then scaled in place: a ufunc that writes a contiguous block from a
-    strided one alone buffers 64 KiB.  The penalised step's ufuncs do write
-    so, and a round runs them under ``_ROW_BUFSIZE``, which needs no
-    buffer."""
-    if out is None:
-        out = np.empty(g.shape)
+    written into ``out`` and returned: ``-eta g``, or with a penalty's rows
+    ``(-alpha, -beta, gamma)`` (``implicit_rows``) ``-alpha g - beta x +
+    gamma``, which spends ``g``.  A ufunc that writes a contiguous block
+    from a strided one buffers 64 KiB under numpy's default buffer size; a
+    round runs these under ``_ROW_BUFSIZE``, which needs no buffer."""
     if rows is None:
-        np.copyto(out, g)
-        out *= -eta
-        return out
+        return np.multiply(g, -eta, out=out)
     neg_alpha, neg_beta, gamma = rows
     np.multiply(g, neg_alpha, out=out)
     out += np.multiply(x, neg_beta, out=g)
@@ -402,7 +397,7 @@ def _steps(
         s = start if j == k else 0
         rows = rows_of[j] and [r[s:] for r in rows_of[j]]
         g, x = _per_agent(grads[j])[:, s:], _per_agent(arrays[j])[:, s:]
-        steps.append(_step(g, x, rows, eta))
+        steps.append(_step(g, x, rows, eta, np.empty(g.shape)))
     return steps
 
 
@@ -453,11 +448,7 @@ def gossip_round(
                 # q goes into g's block, and b holds the step d, W q, then the
                 # squared deviations
                 b = buf[: q.size].reshape(q.shape)
-                if rows is None:  # _step's -eta g, inline in the hot loop
-                    np.copyto(b, q)
-                    b *= -eta
-                else:
-                    _step(q, xb, [r[span] for r in rows], eta, b)
+                _step(q, xb, rows and [r[span] for r in rows], eta, b)
                 if not (np.isfinite(b.min()) and np.isfinite(b.max())):
                     later = _steps(arrays, grads, penalty, eta, k, s + cols)
                     raise _non_finite([b, *later])
@@ -543,7 +534,7 @@ def gpm_broadcast(
     agents.memory = update_memory(agents.memory, reps, eps_th)
 
 
-def check_run(config: TrainConfig, sequence: TaskSequence) -> None:
+def check_run(config: TrainConfig, sequence: list[LabeledDataset]) -> None:
     """Raise ``ValueError`` for what ``run`` would reject before training."""
     if config.method not in METHODS:
         raise ValueError(f"unknown method {config.method!r}")
@@ -559,16 +550,15 @@ def check_run(config: TrainConfig, sequence: TaskSequence) -> None:
         raise ValueError(f"lam must be non-negative, got {config.lam}")
     if config.lam == math.inf:
         raise ValueError(f"lam must be finite, got {config.lam}")
-    if len(config.dims) < 1 or config.dims[0] != sequence.input_dim:
-        raise ValueError(
-            f"model input width {config.dims[:1]} does not match data "
-            f"dimension {sequence.input_dim}"
-        )
+    if len(config.dims) < 1:
+        raise ValueError("dims must hold at least the model input width")
+    if not sequence:
+        raise ValueError("need at least one task")
     if config.ewc_mode not in EWC_MODES:
         raise ValueError(f"unknown ewc mode {config.ewc_mode!r}")
     n = config.topology.n
     projection = config.method == "codec"
-    for t, data in enumerate(sequence.tasks):
+    for t, data in enumerate(sequence):
         rows = data.train_x.shape[0]
         if rows < n:
             raise ValueError(
@@ -576,8 +566,21 @@ def check_run(config: TrainConfig, sequence: TaskSequence) -> None:
             )
         if data.test_x.shape[0] == 0:
             raise ValueError(f"task {t} has an empty test split")
+        for split, x, y in (
+            ("train", data.train_x, data.train_y),
+            ("test", data.test_x, data.test_y),
+        ):
+            if x.ndim != 2 or x.shape[1] != config.dims[0]:
+                raise ValueError(
+                    f"task {t} has {split} features of shape {x.shape}, "
+                    f"not (rows, {config.dims[0]}) for the model's input width"
+                )
+            if y.size and not 0 <= y.min() <= y.max() < len(data.classes):
+                raise ValueError(
+                    f"task {t} has a {split} label outside 0..{len(data.classes) - 1}"
+                )
         config.threshold.value(t)  # raises if the schedule leaves (0, 1)
-    smallest = min(data.train_x.shape[0] // n for data in sequence.tasks)
+    smallest = min(data.train_x.shape[0] // n for data in sequence)
     if projection and config.rep_samples > smallest:
         log.warning(
             "rep_samples %d exceeds the smallest shard (%d samples); "
@@ -629,15 +632,15 @@ def _fisher_phase(
     return fisher + [avg]
 
 
-def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
-    """Train ``config.method`` over the task sequence; the config is not changed."""
+def run(config: TrainConfig, sequence: list[LabeledDataset]) -> RunResult:
+    """Train ``config.method`` over the task sequence, a list of datasets;
+    the config is not changed."""
     check_run(config, sequence)
     n = config.topology.n
     method = config.method
     projection = method == "codec"
     w = build_mixing(config.topology)
-    t_count = len(sequence.tasks)
-    matrix = AccuracyMatrix(t_count)
+    matrix = np.full((len(sequence), len(sequence)), np.nan)
     ledger: list[TaskComm] = []
     losses, mus, ces = [], [], []  # one entry per round
     fisher: list[FisherState] = []  # the dewc penalty states
@@ -645,7 +648,7 @@ def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
     base = init_mlp(config.dims, derive_rng(config.seed, TAG_INIT, 0), config.use_bias)
     agents = Agents(model=base.stacked(n), memory=GpmState.fresh(config.dims[:-1]))
     receivers = fanout(w)
-    for t, data in enumerate(sequence.tasks):
+    for t, data in enumerate(sequence):
         if method == "stl" and t > 0:
             stream = derive_rng(config.seed, TAG_INIT, t)
             fresh = init_mlp(config.dims, stream, config.use_bias)
@@ -730,9 +733,9 @@ def run(config: TrainConfig, sequence: TaskSequence) -> RunResult:
         ledger.append(price_task(agents, t, method, sizes, total_rounds, receivers))
         view = model.view(0)
         for i in [t] if method == "stl" else range(t + 1):
-            test = sequence.tasks[i]
+            test = sequence[i]
             pred = np.argmax(forward(view, test.test_x, i).logits, axis=1)
-            matrix.set(t, i, float(np.mean(pred == test.test_y)))
+            matrix[t, i] = np.mean(pred == test.test_y)
     return RunResult(
         method=method,
         accuracy=matrix,

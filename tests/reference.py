@@ -70,7 +70,7 @@ def reference_run(cfg: TrainConfig, seq):
     """Train ``cfg.method`` over ``seq`` with one model per agent; returns
     the accuracy matrix, the per-round log rows, the final parameters and
     the final memory (``None`` but for ``codec``)."""
-    n, t_count = cfg.topology.n, len(seq.tasks)
+    n, t_count = cfg.topology.n, len(seq)
     w = build_mixing(cfg.topology)
     projected = cfg.method == "codec"
     n_layers = len(cfg.dims) - 1
@@ -81,7 +81,7 @@ def reference_run(cfg: TrainConfig, seq):
     logs = []
     agents = []
     bs = cfg.batch_size
-    for t, data in enumerate(seq.tasks):
+    for t, data in enumerate(seq):
         if t == 0 or cfg.method == "stl":
             init = init_mlp(cfg.dims, derive_rng(cfg.seed, TAG_INIT, t), cfg.use_bias)
             agents = [copy.deepcopy(init) for _ in range(n)]
@@ -160,7 +160,7 @@ def reference_run(cfg: TrainConfig, seq):
                 fishers = []
             fishers.append((f, anchor))
         for i in [t] if cfg.method == "stl" else range(t + 1):
-            test = seq.tasks[i]
+            test = seq[i]
             logits = forward(agents[0], test.test_x, i).logits
             acc[t, i] = float(np.mean(np.argmax(logits, axis=1) == test.test_y))
     return acc, logs, flatten_params(agents[0]), memory if projected else None

@@ -29,7 +29,7 @@ from dccl.model import (
     unflatten_params,
 )
 from dccl.ewc import ewc_grad, fisher_estimate
-from dccl.tasks import TaskSequence, TaskShard, generate_synthetic_sequence
+from dccl.tasks import TaskShard, generate_synthetic_sequence
 from dccl.topology import build_mixing, parse_topology, validate_assumption3
 from dccl.trainer import (
     Agents,
@@ -90,12 +90,7 @@ def small_pair(small_sequence):
 def small_first_task(small_sequence):
     # same seed and data, stopped after task 1: its final memory is the
     # memory in force during task 2 of the two-task run
-    seq = TaskSequence(
-        tasks=small_sequence.tasks[:1],
-        classes_per_task=small_sequence.classes_per_task,
-        input_dim=small_sequence.input_dim,
-    )
-    return run(_small_config("codec"), seq)
+    return run(_small_config("codec"), small_sequence[:1])
 
 
 def _bench_config(method):
@@ -130,7 +125,7 @@ def test_criterion_01_codec_is_lossless(small_pair):
         assert delta <= 1e-9
         for t in range(2):
             for i in range(t + 1):
-                a = round(codec.accuracy.get(t, i), 6)
+                a = round(float(codec.accuracy[t, i]), 6)
                 b = round(float(small_pair["accuracy"][t, i]), 6)
                 assert a == b
         assert small_pair["elapsed"] < 60.0
@@ -337,7 +332,7 @@ def test_criterion_10_degenerate_settings_collapse_cleanly():
         codec = run(_small_config("codec"), single)
         naive = run(_small_config("naive"), single)
         assert np.max(np.abs(codec.final_params - naive.final_params)) <= 1e-12
-        assert codec.accuracy.get(0, 0) == naive.accuracy.get(0, 0)
+        assert codec.accuracy[0, 0] == naive.accuracy[0, 0]
 
 
 def test_criterion_11_runs_are_reproducible(tmp_path, capsys):

@@ -191,7 +191,7 @@ def test_a_diverging_run_with_live_checks_names_the_blow_up(tmp_path, capsys):
     non-finite loss, not on a rounding-level drift."""
     seq = generate_synthetic_sequence(3, 2, 16, 40, 5, separation=4.0)
     paths = []
-    for t, data in enumerate(seq.tasks):
+    for t, data in enumerate(seq):
         if t == 2:
             data = dataclasses.replace(
                 data, train_x=1e100 * data.train_x, test_x=1e100 * data.test_x
@@ -351,18 +351,18 @@ def test_data_seed_defaults_to_run_seed():
     values = resolve_config(None, ["seed=9", "tasks=1", "samples_per_class=4"], {})
     seq = _build_sequence(values)
     want = generate_synthetic_sequence(1, 2, 16, 4, 9, separation=4.0)
-    assert np.array_equal(seq.tasks[0].train_x, want.tasks[0].train_x)
+    assert np.array_equal(seq[0].train_x, want[0].train_x)
     values = resolve_config(
         None, ["seed=9", "data_seed=2", "tasks=1", "samples_per_class=4"], {}
     )
     other = _build_sequence(values)
-    assert not np.array_equal(other.tasks[0].train_x, want.tasks[0].train_x)
+    assert not np.array_equal(other[0].train_x, want[0].train_x)
 
 
 def _save_sequence_csvs(tmp_path, tasks=2):
     seq = generate_synthetic_sequence(tasks, 2, 8, 10, 5, separation=4.0)
     paths = []
-    for t, ds in enumerate(seq.tasks):
+    for t, ds in enumerate(seq):
         path = tmp_path / f"task{t}.csv"
         save_csv_dataset(ds, str(path))
         paths.append(str(path))
@@ -423,3 +423,11 @@ def test_dims_must_match_input_dim(capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "input_dim" in err
+
+
+def test_csv_width_other_than_input_dim_rejected(tmp_path, capsys):
+    paths = _save_sequence_csvs(tmp_path)  # 8 features; input_dim is 16
+    rc = main(["validate", "--tasks", "2", "--set", f"dataset_path={paths[0]},{paths[1]}"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "task 0 has train features of shape (16, 8), not (rows, 16)" in err

@@ -9,7 +9,6 @@ import pytest
 from dccl.gpm import ThresholdSchedule
 
 from dccl.metrics import (
-    AccuracyMatrix,
     acc,
     bwt,
     compression,
@@ -23,10 +22,9 @@ from dccl.trainer import RunResult, TaskComm, TrainConfig, run
 
 
 def _matrix(rows):
-    m = AccuracyMatrix(len(rows))
+    m = np.full((len(rows), len(rows)), np.nan)
     for t, row in enumerate(rows):
-        for i, v in enumerate(row):
-            m.set(t, i, v)
+        m[t, : len(row)] = row
     return m
 
 
@@ -36,8 +34,8 @@ def test_acc_is_mean_of_last_row():
 
 
 def test_acc_requires_complete_matrix():
-    m = AccuracyMatrix(2)
-    m.set(0, 0, 0.5)
+    m = np.full((2, 2), np.nan)
+    m[0, 0] = 0.5
     with pytest.raises(ValueError):
         acc(m)
 
@@ -55,19 +53,13 @@ def test_bwt_needs_two_tasks():
         bwt(_matrix([[0.9]]))
 
 
-def test_matrix_rejects_bad_cells():
-    m = AccuracyMatrix(2)
-    with pytest.raises(ValueError):
-        m.set(0, 1, 0.5)
-    with pytest.raises(ValueError):
-        m.set(1, 0, 1.5)
-
-
 def test_diagonal_mean():
-    m = AccuracyMatrix(2)
-    m.set(0, 0, 0.8)
-    m.set(1, 1, 0.6)
+    m = np.full((2, 2), np.nan)
+    np.fill_diagonal(m, [0.8, 0.6])
     assert diagonal_mean(m) == pytest.approx(0.7)
+    m[1, 1] = np.nan
+    with pytest.raises(ValueError):
+        diagonal_mean(m)
 
 
 def _ledger_single_layer(full, actual, extra=0, over_full=0, over_actual=0):
@@ -190,9 +182,8 @@ def test_emit_reports_empty_logs_headers_only(tmp_path):
 
 
 def test_emit_reports_stl_uses_diagonal(tmp_path):
-    matrix = AccuracyMatrix(2)
-    matrix.set(0, 0, 0.8)
-    matrix.set(1, 1, 0.9)
+    matrix = np.full((2, 2), np.nan)
+    matrix[0, 0], matrix[1, 1] = 0.8, 0.9
     ledger = [TaskComm(task=0, layer_full=[4], layer_actual=[4])]
     result = _result(matrix, ledger, method="stl")
     summary = emit_reports(result, str(tmp_path / "stl"), seed=0, config_echo={})

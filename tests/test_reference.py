@@ -92,8 +92,7 @@ def test_run_matches_the_per_agent_reference(
     )
     got = run(cfg, seq)
     acc, logs, final, memory = reference_run(cfg, seq)
-    matrix = [[got.accuracy.get(t, i) for i in range(tasks)] for t in range(tasks)]
-    assert np.array_equal(matrix, acc, equal_nan=True)
+    assert np.array_equal(got.accuracy, acc, equal_nan=True)
     rows = [
         (e.task, r, i, sent)
         for e in got.ledger

@@ -29,7 +29,7 @@ def _logistic_oracle_accuracy(train_x, train_y, test_x, test_y):
 
 def test_two_separated_classes_are_linearly_learnable():
     seq = generate_synthetic_sequence(1, 2, 2, 100, 5, separation=4.0)
-    task = seq.tasks[0]
+    task = seq[0]
     acc = _logistic_oracle_accuracy(task.train_x, task.train_y, task.test_x, task.test_y)
     assert acc > 0.95
 
@@ -37,7 +37,7 @@ def test_two_separated_classes_are_linearly_learnable():
 def test_task_classes_are_disjoint_and_labels_local():
     seq = generate_synthetic_sequence(3, 4, 8, 30, 9)
     seen = set()
-    for t, task in enumerate(seq.tasks):
+    for t, task in enumerate(seq):
         assert set(np.unique(task.train_y)) == set(range(4))
         assert set(np.unique(task.test_y)) <= set(range(4))
         overlap = seen.intersection(task.classes)
@@ -48,7 +48,7 @@ def test_task_classes_are_disjoint_and_labels_local():
 
 def test_split_sizes_are_eighty_twenty():
     seq = generate_synthetic_sequence(1, 3, 4, 100, 2)
-    task = seq.tasks[0]
+    task = seq[0]
     assert task.train_x.shape == (240, 4)
     assert task.test_x.shape == (60, 4)
 
@@ -56,17 +56,17 @@ def test_split_sizes_are_eighty_twenty():
 def test_generation_is_deterministic():
     a = generate_synthetic_sequence(2, 2, 5, 40, 77)
     b = generate_synthetic_sequence(2, 2, 5, 40, 77)
-    for ta, tb in zip(a.tasks, b.tasks):
+    for ta, tb in zip(a, b):
         assert np.array_equal(ta.train_x, tb.train_x)
         assert np.array_equal(ta.test_y, tb.test_y)
     c = generate_synthetic_sequence(2, 2, 5, 40, 78)
-    assert not np.array_equal(a.tasks[0].train_x, c.tasks[0].train_x)
+    assert not np.array_equal(a[0].train_x, c[0].train_x)
 
 
 def test_shard_sizes_match_paper_narrative():
     # 5000 training samples over 4 agents leaves 1250 each
     seq = generate_synthetic_sequence(1, 2, 3, 3125, 4)
-    task = seq.tasks[0]
+    task = seq[0]
     assert task.train_x.shape[0] == 5000
     shards = shard_iid(task, 4, 123)
     assert [len(s) for s in shards] == [1250, 1250, 1250, 1250]
@@ -74,7 +74,7 @@ def test_shard_sizes_match_paper_narrative():
 
 def test_shards_partition_the_training_set():
     seq = generate_synthetic_sequence(1, 2, 3, 50, 6)
-    task = seq.tasks[0]
+    task = seq[0]
     shards = shard_iid(task, 3, 9)
     sizes = sorted(len(s) for s in shards)
     assert max(sizes) - min(sizes) <= 1
@@ -91,7 +91,7 @@ def test_shards_partition_the_training_set():
 
 def test_shard_agent_ids_and_determinism():
     seq = generate_synthetic_sequence(1, 2, 3, 30, 6)
-    task = seq.tasks[0]
+    task = seq[0]
     a = shard_iid(task, 4, 5)
     b = shard_iid(task, 4, 5)
     for sa, sb in zip(a, b):
@@ -102,7 +102,7 @@ def test_shard_agent_ids_and_determinism():
 def test_shard_rejects_tiny_dataset():
     seq = generate_synthetic_sequence(1, 2, 3, 2, 6)
     with pytest.raises(ValueError):
-        shard_iid(seq.tasks[0], 64, 5)
+        shard_iid(seq[0], 64, 5)
 
 
 def test_csv_inline_example(tmp_path):
@@ -117,7 +117,7 @@ def test_csv_inline_example(tmp_path):
 
 def test_csv_round_trip(tmp_path):
     seq = generate_synthetic_sequence(1, 3, 4, 20, 13)
-    task = seq.tasks[0]
+    task = seq[0]
     path = tmp_path / "t.csv"
     save_csv_dataset(task, str(path))
     back = load_csv_dataset(str(path))

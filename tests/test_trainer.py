@@ -566,7 +566,7 @@ def test_single_task_codec_equals_plain_decentralized_sgd():
         assert np.array_equal(codec.loss, naive.loss)
         assert np.array_equal(codec.consensus_error, naive.consensus_error)
         assert np.all(codec.mu == 1.0)
-        assert codec.accuracy.get(0, 0) == naive.accuracy.get(0, 0)
+        assert codec.accuracy[0, 0] == naive.accuracy[0, 0]
 
 
 def test_runs_are_deterministic():
@@ -645,8 +645,7 @@ def test_scalar_accounting_matches_closed_form(method, n_tasks, use_bias):
     ranks = [[0, 0]]
     if method != "dewc":
         for t in range(n_tasks - 1):
-            prefix = dataclasses.replace(seq, tasks=seq.tasks[: t + 1])
-            ranks.append(run(cfg, prefix).gpm.ranks())
+            ranks.append(run(cfg, seq[: t + 1]).gpm.ranks())
         ranks.append(result.gpm.ranks())
     assert [entry.task for entry in result.ledger] == list(range(n_tasks))
     for t, entry in enumerate(result.ledger):
@@ -688,9 +687,9 @@ def test_debug_checks_pass_on_a_live_run():
 
 def test_non_finite_training_data_stops_the_run_naming_the_agent():
     seq = generate_synthetic_sequence(2, 2, 16, 40, 4)
-    seq.tasks[0].train_x[5, 3] = np.nan
+    seq[0].train_x[5, 3] = np.nan
     cfg = _config("ring", 4, epochs=1, method="naive")
-    shards = shard_iid(seq.tasks[0], 4, _derive_int(cfg.seed, TAG_SHARD, 0))
+    shards = shard_iid(seq[0], 4, _derive_int(cfg.seed, TAG_SHARD, 0))
     holder = next(i for i, s in enumerate(shards) if np.isnan(s.examples).any())
     want = rf"task 0, round \d+: agent {holder} has non-finite loss"
     with pytest.raises(NonFiniteError, match=want):
@@ -703,13 +702,31 @@ def test_every_task_is_checked_before_the_first_round(monkeypatch):
 
     monkeypatch.setattr(dccl.trainer, "local_step", no_round)
     seq = generate_synthetic_sequence(2, 2, 16, 40, 4)
-    task = seq.tasks[1]
-    seq.tasks[1] = dataclasses.replace(task, train_x=task.train_x[:3], train_y=task.train_y[:3])
-    with pytest.raises(ValueError, match="task 1 has 3 training samples, fewer than 4 agents"):
-        run(_config("ring", 4), seq)
-    seq.tasks[1] = dataclasses.replace(task, test_x=task.test_x[:0], test_y=task.test_y[:0])
-    with pytest.raises(ValueError, match="task 1 has an empty test split"):
-        run(_config("ring", 4), seq)
+    task = seq[1]
+    cases = [
+        (
+            dict(train_x=task.train_x[:3], train_y=task.train_y[:3]),
+            "task 1 has 3 training samples, fewer than 4 agents",
+        ),
+        (
+            dict(test_x=task.test_x[:0], test_y=task.test_y[:0]),
+            "task 1 has an empty test split",
+        ),
+        (
+            dict(train_x=task.train_x[:, :8]),
+            r"task 1 has train features of shape \(64, 8\), not \(rows, 16\)",
+        ),
+        (
+            dict(test_x=task.test_x[:, :8]),
+            r"task 1 has test features of shape \(16, 8\), not \(rows, 16\)",
+        ),
+        (dict(train_y=task.train_y + 5), r"task 1 has a train label outside 0\.\.1"),
+        (dict(test_y=task.test_y + 5), r"task 1 has a test label outside 0\.\.1"),
+    ]
+    for fields, message in cases:
+        seq[1] = dataclasses.replace(task, **fields)
+        with pytest.raises(ValueError, match=message):
+            run(_config("ring", 4), seq)
 
 
 def test_stl_fills_only_the_diagonal():
@@ -718,9 +735,9 @@ def test_stl_fills_only_the_diagonal():
     for t in range(3):
         for i in range(t + 1):
             if i == t:
-                assert not np.isnan(result.accuracy.get(t, i))
+                assert not np.isnan(result.accuracy[t, i])
             else:
-                assert np.isnan(result.accuracy.get(t, i))
+                assert np.isnan(result.accuracy[t, i])
 
 
 def test_gpm_state_is_shared_and_grows(tmp_path):
