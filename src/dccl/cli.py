@@ -234,13 +234,8 @@ def _build_sequence(values: dict[str, object]) -> list[LabeledDataset]:
         )
     # check_run compares every task's feature width with dims[0]
     datasets = [load_csv_dataset(p) for p in paths]
-    classes = len(datasets[0].classes)
     seen: set[int] = set()
     for i, ds in enumerate(datasets):
-        if len(ds.classes) != classes:
-            raise ConfigError(
-                f"dataset {paths[i]} has {len(ds.classes)} classes, expected {classes}"
-            )
         overlap = seen.intersection(ds.classes)
         if overlap:
             raise ConfigError(

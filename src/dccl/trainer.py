@@ -17,12 +17,14 @@ The memory is fixed within a task, so the ledger prices each task once
 All agents share model shapes and step in lockstep, so their state is held
 stacked: every parameter array and tracked aggregate has a leading agent
 axis, a local step is one batched forward/backward pass returning the
-(projected) gradients ``g~``, and a gossip round is one sweep that forms
-the steps ``d`` from them, then updates, mixes and measures the arrays a
-column block at a time: ``d = -eta g~``, but for ``dewc``'s trunk under a
-penalty, whose step is the implicit one of ``ewc.implicit_rows``.  All
-randomness is derived from the run seed through named streams, so a
-configuration reproduces itself exactly.
+(projected) gradients ``g~``, a large trunk one as its batch-sized factor
+pair (``Outer``), and a gossip round is one sweep that forms the steps
+``d`` from them, then updates, mixes and measures the arrays a block at a
+time: ``d = -eta g~``, but for ``dewc``'s trunk under a penalty, whose
+step is the implicit one of ``ewc.implicit_rows``.  So a task holds two
+model-sized stacks, the parameters and the aggregates.  All randomness is
+derived from the run seed through named streams, so a configuration
+reproduces itself exactly.
 
 Conventions that keep the subspace-closure argument airtight: all agents
 start a task from the same parameters (models are averaged at every task
@@ -285,20 +287,67 @@ def _check_descent(g: np.ndarray, gt: np.ndarray, lost: np.ndarray, layer: int) 
     _require(split, at + "norm split violated: {} vs {} + {}", gsq, tsq, lost)
 
 
+def _factored(c: np.ndarray, dz: np.ndarray) -> bool:
+    """Whether the product ``c^T dz`` of a (batch, k) ``c`` and a (batch,
+    n_out) ``dz`` per agent is larger than its two factors."""
+    k, (batch, n_out) = c.shape[-1], dz.shape[-2:]
+    return k * n_out > batch * (k + n_out)
+
+
+def _gram_sq(c: np.ndarray, dz: np.ndarray, ws: dict | None, key) -> np.ndarray:
+    """``||c^T dz||^2`` per agent from the batch-sized Grams ``<c c^T, dz
+    dz^T>``: no temporary of the product's size."""
+    grams = _matmul(c, c.swapaxes(-1, -2), ws, key)
+    dz_dz = _scratch(ws, grams.shape)
+    return _dots(grams, np.matmul(dz, dz.swapaxes(-1, -2), out=dz_dz))
+
+
 def _lost_sq(
     x: np.ndarray, m: np.ndarray, dz: np.ndarray, ws: dict | None, l: int
 ) -> np.ndarray:
     """``||(X m)^T dz||^2`` per agent, formed directly while ``(X m)^T dz``
-    is no larger than the batch, else from the batch-sized Grams
-    ``<(X m)(X m)^T, dz dz^T>``: no temporary of the layer's size."""
+    is no larger than its factors, else from their Grams (``_gram_sq``)."""
     xm = _matmul(x, m, ws, ("xm", l))
-    if m.shape[1] * dz.shape[-1] <= dz.shape[-2] * (m.shape[1] + dz.shape[-1]):
-        xm_dz = _scratch(ws, (*xm.shape[:-2], xm.shape[-1], dz.shape[-1]))
-        np.matmul(xm.swapaxes(-1, -2), dz, out=xm_dz)
-        return _dots(xm_dz, xm_dz)
-    grams = _matmul(xm, xm.swapaxes(-1, -2), ws, ("xm_xm", l))
-    dz_dz = _scratch(ws, grams.shape)
-    return _dots(grams, np.matmul(dz, dz.swapaxes(-1, -2), out=dz_dz))
+    if _factored(xm, dz):
+        return _gram_sq(xm, dz, ws, ("xm_xm", l))
+    xm_dz = _scratch(ws, (*xm.shape[:-2], xm.shape[-1], dz.shape[-1]))
+    np.matmul(xm.swapaxes(-1, -2), dz, out=xm_dz)
+    return _dots(xm_dz, xm_dz)
+
+
+class Outer:
+    """A stack of trunk gradients ``coords^T dz`` held as their batch-sized
+    factors, ``coords`` (N, batch, k) and ``dz`` (N, batch, n_out).
+
+    ``gossip_round`` forms it a block of whole rows at a time (``form``),
+    in cache; ``np.asarray`` forms it whole.  A write into it forms it
+    whole first and holds it so, as an array would keep the write.
+    """
+
+    def __init__(self, coords: np.ndarray, dz: np.ndarray):
+        self.coords, self.dz = coords, dz
+        self.shape = (*dz.shape[:-2], coords.shape[-1], dz.shape[-1])
+        self._whole: np.ndarray | None = None
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if self._whole is not None:
+            return self._whole
+        return np.matmul(self.coords.swapaxes(-1, -2), self.dz)
+
+    def __setitem__(self, index, value) -> None:
+        self._whole = np.asarray(self)
+        self._whole[index] = value
+
+    def form(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        """Every agent's flat columns ``start:stop``, which span whole rows,
+        written into ``out`` (N, stop - start) and returned."""
+        if self._whole is not None:
+            np.copyto(out, _per_agent(self._whole)[:, start:stop])
+            return out
+        n_out = self.shape[-1]
+        rows = self.coords[..., start // n_out : stop // n_out].swapaxes(-1, -2)
+        np.matmul(rows, self.dz, out=out.reshape(rows.shape[:-1] + (n_out,)))
+        return out
 
 
 def local_step(
@@ -311,36 +360,57 @@ def local_step(
     projection: bool,
     debug: bool = False,
     ws: dict | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, list]:
     """One batched forward/backward pass at every agent of a stacked model.
 
     Returns loss, mu and the (projected) gradients ``g~`` lined up with
     ``task_params(model, task)``, unscaled; the model is not changed, and
     ``gossip_round`` forms the steps from the gradients and consumes them.
-    With a workspace ``ws``, a dict kept for one task (whose shapes do not
-    change), the pass's layer-sized products and the trunk gradients live
-    in its buffers, which the next call overwrites; without one they are
-    fresh arrays.  A trunk layer that the model holds factored over its
-    memory's complement, ``x0 + o c``, has the coefficient gradient ``(X
-    o)^T dz``: the projected gradient ``project(X^T dz, m)`` in ``o``
-    coordinates, of width 0 for a saturated memory.  The raw ``g = X^T
-    dz`` is formed only by the ``debug`` checks.  With projection on,
-    ``mu`` is the projected-to-raw trunk gradient norm ratio per agent,
-    with ``||g||^2 = ||g~||^2 + ||(X m)^T dz||^2``.
+    A trunk array's gradient is ``coords^T dz`` (``backward``).  Where that
+    product is larger than its factors, ``k n_out > batch (k + n_out)`` for
+    ``k`` coordinates, the array's entry is the factor pair (``Outer``),
+    which the round forms a block of rows at a time; other trunk arrays,
+    biases and heads get their gradients whole.  So a task holds two
+    model-sized stacks, the parameters and the aggregates, and at the
+    benchmark's batches of 16 the 16-32-16 layers are held whole and the
+    64-256-128 ones as pairs.  With a workspace ``ws``, a dict kept for one
+    task (whose shapes do not change), the pass's layer-sized products, the
+    factors and the whole trunk gradients live in its buffers, which the
+    next call overwrites; without one they are fresh arrays.
+
+    A trunk layer that the model holds factored over its memory's
+    complement, ``x0 + o c``, has the coefficient gradient ``(X o)^T dz``:
+    the projected gradient ``project(X^T dz, m)`` in ``o`` coordinates, of
+    width 0 for a saturated memory.  The raw ``g = X^T dz`` is formed only
+    by the ``debug`` checks, which form every gradient they check whole.
+    With projection on, ``mu`` is the projected-to-raw trunk gradient norm
+    ratio per agent, with ``||g||^2 = ||g~||^2 + ||(X m)^T dz||^2``; a
+    pair's ``||g~||^2`` comes from the batch Grams ``<C C^T, dz dz^T>``, as
+    the lost norm does past the same size rule: against the whole
+    gradient's norm that moves mu by at most 4.4e-16 relative in the cases
+    measured, 4.0e-16 on the ``wide`` benchmark's runs.
     """
     loss, trace, deltas, rest = backward(model, bx, by, task, ws)
     kept_sq = np.zeros(len(loss))  # ||g~||^2 over the trunk
     lost_sq = np.zeros(len(loss))  # ||m^T g||^2 over the trunk
-    grads = []
-    for l, (x, dz, basis) in enumerate(zip(trace.inputs, deltas, gpm.layers)):
-        g = _matmul(trace.coords[l].swapaxes(-1, -2), dz, ws, ("g", l))
+    grads: list = []
+    for l, (x, c, dz, basis) in enumerate(
+        zip(trace.inputs, trace.coords, deltas, gpm.layers)
+    ):
+        if _factored(c, dz):
+            g = Outer(c, dz)
+            if projection:
+                kept_sq += _gram_sq(c, dz, ws, ("cc", l))
+        else:
+            g = _matmul(c.swapaxes(-1, -2), dz, ws, ("g", l))
+            if projection:
+                kept_sq += _dots(g, g)
         if model.bases[l] is not None:
             lost = _lost_sq(x, basis.m, dz, ws, l)
             if debug:
-                _check_descent(x.swapaxes(-1, -2) @ dz, basis.o @ g, lost, l)
+                gt = basis.o @ np.asarray(g)
+                _check_descent(x.swapaxes(-1, -2) @ dz, gt, lost, l)
             lost_sq += lost
-        if projection:
-            kept_sq += _dots(g, g)
         grads.append(g)
     mu = np.ones(len(loss))
     if projection:
@@ -382,7 +452,7 @@ def _padded(penalty: list | None, count: int) -> list:
 
 def _steps(
     arrays: list[np.ndarray],
-    grads: list[np.ndarray],
+    grads: list,
     penalty: list | None,
     eta: float,
     k: int = 0,
@@ -390,22 +460,39 @@ def _steps(
 ) -> list[np.ndarray]:
     """Fresh steps of array ``k`` from column ``start`` on and of every
     later array, of all by default, for naming an agent: the gradients are
-    spent."""
+    spent, and a pair's formed whole."""
     rows_of = _padded(penalty, len(arrays))
     steps = []
     for j in range(k, len(arrays)):
         s = start if j == k else 0
         rows = rows_of[j] and [r[s:] for r in rows_of[j]]
-        g, x = _per_agent(grads[j])[:, s:], _per_agent(arrays[j])[:, s:]
+        g = _per_agent(np.asarray(grads[j]))[:, s:]
+        x = _per_agent(arrays[j])[:, s:]
         steps.append(_step(g, x, rows, eta, np.empty(g.shape)))
     return steps
+
+
+def _bounds(g, cols: int) -> list[int]:
+    """The flat column bounds of a gradient's blocks in the round: blocks of
+    ``cols`` columns for a whole gradient, and for a pair (``Outer``) whole
+    rows within half as many, at least two, with a 1-row tail folded into
+    the block before it, as numpy forms a 1-row product by its
+    matrix-vector path, which rounds otherwise."""
+    if not isinstance(g, Outer):
+        size = g.size // len(g)
+        return [*range(0, size, cols), size]
+    k, n_out = g.shape[-2:]
+    cuts = [*range(0, k, max(2, cols // 2 // n_out)), k]
+    if cuts[-1] - cuts[-2] == 1 and len(cuts) > 2:
+        del cuts[-2]
+    return [r * n_out for r in cuts]
 
 
 def gossip_round(
     agents: Agents,
     w: np.ndarray,
     task: int,
-    grads: list[np.ndarray],
+    grads: list,
     eta: float,
     *,
     penalty: list[tuple[np.ndarray, ...]] | None = None,
@@ -415,55 +502,93 @@ def gossip_round(
     """One synchronous gossip exchange; returns the consensus error.
 
     ``grads`` are the gradients from ``local_step``, one per array of
-    ``task_params(model, task)``, and the round consumes them.  Per array,
-    every agent's step is ``d = -eta g``, or for the first arrays, one per
-    row triple of ``penalty`` (``implicit_rows`` at this ``eta``: ``dewc``'s
-    trunk under its Fisher states), the implicit penalised step ``d =
-    -alpha g - beta x + gamma``.  Its update is ``q = (a - x) + d`` from its
-    tracked aggregate ``a``, it moves to ``x + q``, and every aggregate
-    takes in ``W q``.  The consensus error is the mean squared distance of
-    the agents from their average over these arrays, where a factored
-    layer's ``c`` stands for the layer, as its ``o`` is orthonormal.
+    ``task_params(model, task)``, and the round consumes them.  A trunk
+    array past the size rule ``k n_out > batch (k + n_out)`` comes as its
+    factor pair (``Outer``), whose mu ``local_step`` took from the batch
+    Grams (within 4.4e-16 relative of the whole gradient's in the cases
+    measured), so a task holds two model-sized stacks, the parameters and
+    the aggregates, and no stack of gradients.  Per array, every agent's
+    step is ``d = -eta g``, or for the first arrays, one per row triple of
+    ``penalty`` (``implicit_rows`` at this ``eta``: ``dewc``'s trunk under
+    its Fisher states), the implicit penalised step ``d = -alpha g - beta x
+    + gamma``.  Its update is ``q = (a - x) + d`` from its tracked aggregate
+    ``a``, it moves to ``x + q``, and every aggregate takes in ``W q``.  The
+    consensus error is the mean squared distance of the agents from their
+    average over these arrays, where a factored layer's ``c`` stands for the
+    layer, as its ``o`` is orthonormal.
 
-    Each array, viewed as ``(N, cols)``, is swept in column blocks of
-    ``_BLOCK`` elements, each in cache from its step to its deviation sum;
-    a non-finite step stops the sweep before its block mixes.  The block
-    buffer is the scratch buffer of the workspace ``ws`` (see
+    Each array, viewed as ``(N, cols)``, is swept in blocks (``_bounds``),
+    each in cache from its gradient to its mixing: a whole gradient in
+    column blocks of ``_BLOCK`` elements, whose block holds ``q``, and a
+    pair in blocks of whole rows, formed into one half of a ``_BLOCK``
+    buffer just before the step, which is formed into the other half.  The
+    squared deviations are summed in the whole gradient's column blocks,
+    each once all its columns moved, so the round moves every array and
+    returns the consensus error bit for bit as it would given the whole
+    products.  A non-finite step stops the sweep before its block mixes.
+    The block buffer is the scratch buffer of the workspace ``ws`` (see
     ``local_step``) if one is given, else made for this round.
     """
     arrays = task_params(agents.model, task)
     rows_of = _padded(penalty, len(arrays))
     n, total = len(w), 0.0
     cols = max(1, _BLOCK // n)  # 4,096 at N = 16
-    buf = _scratch(ws, (n * min(cols, max(x[0].size for x in arrays)),))
+    bounds = [_bounds(g, cols) for g in grads]
+    need = 0
+    for g, b in zip(grads, bounds):
+        # a block is the first or, with a folded tail, the last; a pair's
+        # holds its gradient beside its step, and a deviation block is up
+        # to cols columns
+        widest = max(b[1] - b[0], b[-1] - b[-2]) if len(b) > 1 else 0
+        need = max(need, min(cols, b[-1]), (1 + isinstance(g, Outer)) * widest)
+    buf = _scratch(ws, (n * need,))
     bufsize = np.setbufsize(_ROW_BUFSIZE)
     try:
-        for k, (x, g, agg, rows) in enumerate(
-            zip(arrays, grads, agents.aggregates, rows_of)
+        for k, (x, g, agg, rows, cuts) in enumerate(
+            zip(arrays, grads, agents.aggregates, rows_of, bounds)
         ):
-            x, g, agg = _per_agent(x), _per_agent(g), _per_agent(agg)
-            for s in range(0, x.shape[1], cols):
-                span = slice(s, s + cols)
-                xb, q, ab = x[:, span], g[:, span], agg[:, span]
-                # q goes into g's block, and b holds the step d, W q, then the
-                # squared deviations
-                b = buf[: q.size].reshape(q.shape)
+            x, agg = _per_agent(x), _per_agent(agg)
+            if not isinstance(g, Outer):
+                g = _per_agent(g)
+            summed = 0  # columns whose deviations are summed
+            for s, e in zip(cuts, cuts[1:]):
+                span = slice(s, e)
+                xb, ab = x[:, span], agg[:, span]
+                # b holds the step d, then W q; q, the gradient's block, then
+                # takes the update
+                size = n * (e - s)
+                b = buf[:size].reshape(n, e - s)
+                if isinstance(g, Outer):
+                    q = g.form(s, e, buf[size : 2 * size].reshape(n, e - s))
+                else:
+                    q = g[:, span]
                 _step(q, xb, rows and [r[span] for r in rows], eta, b)
                 if not (np.isfinite(b.min()) and np.isfinite(b.max())):
-                    later = _steps(arrays, grads, penalty, eta, k, s + cols)
+                    later = _steps(arrays, grads, penalty, eta, k, e)
                     raise _non_finite([b, *later])
                 # the gossip term first: it cancels at a fixed point
                 np.subtract(ab, xb, out=q)
                 q += b
                 xb += q
                 ab += np.matmul(w, q, out=b)
-                if q.flags.c_contiguous:  # numpy would buffer the broadcast's short rows
-                    np.copyto(q, xb.mean(axis=0))  # q is spent: the mean in every row
-                    np.subtract(xb, q, out=b)
-                else:
-                    np.subtract(xb, xb.mean(axis=0), out=b)
-                b *= b
-                total += float(b.sum())
+                # the squared deviations of each block of cols columns once
+                # all of it moved, so a pair's are summed as a whole
+                # gradient's would be
+                while summed < e and (summed + cols <= e or e == x.shape[1]):
+                    stop = min(summed + cols, e)
+                    xd, d = xb, b  # a whole gradient's block is its own
+                    if (summed, stop) != (s, e):
+                        xd = x[:, summed:stop]
+                        d = buf[: xd.size].reshape(xd.shape)
+                    # numpy would buffer the broadcast's short rows
+                    if q.shape == xd.shape and q.flags.c_contiguous:
+                        np.copyto(q, xd.mean(axis=0))  # q is spent: the mean per row
+                        np.subtract(xd, q, out=d)
+                    else:
+                        np.subtract(xd, xd.mean(axis=0), out=d)
+                    d *= d
+                    total += float(d.sum())
+                    summed += xd.shape[1]
     finally:
         np.setbufsize(bufsize)
     if debug:
@@ -719,8 +844,10 @@ def run(config: TrainConfig, sequence: list[LabeledDataset]) -> RunResult:
             losses.append(loss)
             mus.append(mu)
             ces.append(ce)
-        # the round's buffers go before the boundary's
+        # the round's buffers and the aggregates go before the boundary's;
+        # the next task's start makes its aggregates anew
         del ws, bx, batches, idx, grads, penalty
+        agents.aggregates = []
         # the boundary sync: every agent takes the average
         for a in param_arrays(model):
             a[...] = a.mean(axis=0)

@@ -393,6 +393,35 @@ def test_run_from_csv_datasets(tmp_path, capsys):
     assert len(summary["final_accuracies_percent"]) == 2
 
 
+def test_csv_tasks_may_have_different_class_counts(tmp_path, capsys):
+    """A 2-class and a 3-class CSV task train in one run, each with its own
+    head, and both tasks' cells of the accuracy matrix are filled."""
+    two = generate_synthetic_sequence(1, 2, 8, 10, 5, separation=4.0)[0]
+    three = generate_synthetic_sequence(1, 3, 8, 10, 6, separation=4.0)[0]
+    three = dataclasses.replace(three, classes=[2, 3, 4])  # class-disjoint
+    paths = [str(tmp_path / "two.csv"), str(tmp_path / "three.csv")]
+    for ds, path in zip((two, three), paths):
+        save_csv_dataset(ds, path)
+    out = tmp_path / "mixed"
+    rc = main([
+        "run",
+        "--agents", "2",
+        "--tasks", "2",
+        "--out", str(out),
+        "--set", f"dataset_path={paths[0]},{paths[1]}",
+        "--set", "input_dim=8",
+        "--set", "dims=8,16,8",
+    ])
+    capsys.readouterr()
+    assert rc == 0
+    rows = (out / "accuracy_matrix.csv").read_text().splitlines()
+    assert rows[0] == "after_task,task_0,task_1"
+    cells = [row.split(",")[1:] for row in rows[1:]]
+    assert cells[0][1] == ""  # task 1 is not measured before it trains
+    for value in (cells[0][0], *cells[1]):
+        assert 0.0 <= float(value) <= 100.0
+
+
 def test_dataset_path_count_must_match_tasks(tmp_path, capsys):
     paths = _save_sequence_csvs(tmp_path, tasks=1)
     rc = main(["validate", "--tasks", "2", "--set", f"dataset_path={paths[0]}"])
