@@ -18,6 +18,8 @@ is frozen.
 
 from __future__ import annotations
 
+import binascii
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,7 +164,9 @@ def update_memory(
 
 
 def save_state(state: GpmState, path: str) -> None:
-    """Serialize a memory state exactly (hex floats, column-major entries)."""
+    """Serialize a memory state exactly, as ``gpm-state 1``: a header, then
+    per layer its ``m`` and ``o`` blocks, each a count line and one line of
+    ``float.hex`` entries per column (``_hex_lines``)."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("gpm-state 1\n")
         handle.write(f"layers {len(state.layers)}\n")
@@ -171,8 +175,58 @@ def save_state(state: GpmState, path: str) -> None:
             handle.write(f"layer {idx} dim {n} rank {r}\n")
             for name, mat in (("m", basis.m), ("o", basis.o)):
                 handle.write(f"{name} {mat.shape[1]}\n")
-                for col in mat.T:
-                    handle.write(" ".join(map(float.hex, col.tolist())) + "\n")
+                handle.write(_hex_lines(mat))
+
+
+# ``_hex_lines`` lays each entry out in 32 bytes, four 8-byte words, and
+# deletes the NUL bytes that pad them.  For -0x1.23456789abcdep-5 they are
+#   "\0\0\0\0\0\0-0"  "x1.23456"  "789abcde"  "p-5\0\0\0\0 "
+# The middle two are the big-endian hex of the bits, whose first 3 digits
+# (sign and exponent) are masked off for "x1.".  The words are made from
+# bytes and combined bytewise, so the layout holds on any byte order.
+_SIGN = np.frombuffer(b"0".rjust(8, b"\0") + b"-0".rjust(8, b"\0"), np.uint64)
+_FRACTION = np.frombuffer(b"\0" * 3 + b"\xff" * 5, np.uint64)[0]
+_LEAD = np.frombuffer(b"x1.".ljust(8, b"\0"), np.uint64)[0]
+_NAN_INF = np.frombuffer(  # nan (of either sign), inf, -inf
+    b"".join(t.ljust(31, b"\0") + b" " for t in (b"nan", b"inf", b"-inf")), np.uint64
+).reshape(3, 4)
+
+
+@functools.cache
+def _exponent_words() -> np.ndarray:
+    """``float.hex``'s exponent field and a space by biased exponent: index
+    0 holds the subnormals' ``p-1022`` and 1023 zero's ``p+0``."""
+    fields = [f"p{e - 1023:+d}" for e in range(2048)]
+    fields[0] = "p-1022"
+    return np.frombuffer(
+        b"".join(f.encode().ljust(7, b"\0") + b" " for f in fields), np.uint64
+    )
+
+
+def _hex_lines(mat: np.ndarray) -> str:
+    """Each column of ``mat`` as a line of its entries' ``float.hex`` texts
+    joined by spaces, byte for byte, built from their bits in one pass."""
+    cols = np.ascontiguousarray(mat.T, dtype=np.float64)
+    bits = cols.view(np.uint64).ravel()
+    top = (bits >> np.uint64(52)).astype(np.intp)
+    biased = top & 0x7FF
+    fraction = bits & np.uint64((1 << 52) - 1)
+    zero = (biased == 0) & (fraction == 0)
+    hex_words = np.frombuffer(binascii.hexlify(bits.astype(">u8")), np.uint64)
+    words = np.empty((bits.size, 4), np.uint64)
+    words[:, 0] = _SIGN[top >> 11]
+    np.bitwise_or(hex_words[0::2] & _FRACTION, _LEAD, out=words[:, 1])
+    words[:, 2] = hex_words[1::2]
+    words[:, 3] = _exponent_words()[np.where(zero, 1023, biased)]
+    text = words.view(np.uint8)
+    text[biased == 0, 9] = ord("0")  # zero and the subnormals lead with 0
+    text[zero, 12:24] = 0  # and zero has one fraction digit
+    special = biased == 0x7FF
+    if special.any():
+        nan = fraction[special] != 0
+        words[special] = _NAN_INF[np.where(nan, 0, 1 + (top[special] >> 11))]
+    text[cols.shape[1] - 1 :: cols.shape[1], 31] = ord("\n")
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def load_state(path: str) -> GpmState:

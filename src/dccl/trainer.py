@@ -294,22 +294,35 @@ def _factored(c: np.ndarray, dz: np.ndarray) -> bool:
     return k * n_out > batch * (k + n_out)
 
 
-def _gram_sq(c: np.ndarray, dz: np.ndarray, ws: dict | None, key) -> np.ndarray:
+def _dz_gram(dz: np.ndarray, ws: dict | None) -> np.ndarray:
+    """``dz dz^T`` per agent, in the workspace's scratch buffer: it stays
+    valid through the Gram norms of its layer, which take no scratch."""
+    shape = (*dz.shape[:-1], dz.shape[-2])
+    return np.matmul(dz, dz.swapaxes(-1, -2), out=_scratch(ws, shape))
+
+
+def _gram_sq(c: np.ndarray, dz_dz: np.ndarray, ws: dict | None, key) -> np.ndarray:
     """``||c^T dz||^2`` per agent from the batch-sized Grams ``<c c^T, dz
-    dz^T>``: no temporary of the product's size."""
-    grams = _matmul(c, c.swapaxes(-1, -2), ws, key)
-    dz_dz = _scratch(ws, grams.shape)
-    return _dots(grams, np.matmul(dz, dz.swapaxes(-1, -2), out=dz_dz))
+    dz^T>``, given ``dz_dz = dz dz^T``: no temporary of the product's size."""
+    return _dots(_matmul(c, c.swapaxes(-1, -2), ws, key), dz_dz)
 
 
 def _lost_sq(
-    x: np.ndarray, m: np.ndarray, dz: np.ndarray, ws: dict | None, l: int
+    x: np.ndarray,
+    m: np.ndarray,
+    dz: np.ndarray,
+    dz_dz: np.ndarray | None,
+    ws: dict | None,
+    l: int,
 ) -> np.ndarray:
     """``||(X m)^T dz||^2`` per agent, formed directly while ``(X m)^T dz``
-    is no larger than its factors, else from their Grams (``_gram_sq``)."""
+    is no larger than its factors, else from their Grams (``_gram_sq``),
+    with ``dz dz^T`` formed here unless ``dz_dz`` already holds it."""
     xm = _matmul(x, m, ws, ("xm", l))
     if _factored(xm, dz):
-        return _gram_sq(xm, dz, ws, ("xm_xm", l))
+        if dz_dz is None:
+            dz_dz = _dz_gram(dz, ws)
+        return _gram_sq(xm, dz_dz, ws, ("xm_xm", l))
     xm_dz = _scratch(ws, (*xm.shape[:-2], xm.shape[-1], dz.shape[-1]))
     np.matmul(xm.swapaxes(-1, -2), dz, out=xm_dz)
     return _dots(xm_dz, xm_dz)
@@ -386,9 +399,10 @@ def local_step(
     With projection on, ``mu`` is the projected-to-raw trunk gradient norm
     ratio per agent, with ``||g||^2 = ||g~||^2 + ||(X m)^T dz||^2``; a
     pair's ``||g~||^2`` comes from the batch Grams ``<C C^T, dz dz^T>``, as
-    the lost norm does past the same size rule: against the whole
-    gradient's norm that moves mu by at most 4.4e-16 relative in the cases
-    measured, 4.0e-16 on the ``wide`` benchmark's runs.
+    the lost norm does past the same size rule, both from one ``dz dz^T``
+    per layer (``_dz_gram``): against the whole gradient's norm that moves
+    mu by at most 4.4e-16 relative in the cases measured, 4.0e-16 on the
+    ``wide`` benchmark's runs.
     """
     loss, trace, deltas, rest = backward(model, bx, by, task, ws)
     kept_sq = np.zeros(len(loss))  # ||g~||^2 over the trunk
@@ -397,16 +411,18 @@ def local_step(
     for l, (x, c, dz, basis) in enumerate(
         zip(trace.inputs, trace.coords, deltas, gpm.layers)
     ):
+        dz_dz = None  # dz dz^T, formed once for both norms where both take Grams
         if _factored(c, dz):
             g = Outer(c, dz)
             if projection:
-                kept_sq += _gram_sq(c, dz, ws, ("cc", l))
+                dz_dz = _dz_gram(dz, ws)
+                kept_sq += _gram_sq(c, dz_dz, ws, ("cc", l))
         else:
             g = _matmul(c.swapaxes(-1, -2), dz, ws, ("g", l))
             if projection:
                 kept_sq += _dots(g, g)
         if model.bases[l] is not None:
-            lost = _lost_sq(x, basis.m, dz, ws, l)
+            lost = _lost_sq(x, basis.m, dz, dz_dz, ws, l)
             if debug:
                 gt = basis.o @ np.asarray(g)
                 _check_descent(x.swapaxes(-1, -2) @ dz, gt, lost, l)

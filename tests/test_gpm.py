@@ -319,6 +319,48 @@ def test_state_serialization_round_trip(tmp_path):
     assert path.read_bytes() == first
 
 
+def _plain_state_text(state):
+    """``save_state``'s format written the plain way, one ``float.hex`` per entry."""
+    lines = ["gpm-state 1", f"layers {len(state.layers)}"]
+    for idx, basis in enumerate(state.layers):
+        lines.append(f"layer {idx} dim {basis.dim} rank {basis.rank}")
+        for name, mat in (("m", basis.m), ("o", basis.o)):
+            lines.append(f"{name} {mat.shape[1]}")
+            lines += [" ".join(map(float.hex, col)) for col in mat.T.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+_SIGN_BIT, _EXP_ALL = 1 << 63, 0x7FF << 52
+# any float64 bit pattern, with the cases float.hex writes apart drawn often:
+# +-0, subnormals, +-inf and nans with payloads of either sign
+_BIT_PATTERNS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([0, _SIGN_BIT, _EXP_ALL, _SIGN_BIT | _EXP_ALL]),
+    st.tuples(st.sampled_from([0, _SIGN_BIT, _EXP_ALL, _SIGN_BIT | _EXP_ALL]),
+              st.integers(1, 2**52 - 1)).map(lambda p: p[0] | p[1]),
+)
+
+
+@st.composite
+def _bit_pattern_state(draw):
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 5))
+        r = draw(st.integers(0, n))  # r = n leaves an o of width 0
+        bits = draw(st.lists(_BIT_PATTERNS, min_size=n * n, max_size=n * n))
+        mat = np.array(bits, dtype=np.uint64).view(np.float64).reshape(n, n)
+        layers.append(LayerBasis(m=mat[:, :r], o=mat[:, r:]))
+    return GpmState(layers=layers)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(state=_bit_pattern_state())
+def test_saved_state_is_the_plain_float_hex_rendering(state, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "bit_patterns.txt"
+    save_state(state, str(path))
+    assert path.read_bytes() == _plain_state_text(state).encode()
+
+
 def test_state_loader_rejects_garbage(tmp_path):
     path = tmp_path / "state.txt"
     path.write_text("not a state file\n")
