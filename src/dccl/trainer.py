@@ -1,18 +1,18 @@
 """Bulk-synchronous decentralized training over a task sequence.
 
-The loop is ``run``: per task, rounds of a local step and a gossip round,
-then the boundary average, the memory growth (or the Fisher phase) and the
-evaluation.  Every round, each agent takes one (optionally projected) SGD
-step on its own shard, then a gossip exchange mixes parameters using each
-agent's running aggregate of neighbor states.  A projected trunk update
-lies in the span of the memory's complement ``o`` and every agent starts
-the task from the same ``x0``, so a layer with a memory is held as ``x0 +
-o c``: the passes, the step, the round and the consensus error work on the
-coefficients ``c``, which are what the codec sends, and the boundary folds
-the average ``c`` into ``x0`` once.  Each ledger record also prices the
-same traffic sent raw, its ``full`` side: the full-communication baseline.
-The memory is fixed within a task, so the ledger prices each task once
-(``price_task``).
+The loop is ``run``: per task, its rounds, its boundary (the average, the
+fold, the memory growth or the Fisher phase) and its evaluation, each a
+function whose arrays go as it returns.  Every round, each agent takes one
+(optionally projected) SGD step on its own shard, then a gossip exchange
+mixes parameters using each agent's running aggregate of neighbor
+states.  A projected trunk update lies in the span of the memory's
+complement ``o`` and every agent starts the task from the same ``x0``, so
+a layer with a memory is held as ``x0 + o c``: the passes, the step, the
+round and the consensus error work on the coefficients ``c``, which are
+what the codec sends, and the boundary folds the average ``c`` into ``x0``
+once.  Each ledger record also prices the same traffic sent raw, its
+``full`` side: the full-communication baseline.  The memory is fixed within
+a task, so the ledger prices each task once (``price_task``).
 
 All agents share model shapes and step in lockstep, so their state is held
 stacked: every parameter array and tracked aggregate has a leading agent
@@ -22,9 +22,9 @@ pair (``Outer``), and a gossip round is one sweep that forms the steps
 ``d`` from them, then updates, mixes and measures the arrays a block at a
 time: ``d = -eta g~``, but for ``dewc``'s trunk under a penalty, whose
 step is the implicit one of ``ewc.implicit_rows``.  So a task holds two
-model-sized stacks, the parameters and the aggregates.  All randomness is
-derived from the run seed through named streams, so a configuration
-reproduces itself exactly.
+model-sized stacks, the parameters and the aggregates, and nothing of an
+earlier task's.  All randomness is derived from the run seed through
+named streams, so a configuration reproduces itself exactly.
 
 Conventions that keep the subspace-closure argument airtight: all agents
 start a task from the same parameters (models are averaged at every task
@@ -176,12 +176,15 @@ class TrainConfig:
 
 @dataclass
 class Agents:
-    """Every agent's state, stacked along a leading agent axis."""
+    """Every agent's state, stacked along a leading agent axis: the model,
+    the shared ``codec`` memory or ``dewc`` penalty states, and while a task
+    trains, the aggregates; so it holds at most two model-sized stacks."""
 
     model: Mlp  # each array has shape (N, ...)
-    memory: GpmState  # the one read-only basis every agent projects with
+    memory: GpmState  # the read-only basis codec's agents project with, else empty
     # one per array of task_params(): the tracked sum_j w_ij x_j
     aggregates: list[np.ndarray] = field(default_factory=list)
+    fisher: list[FisherState] = field(default_factory=list)  # the dewc penalty
 
 
 @dataclass(frozen=True)
@@ -333,30 +336,18 @@ class Outer:
     factors, ``coords`` (N, batch, k) and ``dz`` (N, batch, n_out).
 
     ``gossip_round`` forms it a block of whole rows at a time (``form``),
-    in cache; ``np.asarray`` forms it whole.  A write into it forms it
-    whole first and holds it so, as an array would keep the write.
-    """
+    in cache; ``np.asarray`` forms it whole."""
 
     def __init__(self, coords: np.ndarray, dz: np.ndarray):
         self.coords, self.dz = coords, dz
         self.shape = (*dz.shape[:-2], coords.shape[-1], dz.shape[-1])
-        self._whole: np.ndarray | None = None
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if self._whole is not None:
-            return self._whole
         return np.matmul(self.coords.swapaxes(-1, -2), self.dz)
-
-    def __setitem__(self, index, value) -> None:
-        self._whole = np.asarray(self)
-        self._whole[index] = value
 
     def form(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
         """Every agent's flat columns ``start:stop``, which span whole rows,
         written into ``out`` (N, stop - start) and returned."""
-        if self._whole is not None:
-            np.copyto(out, _per_agent(self._whole)[:, start:stop])
-            return out
         n_out = self.shape[-1]
         rows = self.coords[..., start // n_out : stop // n_out].swapaxes(-1, -2)
         np.matmul(rows, self.dz, out=out.reshape(rows.shape[:-1] + (n_out,)))
@@ -408,9 +399,7 @@ def local_step(
     kept_sq = np.zeros(len(loss))  # ||g~||^2 over the trunk
     lost_sq = np.zeros(len(loss))  # ||m^T g||^2 over the trunk
     grads: list = []
-    for l, (x, c, dz, basis) in enumerate(
-        zip(trace.inputs, trace.coords, deltas, gpm.layers)
-    ):
+    for l, (x, c, dz) in enumerate(zip(trace.inputs, trace.coords, deltas)):
         dz_dz = None  # dz dz^T, formed once for both norms where both take Grams
         if _factored(c, dz):
             g = Outer(c, dz)
@@ -422,9 +411,9 @@ def local_step(
             if projection:
                 kept_sq += _dots(g, g)
         if model.bases[l] is not None:
-            lost = _lost_sq(x, basis.m, dz, dz_dz, ws, l)
+            lost = _lost_sq(x, gpm.layers[l].m, dz, dz_dz, ws, l)
             if debug:
-                gt = basis.o @ np.asarray(g)
+                gt = gpm.layers[l].o @ np.asarray(g)
                 _check_descent(x.swapaxes(-1, -2) @ dz, gt, lost, l)
             lost_sq += lost
         grads.append(g)
@@ -698,7 +687,6 @@ def check_run(config: TrainConfig, sequence: list[LabeledDataset]) -> None:
     if config.ewc_mode not in EWC_MODES:
         raise ValueError(f"unknown ewc mode {config.ewc_mode!r}")
     n = config.topology.n
-    projection = config.method == "codec"
     for t, data in enumerate(sequence):
         rows = data.train_x.shape[0]
         if rows < n:
@@ -722,7 +710,7 @@ def check_run(config: TrainConfig, sequence: list[LabeledDataset]) -> None:
                 )
         config.threshold.value(t)  # raises if the schedule leaves (0, 1)
     smallest = min(data.train_x.shape[0] // n for data in sequence)
-    if projection and config.rep_samples > smallest:
+    if config.method == "codec" and config.rep_samples > smallest:
         log.warning(
             "rep_samples %d exceeds the smallest shard (%d samples); "
             "a representation batch is clamped to its shard",
@@ -773,119 +761,131 @@ def _fisher_phase(
     return fisher + [avg]
 
 
+def _train_task(
+    agents: Agents,
+    w: np.ndarray,
+    config: TrainConfig,
+    t: int,
+    data: LabeledDataset,
+    shards: list[TaskShard],
+    history: list,
+) -> tuple[list[int], int]:
+    """Task ``t``'s start and rounds, each round's loss, mu and consensus
+    error appended to ``history``; returns the scalars a message carries per
+    array of ``task_params``, and the rounds."""
+    if config.method == "stl" and t > 0:
+        stream = derive_rng(config.seed, TAG_INIT, t)
+        agents.model = init_mlp(config.dims, stream, config.use_bias).stacked(len(w))
+    model, codec = agents.model, config.method == "codec"
+    model.add_head(t, len(data.classes), derive_rng(config.seed, TAG_HEAD, t))
+    pool_x = np.concatenate([s.examples for s in shards])
+    pool_y = np.concatenate([s.labels for s in shards])
+    # every update of the task lies in span(o), so a layer with a memory
+    # trains and gossips its coefficients over the shared start
+    for l, basis in enumerate(agents.memory.layers):
+        if basis.rank:
+            model.factor(l, basis.o)
+    # a message carries each array as held: a factored layer's c, raw otherwise
+    sizes = [x[0].size for x in task_params(model, t)]
+    # task starts from consensus, so the own state is the aggregate
+    agents.aggregates = [x.copy() for x in task_params(model, t)]
+    rounds_per_epoch = math.ceil(max(len(s) for s in shards) / config.batch_size)
+    total_rounds = config.epochs * rounds_per_epoch
+    batches = _batches(
+        shards, config.seed, t, config.epochs, rounds_per_epoch, config.batch_size
+    )
+    # the checks, and a workspace for the round's layer-sized arrays, made by
+    # the first round and reused by the rest: the shapes hold for the task
+    kw = {"debug": config.debug_checks, "ws": {}}
+    bx = np.empty((*batches.shape[1:], pool_x.shape[1]), dtype=pool_x.dtype)
+    # the dewc penalty's step rows, made once for each step size of the task
+    penalty, penalty_eta = None, None
+    for r, idx in enumerate(batches):
+        eta = config.eta
+        if config.lr_decay and 2 * r >= total_rounds:
+            eta *= 0.01 if 4 * r >= 3 * total_rounds else 0.1
+        if agents.fisher and config.lam > 0.0 and eta != penalty_eta:
+            penalty, penalty_eta = implicit_rows(agents.fisher, config.lam, eta), eta
+        try:
+            # mode="raise" (the default) would buffer a copy
+            np.take(pool_x, idx, axis=0, out=bx, mode="clip")
+            loss, mu, grads = local_step(
+                model, agents.memory, bx, pool_y[idx], t, projection=codec, **kw
+            )
+            if not (np.isfinite(loss).all() and np.isfinite(mu).all()):
+                steps = _steps(task_params(model, t), grads, penalty, eta)
+                raise _non_finite(steps, loss=loss, mu=mu)
+            ce = gossip_round(agents, w, t, grads, eta, penalty=penalty, **kw)
+            if not math.isfinite(ce):
+                raise NonFiniteError("non-finite consensus error")
+        except (NonFiniteError, InvariantError) as exc:
+            exc.args = (f"task {t}, round {r}: {exc}",)
+            raise
+        history.append((loss, mu, ce))
+    agents.aggregates = []  # the next task's start makes its own
+    return sizes, total_rounds
+
+
+def _boundary(
+    agents: Agents,
+    config: TrainConfig,
+    t: int,
+    shards: list[TaskShard],
+    pick_stream: np.random.Generator,
+) -> None:
+    """Task ``t``'s boundary: the sync, where every agent takes the average,
+    the fold, then the memory growth or the Fisher phase."""
+    for a in param_arrays(agents.model):
+        a[...] = a.mean(axis=0)
+    agents.model.fold()  # plain layers for the memory, the Fisher and the evaluation
+    if config.method == "codec":
+        gpm_broadcast(agents, shards, t, config.threshold.value(t), config, pick_stream)
+    if config.method == "dewc":
+        mode = config.ewc_mode
+        agents.fisher = _fisher_phase(agents.model, shards, t, agents.fisher, mode)
+
+
+def _evaluate(
+    model: Mlp, sequence: list[LabeledDataset], t: int, method: str, row: np.ndarray
+) -> None:
+    """Agent 0's test accuracy after task ``t``, into ``row``: on every task
+    so far, or on task ``t`` alone for ``stl``."""
+    view = model.view(0)
+    for i in [t] if method == "stl" else range(t + 1):
+        pred = np.argmax(forward(view, sequence[i].test_x, i).logits, axis=1)
+        row[i] = np.mean(pred == sequence[i].test_y)
+
+
 def run(config: TrainConfig, sequence: list[LabeledDataset]) -> RunResult:
-    """Train ``config.method`` over the task sequence, a list of datasets;
-    the config is not changed."""
+    """Train ``config.method`` over the task sequence, a list of datasets,
+    neither of which is changed: per task its rounds, its boundary and its
+    evaluation, each a function whose views and buffers go as it returns."""
     check_run(config, sequence)
-    n = config.topology.n
-    method = config.method
-    projection = method == "codec"
+    n, method = config.topology.n, config.method
     w = build_mixing(config.topology)
     matrix = np.full((len(sequence), len(sequence)), np.nan)
     ledger: list[TaskComm] = []
-    losses, mus, ces = [], [], []  # one entry per round
-    fisher: list[FisherState] = []  # the dewc penalty states
+    history: list = []  # one (loss, mu, consensus error) per round
     pick_stream = derive_rng(config.seed, TAG_PICK)
-    base = init_mlp(config.dims, derive_rng(config.seed, TAG_INIT, 0), config.use_bias)
-    agents = Agents(model=base.stacked(n), memory=GpmState.fresh(config.dims[:-1]))
-    receivers = fanout(w)
+    stream = derive_rng(config.seed, TAG_INIT, 0)
+    agents = Agents(
+        model=init_mlp(config.dims, stream, config.use_bias).stacked(n),
+        memory=GpmState.fresh(config.dims[:-1] if method == "codec" else []),
+    )
     for t, data in enumerate(sequence):
-        if method == "stl" and t > 0:
-            stream = derive_rng(config.seed, TAG_INIT, t)
-            fresh = init_mlp(config.dims, stream, config.use_bias)
-            agents.model = fresh.stacked(n)
-        model = agents.model
-        model.add_head(t, len(data.classes), derive_rng(config.seed, TAG_HEAD, t))
         shards = shard_iid(data, n, _derive_int(config.seed, TAG_SHARD, t))
-        pool_x = np.concatenate([s.examples for s in shards])
-        pool_y = np.concatenate([s.labels for s in shards])
-        # every update of the task lies in span(o), so a layer with a memory
-        # trains and gossips its coefficients over the shared start
-        for l, basis in enumerate(agents.memory.layers):
-            if basis.rank:
-                model.factor(l, basis.o)
-        # a message carries each array as held: a factored layer's c, raw otherwise
-        sizes = [x[0].size for x in task_params(model, t)]
-        # task starts from consensus, so the own state is the aggregate
-        agents.aggregates = [x.copy() for x in task_params(model, t)]
-        max_shard = max(len(s) for s in shards)
-        rounds_per_epoch = math.ceil(max_shard / config.batch_size)
-        total_rounds = config.epochs * rounds_per_epoch
-        batches = _batches(
-            shards, config.seed, t, config.epochs, rounds_per_epoch, config.batch_size
-        )
-        # the round's layer-sized arrays, made by the first round and
-        # reused by the rest: the shapes hold for the whole task
-        ws: dict = {}
-        bx = np.empty((*batches.shape[1:], pool_x.shape[1]), dtype=pool_x.dtype)
-        # the dewc penalty's step rows, made once for each step size of the task
-        penalty, penalty_eta = None, None
-        for r, idx in enumerate(batches):
-            eta = config.eta
-            if config.lr_decay and 2 * r >= total_rounds:
-                eta *= 0.01 if 4 * r >= 3 * total_rounds else 0.1
-            if fisher and config.lam > 0.0 and eta != penalty_eta:
-                penalty, penalty_eta = implicit_rows(fisher, config.lam, eta), eta
-            try:
-                # mode="raise" (the default) would buffer a copy
-                np.take(pool_x, idx, axis=0, out=bx, mode="clip")
-                loss, mu, grads = local_step(
-                    model,
-                    agents.memory,
-                    bx,
-                    pool_y[idx],
-                    t,
-                    projection=projection,
-                    debug=config.debug_checks,
-                    ws=ws,
-                )
-                if not (np.isfinite(loss).all() and np.isfinite(mu).all()):
-                    steps = _steps(task_params(model, t), grads, penalty, eta)
-                    raise _non_finite(steps, loss=loss, mu=mu)
-                ce = gossip_round(
-                    agents,
-                    w,
-                    t,
-                    grads,
-                    eta,
-                    penalty=penalty,
-                    debug=config.debug_checks,
-                    ws=ws,
-                )
-                if not math.isfinite(ce):
-                    raise NonFiniteError("non-finite consensus error")
-            except (NonFiniteError, InvariantError) as exc:
-                exc.args = (f"task {t}, round {r}: {exc}",)
-                raise
-            losses.append(loss)
-            mus.append(mu)
-            ces.append(ce)
-        # the round's buffers and the aggregates go before the boundary's;
-        # the next task's start makes its aggregates anew
-        del ws, bx, batches, idx, grads, penalty
-        agents.aggregates = []
-        # the boundary sync: every agent takes the average
-        for a in param_arrays(model):
-            a[...] = a.mean(axis=0)
-        model.fold()  # plain layers for the memory, the Fisher and the evaluation
-        if projection:
-            eps_th = config.threshold.value(t)
-            gpm_broadcast(agents, shards, t, eps_th, config, pick_stream)
-        if method == "dewc":
-            fisher = _fisher_phase(model, shards, t, fisher, config.ewc_mode)
-        ledger.append(price_task(agents, t, method, sizes, total_rounds, receivers))
-        view = model.view(0)
-        for i in [t] if method == "stl" else range(t + 1):
-            test = sequence[i]
-            pred = np.argmax(forward(view, test.test_x, i).logits, axis=1)
-            matrix[t, i] = np.mean(pred == test.test_y)
+        sizes, rounds = _train_task(agents, w, config, t, data, shards, history)
+        _boundary(agents, config, t, shards, pick_stream)
+        ledger.append(price_task(agents, t, method, sizes, rounds, fanout(w)))
+        _evaluate(agents.model, sequence, t, method, matrix[t])
+    loss, mu, ce = zip(*history)
     return RunResult(
         method=method,
         accuracy=matrix,
         ledger=ledger,
-        loss=np.array(losses, dtype=float).reshape(-1, n),
-        mu=np.array(mus, dtype=float).reshape(-1, n),
-        consensus_error=np.array(ces, dtype=float),
+        loss=np.array(loss, dtype=float).reshape(-1, n),
+        mu=np.array(mu, dtype=float).reshape(-1, n),
+        consensus_error=np.array(ce, dtype=float),
         final_params=flatten_params(agents.model.view(0)),
-        gpm=agents.memory if projection else None,
+        gpm=agents.memory if method == "codec" else None,
     )
