@@ -57,17 +57,18 @@ def fisher_estimate(model: Mlp, shard: TaskShard, task: int) -> FisherState:
     return FisherState(f=f, anchor=anchor)
 
 
-def fisher_mean(model: Mlp, shards: list[TaskShard], task: int) -> FisherState:
-    """The mean over ``shards`` of ``fisher_estimate``'s Fishers, in one pass
-    over the pooled shards: row r of shard i weighs ``1 / (N n_i)``, for N
-    shards, shard i of n_i rows.  The anchor is the model's trunk."""
-    lengths = np.array([len(s) for s in shards])
-    if not shards or lengths.min() == 0:
+def fisher_mean(
+    model: Mlp, pool: TaskShard, lengths: list[int], task: int
+) -> FisherState:
+    """The mean of ``fisher_estimate``'s Fishers over N shards held in order
+    in ``pool``, shard i its next ``lengths[i]`` = n_i rows, in one pass over
+    the pool: row r of shard i weighs ``1 / (N n_i)``.  The anchor is the
+    model's trunk."""
+    lengths = np.asarray(lengths)
+    if not lengths.size or lengths.min() == 0:
         raise ValueError("cannot estimate Fisher information on an empty shard")
-    weights = np.repeat(1.0 / (len(shards) * lengths), lengths)[:, np.newaxis]
-    examples = np.concatenate([s.examples for s in shards])
-    labels = np.concatenate([s.labels for s in shards])
-    inputs, deltas = sample_deltas(model, examples, labels, task)
+    weights = np.repeat(1.0 / (len(lengths) * lengths), lengths)[:, np.newaxis]
+    inputs, deltas = sample_deltas(model, pool.examples, pool.labels, task)
     squares = [dz * dz * weights for dz in deltas]
     f = [(x * x).T @ sq for x, sq in zip(inputs, squares)]
     if model.layer_biases is not None:

@@ -23,8 +23,9 @@ pair (``Outer``), and a gossip round is one sweep that forms the steps
 time: ``d = -eta g~``, but for ``dewc``'s trunk under a penalty, whose
 step is the implicit one of ``ewc.implicit_rows``.  So a task holds two
 model-sized stacks, the parameters and the aggregates, and nothing of an
-earlier task's.  All randomness is derived from the run seed through
-named streams, so a configuration reproduces itself exactly.
+earlier task's.  All randomness is drawn from the run seed's named
+streams, whose table lives in ``tasks`` with the code that draws a task's
+shards and batch order, so a configuration reproduces itself exactly.
 
 Conventions that keep the subspace-closure argument airtight: all agents
 start a task from the same parameters (models are averaged at every task
@@ -56,18 +57,11 @@ from .model import (
     task_params,
     trunk_params,
 )
-from .tasks import LabeledDataset, TaskShard, shard_iid
+from .tasks import TAG_HEAD, TAG_INIT, TAG_PICK, TAG_REP, TAG_SHARD, derive_rng
+from .tasks import LabeledDataset, TaskShard, _batches, _derive_int, shard_iid
 from .topology import Topology, build_mixing
 
 log = logging.getLogger(__name__)
-
-# named seed streams
-TAG_INIT = 1
-TAG_HEAD = 2
-TAG_SHARD = 3
-TAG_BATCH = 4
-TAG_PICK = 5
-TAG_REP = 7
 
 METHODS = ("codec", "dewc", "stl", "naive")
 EWC_MODES = ("online", "per_task")
@@ -79,74 +73,6 @@ class NonFiniteError(ArithmeticError):
 
 class InvariantError(RuntimeError):
     """A ``debug_checks`` invariant failed: descent, mu, norm split or tracking."""
-
-
-def _entropy(seed: int, *rest: int) -> np.ndarray:
-    """The uint32 words ``SeedSequence`` makes of ``(seed, *rest)``: the
-    seed's little-endian 32-bit words, then one word per value of ``rest``."""
-    seed = int(seed)
-    words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
-    return np.array(words + [int(v) for v in rest], dtype=np.uint32)
-
-
-_M32 = 0xFFFFFFFF
-
-
-def _seed_words(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of
-    the uint32 matrix ``entropy``, in one pass: numpy's documented mixing
-    (pool of four words, ``mix_entropy``, then eight output words), whose
-    hash constants advance alike for every row of one length."""
-    rows, length = entropy.shape
-    const = 0x43B0D7E5
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * 0x931E8875 & _M32
-        value = value * np.uint32(const)
-        return value ^ value >> np.uint32(16)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
-        return out ^ out >> np.uint32(16)
-
-    zero = np.zeros(rows, dtype=np.uint32)  # a row shorter than the pool is padded
-    pool = [hashmix(entropy[:, i] if i < length else zero) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, length):
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    state = np.empty((rows, 8), dtype=np.uint32)
-    const = 0x8B51F9DD
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(const)
-        const = const * 0x58F38DED & _M32
-        value = value * np.uint32(const)
-        state[:, i] = value ^ value >> np.uint32(16)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """Seed words made in advance by ``_seed_words``, for a bit generator:
-    ``PCG64`` asks for the four uint64 words they are."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return self.words
-
-
-def derive_rng(*entropy: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(_entropy(*entropy)))
-
-
-def _derive_int(*entropy: int) -> int:
-    return int(np.random.SeedSequence(_entropy(*entropy)).generate_state(1)[0])
 
 
 @dataclass
@@ -719,43 +645,21 @@ def check_run(config: TrainConfig, sequence: list[LabeledDataset]) -> None:
         )
 
 
-def _batches(
-    shards: list[TaskShard], seed: int, task: int, epochs: int, rounds: int, size: int
-) -> np.ndarray:
-    """Row indices into the concatenated shards for every round of a task,
-    shape (epochs * rounds, N, size)."""
-    # in each epoch agent i's rows are its shard's permutation (the stream
-    # derive_rng(seed, TAG_BATCH, i, task, epoch) would give), shifted to
-    # the shard's offset and repeated to length
-    n = len(shards)
-    lengths = np.array([len(s) for s in shards])
-    offsets = np.cumsum(lengths) - lengths
-    entropy = np.tile(_entropy(seed, TAG_BATCH, 0, task, 0), (epochs, n, 1))
-    entropy[..., -3] = np.arange(n)
-    entropy[..., -1] = np.arange(epochs)[:, np.newaxis]
-    words = iter(_seed_words(entropy.reshape(epochs * n, -1)))
-    # a shard's slice of an arange is its offset plus its own arange, so
-    # shuffling the slice in place shifts the shard's permutation
-    perms = np.tile(np.arange(lengths.sum()), (epochs, 1))
-    spans = list(zip(offsets.tolist(), (offsets + lengths).tolist()))
-    for perm in perms:
-        for start, stop in spans:
-            bits = np.random.PCG64(_SeedWords(next(words)))
-            np.random.Generator(bits).shuffle(perm[start:stop])
-    cycle = np.arange(rounds * size).reshape(rounds, 1, size)
-    cycle = cycle % lengths[:, np.newaxis] + offsets[:, np.newaxis]
-    return perms[:, cycle].reshape(-1, n, size)
-
-
 def _fisher_phase(
-    model: Mlp, shards: list[TaskShard], task: int, fisher: list[FisherState], mode: str
+    model: Mlp,
+    pool: TaskShard,
+    lengths: list[int],
+    task: int,
+    fisher: list[FisherState],
+    mode: str,
 ) -> list[FisherState]:
-    """The dewc penalty states after task ``task``: one accumulated state
-    (``online``) or one per task (``per_task``)."""
+    """The dewc penalty states after task ``task``, from the task's pool of
+    shards of ``lengths`` rows: one accumulated state (``online``) or one
+    per task (``per_task``)."""
     # after the boundary sync every agent holds the same parameters, so
-    # agent 0's Fisher over the pooled shards is the agents' average, and
-    # its anchor is everyone's
-    avg = fisher_mean(model.view(0), shards, task)
+    # agent 0's Fisher over the pool is the agents' average, and its anchor
+    # is everyone's
+    avg = fisher_mean(model.view(0), pool, lengths, task)
     if mode == "online":
         return [accumulate_fisher(fisher[0] if fisher else None, avg)]
     return fisher + [avg]
@@ -767,19 +671,19 @@ def _train_task(
     config: TrainConfig,
     t: int,
     data: LabeledDataset,
+    pool: TaskShard,
     shards: list[TaskShard],
     history: list,
 ) -> tuple[list[int], int]:
-    """Task ``t``'s start and rounds, each round's loss, mu and consensus
-    error appended to ``history``; returns the scalars a message carries per
-    array of ``task_params``, and the rounds."""
+    """Task ``t``'s start and rounds, its batches gathered from the pool of
+    its shards (``shard_iid``), each round's loss, mu and consensus error
+    appended to ``history``; returns the scalars a message carries per array
+    of ``task_params``, and the rounds."""
     if config.method == "stl" and t > 0:
         stream = derive_rng(config.seed, TAG_INIT, t)
         agents.model = init_mlp(config.dims, stream, config.use_bias).stacked(len(w))
     model, codec = agents.model, config.method == "codec"
     model.add_head(t, len(data.classes), derive_rng(config.seed, TAG_HEAD, t))
-    pool_x = np.concatenate([s.examples for s in shards])
-    pool_y = np.concatenate([s.labels for s in shards])
     # every update of the task lies in span(o), so a layer with a memory
     # trains and gossips its coefficients over the shared start
     for l, basis in enumerate(agents.memory.layers):
@@ -797,7 +701,7 @@ def _train_task(
     # the checks, and a workspace for the round's layer-sized arrays, made by
     # the first round and reused by the rest: the shapes hold for the task
     kw = {"debug": config.debug_checks, "ws": {}}
-    bx = np.empty((*batches.shape[1:], pool_x.shape[1]), dtype=pool_x.dtype)
+    bx = np.empty((*batches.shape[1:], pool.examples.shape[1]), pool.examples.dtype)
     # the dewc penalty's step rows, made once for each step size of the task
     penalty, penalty_eta = None, None
     for r, idx in enumerate(batches):
@@ -808,9 +712,9 @@ def _train_task(
             penalty, penalty_eta = implicit_rows(agents.fisher, config.lam, eta), eta
         try:
             # mode="raise" (the default) would buffer a copy
-            np.take(pool_x, idx, axis=0, out=bx, mode="clip")
+            np.take(pool.examples, idx, axis=0, out=bx, mode="clip")
             loss, mu, grads = local_step(
-                model, agents.memory, bx, pool_y[idx], t, projection=codec, **kw
+                model, agents.memory, bx, pool.labels[idx], t, projection=codec, **kw
             )
             if not (np.isfinite(loss).all() and np.isfinite(mu).all()):
                 steps = _steps(task_params(model, t), grads, penalty, eta)
@@ -830,6 +734,7 @@ def _boundary(
     agents: Agents,
     config: TrainConfig,
     t: int,
+    pool: TaskShard,
     shards: list[TaskShard],
     pick_stream: np.random.Generator,
 ) -> None:
@@ -841,8 +746,10 @@ def _boundary(
     if config.method == "codec":
         gpm_broadcast(agents, shards, t, config.threshold.value(t), config, pick_stream)
     if config.method == "dewc":
-        mode = config.ewc_mode
-        agents.fisher = _fisher_phase(agents.model, shards, t, agents.fisher, mode)
+        lengths = [len(s) for s in shards]
+        agents.fisher = _fisher_phase(
+            agents.model, pool, lengths, t, agents.fisher, config.ewc_mode
+        )
 
 
 def _evaluate(
@@ -873,9 +780,9 @@ def run(config: TrainConfig, sequence: list[LabeledDataset]) -> RunResult:
         memory=GpmState.fresh(config.dims[:-1] if method == "codec" else []),
     )
     for t, data in enumerate(sequence):
-        shards = shard_iid(data, n, _derive_int(config.seed, TAG_SHARD, t))
-        sizes, rounds = _train_task(agents, w, config, t, data, shards, history)
-        _boundary(agents, config, t, shards, pick_stream)
+        pool, shards = shard_iid(data, n, _derive_int(config.seed, TAG_SHARD, t))
+        sizes, rounds = _train_task(agents, w, config, t, data, pool, shards, history)
+        _boundary(agents, config, t, pool, shards, pick_stream)
         ledger.append(price_task(agents, t, method, sizes, rounds, fanout(w)))
         _evaluate(agents.model, sequence, t, method, matrix[t])
     loss, mu, ce = zip(*history)

@@ -13,6 +13,7 @@ and for ``dewc`` the averaged diagonal Fisher (Kirkpatrick et al. 2017).
 It draws from the same named seed streams as the engine, so both runs
 must agree up to rounding.  ``consensus_error`` is the two-pass reference
 for the consensus error that ``gossip_round`` sums block by block.
+``save_csv_dataset`` writes a dataset as the CSV ``load_csv_dataset`` reads.
 """
 
 import copy
@@ -32,19 +33,19 @@ from dccl.model import (
     trunk_params,
     unflatten_params,
 )
-from dccl.tasks import shard_iid
-from dccl.topology import build_mixing
-from dccl.trainer import (
+from dccl.tasks import (
     TAG_BATCH,
     TAG_HEAD,
     TAG_INIT,
     TAG_PICK,
     TAG_REP,
     TAG_SHARD,
-    TrainConfig,
     _derive_int,
     derive_rng,
+    shard_iid,
 )
+from dccl.topology import build_mixing
+from dccl.trainer import TrainConfig
 
 
 def consensus_error(model, task=0):
@@ -87,7 +88,7 @@ def reference_run(cfg: TrainConfig, seq):
             agents = [copy.deepcopy(init) for _ in range(n)]
         for a in agents:
             a.add_head(t, len(data.classes), derive_rng(cfg.seed, TAG_HEAD, t))
-        shards = shard_iid(data, n, _derive_int(cfg.seed, TAG_SHARD, t))
+        _, shards = shard_iid(data, n, _derive_int(cfg.seed, TAG_SHARD, t))
         # every agent starts the task from the common model, so the
         # weighted sum of its neighbours' states is its own state
         x_hat = [[p.copy() for p in task_params(a, t)] for a in agents]
@@ -164,3 +165,13 @@ def reference_run(cfg: TrainConfig, seq):
             logits = forward(agents[0], test.test_x, i).logits
             acc[t, i] = float(np.mean(np.argmax(logits, axis=1) == test.test_y))
     return acc, logs, flatten_params(agents[0]), memory if projected else None
+
+
+def save_csv_dataset(dataset, path):
+    """Write train then test rows as ``label,feature...`` with global labels."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for x, y in ((dataset.train_x, dataset.train_y), (dataset.test_x, dataset.test_y)):
+            for i in range(x.shape[0]):
+                label = dataset.classes[int(y[i])]
+                row = ",".join(repr(float(v)) for v in x[i])
+                handle.write(f"{label},{row}\n")

@@ -29,12 +29,11 @@ from dccl.model import (
     unflatten_params,
 )
 from dccl.ewc import ewc_grad, fisher_estimate
-from dccl.tasks import TaskShard, generate_synthetic_sequence
+from dccl.tasks import TaskShard, derive_rng, generate_synthetic_sequence
 from dccl.topology import build_mixing, parse_topology, validate_assumption3
 from dccl.trainer import (
     Agents,
     TrainConfig,
-    derive_rng,
     gossip_round,
     reset_aggregates,
     run,

@@ -10,7 +10,8 @@ import pytest
 
 import dccl.trainer
 from dccl.cli import ConfigError, main, resolve_config, _build_sequence
-from dccl.tasks import generate_synthetic_sequence, save_csv_dataset
+from dccl.tasks import generate_synthetic_sequence
+from reference import save_csv_dataset
 
 
 def _run_args(out, *extra):

@@ -189,7 +189,12 @@ def test_the_pooled_fisher_phase_is_the_mean_of_the_agents_fishers(mode):
     stack = model.stacked(7)  # every agent holds the model, as after a sync
     shards = [_shard(20 + i, rows=3 + i) for i in range(7)]
     earlier = [fisher_estimate(other, _shard(27), 0)]
-    got = _fisher_phase(stack, shards, 0, earlier, mode)
+    pool = TaskShard(
+        examples=np.concatenate([s.examples for s in shards]),
+        labels=np.concatenate([s.labels for s in shards]),
+    )
+    lengths = [len(s) for s in shards]
+    got = _fisher_phase(stack, pool, lengths, 0, earlier, mode)
     avg = fisher_average([fisher_estimate(stack.view(i), s, 0) for i, s in enumerate(shards)])
     want = [accumulate_fisher(earlier[0], avg)] if mode == "online" else earlier + [avg]
     assert len(got) == len(want)
@@ -199,7 +204,7 @@ def test_the_pooled_fisher_phase_is_the_mean_of_the_agents_fishers(mode):
             assert np.max(np.abs(f - g)) <= 1e-12 * np.max(np.abs(g))
         assert all(map(np.array_equal, a.anchor, b.anchor))
     with pytest.raises(ValueError, match="empty shard"):
-        fisher_mean(model, [shards[0], _shard(23, rows=0)], 0)
+        fisher_mean(model, shards[0], [len(shards[0]), 0], 0)
 
 
 def test_accumulate_fisher_sums_and_rebases():

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from dccl import tasks
 from dccl.tasks import (
     generate_synthetic_sequence,
     load_csv_dataset,
-    save_csv_dataset,
     shard_iid,
 )
+from reference import save_csv_dataset
 
 
 def _logistic_oracle_accuracy(train_x, train_y, test_x, test_y):
@@ -61,6 +62,8 @@ def test_generation_is_deterministic():
         assert np.array_equal(ta.test_y, tb.test_y)
     c = generate_synthetic_sequence(2, 2, 5, 40, 78)
     assert not np.array_equal(a[0].train_x, c[0].train_x)
+    with pytest.raises(ValueError, match="non-negative"):
+        generate_synthetic_sequence(2, 2, 5, 40, -1)
 
 
 def test_shard_sizes_match_paper_narrative():
@@ -68,14 +71,14 @@ def test_shard_sizes_match_paper_narrative():
     seq = generate_synthetic_sequence(1, 2, 3, 3125, 4)
     task = seq[0]
     assert task.train_x.shape[0] == 5000
-    shards = shard_iid(task, 4, 123)
+    _, shards = shard_iid(task, 4, 123)
     assert [len(s) for s in shards] == [1250, 1250, 1250, 1250]
 
 
 def test_shards_partition_the_training_set():
     seq = generate_synthetic_sequence(1, 2, 3, 50, 6)
     task = seq[0]
-    shards = shard_iid(task, 3, 9)
+    pool, shards = shard_iid(task, 3, 9)
     sizes = sorted(len(s) for s in shards)
     assert max(sizes) - min(sizes) <= 1
     assert sum(sizes) == task.train_x.shape[0]
@@ -87,16 +90,40 @@ def test_shards_partition_the_training_set():
             axis=0,
         ),
     )
+    # the rows are copied once, in the shard order, and the shards are views
+    perm = np.random.default_rng(np.random.SeedSequence((9, 3))).permutation(len(rows))
+    assert np.array_equal(pool.examples, task.train_x[perm])
+    assert np.array_equal(pool.labels, task.train_y[perm])
+    assert not np.shares_memory(pool.examples, task.train_x)
+    for s in shards:
+        assert np.shares_memory(s.examples, pool.examples)
+        assert np.shares_memory(s.labels, pool.labels)
 
 
 def test_shard_agent_ids_and_determinism():
     seq = generate_synthetic_sequence(1, 2, 3, 30, 6)
     task = seq[0]
-    a = shard_iid(task, 4, 5)
-    b = shard_iid(task, 4, 5)
+    _, a = shard_iid(task, 4, 5)
+    _, b = shard_iid(task, 4, 5)
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.examples, sb.examples)
         assert np.array_equal(sa.labels, sb.labels)
+
+
+def test_the_stream_table_names_every_first_level_stream_once():
+    """Each first-level seed stream has its own tag, so no two kinds of
+    draw share a stream."""
+    table = {name: v for name, v in vars(tasks).items() if name.startswith("TAG_")}
+    assert table == {
+        "TAG_INIT": 1,
+        "TAG_HEAD": 2,
+        "TAG_SHARD": 3,
+        "TAG_BATCH": 4,
+        "TAG_PICK": 5,
+        "TAG_DATA": 6,
+        "TAG_REP": 7,
+    }
+    assert len(set(table.values())) == len(table)
 
 
 def test_shard_rejects_tiny_dataset():

@@ -23,28 +23,31 @@ from dccl.model import (
     trunk_params,
     unflatten_params,
 )
-from dccl.tasks import generate_synthetic_sequence, shard_iid
+from dccl.tasks import (
+    TAG_BATCH,
+    TAG_SHARD,
+    _batches,
+    _derive_int,
+    _entropy,
+    _seed_words,
+    derive_rng,
+    generate_synthetic_sequence,
+    shard_iid,
+)
 from dccl.topology import build_mixing, parse_topology
 import dccl.trainer
 from dccl.trainer import (
-    TAG_BATCH,
-    TAG_SHARD,
     Agents,
     NonFiniteError,
     Outer,
     TrainConfig,
-    derive_rng,
     fanout,
     gossip_round,
     local_step,
     reset_aggregates,
     run,
     _BLOCK,
-    _batches,
     _bounds,
-    _derive_int,
-    _entropy,
-    _seed_words,
 )
 from reference import consensus_error
 
@@ -767,7 +770,7 @@ def test_non_finite_training_data_stops_the_run_naming_the_agent():
     seq = generate_synthetic_sequence(2, 2, 16, 40, 4)
     seq[0].train_x[5, 3] = np.nan
     cfg = _config("ring", 4, epochs=1, method="naive")
-    shards = shard_iid(seq[0], 4, _derive_int(cfg.seed, TAG_SHARD, 0))
+    _, shards = shard_iid(seq[0], 4, _derive_int(cfg.seed, TAG_SHARD, 0))
     holder = next(i for i, s in enumerate(shards) if np.isnan(s.examples).any())
     want = rf"task 0, round \d+: agent {holder} has non-finite loss"
     with pytest.raises(NonFiniteError, match=want):
