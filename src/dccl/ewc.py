@@ -11,8 +11,8 @@ linearised loss plus the penalty at ``x + d`` (a proximal step), ``d =
 every ``eta`` and ``lam``.  ``implicit_rows`` makes its coefficients once
 per step size, and the trainer's gossip round forms the step from them.
 ``fisher_mean`` gives the agents' averaged Fisher in one pass.
-``fisher_estimate``, ``fisher_average`` and the explicit penalty gradient
-``ewc_grad`` are the per-agent forms the tests hold those to.
+``fisher_estimate`` and the explicit penalty gradient ``ewc_grad`` are the
+per-agent forms the tests hold those to.
 """
 
 from __future__ import annotations
@@ -115,20 +115,6 @@ def ewc_grad(
             pen *= lam * f
             g += pen
     return grads
-
-
-def fisher_average(states: list[FisherState]) -> FisherState:
-    """Elementwise mean of per-agent Fishers; anchor from the first state."""
-    if not states:
-        raise ValueError("no Fisher states to average")
-    f = [np.zeros_like(a) for a in states[0].f]
-    for state in states:
-        if len(state.f) != len(f):
-            raise ValueError("Fisher states disagree on parameter count")
-        for slot, part in zip(f, state.f):
-            slot += part
-    f = [a / len(states) for a in f]
-    return FisherState(f=f, anchor=states[0].anchor)
 
 
 def accumulate_fisher(

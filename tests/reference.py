@@ -11,8 +11,9 @@ decoded as ``o c`` by each receiver into its tracked aggregate ``x_hat``,
 an average at every task boundary, the memory grown at one picked agent,
 and for ``dewc`` the averaged diagonal Fisher (Kirkpatrick et al. 2017).
 It draws from the same named seed streams as the engine, so both runs
-must agree up to rounding.  ``consensus_error`` is the two-pass reference
-for the consensus error that ``gossip_round`` sums block by block.
+must agree up to rounding.  Its round, ``reference_round``, is the one the
+round tests hold ``gossip_round`` to, and ``consensus_error`` the two-pass
+reference for the consensus error that ``gossip_round`` sums block by block.
 ``save_csv_dataset`` writes a dataset as the CSV ``load_csv_dataset`` reads.
 """
 
@@ -67,6 +68,39 @@ def _lr(cfg, r, total):
     return cfg.eta
 
 
+def reference_round(params, x_hat, steps, w, memory=None):
+    """One gossip round, message by message, as separate nodes would run it;
+    returns the scalars each agent sent.
+
+    ``params``, ``x_hat`` and ``steps`` hold each agent's arrays, its tracked
+    aggregates and its steps ``d``; the arrays and aggregates move in place.
+    Each agent forms ``q = (x_hat - x) + d`` and moves to ``x + q``.  With a
+    ``memory``, it sends its first ``len(memory.layers)`` arrays as the
+    coefficients ``o^T q``, which each receiver decodes as ``o c``; it sends
+    every other array raw.  Receiver ``j`` adds ``w[j, i]`` times what it
+    decoded into its ``x_hat``, and the sender adds ``w[i, i] q`` into its own.
+    """
+    n = len(params)
+    coded = len(memory.layers) if memory is not None else 0
+    updates = []
+    for x, h, d in zip(params, x_hat, steps):
+        q = [(hk - p) + dk for p, hk, dk in zip(x, h, d)]
+        for p, qk in zip(x, q):
+            p += qk
+        updates.append(q)
+    sent = []
+    for i, q in enumerate(updates):
+        msg = [memory.layers[l].o.T @ qk if l < coded else qk for l, qk in enumerate(q)]
+        receivers = [j for j in range(n) if j != i and w[j, i] > 0.0]
+        sent.append(len(receivers) * sum(c.size for c in msg))
+        for l, qk in enumerate(q):
+            x_hat[i][l] += w[i, i] * qk
+        for j in receivers:
+            for l, c in enumerate(msg):
+                x_hat[j][l] += w[j, i] * (memory.layers[l].o @ c if l < coded else c)
+    return sent
+
+
 def reference_run(cfg: TrainConfig, seq):
     """Train ``cfg.method`` over ``seq`` with one model per agent; returns
     the accuracy matrix, the per-round log rows, the final parameters and
@@ -119,26 +153,8 @@ def reference_run(cfg: TrainConfig, seq):
                 steps.append(d)
                 losses.append(float(loss))
                 mus.append(mu)
-            updates = []
-            for a, h, d in zip(agents, x_hat, steps):
-                q = [(hk - p) + dk for p, hk, dk in zip(task_params(a, t), h, d)]
-                for p, qk in zip(task_params(a, t), q):
-                    p += qk
-                updates.append(q)
-            sent = []
-            for i, q in enumerate(updates):
-                msg = [
-                    memory.layers[l].o.T @ qk if projected and l < n_layers else qk
-                    for l, qk in enumerate(q)
-                ]
-                receivers = [j for j in range(n) if j != i and w[j, i] > 0.0]
-                sent.append(len(receivers) * sum(c.size for c in msg))
-                for l, qk in enumerate(q):
-                    x_hat[i][l] += w[i, i] * qk
-                for j in receivers:
-                    for l, c in enumerate(msg):
-                        dq = memory.layers[l].o @ c if projected and l < n_layers else c
-                        x_hat[j][l] += w[j, i] * dq
+            params = [task_params(a, t) for a in agents]
+            sent = reference_round(params, x_hat, steps, w, memory if projected else None)
             flats = np.array([flatten_params(a) for a in agents])
             ce = float(np.sum((flats - flats.mean(axis=0)) ** 2)) / n
             logs += [(t, r, i, losses[i], ce, mus[i], sent[i]) for i in range(n)]

@@ -10,7 +10,6 @@ from dccl.ewc import (
     FisherState,
     accumulate_fisher,
     ewc_grad,
-    fisher_average,
     fisher_estimate,
     fisher_mean,
 )
@@ -124,16 +123,6 @@ def test_zero_lambda_or_missing_fisher_leaves_gradients_alone():
         assert np.array_equal(a, b)
 
 
-def test_fisher_average_is_elementwise_mean_with_chosen_anchor():
-    a = FisherState(f=[np.full((2, 2), 2.0)], anchor=[np.full((2, 2), 1.0)])
-    b = FisherState(f=[np.full((2, 2), 4.0)], anchor=[np.full((2, 2), 9.0)])
-    avg = fisher_average([a, b])
-    assert np.all(avg.f[0] == 3.0)
-    assert np.all(avg.anchor[0] == 1.0)  # the first state's anchor
-    with pytest.raises(ValueError):
-        fisher_average([])
-
-
 def test_penalty_is_added_in_place_into_the_same_gradients():
     model = _model(13, use_bias=True)
     shard = _shard(14)
@@ -167,11 +156,9 @@ def test_fisher_states_are_read_only_and_shared():
         state.f = []
     assert accumulate_fisher(None, state) is state
     other = fisher_estimate(model, _shard(18), 0)
-    avg = fisher_average([state, other])
-    assert avg.anchor is state.anchor
-    running = accumulate_fisher(state, avg)
-    assert running.anchor is avg.anchor
-    for array in (*avg.f, *running.f):
+    running = accumulate_fisher(state, other)
+    assert running.anchor is other.anchor
+    for array in running.f:
         assert not array.flags.writeable
 
 
@@ -195,7 +182,10 @@ def test_the_pooled_fisher_phase_is_the_mean_of_the_agents_fishers(mode):
     )
     lengths = [len(s) for s in shards]
     got = _fisher_phase(stack, pool, lengths, 0, earlier, mode)
-    avg = fisher_average([fisher_estimate(stack.view(i), s, 0) for i, s in enumerate(shards)])
+    # the agents' mean, as reference_run takes it: agent 0's anchor
+    states = [fisher_estimate(stack.view(i), s, 0) for i, s in enumerate(shards)]
+    f = [np.mean(parts, axis=0) for parts in zip(*(s.f for s in states))]
+    avg = FisherState(f=f, anchor=states[0].anchor)
     want = [accumulate_fisher(earlier[0], avg)] if mode == "online" else earlier + [avg]
     assert len(got) == len(want)
     for a, b in zip(got, want):

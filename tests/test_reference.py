@@ -1,6 +1,8 @@
 """Whole runs of ``run`` against the plain per-agent reference engine of
 ``reference.py``, which sends every message on its own."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 from dccl.gpm import ThresholdSchedule
 from dccl.tasks import generate_synthetic_sequence
 from dccl.topology import Topology, parse_topology
-from dccl.trainer import EWC_MODES, METHODS, TrainConfig, run
+import dccl.model
+import dccl.trainer
+from dccl.trainer import _BLOCK, EWC_MODES, METHODS, Outer, TrainConfig, run
 from reference import reference_run
 
 # largest difference allowed in a float result, relative to the largest
@@ -24,6 +28,11 @@ def _close(got, want, what):
     assert err <= TOL * scale, f"{what}: off by {err:.3e} of {scale:.3e}"
 
 
+def _projectors(m):
+    """Each column's projector ``m_j m_j^T``, shape (cols, dim, dim)."""
+    return np.einsum("ij,kj->jik", m, m)
+
+
 def _custom_graph(n, rng):
     """A random connected undirected graph: a random spanning tree plus extras."""
     adj = np.zeros((n, n))
@@ -37,6 +46,16 @@ def _custom_graph(n, rng):
     return Topology("custom", n, adjacency=adj)
 
 
+# codec runs on a ring of 4 agents over 3 tasks with biases, swept in blocks
+# of 30 elements: alone they reach every branch of the round's sweep and of
+# the loss (``test_the_examples_reach_every_branch``)
+_SMALL_BLOCK_RUNS = [
+    dict(method="codec", graph="ring", n=4, tasks=3, use_bias=True, lr_decay=False,
+         ewc_mode="online", block=30, seed=seed)
+    for seed in (767, 371)
+]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     method=st.sampled_from(METHODS),
@@ -46,22 +65,29 @@ def _custom_graph(n, rng):
     use_bias=st.booleans(),
     lr_decay=st.booleans(),
     ewc_mode=st.sampled_from(EWC_MODES),
+    block=st.sampled_from([4, 7, 12, 30, _BLOCK]),
     seed=st.integers(0, 2**31 - 1),
 )
 # layer 0 (width 2) saturates after task 0, so tasks 1 and 2 train it with
 # coefficients of width 0 beside a factored layer 1 of rank 1
 @example(
     method="codec", graph="ring", n=3, tasks=3, use_bias=False, lr_decay=False,
-    ewc_mode="online", seed=14,
+    ewc_mode="online", block=_BLOCK, seed=14,
 )
 # the coefficient state with biases and the step-size decay on torus:2x3
 @example(
     method="codec", graph="torus", n=6, tasks=3, use_bias=True, lr_decay=True,
-    ewc_mode="online", seed=6,
+    ewc_mode="online", block=_BLOCK, seed=6,
 )
-def test_run_matches_the_per_agent_reference(
-    method, graph, n, tasks, use_bias, lr_decay, ewc_mode, seed
-):
+@example(**_SMALL_BLOCK_RUNS[0])
+@example(**_SMALL_BLOCK_RUNS[1])
+def test_run_matches_the_per_agent_reference(**draw):
+    _check_run(**draw)
+
+
+def _check_run(method, graph, n, tasks, use_bias, lr_decay, ewc_mode, block, seed):
+    """One run of ``run``, its round swept in blocks of ``block`` elements,
+    against ``reference_run``."""
     rng = np.random.default_rng(seed)
     if graph == "torus":
         rows = int(rng.choice([r for r in range(1, n + 1) if n % r == 0]))
@@ -73,7 +99,7 @@ def test_run_matches_the_per_agent_reference(
     dim = int(rng.integers(2, 6))
     hidden = rng.integers(1, 6, size=int(rng.integers(1, 3)))
     seq = generate_synthetic_sequence(
-        tasks, int(rng.integers(2, 4)), dim, int(rng.integers(4, 9)), seed
+        tasks, int(rng.integers(2, 10)), dim, int(rng.integers(4, 9)), seed
     )
     cfg = TrainConfig(
         eta=float(rng.choice([0.05, 0.3])),
@@ -90,7 +116,8 @@ def test_run_matches_the_per_agent_reference(
         rep_samples=int(rng.integers(1, 9)),
         lr_decay=lr_decay,
     )
-    got = run(cfg, seq)
+    with mock.patch.object(dccl.trainer, "_BLOCK", block):
+        got = run(cfg, seq)
     acc, logs, final, memory = reference_run(cfg, seq)
     assert np.array_equal(got.accuracy, acc, equal_nan=True)
     rows = [
@@ -110,7 +137,56 @@ def test_run_matches_the_per_agent_reference(
     else:
         assert got.gpm.ranks() == memory.ranks()
         for l, (a, b) in enumerate(zip(got.gpm.layers, memory.layers)):
-            _close(a.m, b.m, f"layer {l} memory")
+            # a column's sign follows the completion of o before it, so each
+            # column is compared as its projector m_j m_j^T
+            _close(_projectors(a.m), _projectors(b.m), f"layer {l} memory")
             # compared as a span: past the residual's rank, the columns of o
             # are whatever completion LAPACK picks for a null space
             _close(a.o @ a.o.T, b.o @ b.o.T, f"layer {l} complement")
+
+
+def test_the_examples_reach_every_branch():
+    """The small-block examples alone reach every branch of the round's
+    sweep (pair and whole gradients in several blocks, a ragged whole
+    block, a folded 1-row tail, deviation sums that span pair blocks), both
+    forms of mu's lost norm and both paths of the loss's class reduction."""
+    seen = set()
+    bounds, lost_sq = dccl.trainer._bounds, dccl.trainer._lost_sq
+    over_classes = dccl.model._over_classes
+
+    def counted_bounds(g, cols):
+        cuts = bounds(g, cols)
+        pair = isinstance(g, Outer)
+        if len(cuts) > 2:
+            seen.add("pair blocks" if pair else "whole blocks")
+        if not pair and len(cuts) > 2 and cuts[-1] % cols:
+            seen.add("ragged whole block")
+        if pair:
+            n_out = g.shape[-1]
+            if cuts[-1] - cuts[-2] > max(2, cols // 2 // n_out) * n_out:
+                seen.add("folded tail")
+            if any(c % cols for c in cuts[1:-1]):
+                seen.add("deviations across pair blocks")
+        return cuts
+
+    def counted_lost_sq(x, m, dz, *rest):
+        grams = dccl.trainer._factored(x @ m, dz)
+        seen.add("lost norm from Grams" if grams else "lost norm whole")
+        return lost_sq(x, m, dz, *rest)
+
+    def counted_over_classes(ufunc, a):
+        seen.add("class reduction" if a.shape[-1] >= 8 else "class loop")
+        return over_classes(ufunc, a)
+
+    with (
+        mock.patch.object(dccl.trainer, "_bounds", counted_bounds),
+        mock.patch.object(dccl.trainer, "_lost_sq", counted_lost_sq),
+        mock.patch.object(dccl.model, "_over_classes", counted_over_classes),
+    ):
+        for draw in _SMALL_BLOCK_RUNS:
+            _check_run(**draw)
+    assert seen == {
+        "pair blocks", "whole blocks", "ragged whole block", "folded tail",
+        "deviations across pair blocks", "lost norm from Grams", "lost norm whole",
+        "class reduction", "class loop",
+    }
