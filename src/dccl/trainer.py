@@ -36,6 +36,8 @@ Heads and biases are unconstrained, so their deltas travel uncompressed.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import logging
 import math
 from dataclasses import dataclass, field
@@ -362,14 +364,21 @@ def _step(
     """The step of gradients ``g`` at parameters ``x`` (both ``(N, cols)``),
     written into ``out`` and returned: ``-eta g``, or with a penalty's rows
     ``(-alpha, -beta, gamma)`` (``implicit_rows``) ``-alpha g - beta x +
-    gamma``, which spends ``g``.  A ufunc that writes a contiguous block
-    from a strided one buffers 64 KiB under numpy's default buffer size; a
-    round runs these under ``_ROW_BUFSIZE``, which needs no buffer."""
+    gamma``, which spends ``g``.  The penalised step is summed as
+    ``((-alpha g) + (-beta x)) + gamma``, and the report bytes of a
+    ``dewc`` run rest on that order.  The ``g`` block is scaled in place
+    (``g *= -alpha``) because under ``_ROW_BUFSIZE`` the three-operand row
+    broadcast ``multiply(g, -alpha, out=out)`` is numpy's slow form, 1.4-2.4x
+    slower; ``x`` is kept, so ``-beta x`` takes that form.  A ufunc that
+    writes a contiguous block from a strided one buffers 64 KiB under
+    numpy's default buffer size; a round runs these under ``_ROW_BUFSIZE``,
+    which needs no buffer."""
     if rows is None:
         return np.multiply(g, -eta, out=out)
     neg_alpha, neg_beta, gamma = rows
-    np.multiply(g, neg_alpha, out=out)
-    out += np.multiply(x, neg_beta, out=g)
+    g *= neg_alpha
+    np.multiply(x, neg_beta, out=out)
+    out += g
     out += gamma
     return out
 
@@ -767,36 +776,86 @@ def _evaluate(
         row[i] = np.mean(pred == sequence[i].test_y)
 
 
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS numpy loaded,
+    found through ``ctypes`` among the libraries mapped into the process,
+    or ``None``: for MKL, Accelerate or any BLAS without these symbols, and
+    where ``/proc/self/maps`` cannot be read."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            libs = {
+                line.split(maxsplit=5)[-1].strip()
+                for line in handle
+                if "openblas" in line.lower()
+            }
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for name in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(handle, f"{name}_get_num_threads{suffix}", None)
+                put = getattr(handle, f"{name}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+                    return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS at one thread inside the block, the caller's count after:
+    a BLAS product's rounding follows how many threads split it, so the
+    report bytes would follow the core count.  Other BLAS builds are left
+    as they are."""
+    found = _openblas_threads()
+    before = found[0]() if found else 1
+    if before != 1:
+        found[1](1)
+    try:
+        yield
+    finally:
+        if before != 1:
+            found[1](before)
+
+
 def run(config: TrainConfig, sequence: list[LabeledDataset]) -> RunResult:
     """Train ``config.method`` over the task sequence, a list of datasets,
     neither of which is changed: per task its rounds, its boundary and its
-    evaluation, each a function whose views and buffers go as it returns."""
-    check_run(config, sequence)
-    n, method = config.topology.n, config.method
-    w = build_mixing(config.topology)
-    matrix = np.full((len(sequence), len(sequence)), np.nan)
-    ledger: list[TaskComm] = []
-    history: list = []  # one (loss, mu, consensus error) per round
-    pick_stream = derive_rng(config.seed, TAG_PICK)
-    stream = derive_rng(config.seed, TAG_INIT, 0)
-    agents = Agents(
-        model=init_mlp(config.dims, stream, config.use_bias).stacked(n),
-        memory=GpmState.fresh(config.dims[:-1] if method == "codec" else []),
-    )
-    for t, data in enumerate(sequence):
-        pool, shards = shard_iid(data, n, _derive_int(config.seed, TAG_SHARD, t))
-        sizes, rounds = _train_task(agents, w, config, t, data, pool, shards, history)
-        _boundary(agents, config, t, pool, shards, pick_stream)
-        ledger.append(price_task(agents, t, method, sizes, rounds, fanout(w)))
-        _evaluate(agents.model, sequence, t, method, matrix[t])
-    loss, mu, ce = zip(*history)
-    return RunResult(
-        method=method,
-        accuracy=matrix,
-        ledger=ledger,
-        loss=np.array(loss, dtype=float).reshape(-1, n),
-        mu=np.array(mu, dtype=float).reshape(-1, n),
-        consensus_error=np.array(ce, dtype=float),
-        final_params=flatten_params(agents.model.view(0)),
-        gpm=agents.memory if method == "codec" else None,
-    )
+    evaluation, each a function whose views and buffers go as it returns.
+    OpenBLAS runs at one thread throughout (``_one_blas_thread``)."""
+    with _one_blas_thread():
+        check_run(config, sequence)
+        n, method = config.topology.n, config.method
+        w = build_mixing(config.topology)
+        matrix = np.full((len(sequence), len(sequence)), np.nan)
+        ledger: list[TaskComm] = []
+        history: list = []  # one (loss, mu, consensus error) per round
+        pick_stream = derive_rng(config.seed, TAG_PICK)
+        stream = derive_rng(config.seed, TAG_INIT, 0)
+        agents = Agents(
+            model=init_mlp(config.dims, stream, config.use_bias).stacked(n),
+            memory=GpmState.fresh(config.dims[:-1] if method == "codec" else []),
+        )
+        for t, data in enumerate(sequence):
+            pool, shards = shard_iid(data, n, _derive_int(config.seed, TAG_SHARD, t))
+            sizes, rounds = _train_task(
+                agents, w, config, t, data, pool, shards, history
+            )
+            _boundary(agents, config, t, pool, shards, pick_stream)
+            ledger.append(price_task(agents, t, method, sizes, rounds, fanout(w)))
+            _evaluate(agents.model, sequence, t, method, matrix[t])
+        loss, mu, ce = zip(*history)
+        return RunResult(
+            method=method,
+            accuracy=matrix,
+            ledger=ledger,
+            loss=np.array(loss, dtype=float).reshape(-1, n),
+            mu=np.array(mu, dtype=float).reshape(-1, n),
+            consensus_error=np.array(ce, dtype=float),
+            final_params=flatten_params(agents.model.view(0)),
+            gpm=agents.memory if method == "codec" else None,
+        )

@@ -3,7 +3,11 @@
 import dataclasses
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,6 +315,37 @@ def test_rerun_is_byte_identical(tmp_path):
     assert main(args) == 0
     for n in names:
         assert (out / n).read_bytes() == first[n], n
+
+
+def test_reports_do_not_depend_on_the_openblas_thread_count(tmp_path):
+    """The same config run under ``OPENBLAS_NUM_THREADS`` 1 and 2, each in
+    its own process with the same relative ``--out``, writes the same
+    report bytes and stdout: ``run`` holds OpenBLAS at one thread.  Before
+    that, this config's ``gpm_state.txt`` differed at two threads."""
+    if dccl.trainer._openblas_threads() is None:
+        pytest.skip("no OpenBLAS thread-count symbols in this process")
+    src = str(Path(dccl.trainer.__file__).resolve().parents[1])
+    args = [
+        sys.executable, "-m", "dccl.cli", "run", "--method", "codec",
+        "--topology", "torus:4x4", "--agents", "16", "--tasks", "2",
+        "--set", "dims=64,256,128", "--set", "input_dim=64",
+        "--set", "samples_per_class=100", "--set", "epochs=1",
+        "--set", "rep_samples=8", "--seed", "4", "--out", "out",
+    ]
+    written = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            args, cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        files = {p.name: p.read_bytes() for p in sorted((cwd / "out").iterdir())}
+        written.append((proc.stdout, files))
+    assert {"rounds.csv", "gpm_state.txt", "summary.json"} <= set(written[0][1])
+    assert written[0] == written[1]
 
 
 def test_precedence_defaults_file_set_flags(tmp_path):

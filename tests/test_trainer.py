@@ -47,7 +47,10 @@ from dccl.trainer import (
     reset_aggregates,
     run,
     _BLOCK,
+    _ROW_BUFSIZE,
     _bounds,
+    _openblas_threads,
+    _step,
 )
 from reference import consensus_error, reference_round
 
@@ -282,6 +285,41 @@ def test_a_penalised_round_is_the_round_of_the_explicit_formula_step(mode):
         want = task_params(oracle.model, 0) + oracle.aggregates
         for a, b in zip(got, want):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("bufsize", [_ROW_BUFSIZE, 8192])  # numpy's default
+def test_the_penalised_step_sums_in_one_order_bit_for_bit(bufsize):
+    """On strided column blocks of ``(N, cols)`` gradients and parameters,
+    with ``implicit_rows`` broadcast over the agents, ``_step`` is exactly
+    ``((g * -alpha) + (x * -beta)) + gamma``, the order a ``dewc`` run's
+    report bytes rest on, under a round's ufunc buffer and numpy's default;
+    without rows it is exactly ``g * -eta``."""
+    rng = np.random.default_rng(21)
+    n, shape, eta = 16, (64, 40), 0.05
+    states = [
+        FisherState(
+            f=[rng.random(shape) * 10.0 ** rng.integers(-3, 3, shape)],
+            anchor=[rng.standard_normal(shape)],
+        )
+        for _ in range(2)
+    ]
+    rows = implicit_rows(states, 50.0, eta)[0]
+    x_all = rng.standard_normal((n, rows[0].size))
+    g_all = 1e3 * rng.standard_normal((n, rows[0].size))
+    old = np.setbufsize(bufsize)
+    try:
+        for s, e in [(0, 1024), (1024, 2559), (2559, 2560)]:
+            g, x = g_all[:, s:e], x_all[:, s:e]
+            neg_alpha, neg_beta, gamma = (r[s:e] for r in rows)
+            want = ((g * neg_alpha) + (x * neg_beta)) + gamma
+            out = np.empty(g.shape)
+            got = _step(g.copy(), x, [neg_alpha, neg_beta, gamma], eta, out)
+            assert got is out
+            assert np.array_equal(got, want)
+            plain = _step(g, x, None, eta, np.empty(g.shape))
+            assert np.array_equal(plain, g * -eta)
+    finally:
+        np.setbufsize(old)
 
 
 def test_a_non_finite_penalised_step_names_its_agent():
@@ -1055,3 +1093,31 @@ def test_a_round_after_the_first_makes_no_large_block():
             tracemalloc.stop()
         worst[case] = rise
     assert max(worst.values()) < 64 * 1024, worst
+
+
+def test_a_run_holds_openblas_at_one_thread_and_restores_the_callers_count(
+    monkeypatch,
+):
+    """With the caller at two OpenBLAS threads, a run evaluates at one and
+    the count reads two again after it."""
+    found = _openblas_threads()
+    if found is None:
+        pytest.skip("no OpenBLAS thread-count symbols in this process")
+    get, put = found
+    seen = []
+    evaluate = dccl.trainer._evaluate
+
+    def counted(*args):
+        seen.append(get())
+        evaluate(*args)
+
+    monkeypatch.setattr(dccl.trainer, "_evaluate", counted)
+    seq = generate_synthetic_sequence(2, 2, 16, 40, 6)
+    before = get()
+    put(2)
+    try:
+        run(_config("ring", 4, epochs=1), seq)
+        assert get() == 2
+    finally:
+        put(before)
+    assert seen == [1, 1]
