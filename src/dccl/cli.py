@@ -88,11 +88,8 @@ def _parse_dims(text: str) -> list[int]:
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
-    parts = [p for p in (s.strip() for s in body.split(",")) if p]
-    if not parts:
-        raise ConfigError(f"expected a list of layer widths, got {text!r}")
     dims = []
-    for p in parts:
+    for p in body.split(","):
         width = _parse_int(p)
         if width < 1:
             raise ConfigError(f"layer width must be at least 1, got {width}")
@@ -101,8 +98,8 @@ def _parse_dims(text: str) -> list[int]:
 
 
 def _parse_paths(text: str) -> list[str]:
-    paths = [s.strip() for s in text.split(",") if s.strip()]
-    if not paths:
+    paths = [s.strip() for s in text.split(",")]
+    if not all(paths):
         raise ConfigError(f"expected a comma-separated path list, got {text!r}")
     return paths
 
@@ -145,7 +142,6 @@ _SCHEMA = {
     "lambda": (_parse_nonneg_float, 5000.0),
     "ewc_mode": (_parse_choice("ewc_mode", EWC_MODES), "online"),
     "lr_decay": (_parse_bool, False),
-    "use_bias": (_parse_bool, False),
     "seed": (_parse_nonneg_int, 0),
     "out": (_parse_str, "out"),
     "debug_checks": (_parse_bool, False),
@@ -261,7 +257,6 @@ def _train_config(values: dict[str, object]) -> TrainConfig:
         lam=float(values["lambda"]),
         ewc_mode=str(values["ewc_mode"]),
         dims=list(values["dims"]),
-        use_bias=bool(values["use_bias"]),
         rep_samples=int(values["rep_samples"]),
         lr_decay=bool(values["lr_decay"]),
         debug_checks=bool(values["debug_checks"]),

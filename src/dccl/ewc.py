@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Mlp, sample_deltas, trunk_params
+from .model import Mlp, sample_deltas
 from .tasks import TaskShard
 
 
@@ -30,7 +30,7 @@ class FisherState:
     """A Fisher diagonal and its anchor; read-only, so states are shared
     rather than copied when averaged or accumulated."""
 
-    f: list[np.ndarray]  # one entry per array of trunk_params(model)
+    f: list[np.ndarray]  # one entry per trunk layer
     anchor: list[np.ndarray]  # parameter snapshot the penalty pulls toward
 
     def __post_init__(self) -> None:
@@ -42,18 +42,15 @@ def fisher_estimate(model: Mlp, shard: TaskShard, task: int) -> FisherState:
     """Diagonal Fisher from one agent's shard at the current parameters.
 
     Sample i's gradient for a linear layer is ``outer(x_i, dz_i)``, so the
-    mean of its squares is ``(X*X)^T (DZ*DZ) / n``, with column sums of
-    ``DZ*DZ`` for the bias: no per-sample gradient is ever formed.
+    mean of its squares is ``(X*X)^T (DZ*DZ) / n``: no per-sample gradient
+    is ever formed.
     """
     n = len(shard)
     if n == 0:
         raise ValueError("cannot estimate Fisher information on an empty shard")
     inputs, deltas = sample_deltas(model, shard.examples, shard.labels, task)
-    squares = [dz * dz for dz in deltas]
-    f = [(x * x).T @ sq / n for x, sq in zip(inputs, squares)]
-    if model.layer_biases is not None:
-        f += [sq.sum(axis=0) / n for sq in squares]
-    anchor = [p.copy() for p in trunk_params(model)]
+    f = [(x * x).T @ (dz * dz) / n for x, dz in zip(inputs, deltas)]
+    anchor = [p.copy() for p in model.layers]
     return FisherState(f=f, anchor=anchor)
 
 
@@ -69,11 +66,8 @@ def fisher_mean(
         raise ValueError("cannot estimate Fisher information on an empty shard")
     weights = np.repeat(1.0 / (len(lengths) * lengths), lengths)[:, np.newaxis]
     inputs, deltas = sample_deltas(model, pool.examples, pool.labels, task)
-    squares = [dz * dz * weights for dz in deltas]
-    f = [(x * x).T @ sq for x, sq in zip(inputs, squares)]
-    if model.layer_biases is not None:
-        f += [sq.sum(axis=0) for sq in squares]
-    anchor = [p.copy() for p in trunk_params(model)]
+    f = [(x * x).T @ (dz * dz * weights) for x, dz in zip(inputs, deltas)]
+    anchor = [p.copy() for p in model.layers]
     return FisherState(f=f, anchor=anchor)
 
 
@@ -108,9 +102,8 @@ def ewc_grad(
     """
     if lam == 0.0:
         return grads
-    params = trunk_params(model)
     for fisher in fishers:
-        for g, p, f, anchor in zip(grads, params, fisher.f, fisher.anchor):
+        for g, p, f, anchor in zip(grads, model.layers, fisher.f, fisher.anchor):
             pen = p - anchor
             pen *= lam * f
             g += pen

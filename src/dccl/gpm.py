@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import binascii
 import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,36 +231,43 @@ def _hex_lines(mat: np.ndarray) -> str:
 
 
 def load_state(path: str) -> GpmState:
+    """Read a ``save_state`` file back exactly.  Any other text raises
+    ``ValueError`` naming the path and line: a header line out of form or
+    missing, a rank above the dim, a column line without ``dim`` entries, a
+    line past the last layer."""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle]
-    pos = 0
+        lines = enumerate(handle.read().splitlines(), 1)
+    no = 0
 
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise ValueError(f"{path}: truncated state file")
-        line = lines[pos]
-        pos += 1
-        return line
+    def take(pattern: str) -> tuple[str, ...]:
+        """The next line's fields, if it matches ``pattern``; past the end
+        there is no line, which matches none."""
+        nonlocal no
+        no, line = next(lines, (no + 1, ""))
+        match = re.fullmatch(pattern, line)
+        if match is None:
+            raise ValueError(f"{path}: line {no}: expected {pattern!r}")
+        return match.groups()
 
-    header = take()
-    if header != "gpm-state 1":
-        raise ValueError(f"{path}: unknown header {header!r}")
-    count = int(take().split()[1])
+    def column(n: int) -> list[float]:
+        try:
+            return [float.fromhex(v) for v in take(" ".join([r"(\S+)"] * n))]
+        except (ValueError, OverflowError):
+            raise ValueError(f"{path}: line {no}: expected {n} float.hex entries") from None
+
+    take("gpm-state 1")
+    (count,) = map(int, take(r"layers (\d+)"))
     layers = []
-    for _ in range(count):
-        parts = take().split()
-        n, r = int(parts[3]), int(parts[5])
-        mats = {}
-        for name, cols_expected in (("m", r), ("o", n - r)):
-            sub = take().split()
-            if sub[0] != name or int(sub[1]) != cols_expected:
-                raise ValueError(f"{path}: malformed {name} block")
-            cols = []
-            for _ in range(cols_expected):
-                cols.append([float.fromhex(v) for v in take().split()])
-            mats[name] = (
-                np.array(cols).T if cols else np.zeros((n, 0))
-            )
-        layers.append(LayerBasis(m=mats["m"], o=mats["o"]))
+    for idx in range(count):
+        n, r = map(int, take(rf"layer {idx} dim (\d+) rank (\d+)"))
+        if r > n:
+            raise ValueError(f"{path}: line {no}: rank {r} above dim {n}")
+        mats = []
+        for name, k in (("m", r), ("o", n - r)):
+            take(f"{name} {k}")
+            cols = [column(n) for _ in range(k)]
+            mats.append(np.array(cols).T if cols else np.zeros((n, 0)))
+        layers.append(LayerBasis(*mats))
+    if next(lines, None) is not None:
+        raise ValueError(f"{path}: line {no + 1} follows the last layer")
     return GpmState(layers=layers)

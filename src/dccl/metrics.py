@@ -50,7 +50,7 @@ def compression(ledger) -> dict:
     actual, per task and overall, for two variants.
 
     ``pure_subspace`` counts trunk update payloads only; ``all_inclusive``
-    adds head/bias deltas and protocol overhead (boundary synchronization
+    adds head deltas and protocol overhead (boundary synchronization
     and basis or Fisher broadcasts) to both sides.  A variant's ratios are
     ``None`` if any task sent zero actual scalars in it.
     """

@@ -3,14 +3,13 @@
 Trunk weights are stored input-major, shape (n_in, n_out), so each column of
 a weight gradient lies in the span of the layer's input activations.  Each
 task gets its own linear head; heads of other tasks are never touched while
-training.  Biases are off by default.
+training.  There are no biases: a bias gradient lies in no layer's input
+span, so the memory could not protect it nor the codec compress it.
 
-One parameter order holds everywhere: the trunk is every layer, then every
-layer bias (``trunk_params``); what a task trains is the trunk, then the
-task's head and head bias (``task_params``, the order of the gradient list
-``loss_and_grad`` returns); the whole model is the trunk, then every head
-and head bias by task id (``param_arrays``, the layout of
-``flatten_params``).
+One parameter order holds everywhere: what a task trains is every trunk
+layer, then the task's head (``task_params``, the order of the gradient
+list ``loss_and_grad`` returns); the whole model is every trunk layer, then
+every head by task id (``param_arrays``, the layout of ``flatten_params``).
 
 A model may carry leading axes in front of every array (``lead``): a stack
 of N agents holds trunk layers of shape (N, n_in, n_out) and heads of shape
@@ -67,33 +66,23 @@ class Factor(NamedTuple):
 class Mlp:
     """ReLU trunk defined by a width list plus one linear head per task."""
 
-    def __init__(self, dims: list[int], use_bias: bool = False):
+    def __init__(self, dims: list[int]):
         if len(dims) < 1 or any(d < 1 for d in dims):
             raise ValueError(f"bad width list {dims}")
         self.dims = list(dims)
-        self.use_bias = use_bias
         self.lead: tuple[int, ...] = ()
         self.layers: list[np.ndarray] = [
             np.zeros((dims[l], dims[l + 1])) for l in range(len(dims) - 1)
         ]
-        self.layer_biases: list[np.ndarray] | None = (
-            [np.zeros(dims[l + 1]) for l in range(len(dims) - 1)]
-            if use_bias
-            else None
-        )
         self.heads: dict[int, np.ndarray] = {}
-        self.head_biases: dict[int, np.ndarray] = {}
         # while layer l is held as x0 + o layers[l] (``factor``)
         self.bases: list[Factor | None] = [None] * len(self.layers)
 
     def _map(self, fn, lead: tuple[int, ...]) -> "Mlp":
-        other = Mlp(self.dims, self.use_bias)
+        other = Mlp(self.dims)
         other.lead = lead
         other.layers = [fn(w) for w in self.layers]
-        if self.layer_biases is not None:
-            other.layer_biases = [fn(b) for b in self.layer_biases]
         other.heads = {t: fn(w) for t, w in self.heads.items()}
-        other.head_biases = {t: fn(b) for t, b in self.head_biases.items()}
         other.bases = list(self.bases)
         return other
 
@@ -111,8 +100,6 @@ class Mlp:
             raise ValueError(f"head for task {task} already exists")
         head = _glorot(self.dims[-1], classes, rng)
         self.heads[task] = np.broadcast_to(head, (*self.lead, *head.shape)).copy()
-        if self.use_bias:
-            self.head_biases[task] = np.zeros((*self.lead, classes))
 
     def factor(self, l: int, o: np.ndarray) -> None:
         """Hold trunk layer l as ``x0 + o c``: ``x0`` is the first model's
@@ -137,9 +124,9 @@ def _glorot(n_in: int, n_out: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(n_in, n_out))
 
 
-def init_mlp(dims: list[int], rng: np.random.Generator, use_bias: bool = False) -> Mlp:
+def init_mlp(dims: list[int], rng: np.random.Generator) -> Mlp:
     """Fresh trunk with Glorot-uniform weights drawn in layer order."""
-    model = Mlp(dims, use_bias)
+    model = Mlp(dims)
     model.layers = [
         _glorot(dims[l], dims[l + 1], rng) for l in range(len(dims) - 1)
     ]
@@ -198,12 +185,8 @@ def forward(
         z = _matmul(coords[-1], w, ws, ("z", l))
         if base is not None:
             z += np.matmul(act, base.x0, out=_scratch(ws, z.shape))
-        if model.layer_biases is not None:
-            z += model.layer_biases[l][..., np.newaxis, :]
         act = np.maximum(z, 0.0, out=z)
     logits = act @ model.heads[task]
-    if model.use_bias:
-        logits += model.head_biases[task][..., np.newaxis, :]
     return ForwardTrace(inputs=inputs, coords=coords, head_input=act, logits=logits)
 
 
@@ -284,13 +267,12 @@ def backward(
     labels: np.ndarray,
     task: int,
     ws: dict | None = None,
-) -> tuple[float | np.ndarray, ForwardTrace, list[np.ndarray], list[np.ndarray]]:
+) -> tuple[float | np.ndarray, ForwardTrace, list[np.ndarray], np.ndarray]:
     """Mean cross-entropy over the batch, and its gradients left factored.
 
     Returns the loss, the forward trace, each trunk layer's pre-activation
-    delta ``dz_l`` (*lead, batch, n_out) of the mean loss, and the gradients
-    of the arrays that follow the trunk layers in ``task_params(model,
-    task)``: the layer biases, the head and the head bias.  The gradient of
+    delta ``dz_l`` (*lead, batch, n_out) of the mean loss, and the gradient
+    of the task's head.  The gradient of
     trunk layer l's stored array is ``trace.coords[l]^T dz_l``: ``X_l^T
     dz_l`` for a plain layer, whose columns lie in the span of the batch's
     layer inputs, and ``(X_l o)^T dz_l`` for a factored one.  With a
@@ -299,11 +281,7 @@ def backward(
     trace, loss, d = _output_delta(model, batch, labels, task, ws)
     d /= d.shape[-2]
     dzs = _layer_deltas(model, trace, d, task, ws)
-    rest = [dz.sum(axis=-2) for dz in dzs] if model.use_bias else []
-    rest.append(_t(trace.head_input) @ d)
-    if model.use_bias:
-        rest.append(d.sum(axis=-2))
-    return loss, trace, dzs, rest
+    return loss, trace, dzs, _t(trace.head_input) @ d
 
 
 def loss_and_grad(
@@ -314,8 +292,8 @@ def loss_and_grad(
 
     For a stacked model the loss is an array over the leading axes.
     """
-    loss, trace, dzs, rest = backward(model, batch, labels, task)
-    return loss, [_t(x) @ dz for x, dz in zip(trace.coords, dzs)] + rest
+    loss, trace, dzs, head = backward(model, batch, labels, task)
+    return loss, [*(_t(x) @ dz for x, dz in zip(trace.coords, dzs)), head]
 
 
 def sample_deltas(
@@ -324,7 +302,7 @@ def sample_deltas(
     """Per-sample layer inputs and pre-activation deltas, one row per sample.
 
     The loss gradient of sample i alone is ``outer(inputs[l][i], deltas[l][i])``
-    for trunk layer l, and ``deltas[l][i]`` for its bias.
+    for trunk layer l.
     """
     trace, _, d = _output_delta(model, batch, labels, task, None)
     return trace.inputs, _layer_deltas(model, trace, d, task, None)
@@ -341,28 +319,14 @@ def capture_representation(
     return [a.T.copy() for a in trace.inputs]
 
 
-def trunk_params(model: Mlp) -> list[np.ndarray]:
-    """Every trunk layer, then every layer bias."""
-    return [*model.layers, *(model.layer_biases or [])]
-
-
-def _head_params(model: Mlp, task: int) -> list[np.ndarray]:
-    if model.use_bias:
-        return [model.heads[task], model.head_biases[task]]
-    return [model.heads[task]]
-
-
 def task_params(model: Mlp, task: int) -> list[np.ndarray]:
-    """What training on a task changes: the trunk, then its head and head bias."""
-    return trunk_params(model) + _head_params(model, task)
+    """What training on a task changes: every trunk layer, then its head."""
+    return [*model.layers, model.heads[task]]
 
 
 def param_arrays(model: Mlp) -> list[np.ndarray]:
-    """Every parameter array: the trunk, then each head and head bias by task id."""
-    arrays = trunk_params(model)
-    for task in sorted(model.heads):
-        arrays += _head_params(model, task)
-    return arrays
+    """Every parameter array: every trunk layer, then each head by task id."""
+    return [*model.layers, *(model.heads[t] for t in sorted(model.heads))]
 
 
 def flatten_params(model: Mlp) -> np.ndarray:

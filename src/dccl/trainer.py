@@ -31,7 +31,7 @@ Conventions that keep the subspace-closure argument airtight: all agents
 start a task from the same parameters (models are averaged at every task
 boundary, charged to the ledger as one uncompressed full-model exchange),
 and tracked neighbor aggregates are initialized from those same parameters.
-Heads and biases are unconstrained, so their deltas travel uncompressed.
+Heads are unconstrained, so their deltas travel uncompressed.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .model import (
     init_mlp,
     param_arrays,
     task_params,
-    trunk_params,
 )
 from .tasks import TAG_HEAD, TAG_INIT, TAG_PICK, TAG_REP, TAG_SHARD, derive_rng
 from .tasks import LabeledDataset, TaskShard, _batches, _derive_int, shard_iid
@@ -96,7 +95,6 @@ class TrainConfig:
     lam: float = 5000.0
     ewc_mode: str = "online"
     dims: list[int] = field(default_factory=lambda: [16, 32, 16])
-    use_bias: bool = False
     rep_samples: int = 64
     lr_decay: bool = False
     debug_checks: bool = False
@@ -118,7 +116,7 @@ class Agents:
 @dataclass(frozen=True)
 class TaskComm:
     """Scalars one task sent, full and actual: each trunk layer's round
-    payloads, the raw heads and biases, and the boundary phases' overhead;
+    payloads, the raw head, and the boundary phases' overhead;
     ``scalars_sent`` holds what each agent sent in one round."""
 
     task: int
@@ -300,8 +298,8 @@ def local_step(
     A trunk array's gradient is ``coords^T dz`` (``backward``).  Where that
     product is larger than its factors, ``k n_out > batch (k + n_out)`` for
     ``k`` coordinates, the array's entry is the factor pair (``Outer``),
-    which the round forms a block of rows at a time; other trunk arrays,
-    biases and heads get their gradients whole.  So a task holds two
+    which the round forms a block of rows at a time; other trunk arrays and
+    the head get their gradients whole.  So a task holds two
     model-sized stacks, the parameters and the aggregates, and at the
     benchmark's batches of 16 the 16-32-16 layers are held whole and the
     64-256-128 ones as pairs.  With a workspace ``ws``, a dict kept for one
@@ -322,7 +320,7 @@ def local_step(
     mu by at most 4.4e-16 relative in the cases measured, 4.0e-16 on the
     ``wide`` benchmark's runs.
     """
-    loss, trace, deltas, rest = backward(model, bx, by, task, ws)
+    loss, trace, deltas, head = backward(model, bx, by, task, ws)
     kept_sq = np.zeros(len(loss))  # ||g~||^2 over the trunk
     lost_sq = np.zeros(len(loss))  # ||m^T g||^2 over the trunk
     grads: list = []
@@ -351,7 +349,8 @@ def local_step(
         mu[nonzero] = np.sqrt(kept_sq[nonzero]) / np.sqrt(raw_sq[nonzero])
         if debug:
             _require(mu <= 1.0 + 1e-10, "has mu = {} above 1", mu)
-    return loss, mu, grads + rest
+    grads.append(head)
+    return loss, mu, grads
 
 
 def _step(
@@ -564,7 +563,7 @@ def price_task(
     # the boundary sync sends every agent's whole model
     fixed = n * sum(a[0].size for a in param_arrays(model))
     if method == "dewc":  # the trunk Fisher diagonal, gathered and sent back
-        fixed += 2 * (n - 1) * sum(p[0].size for p in trunk_params(model))
+        fixed += 2 * (n - 1) * sum(p[0].size for p in model.layers)
     basis = actual = 0
     if method == "codec":  # the grown memory, with its complement to decode by
         basis = (n - 1) * sum(b.dim * b.rank for b in memory.layers)
@@ -694,7 +693,7 @@ def _train_task(
     of ``task_params``, and the rounds."""
     if config.method == "stl" and t > 0:
         stream = derive_rng(config.seed, TAG_INIT, t)
-        agents.model = init_mlp(config.dims, stream, config.use_bias).stacked(len(w))
+        agents.model = init_mlp(config.dims, stream).stacked(len(w))
     model, codec = agents.model, config.method == "codec"
     model.add_head(t, len(data.classes), derive_rng(config.seed, TAG_HEAD, t))
     # every update of the task lies in span(o), so a layer with a memory
@@ -837,7 +836,7 @@ def run(config: TrainConfig, sequence: list[LabeledDataset]) -> RunResult:
         pick_stream = derive_rng(config.seed, TAG_PICK)
         stream = derive_rng(config.seed, TAG_INIT, 0)
         agents = Agents(
-            model=init_mlp(config.dims, stream, config.use_bias).stacked(n),
+            model=init_mlp(config.dims, stream).stacked(n),
             memory=GpmState.fresh(config.dims[:-1] if method == "codec" else []),
         )
         for t, data in enumerate(sequence):

@@ -31,7 +31,6 @@ from dccl.model import (
     init_mlp,
     loss_and_grad,
     task_params,
-    trunk_params,
     unflatten_params,
 )
 from dccl.tasks import (
@@ -118,7 +117,7 @@ def reference_run(cfg: TrainConfig, seq):
     bs = cfg.batch_size
     for t, data in enumerate(seq):
         if t == 0 or cfg.method == "stl":
-            init = init_mlp(cfg.dims, derive_rng(cfg.seed, TAG_INIT, t), cfg.use_bias)
+            init = init_mlp(cfg.dims, derive_rng(cfg.seed, TAG_INIT, t))
             agents = [copy.deepcopy(init) for _ in range(n)]
         for a in agents:
             a.add_head(t, len(data.classes), derive_rng(cfg.seed, TAG_HEAD, t))
@@ -145,7 +144,7 @@ def reference_run(cfg: TrainConfig, seq):
                     kept = math.sqrt(sum(np.sum(g[l] ** 2) for l in range(n_layers)))
                     mu = kept / raw if raw else 1.0
                 d = [-eta * gk for gk in g]
-                for j, p in enumerate(trunk_params(a) if fishers else []):
+                for j, p in enumerate(a.layers if fishers else []):
                     # d = -eta (g + lam sum_k f_k (x - a_k)) / (1 + eta lam sum_k f_k)
                     pull = sum(cfg.lam * f[j] * (p - anchor[j]) for f, anchor in fishers)
                     stiff = sum(cfg.lam * f[j] for f, _ in fishers)
@@ -171,7 +170,7 @@ def reference_run(cfg: TrainConfig, seq):
         if cfg.method == "dewc":
             states = [fisher_estimate(a, s, t) for a, s in zip(agents, shards)]
             f = [np.mean(parts, axis=0) for parts in zip(*(s.f for s in states))]
-            anchor = [p.copy() for p in trunk_params(agents[0])]
+            anchor = [p.copy() for p in agents[0].layers]
             if cfg.ewc_mode == "online" and fishers:
                 f = [a + b for a, b in zip(fishers[0][0], f)]
                 fishers = []

@@ -205,7 +205,7 @@ def test_criterion_05_gossip_alone_reaches_consensus():
         mixing = build_mixing(parse_topology("ring", 8))
         models = []
         for i in range(8):
-            model = init_mlp(list(SMALL_DIMS), derive_rng(11, 1, i), False)
+            model = init_mlp(list(SMALL_DIMS), derive_rng(11, 1, i))
             model.add_head(0, 2, derive_rng(11, 2, i))
             models.append(model)
         stacked = models[0].stacked(8)
@@ -270,7 +270,7 @@ def _fd_gradient(loss_of_flat, base, h=1e-6):
 
 def test_criterion_09_gradients_match_finite_differences():
     with _verdict(9, "analytic gradients agree with finite differences"):
-        model = init_mlp([4, 6, 5], np.random.default_rng(1), False)
+        model = init_mlp([4, 6, 5], np.random.default_rng(1))
         model.add_head(0, 3, np.random.default_rng(2))
         rng = np.random.default_rng(3)
         batch = rng.standard_normal((3, 4))
@@ -292,7 +292,7 @@ def test_criterion_09_gradients_match_finite_differences():
             labels=rng.integers(0, 3, size=5),
         )
         # estimate the Fisher at a different point so the penalty pulls
-        anchor_model = init_mlp([4, 6, 5], np.random.default_rng(4), False)
+        anchor_model = init_mlp([4, 6, 5], np.random.default_rng(4))
         anchor_model.add_head(0, 3, np.random.default_rng(5))
         fisher = fisher_estimate(anchor_model, shard, 0)
         lam = 3.0

@@ -97,10 +97,11 @@ def test_unknown_method_and_key_are_rejected(capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "method" in err
-    rc = main(["validate", "--set", "bogus=1"])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert "bogus" in err
+    for key in ("bogus", "use_bias"):
+        rc = main(["validate", "--set", f"{key}=1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"unknown config key '{key}'" in err
     rc = main(["validate", "--set", "eta"])
     err = capsys.readouterr().err
     assert rc == 1
@@ -108,10 +109,17 @@ def test_unknown_method_and_key_are_rejected(capsys):
 
 
 def test_bad_value_names_the_key(capsys):
-    rc = main(["validate", "--set", "agents=zero"])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert "agents" in err and "zero" in err
+    for key, value, reason in (
+        ("agents", "zero", "'zero'"),
+        # every comma-separated entry must parse, an empty one too
+        ("dims", "16,,16", "expected an integer, got ''"),
+        ("dims", "16,32,", "expected an integer, got ''"),
+        ("dataset_path", "a.csv,,b.csv", "path list"),
+    ):
+        rc = main(["validate", "--set", f"{key}={value}"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"config key '{key}'" in err and reason in err, err
 
 
 @pytest.mark.parametrize(
@@ -206,7 +214,7 @@ def test_a_diverging_run_with_live_checks_names_the_blow_up(tmp_path, capsys):
     out = tmp_path / "diverged"
     rc = main([
         "run", "--method", "dewc", "--topology", "torus:2x3", "--agents", "6",
-        "--tasks", "3", "--out", str(out), "--set", "use_bias=true",
+        "--tasks", "3", "--out", str(out),
         "--set", "lr_decay=true", "--set", "debug_checks=true",
         "--set", f"dataset_path={','.join(paths)}",
     ])

@@ -15,15 +15,15 @@ from dccl.ewc import (
 )
 from dccl.gpm import ThresholdSchedule
 from dccl.metrics import compression
-from dccl.model import flatten_params, init_mlp, loss_and_grad, trunk_params, unflatten_params
+from dccl.model import flatten_params, init_mlp, loss_and_grad, unflatten_params
 from dccl.tasks import TaskShard, generate_synthetic_sequence
 from dccl.topology import parse_topology
 from dccl.trainer import TrainConfig, _fisher_phase, run
 
 
-def _model(seed=0, use_bias=False):
+def _model(seed=0):
     rng = np.random.default_rng(seed)
-    model = init_mlp([4, 6], rng, use_bias)
+    model = init_mlp([4, 6], rng)
     model.add_head(0, 3, np.random.default_rng(seed + 1))
     return model
 
@@ -45,22 +45,20 @@ def test_fisher_of_zero_inputs_is_exactly_zero():
 
 
 def test_fisher_matches_per_sample_oracle():
-    for use_bias in (False, True):
-        model = _model(3, use_bias)
-        shard = _shard(4, rows=7)
-        state = fisher_estimate(model, shard, 0)
-        # recompute: mean of squared per-sample trunk gradients
-        trunk = trunk_params(model)
-        sums = [np.zeros_like(w) for w in trunk]
-        for i in range(7):
-            _, grads = loss_and_grad(
-                model, shard.examples[i : i + 1], shard.labels[i : i + 1], 0
-            )
-            for acc, g in zip(sums, grads):  # the trunk leads the gradient list
-                acc += g * g
-        assert len(state.f) == len(trunk)
-        for f, acc in zip(state.f, sums):
-            assert np.max(np.abs(f - acc / 7.0)) <= 1e-12
+    model = _model(3)
+    shard = _shard(4, rows=7)
+    state = fisher_estimate(model, shard, 0)
+    # recompute: mean of squared per-sample trunk gradients
+    sums = [np.zeros_like(w) for w in model.layers]
+    for i in range(7):
+        _, grads = loss_and_grad(
+            model, shard.examples[i : i + 1], shard.labels[i : i + 1], 0
+        )
+        for acc, g in zip(sums, grads):  # the trunk leads the gradient list
+            acc += g * g
+    assert len(state.f) == len(model.layers)
+    for f, acc in zip(state.f, sums):
+        assert np.max(np.abs(f - acc / 7.0)) <= 1e-12
 
 
 def test_fisher_anchor_copies_current_trunk():
@@ -73,40 +71,38 @@ def test_fisher_anchor_copies_current_trunk():
 
 
 def test_penalized_gradient_matches_finite_differences():
-    for use_bias in (False, True):
-        model = _model(7, use_bias)
-        shard = _shard(8, rows=5)
-        rng = np.random.default_rng(10)
-        # a random anchor, so the penalty pulls on the (zero-initialized) biases too
-        fisher = FisherState(
-            f=[np.abs(rng.standard_normal(p.shape)) for p in trunk_params(model)],
-            anchor=[rng.standard_normal(p.shape) for p in trunk_params(model)],
-        )
-        lam = 3.0
+    model = _model(7)
+    shard = _shard(8, rows=5)
+    rng = np.random.default_rng(10)
+    fisher = FisherState(
+        f=[np.abs(rng.standard_normal(p.shape)) for p in model.layers],
+        anchor=[rng.standard_normal(p.shape) for p in model.layers],
+    )
+    lam = 3.0
 
-        def penalized_loss(flat):
-            probe = copy.deepcopy(model)
-            unflatten_params(probe, flat)
-            loss, _ = loss_and_grad(probe, shard.examples, shard.labels, 0)
-            for p, f, anchor in zip(trunk_params(probe), fisher.f, fisher.anchor):
-                loss += 0.5 * lam * float(np.sum(f * (p - anchor) ** 2))
-            return loss
+    def penalized_loss(flat):
+        probe = copy.deepcopy(model)
+        unflatten_params(probe, flat)
+        loss, _ = loss_and_grad(probe, shard.examples, shard.labels, 0)
+        for p, f, anchor in zip(probe.layers, fisher.f, fisher.anchor):
+            loss += 0.5 * lam * float(np.sum(f * (p - anchor) ** 2))
+        return loss
 
-        _, grads = loss_and_grad(model, shard.examples, shard.labels, 0)
-        grads = ewc_grad(model, grads, (fisher,), lam)
-        analytic = np.concatenate([g.ravel() for g in grads])
+    _, grads = loss_and_grad(model, shard.examples, shard.labels, 0)
+    grads = ewc_grad(model, grads, (fisher,), lam)
+    analytic = np.concatenate([g.ravel() for g in grads])
 
-        base = flatten_params(model)
-        numeric = np.zeros_like(base)
-        h = 1e-6
-        for i in range(base.size):
-            up = base.copy()
-            up[i] += h
-            down = base.copy()
-            down[i] -= h
-            numeric[i] = (penalized_loss(up) - penalized_loss(down)) / (2.0 * h)
-        scale = max(1.0, float(np.max(np.abs(numeric))))
-        assert np.max(np.abs(analytic - numeric)) <= 1e-6 * scale
+    base = flatten_params(model)
+    numeric = np.zeros_like(base)
+    h = 1e-6
+    for i in range(base.size):
+        up = base.copy()
+        up[i] += h
+        down = base.copy()
+        down[i] -= h
+        numeric[i] = (penalized_loss(up) - penalized_loss(down)) / (2.0 * h)
+    scale = max(1.0, float(np.max(np.abs(numeric))))
+    assert np.max(np.abs(analytic - numeric)) <= 1e-6 * scale
 
 
 def test_zero_lambda_or_missing_fisher_leaves_gradients_alone():
@@ -124,16 +120,16 @@ def test_zero_lambda_or_missing_fisher_leaves_gradients_alone():
 
 
 def test_penalty_is_added_in_place_into_the_same_gradients():
-    model = _model(13, use_bias=True)
+    model = _model(13)
     shard = _shard(14)
-    fisher = fisher_estimate(_model(15, use_bias=True), shard, 0)
+    fisher = fisher_estimate(_model(15), shard, 0)
     lam = 2.5
     _, grads = loss_and_grad(model, shard.examples, shard.labels, 0)
     slots = list(grads)
-    n_trunk = len(trunk_params(model))
+    n_trunk = len(model.layers)
     want = [
         g + lam * f * (p - a)
-        for g, p, f, a in zip(grads, trunk_params(model), fisher.f, fisher.anchor)
+        for g, p, f, a in zip(grads, model.layers, fisher.f, fisher.anchor)
     ]
     heads = [g.copy() for g in grads[n_trunk:]]
     out = ewc_grad(model, grads, (fisher,), lam)
@@ -146,7 +142,7 @@ def test_penalty_is_added_in_place_into_the_same_gradients():
 
 
 def test_fisher_states_are_read_only_and_shared():
-    model = _model(16, use_bias=True)
+    model = _model(16)
     state = fisher_estimate(model, _shard(17), 0)
     for array in (*state.f, *state.anchor):
         assert not array.flags.writeable
@@ -165,12 +161,12 @@ def test_fisher_states_are_read_only_and_shared():
 @pytest.mark.parametrize("mode", ["online", "per_task"])
 def test_the_pooled_fisher_phase_is_the_mean_of_the_agents_fishers(mode):
     """One pass over 7 agents' pooled shards of 3 to 9 rows, each row
-    weighted by 1 / (7 n_i), gives the mean of the agents' own Fishers, with
-    biases: to 1e-12 of the largest entry, accumulated onto (``online``) or
+    weighted by 1 / (7 n_i), gives the mean of the agents' own Fishers: to
+    1e-12 of the largest entry, accumulated onto (``online``) or
     appended to (``per_task``) an earlier state, and anchored at the
     model's trunk."""
     rng = np.random.default_rng(19)
-    model, other = (init_mlp([4, 6, 5], rng, use_bias=True) for _ in range(2))
+    model, other = (init_mlp([4, 6, 5], rng) for _ in range(2))
     for m in (model, other):
         m.add_head(0, 3, rng)
     stack = model.stacked(7)  # every agent holds the model, as after a sync
@@ -189,7 +185,7 @@ def test_the_pooled_fisher_phase_is_the_mean_of_the_agents_fishers(mode):
     want = [accumulate_fisher(earlier[0], avg)] if mode == "online" else earlier + [avg]
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert len(a.f) == len(b.f) == 4  # two layers, two biases
+        assert len(a.f) == len(b.f) == 2  # two layers
         for f, g in zip(a.f, b.f):
             assert np.max(np.abs(f - g)) <= 1e-12 * np.max(np.abs(g))
         assert all(map(np.array_equal, a.anchor, b.anchor))
@@ -234,8 +230,8 @@ def test_a_zero_lambda_dewc_run_is_the_naive_run_bit_for_bit():
     """Without a penalty to step, a two-task dewc run takes naive's unpenalised
     rounds: every loss, consensus error and parameter is bitwise naive's."""
     seq = generate_synthetic_sequence(2, 2, 16, 40, 3)
-    dewc = run(_config(lam=0.0, use_bias=True), seq)
-    naive = run(_config(method="naive", use_bias=True), seq)
+    dewc = run(_config(lam=0.0), seq)
+    naive = run(_config(method="naive"), seq)
     assert np.array_equal(dewc.loss, naive.loss)
     assert np.array_equal(dewc.consensus_error, naive.consensus_error)
     assert np.array_equal(dewc.final_params, naive.final_params)

@@ -6,6 +6,7 @@ SVD of the residual, and keep the smallest prefix whose captured energy
 (plus what the span already covers) crosses the threshold.
 """
 
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -361,11 +362,30 @@ def test_saved_state_is_the_plain_float_hex_rendering(state, tmp_path_factory):
     assert path.read_bytes() == _plain_state_text(state).encode()
 
 
+_ONE = "0x1.0000000000000p+0"
+
+
 def test_state_loader_rejects_garbage(tmp_path):
+    """Every text ``save_state`` would not write raises ``ValueError``
+    naming the file, where a lenient reader would load a wrong shape,
+    ignore the text or fail on an index."""
     path = tmp_path / "state.txt"
-    path.write_text("not a state file\n")
-    with pytest.raises(ValueError):
-        load_state(str(path))
+    for text in (
+        "not a state file\n",
+        # columns of one entry for a layer of dim 2
+        f"gpm-state 1\nlayers 1\nlayer 0 dim 2 rank 1\nm 1\n{_ONE}\no 1\n{_ONE}\n",
+        # a rank above the dim
+        f"gpm-state 1\nlayers 1\nlayer 0 dim 1 rank 2\nm 2\n{_ONE}\n{_ONE}\no -1\n",
+        # a line after the last layer
+        "gpm-state 1\nlayers 0\nlayer 0 dim 1 rank 0\n",
+        # no layer count
+        "gpm-state 1\nlayers\n",
+        # a layer line without its rank
+        "gpm-state 1\nlayers 1\nlayer 0 dim 2\n",
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_state(str(path))
 
 
 def test_threshold_schedule_values_and_range():

@@ -18,7 +18,6 @@ from dccl.model import (
     loss_and_grad,
     param_arrays,
     task_params,
-    trunk_params,
     unflatten_params,
 )
 
@@ -50,20 +49,19 @@ def _fd_gradient(model, batch, labels, task, h=1e-6):
 
 
 def test_gradients_match_finite_differences():
-    for use_bias in (False, True):
-        model = init_mlp([4, 6, 5], _rng(1), use_bias)
-        model.add_head(0, 3, _rng(2))
-        batch = _rng(3).standard_normal((3, 4))
-        labels = np.array([0, 2, 1])
-        _, grads = loss_and_grad(model, batch, labels, 0)
-        analytic = np.concatenate([g.ravel() for g in grads])
-        numeric = _fd_gradient(model, batch, labels, 0)
-        scale = max(1.0, float(np.max(np.abs(numeric))))
-        assert np.max(np.abs(analytic - numeric)) <= 1e-6 * scale
+    model = init_mlp([4, 6, 5], _rng(1))
+    model.add_head(0, 3, _rng(2))
+    batch = _rng(3).standard_normal((3, 4))
+    labels = np.array([0, 2, 1])
+    _, grads = loss_and_grad(model, batch, labels, 0)
+    analytic = np.concatenate([g.ravel() for g in grads])
+    numeric = _fd_gradient(model, batch, labels, 0)
+    scale = max(1.0, float(np.max(np.abs(numeric))))
+    assert np.max(np.abs(analytic - numeric)) <= 1e-6 * scale
 
 
 def test_loss_with_zero_weights_is_log_classes():
-    model = init_mlp([4, 6], _rng(5), False)
+    model = init_mlp([4, 6], _rng(5))
     model.add_head(0, 7, _rng(6))
     unflatten_params(model, np.zeros(flatten_params(model).size))
     batch = _rng(7).standard_normal((5, 4))
@@ -74,7 +72,7 @@ def test_loss_with_zero_weights_is_log_classes():
 def test_loss_stays_finite_for_a_large_logit_gap():
     # one identity layer and a head that puts the wrong class 1000 ahead:
     # log(softmax) would underflow to log(0); log-sum-exp gives the gap
-    model = init_mlp([2, 2], _rng(5), False)
+    model = init_mlp([2, 2], _rng(5))
     model.add_head(0, 2, _rng(6))
     model.layers[0][...] = np.eye(2)
     model.heads[0][...] = [[1000.0, 0.0], [0.0, 0.0]]
@@ -85,7 +83,7 @@ def test_loss_stays_finite_for_a_large_logit_gap():
 
 
 def test_forward_without_trunk_layers():
-    model = init_mlp([6], _rng(8), False)
+    model = init_mlp([6], _rng(8))
     model.add_head(0, 4, _rng(9))
     batch = _rng(10).standard_normal((3, 6))
     trace = forward(model, batch, 0)
@@ -95,7 +93,7 @@ def test_forward_without_trunk_layers():
 
 
 def test_capture_representation_first_layer_is_input_transpose():
-    model = init_mlp([5, 8, 4], _rng(11), False)
+    model = init_mlp([5, 8, 4], _rng(11))
     model.add_head(0, 2, _rng(12))
     samples = _rng(13).standard_normal((7, 5))
     reps = capture_representation(model, samples, 0)
@@ -106,7 +104,7 @@ def test_capture_representation_first_layer_is_input_transpose():
 
 
 def test_flatten_round_trip_is_exact():
-    model = init_mlp([4, 6, 3], _rng(14), True)
+    model = init_mlp([4, 6, 3], _rng(14))
     model.add_head(0, 2, _rng(15))
     model.add_head(1, 2, _rng(16))
     flat = flatten_params(model)
@@ -116,7 +114,7 @@ def test_flatten_round_trip_is_exact():
 
 
 def test_unflatten_rejects_wrong_length():
-    model = init_mlp([4, 6], _rng(17), False)
+    model = init_mlp([4, 6], _rng(17))
     model.add_head(0, 2, _rng(18))
     with pytest.raises(ValueError):
         unflatten_params(model, np.zeros(flatten_params(model).size + 1))
@@ -125,14 +123,13 @@ def test_unflatten_rejects_wrong_length():
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     dims=st.lists(st.integers(1, 5), min_size=1, max_size=4),
-    use_bias=st.booleans(),
     stack=st.sampled_from([(), (3,)]),
     heads=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_gradients_line_up_with_task_params(dims, use_bias, stack, heads, seed):
+def test_gradients_line_up_with_task_params(dims, stack, heads, seed):
     rng = np.random.default_rng(seed)
-    model = init_mlp(dims, rng, use_bias)
+    model = init_mlp(dims, rng)
     if stack:
         model = model.stacked(stack[0])
     for t in range(heads):
@@ -146,11 +143,13 @@ def test_gradients_line_up_with_task_params(dims, use_bias, stack, heads, seed):
     _, grads = loss_and_grad(model, batch, labels, task)
     params = task_params(model, task)
     assert [g.shape for g in grads] == [p.shape for p in params]
-    n_trunk = 2 * (len(dims) - 1) if use_bias else len(dims) - 1
-    assert len(trunk_params(model)) == n_trunk
-    assert all(p is q for p, q in zip(params, trunk_params(model)))
+    n_trunk = len(dims) - 1
+    assert len(params) == n_trunk + 1
+    assert all(p is q for p, q in zip(params, model.layers))
     assert params[n_trunk] is model.heads[task]
-    assert len(param_arrays(model)) == n_trunk + heads * (len(params) - n_trunk)
+    arrays = param_arrays(model)
+    assert len(arrays) == n_trunk + heads
+    assert all(p is model.heads[t] for t, p in enumerate(arrays[n_trunk:]))
 
 
 def _softmax_oracle(logits, labels):
@@ -172,7 +171,7 @@ def test_the_class_axis_loops_are_numpys_reductions(classes, stack):
     axis, and from 8 on numpy's pairwise sum runs.  The logits of a row
     span up to ~30, so its exponentials span up to 13 decades."""
     rng = _rng(100 + classes)
-    model = init_mlp([4, 6], rng, True)
+    model = init_mlp([4, 6], rng)
     if stack:
         model = model.stacked(stack[0])
     model.add_head(0, classes, rng)
@@ -193,9 +192,9 @@ def test_a_non_finite_logit_gives_a_non_finite_loss(bad, classes):
     """An inf or nan logit makes its model's loss non-finite, and only
     its model's, so a run stops naming the agent
     (``test_non_finite_training_data_stops_the_run_naming_the_agent``)."""
-    model = init_mlp([3, 4], _rng(40), True).stacked(3)
+    model = init_mlp([3, 4], _rng(40)).stacked(3)
     model.add_head(0, classes, _rng(41))
-    model.head_biases[0][1, 1] = bad
+    model.heads[0][1, :, 1] = bad
     batch = _rng(42).standard_normal((3, 5, 3))
     labels = np.zeros((3, 5), dtype=int)
     with np.errstate(invalid="ignore"):  # inf - inf, as in a diverging run
@@ -228,17 +227,16 @@ def test_a_held_layer_keeps_contiguous_transposes():
 @given(
     dims=st.lists(st.integers(1, 6), min_size=5, max_size=5),
     n=st.integers(1, 3),
-    use_bias=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_a_factored_backward_is_the_folded_plain_one(dims, n, use_bias, seed):
+def test_a_factored_backward_is_the_folded_plain_one(dims, n, seed):
     """A stack whose 4-layer trunk is held over random memories (empty,
     partial or saturated, with ``o`` of width 0), each model at its own
     coefficients ``c``, gives the loss, the layer deltas and the gradients
     of each model folded plain to 1e-12 of their largest magnitude: a held
     layer's ``(X o)^T dz`` is ``o^T`` times the plain ``X^T dz``."""
     rng = np.random.default_rng(seed)
-    model = init_mlp(dims, rng, use_bias)
+    model = init_mlp(dims, rng)
     model.add_head(0, 3, rng)
     for p in param_arrays(model):
         p[...] = rng.standard_normal(p.shape)
@@ -251,14 +249,14 @@ def test_a_factored_backward_is_the_folded_plain_one(dims, n, use_bias, seed):
             held.layers[l][...] = rng.standard_normal(held.layers[l].shape)
     batch = rng.standard_normal((n, 5, dims[0]))
     labels = rng.integers(0, 3, size=(n, 5))
-    loss, trace, dzs, rest = backward(held, batch, labels, 0)
+    loss, trace, dzs, head = backward(held, batch, labels, 0)
     for i in range(n):
         plain = copy.deepcopy(held.view(i))
         plain.fold()
         want_loss, want = loss_and_grad(plain, batch[i], labels[i], 0)
         _, _, want_dzs, _ = backward(plain, batch[i], labels[i], 0)
         assert abs(loss[i] - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
-        got = [x[i].T @ dz[i] for x, dz in zip(trace.coords, dzs)] + [r[i] for r in rest]
+        got = [x[i].T @ dz[i] for x, dz in zip(trace.coords, dzs)] + [head[i]]
         for l, base in enumerate(held.bases):
             got_dz, want_dz = dzs[l][i], want_dzs[l]
             assert np.max(np.abs(got_dz - want_dz)) <= 1e-12 * np.max(np.abs(want_dz))
@@ -272,8 +270,8 @@ def test_a_factored_backward_is_the_folded_plain_one(dims, n, use_bias, seed):
 
 
 def test_init_is_deterministic_and_bounded():
-    a = init_mlp([6, 10, 4], _rng(23), False)
-    b = init_mlp([6, 10, 4], _rng(23), False)
+    a = init_mlp([6, 10, 4], _rng(23))
+    b = init_mlp([6, 10, 4], _rng(23))
     for wa, wb in zip(a.layers, b.layers):
         assert np.array_equal(wa, wb)
     bound = math.sqrt(6.0 / (6 + 10))
@@ -281,20 +279,20 @@ def test_init_is_deterministic_and_bounded():
 
 
 def test_add_head_twice_rejected():
-    model = init_mlp([4, 6], _rng(24), False)
+    model = init_mlp([4, 6], _rng(24))
     model.add_head(0, 2, _rng(25))
     with pytest.raises(ValueError):
         model.add_head(0, 2, _rng(26))
 
 
 def test_forward_missing_head_rejected():
-    model = init_mlp([4, 6], _rng(27), False)
+    model = init_mlp([4, 6], _rng(27))
     with pytest.raises(ValueError):
         forward(model, np.zeros((1, 4)), 3)
 
 
 def test_loss_rejects_empty_batch_and_bad_labels():
-    model = init_mlp([4, 6], _rng(28), False)
+    model = init_mlp([4, 6], _rng(28))
     model.add_head(0, 2, _rng(29))
     with pytest.raises(ValueError):
         loss_and_grad(model, np.zeros((0, 4)), np.zeros(0, dtype=int), 0)
@@ -303,7 +301,7 @@ def test_loss_rejects_empty_batch_and_bad_labels():
 
 
 def test_forward_rejects_wrong_width():
-    model = init_mlp([4, 6], _rng(30), False)
+    model = init_mlp([4, 6], _rng(30))
     model.add_head(0, 2, _rng(31))
     with pytest.raises(ValueError):
         forward(model, np.zeros((2, 5)), 0)

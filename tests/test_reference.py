@@ -46,11 +46,11 @@ def _custom_graph(n, rng):
     return Topology("custom", n, adjacency=adj)
 
 
-# codec runs on a ring of 4 agents over 3 tasks with biases, swept in blocks
-# of 30 elements: alone they reach every branch of the round's sweep and of
-# the loss (``test_the_examples_reach_every_branch``)
+# codec runs on a ring of 4 agents over 3 tasks, swept in blocks of 30
+# elements: alone they reach every branch of the round's sweep and of the
+# loss (``test_the_examples_reach_every_branch``)
 _SMALL_BLOCK_RUNS = [
-    dict(method="codec", graph="ring", n=4, tasks=3, use_bias=True, lr_decay=False,
+    dict(method="codec", graph="ring", n=4, tasks=3, lr_decay=False,
          ewc_mode="online", block=30, seed=seed)
     for seed in (767, 371)
 ]
@@ -62,7 +62,6 @@ _SMALL_BLOCK_RUNS = [
     graph=st.sampled_from(["ring", "torus", "full", "custom"]),
     n=st.integers(1, 5),
     tasks=st.integers(1, 3),
-    use_bias=st.booleans(),
     lr_decay=st.booleans(),
     ewc_mode=st.sampled_from(EWC_MODES),
     block=st.sampled_from([4, 7, 12, 30, _BLOCK]),
@@ -71,12 +70,12 @@ _SMALL_BLOCK_RUNS = [
 # layer 0 (width 2) saturates after task 0, so tasks 1 and 2 train it with
 # coefficients of width 0 beside a factored layer 1 of rank 1
 @example(
-    method="codec", graph="ring", n=3, tasks=3, use_bias=False, lr_decay=False,
+    method="codec", graph="ring", n=3, tasks=3, lr_decay=False,
     ewc_mode="online", block=_BLOCK, seed=14,
 )
-# the coefficient state with biases and the step-size decay on torus:2x3
+# the coefficient state and the step-size decay on torus:2x3
 @example(
-    method="codec", graph="torus", n=6, tasks=3, use_bias=True, lr_decay=True,
+    method="codec", graph="torus", n=6, tasks=3, lr_decay=True,
     ewc_mode="online", block=_BLOCK, seed=6,
 )
 @example(**_SMALL_BLOCK_RUNS[0])
@@ -85,7 +84,7 @@ def test_run_matches_the_per_agent_reference(**draw):
     _check_run(**draw)
 
 
-def _check_run(method, graph, n, tasks, use_bias, lr_decay, ewc_mode, block, seed):
+def _check_run(method, graph, n, tasks, lr_decay, ewc_mode, block, seed):
     """One run of ``run``, its round swept in blocks of ``block`` elements,
     against ``reference_run``."""
     rng = np.random.default_rng(seed)
@@ -112,7 +111,6 @@ def _check_run(method, graph, n, tasks, use_bias, lr_decay, ewc_mode, block, see
         lam=float(rng.choice([0.0, 2.0])),
         ewc_mode=ewc_mode,
         dims=[dim, *(int(d) for d in hidden)],
-        use_bias=use_bias,
         rep_samples=int(rng.integers(1, 9)),
         lr_decay=lr_decay,
     )

@@ -20,7 +20,6 @@ from dccl.model import (
     init_mlp,
     loss_and_grad,
     task_params,
-    trunk_params,
     unflatten_params,
 )
 from dccl.tasks import (
@@ -61,7 +60,7 @@ def _make_agents(n, seed=0, identical=False, dims=DIMS, classes=3):
     models = []
     for i in range(n):
         rng = derive_rng(seed, 1, 0 if identical else i)
-        model = init_mlp(dims, rng, False)
+        model = init_mlp(dims, rng)
         model.add_head(0, classes, derive_rng(seed, 2, 0 if identical else i))
         models.append(model)
     stacked = models[0].stacked(n)
@@ -240,7 +239,7 @@ def _penalty_states(rng, model, mode):
     """Fisher states over a stacked model's trunk: one (``online``) or two
     (``per_task``), with diagonals up to 40 and anchors away from agent 0's
     trunk."""
-    trunk = [p[0] for p in trunk_params(model)]
+    trunk = [p[0] for p in model.layers]
     return [
         FisherState(
             f=[40.0 * rng.random(p.shape) for p in trunk],
@@ -256,13 +255,13 @@ def test_a_penalised_round_is_the_round_of_the_explicit_formula_step(mode):
     every array and aggregate as a round given the implicit step built from
     the ``ewc_grad`` oracle, ``-eta (g + pen) / (1 + eta lam sum F)`` on the
     trunk and ``-eta g`` on the head, does: to 1e-12 of the largest
-    magnitude, consensus error included, for layers and biases swept in
-    several column blocks and a ragged last one, at two step sizes of one
-    task (as with ``lr_decay``)."""
+    magnitude, consensus error included, for layers swept in several
+    column blocks and a ragged last one, at two step sizes of one task (as
+    with ``lr_decay``)."""
     rng = np.random.default_rng(11)
     dims, n, lam = [64, 256, 129], 16, 50.0
     mixing = build_mixing(parse_topology("torus:4x4", n))
-    model = init_mlp(dims, rng, use_bias=True).stacked(n)
+    model = init_mlp(dims, rng).stacked(n)
     model.add_head(0, 3, rng)
     for x in task_params(model, 0):
         x += 0.1 * rng.standard_normal(x.shape)
@@ -270,7 +269,7 @@ def test_a_penalised_round_is_the_round_of_the_explicit_formula_step(mode):
     fused = Agents(model=model, memory=GpmState.fresh(dims[:-1]))
     reset_aggregates(fused, mixing, 0)
     oracle = copy.deepcopy(fused)
-    n_trunk = len(trunk_params(model))
+    n_trunk = len(model.layers)
     for eta in (0.1, 0.01):
         grads = [rng.standard_normal(x.shape) for x in task_params(model, 0)]
         pen = ewc_grad(oracle.model, [g.copy() for g in grads], tuple(states), lam)
@@ -381,11 +380,10 @@ def test_the_first_agent_with_a_non_finite_loss_mu_or_step_is_named(
     kind=st.sampled_from(["ring", "torus", "full"]),
     rows_pick=st.integers(0, 8),
     compression=st.booleans(),
-    use_bias=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_stacked_round_matches_per_message_reference(
-    n, kind, rows_pick, compression, use_bias, seed
+    n, kind, rows_pick, compression, seed
 ):
     """A round moves every agent's arrays and aggregates as
     ``reference_round`` does, which sends each message on its own: per
@@ -405,7 +403,7 @@ def test_stacked_round_matches_per_message_reference(
         spec = f"torus:{rows}x{n // rows}"
     mixing = build_mixing(parse_topology(spec, n))
     dims = [int(d) for d in rng.integers(1, 6, size=3)]
-    model = init_mlp(dims, rng, use_bias)
+    model = init_mlp(dims, rng)
     model.add_head(0, int(rng.integers(2, 4)), rng)
     stacked = model.stacked(n)
     layers = []
@@ -457,17 +455,16 @@ def test_stacked_round_matches_per_message_reference(
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     n=st.integers(1, 4),
-    use_bias=st.booleans(),
     projection=st.booleans(),
     heads=st.integers(2, 3),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_steps_are_minus_eta_g_and_a_round_spares_other_heads(
-    n, use_bias, projection, heads, seed
+    n, projection, heads, seed
 ):
     rng = np.random.default_rng(seed)
     dims = [int(d) for d in rng.integers(1, 6, size=3)]
-    model = init_mlp(dims, rng, use_bias).stacked(n)
+    model = init_mlp(dims, rng).stacked(n)
     for t in range(heads):
         model.add_head(t, 3, rng)
     layers = []
@@ -509,7 +506,7 @@ def test_steps_are_minus_eta_g_and_a_round_spares_other_heads(
     gossip_round(agents, mixing, task, steps, 0.3)
     for got, expected in zip(task_params(model, task), want):
         assert np.array_equal(got, expected)
-    n_trunk = len(trunk_params(model))
+    n_trunk = len(model.layers)
     for t, kept in before.items():
         if t != task:
             for p, k in zip(task_params(model, t)[n_trunk:], kept[n_trunk:]):
@@ -519,12 +516,11 @@ def test_steps_are_minus_eta_g_and_a_round_spares_other_heads(
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     n=st.integers(1, 4),
-    use_bias=st.booleans(),
     batch=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_input_space_projection_matches_the_projected_gradient(
-    n, use_bias, batch, seed
+    n, batch, seed
 ):
     """Gradients taken on a layer held as ``x0 + o c`` are the coefficients
     of ``project(g, m)`` and mu is ``||g~|| / ||g||``, at every pair of
@@ -532,7 +528,7 @@ def test_input_space_projection_matches_the_projected_gradient(
     magnitude."""
     rng = np.random.default_rng(seed)
     dims = [int(d) for d in rng.integers(1, 6, size=3)]
-    model = init_mlp(dims, rng, use_bias).stacked(n)
+    model = init_mlp(dims, rng).stacked(n)
     model.add_head(0, 3, rng)
     for x in task_params(model, 0):  # one start for all, as after a boundary
         x += 0.1 * rng.standard_normal(x.shape[1:])
@@ -578,7 +574,7 @@ def test_mu_from_the_batch_grams_is_the_mu_of_the_whole_gradients(monkeypatch):
     rng = np.random.default_rng(8)
     dims, n = [64, 256, 128], 16
     for ranks in [(1, 1), (17, 200), (32, 128), (46, 236)]:
-        agents = _held_agents(rng, dims, n, ranks, 0, False, classes=2)
+        agents = _held_agents(rng, dims, n, ranks, 0, classes=2)
         bx = rng.standard_normal((n, 16, dims[0]))
         by = rng.integers(0, 2, size=(n, 16))
         args = (agents.model, agents.memory, bx, by, 0)
@@ -665,17 +661,13 @@ def test_round_count_and_log_shape():
     assert np.all(result.mu == 1.0)  # task 1 is unconstrained
 
 
-@pytest.mark.parametrize(
-    "method, n_tasks, use_bias",
-    [("codec", 1, True), ("codec", 2, False), ("dewc", 2, True)],
-)
-def test_scalar_accounting_matches_closed_form(method, n_tasks, use_bias):
+@pytest.mark.parametrize("method, n_tasks", [("codec", 1), ("codec", 2), ("dewc", 2)])
+def test_scalar_accounting_matches_closed_form(method, n_tasks):
     seq = generate_synthetic_sequence(n_tasks, 2, 16, 50, 2)
-    cfg = _config("ring", 4, epochs=1, method=method, use_bias=use_bias)
+    cfg = _config("ring", 4, epochs=1, method=method)
     result = run(cfg, seq)
-    biases = 32 + 16 if use_bias else 0
-    trunk = 16 * 32 + 32 * 16 + biases
-    head_scalars = 16 * 2 + (2 if use_bias else 0)
+    trunk = 16 * 32 + 32 * 16
+    head_scalars = 16 * 2
     # ranks[t] is the memory task t projected with, ranks[t + 1] the one it
     # broadcast: task t's memory comes from a run on the first t + 1 tasks
     ranks = [[0, 0]]
@@ -698,7 +690,7 @@ def test_scalar_accounting_matches_closed_form(method, n_tasks, use_bias):
             ]
         else:
             assert entry.layer_actual == entry.layer_full
-        assert entry.extra_scalars == n_rounds * 4 * (biases + head_scalars)
+        assert entry.extra_scalars == n_rounds * 4 * head_scalars
         sync = 4 * (trunk + (t + 1) * head_scalars)  # the model holds t + 1 heads
         if method == "dewc":
             # the trunk Fisher diagonal is gathered and sent back; no memory
@@ -841,7 +833,7 @@ def test_a_run_leaves_its_config_and_data_alone():
     seq = generate_synthetic_sequence(2, 2, 16, 40, 6)
     before = copy.deepcopy(seq)
     for method in ("codec", "dewc", "stl", "naive"):
-        cfg = _config("ring", 4, epochs=1, method=method, use_bias=True)
+        cfg = _config("ring", 4, epochs=1, method=method)
         pickled = pickle.dumps(cfg)
         run(cfg, seq)
         assert pickle.dumps(cfg) == pickled
@@ -942,7 +934,7 @@ def test_a_step_and_round_hold_no_gradient_stack(case):
     reset_aggregates(agents, mixing, 0)
     penalty = None
     if case == "dewc":  # rows made once per task, before its rounds
-        trunk = trunk_params(model)
+        trunk = model.layers
         fisher = FisherState(
             f=[rng.random(p.shape[1:]) for p in trunk],
             anchor=[p[0].copy() for p in trunk],
@@ -970,11 +962,11 @@ def test_a_step_and_round_hold_no_gradient_stack(case):
     assert (max(step_peak, round_peak) - base) / stack <= bound
 
 
-def _held_agents(rng, dims, n, ranks, task, use_bias, classes=3):
+def _held_agents(rng, dims, n, ranks, task, classes=3):
     """Agents at one start whose layer l has a memory of rank ``ranks[l]``,
     held as ``x0 + o c`` where the rank is positive, each agent's ``c``,
-    plain layers, biases and head then moved apart."""
-    model = init_mlp(dims, rng, use_bias).stacked(n)
+    plain layers and head then moved apart."""
+    model = init_mlp(dims, rng).stacked(n)
     model.add_head(task, classes, rng)
     layers = []
     for l, (width, rank) in enumerate(zip(dims[:-1], ranks)):
@@ -989,8 +981,7 @@ def _held_agents(rng, dims, n, ranks, task, use_bias, classes=3):
     return agents
 
 
-@pytest.mark.parametrize("use_bias", [False, True])
-def test_a_workspace_step_and_round_are_the_fresh_ones(use_bias):
+def test_a_workspace_step_and_round_are_the_fresh_ones():
     """``local_step`` and ``gossip_round`` with a workspace give bitwise
     the loss, mu, gradients, states, aggregates and consensus error of fresh
     arrays, for two tasks with one workspace each, whose memories differ:
@@ -1001,7 +992,7 @@ def test_a_workspace_step_and_round_are_the_fresh_ones(use_bias):
     dims, n, batch = [6, 10, 8, 4], 5, 3
     mixing = build_mixing(parse_topology("ring", n))
     for task, ranks in enumerate([(0, 7, 8), (2, 10, 3)]):
-        fresh = _held_agents(rng, dims, n, ranks, task, use_bias)
+        fresh = _held_agents(rng, dims, n, ranks, task)
         held = copy.deepcopy(fresh)
         ws, kept = {}, None
         for _ in range(3):
@@ -1050,12 +1041,12 @@ def test_a_round_after_the_first_makes_no_large_block():
     }
     for case, (dims, spec, n, ranks, penalised) in cases.items():
         mixing = build_mixing(parse_topology(spec, n))
-        agents = _held_agents(rng, dims, n, ranks, 0, False, classes=2)
+        agents = _held_agents(rng, dims, n, ranks, 0, classes=2)
         bx = rng.standard_normal((n, batch, dims[0]))
         by = rng.integers(0, 2, size=(n, batch))
         ws, penalty = {}, None
         if penalised:
-            trunk = trunk_params(agents.model)
+            trunk = agents.model.layers
             fisher = FisherState(
                 f=[rng.random(p.shape[1:]) for p in trunk],
                 anchor=[p[0].copy() for p in trunk],
