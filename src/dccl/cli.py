@@ -20,7 +20,8 @@ import sys
 
 from .gpm import ThresholdSchedule
 from .metrics import emit_reports
-from .tasks import LabeledDataset, generate_synthetic_sequence, load_csv_dataset
+from .tasks import LabeledDataset, check_synthetic, generate_synthetic_sequence
+from .tasks import load_csv_dataset
 from .topology import build_mixing, parse_topology, validate_assumption3
 from .trainer import EWC_MODES, METHODS, TrainConfig, check_run, run
 from .trainer import InvariantError, NonFiniteError
@@ -37,20 +38,6 @@ def _parse_int(text: str) -> int:
         raise ConfigError(f"expected an integer, got {text!r}") from None
 
 
-def _parse_count(text: str) -> int:
-    value = _parse_int(text)
-    if value < 1:
-        raise ConfigError(f"expected a count of at least 1, got {value}")
-    return value
-
-
-def _parse_nonneg_int(text: str) -> int:
-    value = _parse_int(text)
-    if value < 0:
-        raise ConfigError(f"expected a non-negative integer, got {value}")
-    return value
-
-
 def _parse_float(text: str) -> float:
     try:
         value = float(text.strip())
@@ -58,20 +45,6 @@ def _parse_float(text: str) -> float:
         raise ConfigError(f"expected a number, got {text!r}") from None
     if not math.isfinite(value):
         raise ConfigError(f"expected a finite number, got {text.strip()!r}")
-    return value
-
-
-def _parse_positive_float(text: str) -> float:
-    value = _parse_float(text)
-    if value <= 0.0:
-        raise ConfigError(f"expected a positive number, got {value}")
-    return value
-
-
-def _parse_nonneg_float(text: str) -> float:
-    value = _parse_float(text)
-    if value < 0.0:
-        raise ConfigError(f"expected a non-negative number, got {value}")
     return value
 
 
@@ -88,13 +61,7 @@ def _parse_dims(text: str) -> list[int]:
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
-    dims = []
-    for p in body.split(","):
-        width = _parse_int(p)
-        if width < 1:
-            raise ConfigError(f"layer width must be at least 1, got {width}")
-        dims.append(width)
-    return dims
+    return [_parse_int(p) for p in body.split(",")]
 
 
 def _parse_paths(text: str) -> list[str]:
@@ -102,10 +69,6 @@ def _parse_paths(text: str) -> list[str]:
     if not all(paths):
         raise ConfigError(f"expected a comma-separated path list, got {text!r}")
     return paths
-
-
-def _parse_str(text: str) -> str:
-    return text.strip()
 
 
 def _parse_choice(key: str, choices: tuple[str, ...]):
@@ -120,32 +83,49 @@ def _parse_choice(key: str, choices: tuple[str, ...]):
     return parse
 
 
-# key -> (parser, default); the single source of truth for the schema
+# key -> (parser, default); the single source of truth for the schema.  A
+# parser reads the text as its type; the library checks every bound.
 _SCHEMA = {
     "method": (_parse_choice("method", METHODS), "codec"),
-    "agents": (_parse_count, 4),
-    "topology": (_parse_str, "ring"),
-    "tasks": (_parse_count, 2),
-    "classes_per_task": (_parse_count, 2),
-    "input_dim": (_parse_count, 16),
-    "samples_per_class": (_parse_count, 100),
-    "separation": (_parse_positive_float, 4.0),
-    "data_seed": (_parse_nonneg_int, None),
+    "agents": (_parse_int, 4),
+    "topology": (str.strip, "ring"),
+    "tasks": (_parse_int, 2),
+    "classes_per_task": (_parse_int, 2),
+    "input_dim": (_parse_int, 16),
+    "samples_per_class": (_parse_int, 100),
+    "separation": (_parse_float, 4.0),
+    "data_seed": (_parse_int, None),
     "dataset_path": (_parse_paths, None),
     "dims": (_parse_dims, [16, 32, 16]),
-    "eta": (_parse_positive_float, 0.1),
-    "epochs": (_parse_count, 5),
-    "batch_size": (_parse_count, 16),
+    "eta": (_parse_float, 0.1),
+    "epochs": (_parse_int, 5),
+    "batch_size": (_parse_int, 16),
     "eps_base": (_parse_float, 0.97),
-    "eps_increment": (_parse_nonneg_float, 0.003),
-    "rep_samples": (_parse_count, 64),
-    "lambda": (_parse_nonneg_float, 5000.0),
+    "eps_increment": (_parse_float, 0.003),
+    "rep_samples": (_parse_int, 64),
+    "lambda": (_parse_float, 5000.0),
     "ewc_mode": (_parse_choice("ewc_mode", EWC_MODES), "online"),
     "lr_decay": (_parse_bool, False),
-    "seed": (_parse_nonneg_int, 0),
-    "out": (_parse_str, "out"),
+    "seed": (_parse_int, 0),
+    "out": (str.strip, "out"),
     "debug_checks": (_parse_bool, False),
 }
+
+# the library's name for a config value, where it is not the key
+_LIBRARY_NAMES = {
+    "n": "agents", "t": "tasks", "dim": "input_dim", "per_class": "samples_per_class",
+    "base": "eps_base", "increment_per_task": "eps_increment", "lam": "lambda",
+}
+
+
+def _named(exc: Exception, **names: str) -> Exception:
+    """``exc`` naming its config key: a library message leads with the
+    name of the value it rejects, mapped by ``names`` or the table."""
+    name = str(exc).split(" ", 1)[0]
+    key = names.get(name) or _LIBRARY_NAMES.get(name, name)
+    if isinstance(exc, ConfigError) or key not in _SCHEMA:
+        return exc
+    return ConfigError(f"config key {key!r}: {exc}")
 
 
 def _load_file(path: str) -> dict[str, str]:
@@ -215,19 +195,17 @@ def _cross_check(values: dict[str, object]) -> None:
 
 
 def _build_sequence(values: dict[str, object]) -> list[LabeledDataset]:
+    data_seed = values["data_seed"]
+    keys = ("tasks", "classes_per_task", "input_dim", "samples_per_class")
+    seed = values["seed"] if data_seed is None else data_seed
+    synthetic = (*(values[k] for k in keys), seed, values["separation"])
+    try:  # the synthetic keys hold their bounds in a CSV run too
+        check_synthetic(*synthetic)
+    except ValueError as exc:
+        raise _named(exc, seed="seed" if data_seed is None else "data_seed") from None
     paths = values["dataset_path"]
     if paths is None:
-        data_seed = values["data_seed"]
-        if data_seed is None:
-            data_seed = int(values["seed"])
-        return generate_synthetic_sequence(
-            int(values["tasks"]),
-            int(values["classes_per_task"]),
-            int(values["input_dim"]),
-            int(values["samples_per_class"]),
-            int(data_seed),
-            separation=float(values["separation"]),
-        )
+        return generate_synthetic_sequence(*synthetic)
     # check_run compares every task's feature width with dims[0]
     datasets = [load_csv_dataset(p) for p in paths]
     seen: set[int] = set()
@@ -349,8 +327,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_validate(args)
-    except (ConfigError, ValueError, OSError, NonFiniteError, InvariantError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, NonFiniteError, InvariantError) as exc:
+        print(f"error: {_named(exc)}", file=sys.stderr)
         return 1
 
 

@@ -73,7 +73,7 @@ class ThresholdSchedule:
     def __post_init__(self) -> None:
         if not self.increment_per_task >= 0.0:
             raise ValueError(
-                "threshold increment must be non-negative, "
+                "increment_per_task must be non-negative, "
                 f"got {self.increment_per_task}"
             )
 
@@ -81,7 +81,8 @@ class ThresholdSchedule:
         eps = self.base + self.increment_per_task * task_index
         if not 0.0 < eps < 1.0:
             raise ValueError(
-                f"threshold {eps} for task {task_index} is outside (0, 1)"
+                f"base {self.base}: threshold {eps} for task {task_index} "
+                "is outside (0, 1)"
             )
         return eps
 

@@ -68,7 +68,7 @@ class Mlp:
 
     def __init__(self, dims: list[int]):
         if len(dims) < 1 or any(d < 1 for d in dims):
-            raise ValueError(f"bad width list {dims}")
+            raise ValueError(f"dims must list widths of at least 1, got {dims}")
         self.dims = list(dims)
         self.lead: tuple[int, ...] = ()
         self.layers: list[np.ndarray] = [

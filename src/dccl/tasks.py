@@ -103,6 +103,21 @@ class TaskShard:
         return self.examples.shape[0]
 
 
+def check_synthetic(
+    t: int, classes_per_task: int, dim: int, per_class: int,
+    seed: int, separation: float,
+) -> None:
+    """Raise ``ValueError``, naming it first, for the first argument
+    ``generate_synthetic_sequence`` rejects."""
+    least = {"t": 1, "classes_per_task": 2, "dim": 1, "per_class": 2}
+    for name, value in zip(least, (t, classes_per_task, dim, per_class)):
+        if value < least[name]:
+            raise ValueError(f"{name} must be at least {least[name]}, got {value}")
+    if not separation > 0:
+        raise ValueError(f"separation must be positive, got {separation}")
+    _entropy(seed)  # raises for a negative seed
+
+
 def generate_synthetic_sequence(
     t: int,
     classes_per_task: int,
@@ -117,10 +132,7 @@ def generate_synthetic_sequence(
     1/separation around a random unit-norm mean.  Per class, the last fifth
     of the samples (at least one) is held out as the test split.
     """
-    if t < 1 or classes_per_task < 2 or dim < 1 or per_class < 2:
-        raise ValueError("need t >= 1, classes_per_task >= 2, dim >= 1, per_class >= 2")
-    if separation <= 0:
-        raise ValueError("separation must be positive")
+    check_synthetic(t, classes_per_task, dim, per_class, seed, separation)
     rng = derive_rng(seed, TAG_DATA)
     noise_scale = 1.0 / separation
     n_test = max(1, per_class // 5)

@@ -41,7 +41,7 @@ class Topology:
     def __post_init__(self) -> None:
         n = self.n
         if n < 1:
-            raise ValueError("topology needs at least one node")
+            raise ValueError(f"n must be at least 1, got {n}")
         if self.kind not in ("ring", "torus", "full", "custom"):
             raise ValueError(f"unknown topology kind {self.kind!r}")
         if (self.adjacency is None) != (self.kind != "custom"):
@@ -153,7 +153,7 @@ def load_custom_topology(path: str, n: int) -> Topology:
     try:
         return Topology("custom", n, adjacency=np.array(rows, dtype=np.float64))
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{exc}, in {path}") from None  # leads with what it rejects
 
 
 def _nontrivial_radius(w: np.ndarray) -> float:

@@ -59,7 +59,7 @@ from .model import (
     task_params,
 )
 from .tasks import TAG_HEAD, TAG_INIT, TAG_PICK, TAG_REP, TAG_SHARD, derive_rng
-from .tasks import LabeledDataset, TaskShard, _batches, _derive_int, shard_iid
+from .tasks import LabeledDataset, TaskShard, _batches, _derive_int, _entropy, shard_iid
 from .topology import Topology, build_mixing
 
 log = logging.getLogger(__name__)
@@ -608,18 +608,13 @@ def check_run(config: TrainConfig, sequence: list[LabeledDataset]) -> None:
         raise ValueError(f"unknown method {config.method!r}")
     if not 0.0 < config.eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {config.eta}")
-    if config.epochs < 1 or config.batch_size < 1:
-        raise ValueError("epochs and batch_size must be at least 1")
-    if config.seed < 0:
-        raise ValueError("seed must be non-negative")
-    if config.rep_samples < 1:
-        raise ValueError(f"rep_samples must be at least 1, got {config.rep_samples}")
-    if not config.lam >= 0.0:
-        raise ValueError(f"lam must be non-negative, got {config.lam}")
-    if config.lam == math.inf:
-        raise ValueError(f"lam must be finite, got {config.lam}")
-    if len(config.dims) < 1:
-        raise ValueError("dims must hold at least the model input width")
+    for name in ("epochs", "batch_size", "rep_samples"):
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(config, name)}")
+    _entropy(config.seed)  # raises for a negative seed
+    if not 0.0 <= config.lam < math.inf:
+        raise ValueError(f"lam must be non-negative and finite, got {config.lam}")
+    Mlp(config.dims)  # raises for a width list no model has
     if not sequence:
         raise ValueError("need at least one task")
     if config.ewc_mode not in EWC_MODES:

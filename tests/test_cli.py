@@ -1,6 +1,7 @@
 """End-to-end command line behaviour, config precedence, and report files."""
 
 import dataclasses
+import io
 import json
 import logging
 import os
@@ -14,6 +15,7 @@ import pytest
 
 import dccl.trainer
 from dccl.cli import ConfigError, main, resolve_config, _build_sequence
+from dccl.gpm import load_state
 from dccl.tasks import generate_synthetic_sequence
 from reference import save_csv_dataset
 
@@ -74,8 +76,8 @@ def test_validate_rejects_grid_agent_mismatch(capsys):
 @pytest.mark.parametrize(
     "args, cause",
     [
-        (["--set", "classes_per_task=1"], "classes_per_task >= 2"),
-        (["--set", "samples_per_class=1"], "per_class >= 2"),
+        (["--set", "classes_per_task=1"], "classes_per_task must be at least 2, got 1"),
+        (["--set", "samples_per_class=1"], "per_class must be at least 2, got 1"),
         (["--agents", "200"], "task 0 has 160 training samples, fewer than 200 agents"),
     ],
     ids=["one-class", "one-sample", "more-agents-than-samples"],
@@ -89,6 +91,42 @@ def test_validate_rejects_what_run_rejects_before_training(
         err = capsys.readouterr().err
         assert rc == 1, command
         assert cause in err, command
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, shown, extra",
+    [
+        ("agents", "0", "got 0", []),
+        ("tasks", "0", "got 0", []),
+        ("classes_per_task", "1", "got 1", []),
+        # input_dim must equal dims[0], so both go past the bound
+        ("input_dim", "0", "got 0", ["--set", "dims=0,32,16"]),
+        ("samples_per_class", "1", "got 1", []),
+        ("separation", "0.0", "got 0.0", []),
+        ("data_seed", "-1", "got -1", []),
+        ("dims", "16,0,16", "got [16, 0, 16]", []),
+        ("eta", "0.0", "got 0.0", []),
+        ("epochs", "0", "got 0", []),
+        ("batch_size", "0", "got 0", []),
+        ("eps_base", "1.0", "base 1.0", []),
+        ("eps_increment", "-0.001", "got -0.001", []),
+        ("rep_samples", "0", "got 0", []),
+        ("lambda", "-0.001", "got -0.001", []),
+        ("seed", "-1", "got -1", []),
+    ],
+)
+def test_every_numeric_key_past_its_bound_is_rejected_by_name(
+    tmp_path, capsys, key, value, shown, extra
+):
+    """The library owns every bound; the CLI names the key it came from."""
+    out = tmp_path / "out"
+    for command in ("validate", "run"):
+        rc = main([command, "--out", str(out), "--set", f"{key}={value}", *extra])
+        err = capsys.readouterr().err
+        assert rc == 1, command
+        assert err.startswith(f"error: config key '{key}': "), err
+        assert shown in err, err
     assert not out.exists()
 
 
@@ -325,6 +363,33 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (out / n).read_bytes() == first[n], n
 
 
+# the ``wide`` benchmark's shapes at two tasks of one epoch
+_WIDE_SMALL = [
+    "run", "--method", "codec", "--topology", "torus:4x4", "--agents", "16",
+    "--tasks", "2", "--set", "dims=64,256,128", "--set", "input_dim=64",
+    "--set", "samples_per_class=100", "--set", "epochs=1",
+    "--set", "rep_samples=8", "--seed", "4", "--out", "out",
+]
+
+
+def _run_in_a_process(cwd, **env):
+    """``_WIDE_SMALL`` run by ``python -m dccl.cli`` in a new directory
+    ``cwd`` with ``env`` added; returns its stdout and report bytes."""
+    src = str(Path(dccl.trainer.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cwd.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-m", "dccl.cli", *_WIDE_SMALL],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, {p.name: p.read_bytes() for p in sorted((cwd / "out").iterdir())}
+
+
 def test_reports_do_not_depend_on_the_openblas_thread_count(tmp_path):
     """The same config run under ``OPENBLAS_NUM_THREADS`` 1 and 2, each in
     its own process with the same relative ``--out``, writes the same
@@ -332,28 +397,52 @@ def test_reports_do_not_depend_on_the_openblas_thread_count(tmp_path):
     that, this config's ``gpm_state.txt`` differed at two threads."""
     if dccl.trainer._openblas_threads() is None:
         pytest.skip("no OpenBLAS thread-count symbols in this process")
-    src = str(Path(dccl.trainer.__file__).resolve().parents[1])
-    args = [
-        sys.executable, "-m", "dccl.cli", "run", "--method", "codec",
-        "--topology", "torus:4x4", "--agents", "16", "--tasks", "2",
-        "--set", "dims=64,256,128", "--set", "input_dim=64",
-        "--set", "samples_per_class=100", "--set", "epochs=1",
-        "--set", "rep_samples=8", "--seed", "4", "--out", "out",
+    written = [
+        _run_in_a_process(tmp_path / f"threads{n}", OPENBLAS_NUM_THREADS=n)
+        for n in ("1", "2")
     ]
-    written = []
-    for threads in ("1", "2"):
-        cwd = tmp_path / f"threads{threads}"
-        cwd.mkdir()
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
-        proc = subprocess.run(
-            args, cwd=cwd, env=env, capture_output=True, text=True, timeout=300
-        )
-        assert proc.returncode == 0, proc.stderr
-        files = {p.name: p.read_bytes() for p in sorted((cwd / "out").iterdir())}
-        written.append((proc.stdout, files))
     assert {"rounds.csv", "gpm_state.txt", "summary.json"} <= set(written[0][1])
     assert written[0] == written[1]
+
+
+def test_the_cpu_kernels_move_only_the_last_bits(tmp_path):
+    """The same config run as is and with other kernels: OpenBLAS's
+    Sandybridge ones (``OPENBLAS_CORETYPE``) and numpy's loops without
+    AVX-512 (``NPY_DISABLE_CPU_FEATURES``).  The accuracy matrix and the
+    memory ranks stay the same; every ``rounds.csv`` column and memory
+    projector ``m m^T`` stays within 1e-14 of its largest magnitude.  On an
+    AVX-512 host, seeds 0 and 4 to 6 moved them by at most 3.4e-16 and
+    4.4e-16."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    env = {}
+    if __cpu_features__.get("AVX") and dccl.trainer._openblas_threads() is not None:
+        env["OPENBLAS_CORETYPE"] = "Sandybridge"
+    avx512 = [
+        f for f in __cpu_dispatch__
+        if ("AVX512" in f or f == "X86_V4") and __cpu_features__.get(f)
+    ]
+    if avx512:
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(avx512)
+    if not env:
+        pytest.skip("neither OpenBLAS's core type nor numpy's AVX-512 loops apply")
+    (_, base), (_, other) = (
+        _run_in_a_process(tmp_path / name, **switches)
+        for name, switches in (("as_is", {}), ("switched", env))
+    )
+    assert base["accuracy_matrix.csv"] == other["accuracy_matrix.csv"]
+    a, b = (
+        np.loadtxt(io.BytesIO(files["rounds.csv"]), delimiter=",", skiprows=1)
+        for files in (base, other)
+    )
+    assert np.all(np.abs(a - b).max(axis=0) <= 1e-14 * np.abs(a).max(axis=0))
+    states = [load_state(str(tmp_path / name / "out" / "gpm_state.txt"))
+              for name in ("as_is", "switched")]
+    assert states[0].ranks() == states[1].ranks()
+    for x, y in zip(states[0].layers, states[1].layers):
+        assert np.abs(x.m @ x.m.T - y.m @ y.m.T).max() <= 1e-14
 
 
 def test_precedence_defaults_file_set_flags(tmp_path):

@@ -121,6 +121,23 @@ def test_covered_representation_changes_nothing():
     assert np.array_equal(new.layers[0].m, m)
 
 
+def test_energy_equal_to_the_target_is_enough_to_stop_growing():
+    """GPM's criterion is "at least eps of the energy": the residual
+    energies of diag(3, 4) are 16 and then 25 of 25, and at eps 0.64 the
+    target is exactly 16.0, so one direction meets it."""
+    state = update_memory(GpmState.fresh([2]), [np.diag([3.0, 4.0])], 0.64)
+    assert state.ranks() == [1]
+
+
+def test_covered_energy_equal_to_the_target_keeps_the_basis():
+    """The rank-1 memory of diag(3, 4) at eps 0.64 covers 16.0 of its 25,
+    exactly the target, so the same representation leaves the layer's
+    basis object in place."""
+    rep = np.diag([3.0, 4.0])
+    state = update_memory(GpmState.fresh([2]), [rep], 0.64)
+    assert update_memory(state, [rep], 0.64).layers[0] is state.layers[0]
+
+
 def test_untouched_layers_are_the_same_objects():
     rng = np.random.default_rng(61)
     # zero representation, covered representation, saturated layer, growth

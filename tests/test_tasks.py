@@ -1,5 +1,7 @@
 """Synthetic task generation, IID sharding, and CSV round trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,24 @@ def test_generation_is_deterministic():
     assert not np.array_equal(a[0].train_x, c[0].train_x)
     with pytest.raises(ValueError, match="non-negative"):
         generate_synthetic_sequence(2, 2, 5, 40, -1)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, 2, 16, 10, 0, 4.0), "t must be at least 1, got 0"),
+        ((2, 1, 16, 10, 0, 4.0), "classes_per_task must be at least 2, got 1"),
+        ((2, 2, 0, 10, 0, 4.0), "dim must be at least 1, got 0"),
+        ((2, 2, 16, 1, 0, 4.0), "per_class must be at least 2, got 1"),
+        ((2, 2, 16, 10, 0, 0.0), "separation must be positive, got 0.0"),
+        ((2, 2, 16, 10, 0, float("nan")), "separation must be positive, got nan"),
+        ((2, 2, 16, 10, -1, 4.0), "seed must be non-negative, got -1"),
+    ],
+)
+def test_each_generator_bound_names_its_parameter(args, message):
+    # a NaN separation would give tasks full of NaN
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate_synthetic_sequence(*args)
 
 
 def test_shard_sizes_match_paper_narrative():

@@ -862,17 +862,25 @@ def test_library_config_is_held_to_the_cli_limits():
     seq = generate_synthetic_sequence(1, 2, 16, 40, 6)
     with pytest.raises(ValueError, match="rep_samples must be at least 1, got 0"):
         run(_config("ring", 4, rep_samples=0), seq)
-    with pytest.raises(ValueError, match="lam must be non-negative, got -5000.0"):
+    with pytest.raises(ValueError, match="lam must be non-negative and finite, got -5000.0"):
         run(_config("ring", 4, method="dewc", lam=-5000.0), seq)
-    with pytest.raises(ValueError, match="lam must be non-negative, got nan"):
+    with pytest.raises(ValueError, match="lam must be non-negative and finite, got nan"):
         run(_config("ring", 4, method="dewc", lam=float("nan")), seq)
-    with pytest.raises(ValueError, match="lam must be finite, got inf"):
+    with pytest.raises(ValueError, match="lam must be non-negative and finite, got inf"):
         run(_config("ring", 4, method="dewc", lam=float("inf")), seq)
     for eta in (float("nan"), float("inf"), 0.0):
         with pytest.raises(
             ValueError, match=f"eta must be positive and finite, got {eta}"
         ):
             run(_config("ring", 4, eta=eta), seq)
+    for fields, message in (
+        (dict(epochs=0), "epochs must be at least 1, got 0"),
+        (dict(batch_size=0), "batch_size must be at least 1, got 0"),
+        (dict(seed=-1), "seed must be non-negative, got -1"),
+        (dict(dims=[16, 0, 16]), r"dims must list widths of at least 1, got \[16, 0, 16\]"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            run(_config("ring", 4, **fields), seq)
 
 
 def test_library_thresholds_are_held_to_the_cli_limits():
@@ -880,7 +888,7 @@ def test_library_thresholds_are_held_to_the_cli_limits():
     outside (0, 1) under every method, not only the projected ones."""
     seq = generate_synthetic_sequence(3, 2, 16, 40, 6)
     for increment in (-0.01, float("nan")):
-        with pytest.raises(ValueError, match="threshold increment must be non-negative"):
+        with pytest.raises(ValueError, match="increment_per_task must be non-negative"):
             run(_config("ring", 4, threshold=ThresholdSchedule(0.97, increment)), seq)
     stray = ThresholdSchedule(1.5, 0.0)
     with pytest.raises(ValueError, match=r"threshold 1.5 for task 0 is outside \(0, 1\)"):
