@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import os
 import sys
 
 from .gpm import ThresholdSchedule
@@ -23,7 +24,7 @@ from .metrics import emit_reports
 from .tasks import LabeledDataset, check_synthetic, generate_synthetic_sequence
 from .tasks import load_csv_dataset
 from .topology import build_mixing, parse_topology, validate_assumption3
-from .trainer import EWC_MODES, METHODS, TrainConfig, check_run, run
+from .trainer import METHODS, TrainConfig, check_run, run
 from .trainer import InvariantError, NonFiniteError
 
 
@@ -71,22 +72,16 @@ def _parse_paths(text: str) -> list[str]:
     return paths
 
 
-def _parse_choice(key: str, choices: tuple[str, ...]):
-    def parse(text: str) -> str:
-        value = text.strip()
-        if value not in choices:
-            raise ConfigError(
-                f"unknown {key} {value!r}; choose from {', '.join(choices)}"
-            )
-        return value
-
-    return parse
+def _parse_method(text: str) -> str:
+    if (method := text.strip()) not in METHODS:
+        raise ConfigError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+    return method
 
 
 # key -> (parser, default); the single source of truth for the schema.  A
 # parser reads the text as its type; the library checks every bound.
 _SCHEMA = {
-    "method": (_parse_choice("method", METHODS), "codec"),
+    "method": (_parse_method, "codec"),
     "agents": (_parse_int, 4),
     "topology": (str.strip, "ring"),
     "tasks": (_parse_int, 2),
@@ -104,8 +99,6 @@ _SCHEMA = {
     "eps_increment": (_parse_float, 0.003),
     "rep_samples": (_parse_int, 64),
     "lambda": (_parse_float, 5000.0),
-    "ewc_mode": (_parse_choice("ewc_mode", EWC_MODES), "online"),
-    "lr_decay": (_parse_bool, False),
     "seed": (_parse_int, 0),
     "out": (str.strip, "out"),
     "debug_checks": (_parse_bool, False),
@@ -116,16 +109,25 @@ _LIBRARY_NAMES = {
     "n": "agents", "t": "tasks", "dim": "input_dim", "per_class": "samples_per_class",
     "base": "eps_base", "increment_per_task": "eps_increment", "lam": "lambda",
 }
+_SET_BY = {  # words of a library message, and the keys of more values that set it
+    "agents were requested": ("topology", "agents"),
+    "increment_per_task": ("eps_increment",),
+}
 
 
 def _named(exc: Exception, **names: str) -> Exception:
-    """``exc`` naming its config key: a library message leads with the
-    name of the value it rejects, mapped by ``names`` or the table."""
-    name = str(exc).split(" ", 1)[0]
+    """``exc`` naming its config keys: a library message leads with the
+    name of the value it rejects, mapped by ``names`` or the table, and
+    may name more values that set it (``_SET_BY``)."""
+    message = str(exc)
+    name = message.split(" ", 1)[0]
     key = names.get(name) or _LIBRARY_NAMES.get(name, name)
-    if isinstance(exc, ConfigError) or key not in _SCHEMA:
+    keys = [key] if key in _SCHEMA else []
+    keys += [k for w, ks in _SET_BY.items() if w in message for k in ks if k not in keys]
+    if isinstance(exc, ConfigError) or not keys:
         return exc
-    return ConfigError(f"config key {key!r}: {exc}")
+    named = ", ".join(map(repr, keys))
+    return ConfigError(f"config key{'s' * (len(keys) > 1)} {named}: {message}")
 
 
 def _load_file(path: str) -> dict[str, str]:
@@ -192,6 +194,12 @@ def _cross_check(values: dict[str, object]) -> None:
         raise ConfigError(
             f"dataset_path lists {len(paths)} files for {values['tasks']} tasks"
         )
+    out = values["out"]
+    found = os.path.abspath(out)  # the nearest existing path at or above out
+    while not os.path.exists(found):
+        found = os.path.dirname(found)
+    if not out or not os.path.isdir(found):
+        raise ConfigError(f"config key 'out': no directory can be made at {out!r}")
 
 
 def _build_sequence(values: dict[str, object]) -> list[LabeledDataset]:
@@ -233,16 +241,10 @@ def _train_config(values: dict[str, object]) -> TrainConfig:
         seed=int(values["seed"]),
         method=str(values["method"]),
         lam=float(values["lambda"]),
-        ewc_mode=str(values["ewc_mode"]),
         dims=list(values["dims"]),
         rep_samples=int(values["rep_samples"]),
-        lr_decay=bool(values["lr_decay"]),
         debug_checks=bool(values["debug_checks"]),
     )
-
-
-def _echo(values: dict[str, object]) -> dict[str, object]:
-    return {key: values[key] for key in sorted(_SCHEMA)}
 
 
 def _fmt(value: float | None) -> str:
@@ -263,9 +265,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _train_config(values)
     result = run(cfg, sequence)
     out_dir = str(values["out"])
-    summary = emit_reports(
-        result, out_dir, seed=int(values["seed"]), config_echo=_echo(values)
-    )
+    echo = dict(sorted(values.items()))  # every key of the schema
+    summary = emit_reports(result, out_dir, seed=int(values["seed"]), config_echo=echo)
     overall = summary["compression"]["all_inclusive"]["overall"]
     print(f"method {cfg.method} seed {values['seed']} out {out_dir}")
     print(f"accuracy_percent {_fmt(summary['accuracy_percent'])}")

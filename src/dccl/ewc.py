@@ -1,15 +1,16 @@
 """Decentralized elastic weight consolidation pieces.
 
-The quadratic penalty (lambda/2) * sum_k f_k * (x - a_k)^2 acts on trunk
-parameters only; heads are per task and never revisited, so there is
-nothing to anchor them to.  Fisher information is the empirical diagonal:
-the mean of squared per-sample loss gradients over an agent's shard.
+The quadratic penalty (lambda/2) * f * (x - a)^2, of the summed task
+Fishers f anchored at the latest boundary's a (``accumulate_fisher``),
+acts on trunk parameters only; heads are per task and never revisited.
+Fisher information is the empirical diagonal: the mean of squared
+per-sample loss gradients over an agent's shard.
 
 Training steps the penalty implicitly: the step ``d`` minimises the
 linearised loss plus the penalty at ``x + d`` (a proximal step), ``d =
--eta (g + lam sum_k f_k (x - a_k)) / (1 + eta lam sum_k f_k)``, stable for
-every ``eta`` and ``lam``.  ``implicit_rows`` makes its coefficients once
-per step size, and the trainer's gossip round forms the step from them.
+-eta (g + lam f (x - a)) / (1 + eta lam f)``, stable for every ``eta`` and
+``lam``.  ``implicit_rows`` makes its coefficients once per task, and the
+trainer's gossip round forms the step from them.
 ``fisher_mean`` gives the agents' averaged Fisher in one pass.
 ``fisher_estimate`` and the explicit penalty gradient ``ewc_grad`` are the
 per-agent forms the tests hold those to.
@@ -28,7 +29,7 @@ from .tasks import TaskShard
 @dataclass(frozen=True)
 class FisherState:
     """A Fisher diagonal and its anchor; read-only, so states are shared
-    rather than copied when averaged or accumulated."""
+    rather than copied when accumulated."""
 
     f: list[np.ndarray]  # one entry per trunk layer
     anchor: list[np.ndarray]  # parameter snapshot the penalty pulls toward
@@ -50,8 +51,7 @@ def fisher_estimate(model: Mlp, shard: TaskShard, task: int) -> FisherState:
         raise ValueError("cannot estimate Fisher information on an empty shard")
     inputs, deltas = sample_deltas(model, shard.examples, shard.labels, task)
     f = [(x * x).T @ (dz * dz) / n for x, dz in zip(inputs, deltas)]
-    anchor = [p.copy() for p in model.layers]
-    return FisherState(f=f, anchor=anchor)
+    return FisherState(f=f, anchor=[p.copy() for p in model.layers])
 
 
 def fisher_mean(
@@ -67,46 +67,42 @@ def fisher_mean(
     weights = np.repeat(1.0 / (len(lengths) * lengths), lengths)[:, np.newaxis]
     inputs, deltas = sample_deltas(model, pool.examples, pool.labels, task)
     f = [(x * x).T @ (dz * dz * weights) for x, dz in zip(inputs, deltas)]
-    anchor = [p.copy() for p in model.layers]
-    return FisherState(f=f, anchor=anchor)
+    return FisherState(f=f, anchor=[p.copy() for p in model.layers])
 
 
 def implicit_rows(
-    states: list[FisherState], lam: float, eta: float
+    state: FisherState, lam: float, eta: float
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The implicit penalised step's coefficients at step size ``eta``, one
     triple of flat rows ``(-alpha, -beta, gamma)`` per trunk array.
 
-    With ``s = lam sum_k f_k`` and ``t = lam sum_k f_k a_k`` the step is
+    With ``s = lam f`` and ``t = lam f a`` the step is
     ``-eta (g + s x - t) / (1 + eta s) = -alpha g - beta x + gamma``:
     ``alpha = eta / (1 + eta s)``, ``beta = eta s / (1 + eta s)`` and
     ``gamma = eta t / (1 + eta s)``.
     """
     rows = []
-    per_array = zip(zip(*(s.f for s in states)), zip(*(s.anchor for s in states)))
-    for fs, anchors in per_array:
-        stiff = lam * sum(fs)
-        pull = lam * sum(f * a for f, a in zip(fs, anchors))
+    for f, a in zip(state.f, state.anchor):
+        stiff, pull = lam * f, lam * (f * a)
         den = 1.0 + eta * stiff
         rows.append(tuple((c / den).ravel() for c in (-eta, -eta * stiff, eta * pull)))
     return rows
 
 
 def ewc_grad(
-    model: Mlp, grads: list[np.ndarray], fishers: tuple[FisherState, ...], lam: float
+    model: Mlp, grads: list[np.ndarray], fisher: FisherState, lam: float
 ) -> list[np.ndarray]:
-    """Add each state's penalty gradient lambda * f * (x - x_prev) to the
-    trunk slots of ``grads`` (laid out as ``task_params``) in place and
-    return the same list: the explicit form of the penalty, which training
-    folds into ``implicit_rows`` instead.
+    """Add the penalty gradient lambda * f * (x - x_prev) to the trunk slots
+    of ``grads`` (laid out as ``task_params``) in place and return the same
+    list: the explicit form of the penalty, which training folds into
+    ``implicit_rows`` instead.
     """
     if lam == 0.0:
         return grads
-    for fisher in fishers:
-        for g, p, f, anchor in zip(grads, model.layers, fisher.f, fisher.anchor):
-            pen = p - anchor
-            pen *= lam * f
-            g += pen
+    for g, p, f, anchor in zip(grads, model.layers, fisher.f, fisher.anchor):
+        pen = p - anchor
+        pen *= lam * f
+        g += pen
     return grads
 
 

@@ -80,8 +80,9 @@ class ThresholdSchedule:
     def value(self, task_index: int) -> float:
         eps = self.base + self.increment_per_task * task_index
         if not 0.0 < eps < 1.0:
+            inc = f" and increment_per_task {self.increment_per_task}" * (task_index > 0)
             raise ValueError(
-                f"base {self.base}: threshold {eps} for task {task_index} "
+                f"base {self.base}{inc}: threshold {eps} for task {task_index} "
                 "is outside (0, 1)"
             )
         return eps

@@ -65,7 +65,6 @@ from .topology import Topology, build_mixing
 log = logging.getLogger(__name__)
 
 METHODS = ("codec", "dewc", "stl", "naive")
-EWC_MODES = ("online", "per_task")
 
 
 class NonFiniteError(ArithmeticError):
@@ -78,11 +77,9 @@ class InvariantError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """One training run; ``method`` is one of ``METHODS``.
-
-    ``lam`` and ``ewc_mode`` (one of ``EWC_MODES``) set the ``dewc`` penalty
-    and are ignored by the other methods.  The agent count is
-    ``topology.n``.
+    """One training run at the constant step size ``eta``; ``method`` is one
+    of ``METHODS``.  ``lam`` sets the ``dewc`` penalty and is ignored by the
+    other methods.  The agent count is ``topology.n``.
     """
 
     eta: float
@@ -93,24 +90,22 @@ class TrainConfig:
     seed: int
     method: str = "codec"
     lam: float = 5000.0
-    ewc_mode: str = "online"
     dims: list[int] = field(default_factory=lambda: [16, 32, 16])
     rep_samples: int = 64
-    lr_decay: bool = False
     debug_checks: bool = False
 
 
 @dataclass
 class Agents:
     """Every agent's state, stacked along a leading agent axis: the model,
-    the shared ``codec`` memory or ``dewc`` penalty states, and while a task
-    trains, the aggregates; so it holds at most two model-sized stacks."""
+    the shared ``codec`` memory or ``dewc`` running penalty state, and while
+    a task trains, the aggregates; so it holds at most two model-sized stacks."""
 
     model: Mlp  # each array has shape (N, ...)
     memory: GpmState  # the read-only basis codec's agents project with, else empty
     # one per array of task_params(): the tracked sum_j w_ij x_j
     aggregates: list[np.ndarray] = field(default_factory=list)
-    fisher: list[FisherState] = field(default_factory=list)  # the dewc penalty
+    fisher: FisherState | None = None  # the dewc penalty
 
 
 @dataclass(frozen=True)
@@ -448,7 +443,7 @@ def gossip_round(
     the aggregates, and no stack of gradients.  Per array, every agent's
     step is ``d = -eta g``, or for the first arrays, one per row triple of
     ``penalty`` (``implicit_rows`` at this ``eta``: ``dewc``'s trunk under
-    its Fisher states), the implicit penalised step ``d = -alpha g - beta x
+    its Fisher state), the implicit penalised step ``d = -alpha g - beta x
     + gamma``.  Its update is ``q = (a - x) + d`` from its tracked aggregate
     ``a``, it moves to ``x + q``, and every aggregate takes in ``W q``.  The
     consensus error is the mean squared distance of the agents from their
@@ -617,8 +612,6 @@ def check_run(config: TrainConfig, sequence: list[LabeledDataset]) -> None:
     Mlp(config.dims)  # raises for a width list no model has
     if not sequence:
         raise ValueError("need at least one task")
-    if config.ewc_mode not in EWC_MODES:
-        raise ValueError(f"unknown ewc mode {config.ewc_mode!r}")
     n = config.topology.n
     for t, data in enumerate(sequence):
         rows = data.train_x.shape[0]
@@ -650,26 +643,6 @@ def check_run(config: TrainConfig, sequence: list[LabeledDataset]) -> None:
             config.rep_samples,
             smallest,
         )
-
-
-def _fisher_phase(
-    model: Mlp,
-    pool: TaskShard,
-    lengths: list[int],
-    task: int,
-    fisher: list[FisherState],
-    mode: str,
-) -> list[FisherState]:
-    """The dewc penalty states after task ``task``, from the task's pool of
-    shards of ``lengths`` rows: one accumulated state (``online``) or one
-    per task (``per_task``)."""
-    # after the boundary sync every agent holds the same parameters, so
-    # agent 0's Fisher over the pool is the agents' average, and its anchor
-    # is everyone's
-    avg = fisher_mean(model.view(0), pool, lengths, task)
-    if mode == "online":
-        return [accumulate_fisher(fisher[0] if fisher else None, avg)]
-    return fisher + [avg]
 
 
 def _train_task(
@@ -709,14 +682,11 @@ def _train_task(
     # the first round and reused by the rest: the shapes hold for the task
     kw = {"debug": config.debug_checks, "ws": {}}
     bx = np.empty((*batches.shape[1:], pool.examples.shape[1]), pool.examples.dtype)
-    # the dewc penalty's step rows, made once for each step size of the task
-    penalty, penalty_eta = None, None
+    # the dewc penalty's step rows, made once for the task
+    eta, penalty = config.eta, None
+    if agents.fisher is not None and config.lam > 0.0:
+        penalty = implicit_rows(agents.fisher, config.lam, eta)
     for r, idx in enumerate(batches):
-        eta = config.eta
-        if config.lr_decay and 2 * r >= total_rounds:
-            eta *= 0.01 if 4 * r >= 3 * total_rounds else 0.1
-        if agents.fisher and config.lam > 0.0 and eta != penalty_eta:
-            penalty, penalty_eta = implicit_rows(agents.fisher, config.lam, eta), eta
         try:
             # mode="raise" (the default) would buffer a copy
             np.take(pool.examples, idx, axis=0, out=bx, mode="clip")
@@ -753,10 +723,11 @@ def _boundary(
     if config.method == "codec":
         gpm_broadcast(agents, shards, t, config.threshold.value(t), config, pick_stream)
     if config.method == "dewc":
-        lengths = [len(s) for s in shards]
-        agents.fisher = _fisher_phase(
-            agents.model, pool, lengths, t, agents.fisher, config.ewc_mode
-        )
+        # after the sync every agent holds the same parameters, so agent 0's
+        # Fisher over the pool is the agents' average, and its anchor is
+        # everyone's
+        avg = fisher_mean(agents.model.view(0), pool, [len(s) for s in shards], t)
+        agents.fisher = accumulate_fisher(agents.fisher, avg)
 
 
 def _evaluate(

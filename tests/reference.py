@@ -59,14 +59,6 @@ def consensus_error(model, task=0):
     return total / model.lead[0]
 
 
-def _lr(cfg, r, total):
-    if cfg.lr_decay and r / total >= 0.75:
-        return cfg.eta * 0.01
-    if cfg.lr_decay and r / total >= 0.5:
-        return cfg.eta * 0.1
-    return cfg.eta
-
-
 def reference_round(params, x_hat, steps, w, memory=None):
     """One gossip round, message by message, as separate nodes would run it;
     returns the scalars each agent sent.
@@ -110,11 +102,11 @@ def reference_run(cfg: TrainConfig, seq):
     n_layers = len(cfg.dims) - 1
     pick = derive_rng(cfg.seed, TAG_PICK)
     memory = GpmState.fresh(cfg.dims[:-1])
-    fishers = []  # (f, anchor) per penalty term, trunk arrays only
+    fisher = None  # (f, anchor): the summed Fishers and the latest anchor, trunk only
     acc = np.full((t_count, t_count), np.nan)
     logs = []
     agents = []
-    bs = cfg.batch_size
+    bs, eta = cfg.batch_size, cfg.eta
     for t, data in enumerate(seq):
         if t == 0 or cfg.method == "stl":
             init = init_mlp(cfg.dims, derive_rng(cfg.seed, TAG_INIT, t))
@@ -129,7 +121,6 @@ def reference_run(cfg: TrainConfig, seq):
         total = cfg.epochs * per_epoch
         for r in range(total):
             epoch, k = divmod(r, per_epoch)
-            eta = _lr(cfg, r, total)
             steps, losses, mus = [], [], []
             for i, (a, shard) in enumerate(zip(agents, shards)):
                 # each epoch walks the shard in a fresh order, wrapping around
@@ -144,11 +135,11 @@ def reference_run(cfg: TrainConfig, seq):
                     kept = math.sqrt(sum(np.sum(g[l] ** 2) for l in range(n_layers)))
                     mu = kept / raw if raw else 1.0
                 d = [-eta * gk for gk in g]
-                for j, p in enumerate(a.layers if fishers else []):
-                    # d = -eta (g + lam sum_k f_k (x - a_k)) / (1 + eta lam sum_k f_k)
-                    pull = sum(cfg.lam * f[j] * (p - anchor[j]) for f, anchor in fishers)
-                    stiff = sum(cfg.lam * f[j] for f, _ in fishers)
-                    d[j] = -eta * (g[j] + pull) / (1.0 + eta * stiff)
+                for j, p in enumerate(a.layers if fisher else []):
+                    # d = -eta (g + lam f (x - a)) / (1 + eta lam f)
+                    f, anchor = fisher[0][j], fisher[1][j]
+                    pull = cfg.lam * f * (p - anchor)
+                    d[j] = -eta * (g[j] + pull) / (1.0 + eta * cfg.lam * f)
                 steps.append(d)
                 losses.append(float(loss))
                 mus.append(mu)
@@ -170,11 +161,9 @@ def reference_run(cfg: TrainConfig, seq):
         if cfg.method == "dewc":
             states = [fisher_estimate(a, s, t) for a, s in zip(agents, shards)]
             f = [np.mean(parts, axis=0) for parts in zip(*(s.f for s in states))]
-            anchor = [p.copy() for p in agents[0].layers]
-            if cfg.ewc_mode == "online" and fishers:
-                f = [a + b for a, b in zip(fishers[0][0], f)]
-                fishers = []
-            fishers.append((f, anchor))
+            if fisher:
+                f = [a + b for a, b in zip(fisher[0], f)]
+            fisher = (f, [p.copy() for p in agents[0].layers])
         for i in [t] if cfg.method == "stl" else range(t + 1):
             test = seq[i]
             logits = forward(agents[0], test.test_x, i).logits

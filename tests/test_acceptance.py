@@ -306,7 +306,7 @@ def test_criterion_09_gradients_match_finite_differences():
             return loss
 
         _, grads = loss_and_grad(model, batch, labels, 0)
-        grads = ewc_grad(model, grads, (fisher,), lam)
+        grads = ewc_grad(model, grads, fisher, lam)
         analytic = np.concatenate([g.ravel() for g in grads])
         numeric = _fd_gradient(penalized_loss, flatten_params(model))
         scale = max(1.0, float(np.max(np.abs(numeric))))

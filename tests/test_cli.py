@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dccl.cli
 import dccl.trainer
 from dccl.cli import ConfigError, main, resolve_config, _build_sequence
 from dccl.gpm import load_state
@@ -66,11 +67,23 @@ def test_validate_rejects_out_of_range_base(capsys):
     assert "outside (0, 1)" in err
 
 
-def test_validate_rejects_grid_agent_mismatch(capsys):
-    rc = main(["validate", "--topology", "torus:3x3", "--agents", "8"])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert "9" in err
+def test_validate_rejects_grid_agent_mismatch(tmp_path, capsys):
+    """A value set by two keys together is rejected naming both: a graph of
+    another size than the agent count, and a threshold past task 0."""
+    adj = tmp_path / "adj2.txt"
+    adj.write_text("0 1\n1 0\n")
+    for args, keys, cause in (
+        (["--topology", "torus:3x3", "--agents", "8"], "'topology', 'agents'",
+         "torus 3x3 has 9 nodes but 8 agents were requested"),
+        (["--topology", f"custom:{adj}", "--agents", "3"], "'topology', 'agents'",
+         f"adjacency has shape (2, 2) but 3 agents were requested, in {adj}"),
+        (["--set", "eps_increment=0.1", "--tasks", "3"], "'eps_base', 'eps_increment'",
+         "base 0.97 and increment_per_task 0.1: threshold 1.07 for task 1 is outside"),
+    ):
+        rc = main(["validate", *args])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: config keys {keys}: {cause}"), err
 
 
 @pytest.mark.parametrize(
@@ -135,7 +148,7 @@ def test_unknown_method_and_key_are_rejected(capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "method" in err
-    for key in ("bogus", "use_bias"):
+    for key in ("bogus", "use_bias", "lr_decay", "ewc_mode"):
         rc = main(["validate", "--set", f"{key}=1"])
         err = capsys.readouterr().err
         assert rc == 1
@@ -203,6 +216,24 @@ def test_run_writes_reports(tmp_path, capsys):
     assert "accuracy_percent" in printed
 
 
+def test_an_output_path_no_directory_can_be_made_at_is_rejected_before_training(
+    tmp_path, capsys, monkeypatch
+):
+    """An empty ``out``, an existing file and a path under one stop both
+    commands naming ``out``, before a round trains."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setattr(dccl.cli, "run", None)  # a call to train would fail
+    for out in (" ", str(taken), str(taken / "sub")):
+        for command in ("validate", "run"):
+            rc = main([command, "--out", out])
+            err = capsys.readouterr().err
+            assert rc == 1, command
+            want = f"error: config key 'out': no directory can be made at {out.strip()!r}\n"
+            assert err == want, command
+    assert taken.read_text() == ""
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_divergent_run_exits_non_zero_without_reports(tmp_path, capsys):
@@ -253,7 +284,7 @@ def test_a_diverging_run_with_live_checks_names_the_blow_up(tmp_path, capsys):
     rc = main([
         "run", "--method", "dewc", "--topology", "torus:2x3", "--agents", "6",
         "--tasks", "3", "--out", str(out),
-        "--set", "lr_decay=true", "--set", "debug_checks=true",
+        "--set", "debug_checks=true",
         "--set", f"dataset_path={','.join(paths)}",
     ])
     err = capsys.readouterr().err

@@ -13,12 +13,12 @@ from dccl.ewc import (
     fisher_estimate,
     fisher_mean,
 )
-from dccl.gpm import ThresholdSchedule
+from dccl.gpm import GpmState, ThresholdSchedule
 from dccl.metrics import compression
 from dccl.model import flatten_params, init_mlp, loss_and_grad, unflatten_params
 from dccl.tasks import TaskShard, generate_synthetic_sequence
 from dccl.topology import parse_topology
-from dccl.trainer import TrainConfig, _fisher_phase, run
+from dccl.trainer import Agents, TrainConfig, _boundary, run
 
 
 def _model(seed=0):
@@ -89,7 +89,7 @@ def test_penalized_gradient_matches_finite_differences():
         return loss
 
     _, grads = loss_and_grad(model, shard.examples, shard.labels, 0)
-    grads = ewc_grad(model, grads, (fisher,), lam)
+    grads = ewc_grad(model, grads, fisher, lam)
     analytic = np.concatenate([g.ravel() for g in grads])
 
     base = flatten_params(model)
@@ -110,11 +110,13 @@ def test_zero_lambda_or_missing_fisher_leaves_gradients_alone():
     shard = _shard(12)
     _, grads = loss_and_grad(model, shard.examples, shard.labels, 0)
     before = [g.copy() for g in grads]
-    out = ewc_grad(model, grads, (), 5.0)
+    fisher = fisher_estimate(model, shard, 0)
+    # a Fisher of zeros carries no information, so it adds no penalty
+    blank = FisherState(f=[np.zeros_like(f) for f in fisher.f], anchor=fisher.anchor)
+    out = ewc_grad(model, grads, blank, 5.0)
     for a, b in zip(out, before):
         assert np.array_equal(a, b)
-    fisher = fisher_estimate(model, shard, 0)
-    out = ewc_grad(model, grads, (fisher,), 0.0)
+    out = ewc_grad(model, grads, fisher, 0.0)
     for a, b in zip(out, before):
         assert np.array_equal(a, b)
 
@@ -132,7 +134,7 @@ def test_penalty_is_added_in_place_into_the_same_gradients():
         for g, p, f, a in zip(grads, model.layers, fisher.f, fisher.anchor)
     ]
     heads = [g.copy() for g in grads[n_trunk:]]
-    out = ewc_grad(model, grads, (fisher,), lam)
+    out = ewc_grad(model, grads, fisher, lam)
     assert out is grads
     for slot, got, expected in zip(slots, out, want):
         assert got is slot
@@ -158,37 +160,33 @@ def test_fisher_states_are_read_only_and_shared():
         assert not array.flags.writeable
 
 
-@pytest.mark.parametrize("mode", ["online", "per_task"])
-def test_the_pooled_fisher_phase_is_the_mean_of_the_agents_fishers(mode):
-    """One pass over 7 agents' pooled shards of 3 to 9 rows, each row
-    weighted by 1 / (7 n_i), gives the mean of the agents' own Fishers: to
-    1e-12 of the largest entry, accumulated onto (``online``) or
-    appended to (``per_task``) an earlier state, and anchored at the
-    model's trunk."""
+def test_the_pooled_fisher_phase_is_the_mean_of_the_agents_fishers():
+    """At a dewc boundary, one pass over 7 agents' pooled shards of 3 to 9
+    rows, each row weighted by 1 / (7 n_i), gives the mean of the agents'
+    own Fishers: to 1e-12 of the largest entry, accumulated onto an earlier
+    state, and anchored at the synced model's trunk."""
     rng = np.random.default_rng(19)
     model, other = (init_mlp([4, 6, 5], rng) for _ in range(2))
     for m in (model, other):
         m.add_head(0, 3, rng)
-    stack = model.stacked(7)  # every agent holds the model, as after a sync
     shards = [_shard(20 + i, rows=3 + i) for i in range(7)]
-    earlier = [fisher_estimate(other, _shard(27), 0)]
+    earlier = fisher_estimate(other, _shard(27), 0)
+    agents = Agents(model=model.stacked(7), memory=GpmState.fresh([]), fisher=earlier)
     pool = TaskShard(
         examples=np.concatenate([s.examples for s in shards]),
         labels=np.concatenate([s.labels for s in shards]),
     )
-    lengths = [len(s) for s in shards]
-    got = _fisher_phase(stack, pool, lengths, 0, earlier, mode)
+    _boundary(agents, _config(), 0, pool, shards, np.random.default_rng(0))
     # the agents' mean, as reference_run takes it: agent 0's anchor
+    stack = agents.model  # every agent holds the synced model
     states = [fisher_estimate(stack.view(i), s, 0) for i, s in enumerate(shards)]
     f = [np.mean(parts, axis=0) for parts in zip(*(s.f for s in states))]
-    avg = FisherState(f=f, anchor=states[0].anchor)
-    want = [accumulate_fisher(earlier[0], avg)] if mode == "online" else earlier + [avg]
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert len(a.f) == len(b.f) == 2  # two layers
-        for f, g in zip(a.f, b.f):
-            assert np.max(np.abs(f - g)) <= 1e-12 * np.max(np.abs(g))
-        assert all(map(np.array_equal, a.anchor, b.anchor))
+    want = accumulate_fisher(earlier, FisherState(f=f, anchor=states[0].anchor))
+    got = agents.fisher
+    assert len(got.f) == len(want.f) == 2  # two layers
+    for a, b in zip(got.f, want.f):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+    assert all(map(np.array_equal, got.anchor, want.anchor))
     with pytest.raises(ValueError, match="empty shard"):
         fisher_mean(model, shards[0], [len(shards[0]), 0], 0)
 
@@ -250,11 +248,3 @@ def test_dewc_without_a_hidden_layer_finishes():
     seq = generate_synthetic_sequence(2, 2, 16, 40, 3)
     result = run(_config(dims=[16]), seq)
     assert not np.isnan(result.accuracy[np.tril_indices(2)]).any()
-
-
-def test_dewc_per_task_mode_runs():
-    seq = generate_synthetic_sequence(2, 2, 16, 40, 3)
-    online = run(_config(lam=10.0, ewc_mode="online"), seq)
-    per_task = run(_config(lam=10.0, ewc_mode="per_task"), seq)
-    # with a single past task the two bookkeeping modes coincide
-    assert np.max(np.abs(online.final_params - per_task.final_params)) <= 1e-12

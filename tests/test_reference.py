@@ -12,7 +12,7 @@ from dccl.tasks import generate_synthetic_sequence
 from dccl.topology import Topology, parse_topology
 import dccl.model
 import dccl.trainer
-from dccl.trainer import _BLOCK, EWC_MODES, METHODS, Outer, TrainConfig, run
+from dccl.trainer import _BLOCK, METHODS, Outer, TrainConfig, run
 from reference import reference_run
 
 # largest difference allowed in a float result, relative to the largest
@@ -50,8 +50,7 @@ def _custom_graph(n, rng):
 # elements: alone they reach every branch of the round's sweep and of the
 # loss (``test_the_examples_reach_every_branch``)
 _SMALL_BLOCK_RUNS = [
-    dict(method="codec", graph="ring", n=4, tasks=3, lr_decay=False,
-         ewc_mode="online", block=30, seed=seed)
+    dict(method="codec", graph="ring", n=4, tasks=3, block=30, seed=seed)
     for seed in (767, 371)
 ]
 
@@ -62,29 +61,21 @@ _SMALL_BLOCK_RUNS = [
     graph=st.sampled_from(["ring", "torus", "full", "custom"]),
     n=st.integers(1, 5),
     tasks=st.integers(1, 3),
-    lr_decay=st.booleans(),
-    ewc_mode=st.sampled_from(EWC_MODES),
     block=st.sampled_from([4, 7, 12, 30, _BLOCK]),
     seed=st.integers(0, 2**31 - 1),
 )
 # layer 0 (width 2) saturates after task 0, so tasks 1 and 2 train it with
 # coefficients of width 0 beside a factored layer 1 of rank 1
-@example(
-    method="codec", graph="ring", n=3, tasks=3, lr_decay=False,
-    ewc_mode="online", block=_BLOCK, seed=14,
-)
-# the coefficient state and the step-size decay on torus:2x3
-@example(
-    method="codec", graph="torus", n=6, tasks=3, lr_decay=True,
-    ewc_mode="online", block=_BLOCK, seed=6,
-)
+@example(method="codec", graph="ring", n=3, tasks=3, block=_BLOCK, seed=14)
+# the coefficient state on torus:2x3
+@example(method="codec", graph="torus", n=6, tasks=3, block=_BLOCK, seed=6)
 @example(**_SMALL_BLOCK_RUNS[0])
 @example(**_SMALL_BLOCK_RUNS[1])
 def test_run_matches_the_per_agent_reference(**draw):
     _check_run(**draw)
 
 
-def _check_run(method, graph, n, tasks, lr_decay, ewc_mode, block, seed):
+def _check_run(method, graph, n, tasks, block, seed):
     """One run of ``run``, its round swept in blocks of ``block`` elements,
     against ``reference_run``."""
     rng = np.random.default_rng(seed)
@@ -109,10 +100,8 @@ def _check_run(method, graph, n, tasks, lr_decay, ewc_mode, block, seed):
         seed=seed,
         method=method,
         lam=float(rng.choice([0.0, 2.0])),
-        ewc_mode=ewc_mode,
         dims=[dim, *(int(d) for d in hidden)],
         rep_samples=int(rng.integers(1, 9)),
-        lr_decay=lr_decay,
     )
     with mock.patch.object(dccl.trainer, "_BLOCK", block):
         got = run(cfg, seq)

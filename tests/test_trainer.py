@@ -209,7 +209,7 @@ def test_a_round_fed_factor_pairs_is_the_round_fed_their_products(
     whole = copy.deepcopy(agents)
     penalty = None
     if penalised:
-        penalty = implicit_rows(_penalty_states(rng, agents.model, "online"), 50.0, 0.3)
+        penalty = implicit_rows(_penalty_state(rng, agents.model), 50.0, 0.3)
     rest = grads[len(pairs) :]
     products = [np.asarray(p) for p in pairs] + [g.copy() for g in rest]
     want_ce = gossip_round(whole, mixing, 0, products, 0.3, penalty=penalty)
@@ -235,29 +235,23 @@ def test_a_non_finite_step_stops_the_round_before_its_block_mixes():
         assert np.array_equal(got, want)
 
 
-def _penalty_states(rng, model, mode):
-    """Fisher states over a stacked model's trunk: one (``online``) or two
-    (``per_task``), with diagonals up to 40 and anchors away from agent 0's
-    trunk."""
+def _penalty_state(rng, model):
+    """A Fisher state over a stacked model's trunk, with diagonals up to 40
+    and anchors away from agent 0's trunk."""
     trunk = [p[0] for p in model.layers]
-    return [
-        FisherState(
-            f=[40.0 * rng.random(p.shape) for p in trunk],
-            anchor=[p + rng.standard_normal(p.shape) for p in trunk],
-        )
-        for _ in range(1 if mode == "online" else 2)
-    ]
+    return FisherState(
+        f=[40.0 * rng.random(p.shape) for p in trunk],
+        anchor=[p + rng.standard_normal(p.shape) for p in trunk],
+    )
 
 
-@pytest.mark.parametrize("mode", ["online", "per_task"])
-def test_a_penalised_round_is_the_round_of_the_explicit_formula_step(mode):
+def test_a_penalised_round_is_the_round_of_the_explicit_formula_step():
     """A round given the gradients and the rows of ``implicit_rows`` moves
     every array and aggregate as a round given the implicit step built from
-    the ``ewc_grad`` oracle, ``-eta (g + pen) / (1 + eta lam sum F)`` on the
+    the ``ewc_grad`` oracle, ``-eta (g + pen) / (1 + eta lam F)`` on the
     trunk and ``-eta g`` on the head, does: to 1e-12 of the largest
     magnitude, consensus error included, for layers swept in several
-    column blocks and a ragged last one, at two step sizes of one task (as
-    with ``lr_decay``)."""
+    column blocks and a ragged last one, in two rounds at two step sizes."""
     rng = np.random.default_rng(11)
     dims, n, lam = [64, 256, 129], 16, 50.0
     mixing = build_mixing(parse_topology("torus:4x4", n))
@@ -265,18 +259,18 @@ def test_a_penalised_round_is_the_round_of_the_explicit_formula_step(mode):
     model.add_head(0, 3, rng)
     for x in task_params(model, 0):
         x += 0.1 * rng.standard_normal(x.shape)
-    states = _penalty_states(rng, model, mode)
+    state = _penalty_state(rng, model)
     fused = Agents(model=model, memory=GpmState.fresh(dims[:-1]))
     reset_aggregates(fused, mixing, 0)
     oracle = copy.deepcopy(fused)
     n_trunk = len(model.layers)
     for eta in (0.1, 0.01):
         grads = [rng.standard_normal(x.shape) for x in task_params(model, 0)]
-        pen = ewc_grad(oracle.model, [g.copy() for g in grads], tuple(states), lam)
+        pen = ewc_grad(oracle.model, [g.copy() for g in grads], state, lam)
         steps = [-eta * g for g in pen]
         for j in range(n_trunk):
-            steps[j] /= 1.0 + eta * lam * sum(s.f[j] for s in states)
-        rows = implicit_rows(states, lam, eta)
+            steps[j] /= 1.0 + eta * lam * state.f[j]
+        rows = implicit_rows(state, lam, eta)
         ce = gossip_round(fused, mixing, 0, grads, eta, penalty=rows, debug=True)
         want_ce = gossip_round(oracle, mixing, 0, [-d for d in steps], 1.0)
         assert abs(ce - want_ce) <= 1e-12 * want_ce
@@ -295,14 +289,11 @@ def test_the_penalised_step_sums_in_one_order_bit_for_bit(bufsize):
     without rows it is exactly ``g * -eta``."""
     rng = np.random.default_rng(21)
     n, shape, eta = 16, (64, 40), 0.05
-    states = [
-        FisherState(
-            f=[rng.random(shape) * 10.0 ** rng.integers(-3, 3, shape)],
-            anchor=[rng.standard_normal(shape)],
-        )
-        for _ in range(2)
-    ]
-    rows = implicit_rows(states, 50.0, eta)[0]
+    state = FisherState(
+        f=[rng.random(shape) * 10.0 ** rng.integers(-3, 3, shape)],
+        anchor=[rng.standard_normal(shape)],
+    )
+    rows = implicit_rows(state, 50.0, eta)[0]
     x_all = rng.standard_normal((n, rows[0].size))
     g_all = 1e3 * rng.standard_normal((n, rows[0].size))
     old = np.setbufsize(bufsize)
@@ -328,7 +319,7 @@ def test_a_non_finite_penalised_step_names_its_agent():
     gradient is infinite, before agent 4 with the nan."""
     rng = np.random.default_rng(12)
     agents, mixing, grads = _blocked_round_inputs("torus:4x4", 16, [64, 256, 129])
-    rows = implicit_rows(_penalty_states(rng, agents.model, "per_task"), 50.0, 0.1)
+    rows = implicit_rows(_penalty_state(rng, agents.model), 50.0, 0.1)
     grads[1][4, 255, 128] = np.nan  # the ragged last block
     grads[2][2, 0, 0] = np.inf
     before = [x.copy() for x in task_params(agents.model, 0) + agents.aggregates]
@@ -843,19 +834,14 @@ def test_a_run_leaves_its_config_and_data_alone():
             assert data.classes == want.classes
 
 
-def test_learning_rate_decay_changes_late_rounds():
-    seq = generate_synthetic_sequence(1, 2, 16, 60, 12)
-    flat = run(_config("ring", 4, epochs=4), seq)
-    decayed = run(_config("ring", 4, epochs=4, lr_decay=True), seq)
-    assert not np.array_equal(flat.final_params, decayed.final_params)
-
-
 def test_unknown_method_or_ewc_mode_rejected():
+    """An unknown method stops the run; a config takes no ``ewc_mode``, as
+    ``dewc`` keeps one running Fisher state."""
     seq = generate_synthetic_sequence(1, 2, 16, 40, 6)
     with pytest.raises(ValueError, match="unknown method 'codecs'"):
         run(_config("ring", 4, method="codecs"), seq)
-    with pytest.raises(ValueError, match="unknown ewc mode 'offline'"):
-        run(_config("ring", 4, method="dewc", ewc_mode="offline"), seq)
+    with pytest.raises(TypeError, match="ewc_mode"):
+        _config("ring", 4, method="dewc", ewc_mode="online")
 
 
 def test_library_config_is_held_to_the_cli_limits():
@@ -947,7 +933,7 @@ def test_a_step_and_round_hold_no_gradient_stack(case):
             f=[rng.random(p.shape[1:]) for p in trunk],
             anchor=[p[0].copy() for p in trunk],
         )
-        penalty = implicit_rows([fisher], 5000.0, 0.01)
+        penalty = implicit_rows(fisher, 5000.0, 0.01)
     bx = rng.standard_normal((n, 16, dims[0]))
     by = rng.integers(0, 2, size=(n, 16))
     stack = sum(x.nbytes for x in task_params(model, 0))
@@ -1059,7 +1045,7 @@ def test_a_round_after_the_first_makes_no_large_block():
                 f=[rng.random(p.shape[1:]) for p in trunk],
                 anchor=[p[0].copy() for p in trunk],
             )
-            penalty = implicit_rows([fisher], 5000.0, 0.01)
+            penalty = implicit_rows(fisher, 5000.0, 0.01)
 
         def one_round():
             _, _, grads = local_step(
