@@ -108,6 +108,7 @@ _SCHEMA = {
 _LIBRARY_NAMES = {
     "n": "agents", "t": "tasks", "dim": "input_dim", "per_class": "samples_per_class",
     "base": "eps_base", "increment_per_task": "eps_increment", "lam": "lambda",
+    "torus": "topology", "custom": "topology", "graph": "topology",
 }
 _SET_BY = {  # words of a library message, and the keys of more values that set it
     "agents were requested": ("topology", "agents"),

@@ -95,14 +95,17 @@ def emit_reports(result, out_dir: str, *, seed: int, config_echo: dict) -> dict:
 
     with open(os.path.join(out_dir, "rounds.csv"), "w", encoding="utf-8") as handle:
         handle.write("task,round,agent,loss,consensus_error,mu,scalars_sent\n")
-        # one round's rows at a time: no list of the whole run's values
+        # one round's rows per write: no list of the whole run's values
         rows = zip(result.loss, result.mu, result.consensus_error.tolist())
         for entry in result.ledger:
+            agents = [f"{i}," for i in range(len(entry.scalars_sent))]
+            sent = [f",{s}\n" for s in entry.scalars_sent]
             for r, (losses, mus, ce) in zip(range(entry.rounds), rows):
-                ce = repr(ce)
-                values = zip(losses.tolist(), mus.tolist(), entry.scalars_sent)
-                for i, (loss, mu, sent) in enumerate(values):
-                    handle.write(f"{entry.task},{r},{i},{loss!r},{ce},{mu!r},{sent}\n")
+                lead, ce = f"{entry.task},{r},", f",{ce!r},"
+                values = zip(agents, losses.tolist(), mus.tolist(), sent)
+                handle.write("".join([
+                    f"{lead}{i}{loss!r}{ce}{mu!r}{s}" for i, loss, mu, s in values
+                ]))
 
     with open(
         os.path.join(out_dir, "accuracy_matrix.csv"), "w", encoding="utf-8"

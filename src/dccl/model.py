@@ -213,10 +213,13 @@ def _output_delta(
     shifted = trace.logits - _over_classes(np.maximum, trace.logits)[..., np.newaxis]
     d = np.exp(shifted)
     total = _over_classes(np.add, d)
-    hot = labels[..., np.newaxis] == np.arange(classes)
-    loss = np.mean(np.log(total) - shifted[hot].reshape(labels.shape), axis=-1)
+    # each sample's label entry as a flat index into the C-ordered logits
+    hot = np.arange(0, labels.size * classes, classes) + labels.reshape(-1)
+    picked = shifted.reshape(-1).take(hot).reshape(labels.shape)
+    # np.mean's own two steps, without its Python wrapper
+    loss = np.add.reduce(np.log(total) - picked, axis=-1) / labels.shape[-1]
     d /= total[..., np.newaxis]
-    d[hot] -= 1.0
+    d.reshape(-1)[hot] -= 1.0
     return trace, loss, d
 
 

@@ -119,17 +119,21 @@ def parse_topology(text: str, n: int) -> Topology:
         try:
             rows, cols = int(dims[0]), int(dims[1])
         except ValueError as exc:
-            raise ValueError(f"bad torus dimensions in {text!r}") from exc
+            raise ValueError(f"torus dimensions in {text!r} are not integers") from exc
         return Topology("torus", n, rows=rows, cols=cols)
     if text.startswith("custom:"):
         return load_custom_topology(text[len("custom:"):], n)
-    raise ValueError(f"unknown topology spec {text!r}")
+    raise ValueError(f"topology {text!r} is not ring, full, torus:RxC or custom:<path>")
 
 
 def load_custom_topology(path: str, n: int) -> Topology:
     """Read a 0/1 adjacency matrix, one space-separated row per line."""
     rows: list[list[int]] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"custom adjacency {path}: {exc.strerror}") from None
+    with handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:
@@ -138,17 +142,18 @@ def load_custom_topology(path: str, n: int) -> Topology:
             for token in line.split():
                 if token not in ("0", "1"):
                     raise ValueError(
-                        f"{path}:{lineno}: adjacency entries must be 0 or 1, "
+                        f"custom adjacency {path}:{lineno}: entries must be 0 or 1, "
                         f"got {token!r}"
                     )
                 entries.append(int(token))
             rows.append(entries)
     if not rows:
-        raise ValueError(f"{path}: adjacency file is empty")
+        raise ValueError(f"custom adjacency {path} is empty")
     for lineno, entries in enumerate(rows, start=1):
         if len(entries) != len(rows):
             raise ValueError(
-                f"{path}:{lineno}: expected {len(rows)} entries, got {len(entries)}"
+                f"custom adjacency {path}:{lineno}: expected {len(rows)} entries, "
+                f"got {len(entries)}"
             )
     try:
         return Topology("custom", n, adjacency=np.array(rows, dtype=np.float64))

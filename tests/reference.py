@@ -15,6 +15,9 @@ must agree up to rounding.  Its round, ``reference_round``, is the one the
 round tests hold ``gossip_round`` to, and ``consensus_error`` the two-pass
 reference for the consensus error that ``gossip_round`` sums block by block.
 ``save_csv_dataset`` writes a dataset as the CSV ``load_csv_dataset`` reads.
+``output_delta`` and ``write_rounds`` are the plain forms of the loss head
+and of the ``rounds.csv`` writer: a boolean one-hot mask and ``np.mean``, and
+one f-string and one write per row.
 """
 
 import copy
@@ -25,6 +28,7 @@ import numpy as np
 from dccl.ewc import fisher_estimate
 from dccl.gpm import GpmState, update_memory
 from dccl.model import (
+    _over_classes,
     capture_representation,
     flatten_params,
     forward,
@@ -179,3 +183,28 @@ def save_csv_dataset(dataset, path):
                 label = dataset.classes[int(y[i])]
                 row = ",".join(repr(float(v)) for v in x[i])
                 handle.write(f"{label},{row}\n")
+
+
+def output_delta(logits, labels):
+    """The mean cross-entropy and ``softmax - onehot`` of the logits, with
+    each label's logit and one-hot entry picked by a boolean mask."""
+    shifted = logits - _over_classes(np.maximum, logits)[..., np.newaxis]
+    d = np.exp(shifted)
+    total = _over_classes(np.add, d)
+    hot = labels[..., np.newaxis] == np.arange(logits.shape[-1])
+    loss = np.mean(np.log(total) - shifted[hot].reshape(labels.shape), axis=-1)
+    d /= total[..., np.newaxis]
+    d[hot] -= 1.0
+    return loss, d
+
+
+def write_rounds(result, path):
+    """``rounds.csv`` of a ``RunResult``, one f-string and one write per row."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("task,round,agent,loss,consensus_error,mu,scalars_sent\n")
+        rows = zip(result.loss, result.mu, result.consensus_error.tolist())
+        for entry in result.ledger:
+            for r, (losses, mus, ce) in zip(range(entry.rounds), rows):
+                values = zip(losses.tolist(), mus.tolist(), entry.scalars_sent)
+                for i, (loss, mu, sent) in enumerate(values):
+                    handle.write(f"{entry.task},{r},{i},{loss!r},{ce!r},{mu!r},{sent}\n")

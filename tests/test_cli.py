@@ -86,6 +86,25 @@ def test_validate_rejects_grid_agent_mismatch(tmp_path, capsys):
         assert err.startswith(f"error: config keys {keys}: {cause}"), err
 
 
+def test_validate_names_topology_in_what_only_topology_sets(tmp_path, capsys):
+    """A graph rejected for what its spec or its file says names the
+    ``topology`` key alone: an unknown kind, a malformed torus, a custom
+    file that is not symmetric, and one that cannot be read."""
+    asym = tmp_path / "asym.txt"
+    asym.write_text("0 1 0\n0 0 1\n1 0 0\n")
+    missing = tmp_path / "missing.txt"
+    for spec, cause in (
+        ("star", "topology 'star' is not ring, full, torus:RxC or custom:<path>"),
+        ("torus:3", "torus spec must look like torus:RxC, got 'torus:3'"),
+        (f"custom:{asym}", f"custom adjacency must be symmetric, in {asym}"),
+        (f"custom:{missing}", f"custom adjacency {missing}: No such file or directory"),
+    ):
+        rc = main(["validate", "--topology", spec, "--agents", "3"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: config key 'topology': {cause}\n", err
+
+
 @pytest.mark.parametrize(
     "args, cause",
     [

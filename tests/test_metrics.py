@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+from reference import write_rounds
+
 from dccl.gpm import ThresholdSchedule
 
 from dccl.metrics import (
@@ -217,3 +219,24 @@ def test_report_files_agree_with_each_other_and_the_ledger(tmp_path):
         sent = [int(row["scalars_sent"]) for row in rows if int(row["task"]) == entry.task]
         assert sent == list(entry.scalars_sent) * entry.rounds
     assert result.ledger[0].scalars_sent[1] == 2 * result.ledger[0].scalars_sent[0]
+
+
+def test_rounds_csv_is_the_per_row_writer_byte_for_byte(tmp_path):
+    # a ring of 0, 1, 2 with agent 3 hung on agent 0: fan-outs 3, 2, 2, 1
+    adj = np.array([[0, 1, 1, 1], [1, 0, 1, 0], [1, 1, 0, 0], [1, 0, 0, 0]])
+    cfg = TrainConfig(
+        eta=0.1,
+        epochs=1,
+        batch_size=8,
+        threshold=ThresholdSchedule(0.95, 0.003),
+        topology=Topology("custom", 4, adjacency=adj),
+        seed=3,
+        rep_samples=16,
+    )
+    result = run(cfg, generate_synthetic_sequence(3, 2, 16, 30, 3))
+    assert [len(set(e.scalars_sent)) for e in result.ledger] == [3, 3, 3]
+    emit_reports(result, str(tmp_path / "out"), seed=3, config_echo={})
+    write_rounds(result, tmp_path / "want.csv")
+    got = (tmp_path / "out" / "rounds.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.count(b"\n") == 1 + 4 * sum(e.rounds for e in result.ledger)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import output_delta
+
 from dccl.model import (
     _output_delta,
     backward,
@@ -168,8 +170,11 @@ def test_the_class_axis_loops_are_numpys_reductions(classes, stack):
     """The loss and the output delta are the formulas of numpy's class-axis
     reductions bit for bit, on plain and stacked batches: below 8 classes
     the per-class loops sum left to right, as numpy does over so short an
-    axis, and from 8 on numpy's pairwise sum runs.  The logits of a row
-    span up to ~30, so its exponentials span up to 13 decades."""
+    axis, and from 8 on numpy's pairwise sum runs.  They are also the
+    boolean-mask form bit for bit: each label's entry picked by flat index
+    and the mean taken as a sum over the batch, with labels at both ends of
+    the class range.  The logits of a row span up to ~30, so its
+    exponentials span up to 13 decades."""
     rng = _rng(100 + classes)
     model = init_mlp([4, 6], rng)
     if stack:
@@ -179,10 +184,15 @@ def test_the_class_axis_loops_are_numpys_reductions(classes, stack):
         p[...] = rng.standard_normal(p.shape)
     batch = rng.standard_normal((*stack, 33, 4))
     labels = rng.integers(0, classes, size=(*stack, 33))
+    labels[..., 0], labels[..., -1] = 0, classes - 1
     trace, loss, d = _output_delta(model, batch, labels, 0, None)
-    want_loss, want_d = _softmax_oracle(trace.logits, labels)
-    assert np.array_equal(loss, want_loss)
-    assert np.array_equal(d, want_d)
+    bits = lambda a: np.asarray(a).view(np.uint64)
+    for want_loss, want_d in (
+        _softmax_oracle(trace.logits, labels), output_delta(trace.logits, labels)
+    ):
+        assert type(loss) is type(want_loss)
+        assert np.array_equal(bits(loss), bits(want_loss))
+        assert np.array_equal(bits(d), bits(want_d))
     assert np.array_equal(backward(model, batch, labels, 0)[0], want_loss)
 
 
