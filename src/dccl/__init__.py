@@ -4,15 +4,15 @@ subspace-coefficient codec, plus baselines and metrics."""
 
 from .gpm import ThresholdSchedule
 from .tasks import generate_synthetic_sequence
-from .topology import parse_topology
+from .topology import Topology
 from .trainer import TrainConfig, run
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ThresholdSchedule",
+    "Topology",
     "TrainConfig",
     "generate_synthetic_sequence",
-    "parse_topology",
     "run",
 ]

@@ -71,9 +71,9 @@ class ThresholdSchedule:
     increment_per_task: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.increment_per_task >= 0.0:
+        if not 0.0 <= self.increment_per_task < np.inf:
             raise ValueError(
-                "increment_per_task must be non-negative, "
+                "increment_per_task must be non-negative and finite, "
                 f"got {self.increment_per_task}"
             )
 

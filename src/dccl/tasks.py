@@ -113,7 +113,9 @@ def check_synthetic(
     for name, value in zip(least, (t, classes_per_task, dim, per_class)):
         if value < least[name]:
             raise ValueError(f"{name} must be at least {least[name]}, got {value}")
-    if not separation > 0:
+    if not math.isfinite(separation):
+        raise ValueError(f"separation must be finite, got {separation}")
+    if separation <= 0:
         raise ValueError(f"separation must be positive, got {separation}")
     _entropy(seed)  # raises for a negative seed
 
@@ -225,39 +227,44 @@ def load_csv_dataset(path: str) -> LabeledDataset:
     """Parse ``label,feature...`` rows into a dataset with an 80/20 split.
 
     Label sets are remapped to local indices; the split is per class, first
-    part train, remainder test, in file order.
-    """
+    part train, remainder test, in file order.  Each error, an unreadable
+    file's too, is a ``ValueError`` that leads with ``dataset <path>``."""
     features: list[list[float]] = []
     labels: list[int] = []
     width = None
-    with open(path, "r", encoding="utf-8") as handle:
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"dataset {path}: {exc.strerror}") from None
+    with handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:
                 continue
+            where = f"dataset {path}:{lineno}"
             parts = line.split(",")
             if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: need a label and features")
+                raise ValueError(f"{where}: need a label and features")
             if width is None:
                 width = len(parts) - 1
             elif len(parts) - 1 != width:
                 raise ValueError(
-                    f"{path}:{lineno}: expected {width} features, got {len(parts) - 1}"
+                    f"{where}: expected {width} features, got {len(parts) - 1}"
                 )
             try:
                 label = int(parts[0])
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad label {parts[0]!r}") from exc
+                raise ValueError(f"{where}: bad label {parts[0]!r}") from exc
             try:
                 row = [float(p) for p in parts[1:]]
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric feature") from exc
+                raise ValueError(f"{where}: non-numeric feature") from exc
             if not all(math.isfinite(v) for v in row):
-                raise ValueError(f"{path}:{lineno}: non-finite feature")
+                raise ValueError(f"{where}: non-finite feature")
             labels.append(label)
             features.append(row)
     if not features:
-        raise ValueError(f"{path}: no data rows")
+        raise ValueError(f"dataset {path}: no data rows")
     x = np.array(features, dtype=np.float64)
     classes = sorted(set(labels))
     y = np.searchsorted(classes, labels).astype(np.int64)

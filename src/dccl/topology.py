@@ -26,45 +26,43 @@ _GAP_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Topology:
-    """A graph and its 0/1 in-adjacency with self loops, checked once here.
+    """A graph decoded from its spec, and its 0/1 in-adjacency with self
+    loops, checked once here.
 
-    ``adjacency`` is given only for the custom kind (symmetric, 0/1, n x n);
-    for every kind it then holds the built, read-only matrix.
+    ``spec`` is ``ring``, ``full``, ``torus:RxC`` or ``custom``; only the
+    custom kind takes an ``adjacency`` (symmetric, 0/1, n x n), and it must.
+    For every kind ``adjacency`` then holds the built, read-only matrix.
     """
 
-    kind: str  # "ring" | "torus" | "full" | "custom"
+    spec: str
     n: int
-    rows: int = 0
-    cols: int = 0
     adjacency: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.n
+        spec, n, given = self.spec, self.n, self.adjacency is not None
+        if given and spec != "custom":
+            raise ValueError("only a custom topology takes an adjacency, and it must")
+        if spec.startswith("torus:"):
+            dims = spec[len("torus:"):].lower().split("x")
+            if len(dims) != 2:
+                raise ValueError(f"torus spec must look like torus:RxC, got {spec!r}")
+            try:
+                rows, cols = int(dims[0]), int(dims[1])
+            except ValueError as exc:
+                raise ValueError(f"torus dimensions in {spec!r} are not integers") from exc
+        elif not (spec in ("ring", "full") or (spec == "custom" and given)):
+            raise ValueError(
+                f"topology {spec!r} is not ring, full, torus:RxC or custom:<path>"
+            )
         if n < 1:
             raise ValueError(f"n must be at least 1, got {n}")
-        if self.kind not in ("ring", "torus", "full", "custom"):
-            raise ValueError(f"unknown topology kind {self.kind!r}")
-        if (self.adjacency is None) != (self.kind != "custom"):
-            raise ValueError("only a custom topology takes an adjacency, and it must")
         ids = np.arange(n)
-        if self.kind == "ring":
+        if spec == "ring":
             adj = np.eye(n)
             adj[ids, (ids + 1) % n] = 1.0
-        elif self.kind == "full":
+        elif spec == "full":
             adj = np.ones((n, n))
-        elif self.kind == "torus":
-            if self.rows < 1 or self.cols < 1:
-                raise ValueError("torus dimensions must be positive")
-            if self.rows * self.cols != n:
-                raise ValueError(
-                    f"torus {self.rows}x{self.cols} has {self.rows * self.cols} "
-                    f"nodes but {n} agents were requested"
-                )
-            ids = ids.reshape(self.rows, self.cols)
-            adj = np.eye(n)
-            for shift, axis in ((1, 0), (-1, 0), (1, 1), (-1, 1)):
-                adj[ids, np.roll(ids, shift, axis=axis)] = 1.0
-        else:
+        elif spec == "custom":
             adj = np.array(self.adjacency, dtype=np.float64)
             if adj.shape != (n, n):
                 raise ValueError(
@@ -75,6 +73,18 @@ class Topology:
             if not np.array_equal(adj, adj.T):
                 raise ValueError("custom adjacency must be symmetric")
             np.fill_diagonal(adj, 1.0)  # self loops are always present
+        else:
+            if rows < 1 or cols < 1:
+                raise ValueError("torus dimensions must be positive")
+            if rows * cols != n:
+                raise ValueError(
+                    f"torus {rows}x{cols} has {rows * cols} nodes but {n} agents "
+                    "were requested"
+                )
+            ids = ids.reshape(rows, cols)
+            adj = np.eye(n)
+            for shift, axis in ((1, 0), (-1, 0), (1, 1), (-1, 1)):
+                adj[ids, np.roll(ids, shift, axis=axis)] = 1.0
         # one step from a set of nodes reaches every node in their rows
         reached = adj[0] > 0.0
         while (grown := adj[reached].any(axis=0)).sum() > reached.sum():
@@ -108,22 +118,11 @@ class Assumption3Report:
 
 
 def parse_topology(text: str, n: int) -> Topology:
-    """Parse a topology spec string: ring, torus:RxC, full, custom:<path>."""
+    """The topology of a spec string; ``custom:<path>`` reads its file."""
     text = text.strip()
-    if text in ("ring", "full"):
-        return Topology(text, n)
-    if text.startswith("torus:"):
-        dims = text[len("torus:"):].lower().split("x")
-        if len(dims) != 2:
-            raise ValueError(f"torus spec must look like torus:RxC, got {text!r}")
-        try:
-            rows, cols = int(dims[0]), int(dims[1])
-        except ValueError as exc:
-            raise ValueError(f"torus dimensions in {text!r} are not integers") from exc
-        return Topology("torus", n, rows=rows, cols=cols)
     if text.startswith("custom:"):
         return load_custom_topology(text[len("custom:"):], n)
-    raise ValueError(f"topology {text!r} is not ring, full, torus:RxC or custom:<path>")
+    return Topology(text, n)
 
 
 def load_custom_topology(path: str, n: int) -> Topology:

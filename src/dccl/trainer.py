@@ -600,7 +600,10 @@ def gpm_broadcast(
 def check_run(config: TrainConfig, sequence: list[LabeledDataset]) -> None:
     """Raise ``ValueError`` for what ``run`` would reject before training."""
     if config.method not in METHODS:
-        raise ValueError(f"unknown method {config.method!r}")
+        raise ValueError(
+            f"method must be one of {', '.join(METHODS)}, got unknown method "
+            f"{config.method!r}"
+        )
     if not 0.0 < config.eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {config.eta}")
     for name in ("epochs", "batch_size", "rep_samples"):

@@ -111,18 +111,29 @@ def test_validate_names_topology_in_what_only_topology_sets(tmp_path, capsys):
         (["--set", "classes_per_task=1"], "classes_per_task must be at least 2, got 1"),
         (["--set", "samples_per_class=1"], "per_class must be at least 2, got 1"),
         (["--agents", "200"], "task 0 has 160 training samples, fewer than 200 agents"),
+        # more than one fault: both commands prepare a config in one order
+        (["--topology", "star", "--set", "samples_per_class=1"],
+         "config key 'topology': topology 'star' is not ring, full, torus:RxC"),
+        (["--method", "foo", "--set", "eta=nan"],
+         "config key 'method': method must be one of codec, dewc, stl, naive, "
+         "got unknown method 'foo'"),
     ],
-    ids=["one-class", "one-sample", "more-agents-than-samples"],
+    ids=[
+        "one-class", "one-sample", "more-agents-than-samples",
+        "topology-and-samples", "method-and-eta",
+    ],
 )
 def test_validate_rejects_what_run_rejects_before_training(
     tmp_path, capsys, args, cause
 ):
     out = tmp_path / "out"
+    errs = []
     for command in ("validate", "run"):
         rc = main([command, "--topology", "full", "--out", str(out), *args])
-        err = capsys.readouterr().err
+        errs.append(capsys.readouterr().err)
         assert rc == 1, command
-        assert cause in err, command
+        assert cause in errs[-1], command
+    assert errs[0] == errs[1]
     assert not out.exists()
 
 
@@ -151,14 +162,17 @@ def test_validate_rejects_what_run_rejects_before_training(
 def test_every_numeric_key_past_its_bound_is_rejected_by_name(
     tmp_path, capsys, key, value, shown, extra
 ):
-    """The library owns every bound; the CLI names the key it came from."""
+    """The library owns every bound; the CLI names the key it came from,
+    with the same message under both commands."""
     out = tmp_path / "out"
+    errs = []
     for command in ("validate", "run"):
         rc = main([command, "--out", str(out), "--set", f"{key}={value}", *extra])
-        err = capsys.readouterr().err
+        errs.append(capsys.readouterr().err)
         assert rc == 1, command
-        assert err.startswith(f"error: config key '{key}': "), err
-        assert shown in err, err
+        assert errs[-1].startswith(f"error: config key '{key}': "), errs[-1]
+        assert shown in errs[-1], errs[-1]
+    assert errs[0] == errs[1]
     assert not out.exists()
 
 
@@ -197,12 +211,15 @@ def test_bad_value_names_the_key(capsys):
     [("eta", "nan"), ("eta", "inf"), ("separation", "nan"), ("lambda", "inf")],
 )
 def test_non_finite_floats_are_rejected_by_name(tmp_path, capsys, key, value):
+    """The library rejects a non-finite number; the CLI only reads it."""
     out = tmp_path / "out"
+    errs = []
     for command in ("validate", "run"):
         rc = main([command, "--out", str(out), "--set", f"{key}={value}"])
-        err = capsys.readouterr().err
+        errs.append(capsys.readouterr().err)
         assert rc == 1, command
-        assert f"config key '{key}'" in err and "finite" in err, command
+        assert f"config key '{key}'" in errs[-1] and "finite" in errs[-1], command
+    assert errs[0] == errs[1]
     assert not out.exists()
 
 
@@ -628,6 +645,23 @@ def test_reused_class_labels_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "class labels" in err
+
+
+def test_an_unreadable_or_malformed_dataset_names_dataset_path(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    textual = tmp_path / "textual.csv"
+    textual.write_text("0,1.0,2.0\n1,x,4.0\n")
+    for path, where, cause in (
+        (missing, f"{missing}", "No such file or directory"),
+        (textual, f"{textual}:2", "non-numeric feature"),
+    ):
+        rc = main([
+            "validate", "--tasks", "1", "--set", f"dataset_path={path}",
+            "--set", "input_dim=2", "--set", "dims=2,4",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: config key 'dataset_path': dataset {where}: {cause}\n", err
 
 
 def test_dims_must_match_input_dim(capsys):

@@ -76,12 +76,14 @@ def test_generation_is_deterministic():
         ((2, 2, 0, 10, 0, 4.0), "dim must be at least 1, got 0"),
         ((2, 2, 16, 1, 0, 4.0), "per_class must be at least 2, got 1"),
         ((2, 2, 16, 10, 0, 0.0), "separation must be positive, got 0.0"),
-        ((2, 2, 16, 10, 0, float("nan")), "separation must be positive, got nan"),
+        ((2, 2, 16, 10, 0, float("nan")), "separation must be finite, got nan"),
         ((2, 2, 16, 10, -1, 4.0), "seed must be non-negative, got -1"),
+        ((2, 2, 16, 10, 0, float("inf")), "separation must be finite, got inf"),
     ],
 )
 def test_each_generator_bound_names_its_parameter(args, message):
-    # a NaN separation would give tasks full of NaN
+    # a NaN separation would give tasks full of NaN, an infinite one
+    # classes that are each one point repeated
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         generate_synthetic_sequence(*args)
 

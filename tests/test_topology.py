@@ -21,12 +21,16 @@ from dccl.topology import (
 )
 
 
+def _shape(topology):
+    """The kind and, for a torus, the (rows, cols) its spec names."""
+    kind, _, dims = topology.spec.partition(":")
+    return kind, tuple(int(d) for d in dims.split("x")) if dims else None
+
+
 def test_parse_ring_full_torus():
-    assert parse_topology("ring", 5).kind == "ring"
-    assert parse_topology("full", 3).kind == "full"
-    torus = parse_topology("torus:2x3", 6)
-    assert torus.kind == "torus"
-    assert (torus.rows, torus.cols) == (2, 3)
+    assert _shape(parse_topology("ring", 5)) == ("ring", None)
+    assert _shape(parse_topology("full", 3)) == ("full", None)
+    assert _shape(parse_topology("torus:2x3", 6)) == ("torus", (2, 3))
 
 
 def test_parse_torus_dimension_mismatch():
@@ -221,22 +225,24 @@ def test_validator_report_prints_sqrt_rho():
 def _reference_neighbors(topology, i):
     """Neighbor lists per graph kind, self first, as walked edge by edge."""
     n = topology.n
+    kind, shape = _shape(topology)
     if n == 1:
         return [0]
-    if topology.kind == "ring":
+    if kind == "ring":
         return [i, (i + 1) % n]
-    if topology.kind == "full":
+    if kind == "full":
         return [i] + [j for j in range(n) if j != i]
-    if topology.kind == "torus":
-        r, c = divmod(i, topology.cols)
+    if kind == "torus":
+        rows, cols = shape
+        r, c = divmod(i, cols)
         seen = [i]
         for rr, cc in (
-            ((r - 1) % topology.rows, c),
-            ((r + 1) % topology.rows, c),
-            (r, (c - 1) % topology.cols),
-            (r, (c + 1) % topology.cols),
+            ((r - 1) % rows, c),
+            ((r + 1) % rows, c),
+            (r, (c - 1) % cols),
+            (r, (c + 1) % cols),
         ):
-            j = rr * topology.cols + cc
+            j = rr * cols + cc
             if j not in seen:
                 seen.append(j)
         return seen
@@ -249,7 +255,7 @@ def _reference_mixing(topology):
     w = np.zeros((n, n))
     if n == 1:
         w[0, 0] = 1.0
-    elif topology.kind == "ring":
+    elif topology.spec == "ring":
         for i in range(n):
             w[i, i] = 0.5
             w[i, (i + 1) % n] = 0.5
@@ -268,7 +274,7 @@ def _topologies(draw):
     kind = draw(st.sampled_from(["ring", "torus", "full", "custom"]))
     if kind == "torus":
         rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
-        return Topology("torus", rows * cols, rows=rows, cols=cols)
+        return Topology(f"torus:{rows}x{cols}", rows * cols)
     n = draw(st.integers(1, 24))
     if kind == "custom":
         density = draw(st.floats(0.0, 1.0))
@@ -280,7 +286,7 @@ def _topologies(draw):
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(topology=_topologies())
 @example(topology=Topology("ring", 64))  # the many workload's graph
-@example(topology=Topology("torus", 16, rows=4, cols=4))  # wide's and dewc's
+@example(topology=Topology("torus:4x4", 16))  # wide's and dewc's
 def test_matrix_built_mixing_equals_the_per_edge_loop(topology):
     assert np.array_equal(build_mixing(topology), _reference_mixing(topology))
     for i in range(topology.n):

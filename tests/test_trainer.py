@@ -876,6 +876,9 @@ def test_library_thresholds_are_held_to_the_cli_limits():
     for increment in (-0.01, float("nan")):
         with pytest.raises(ValueError, match="increment_per_task must be non-negative"):
             run(_config("ring", 4, threshold=ThresholdSchedule(0.97, increment)), seq)
+    # an infinite increment would make task 0's threshold 0.9 + inf * 0 = nan
+    with pytest.raises(ValueError, match="^increment_per_task must be .* finite, got inf$"):
+        ThresholdSchedule(0.9, float("inf"))
     stray = ThresholdSchedule(1.5, 0.0)
     with pytest.raises(ValueError, match=r"threshold 1.5 for task 0 is outside \(0, 1\)"):
         run(_config("ring", 4, method="dewc", threshold=stray), seq)
