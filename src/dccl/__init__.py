@@ -2,7 +2,6 @@
 continual learning: projected SGD over a gossip graph with a lossless
 subspace-coefficient codec, plus baselines and metrics."""
 
-from .gpm import ThresholdSchedule
 from .tasks import generate_synthetic_sequence
 from .topology import Topology
 from .trainer import TrainConfig, run
@@ -10,7 +9,6 @@ from .trainer import TrainConfig, run
 __version__ = "0.1.0"
 
 __all__ = [
-    "ThresholdSchedule",
     "Topology",
     "TrainConfig",
     "generate_synthetic_sequence",

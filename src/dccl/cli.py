@@ -18,7 +18,6 @@ import configparser
 import os
 import sys
 
-from .gpm import ThresholdSchedule
 from .metrics import emit_reports
 from .tasks import LabeledDataset, check_synthetic, generate_synthetic_sequence
 from .tasks import load_csv_dataset
@@ -97,13 +96,12 @@ _SCHEMA = {
 # the library's name for a config value, where it is not the key
 _LIBRARY_NAMES = {
     "n": "agents", "t": "tasks", "dim": "input_dim", "per_class": "samples_per_class",
-    "base": "eps_base", "increment_per_task": "eps_increment", "lam": "lambda",
-    "torus": "topology", "custom": "topology", "graph": "topology",
+    "lam": "lambda", "torus": "topology", "custom": "topology", "graph": "topology",
     "dataset": "dataset_path",
 }
 _SET_BY = {  # words of a library message, and the keys of more values that set it
     "agents were requested": ("topology", "agents"),
-    "increment_per_task": ("eps_increment",),
+    "eps_increment": ("eps_increment",),
 }
 
 
@@ -122,18 +120,33 @@ def _named(exc: Exception, **names: str) -> Exception:
     return ConfigError(f"config key{'s' * (len(keys) > 1)} {named}: {message}")
 
 
+def _parse(text: str, path: str) -> configparser.RawConfigParser:
+    """The sections of ``text``.  A file without a section header is one
+    ``[run]`` section, and its errors give the file's own line numbers."""
+    parser = configparser.RawConfigParser()
+    try:
+        parser.read_string(text, source=path)
+    except configparser.MissingSectionHeaderError:  # at the first key: nothing was read
+        try:
+            parser.read_string("[run]\n" + text, source=path)
+        except configparser.ParsingError as exc:
+            own = configparser.ParsingError(path)
+            for no, line in exc.errors:
+                own.append(no - 1, line)
+            raise own from None
+        except configparser.Error as exc:  # a duplicate key or section, at its lineno
+            raise type(exc)(*exc.args[:-1], exc.lineno - 1) from None
+    return parser
+
+
 def _load_file(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    parser = configparser.RawConfigParser()
     try:
-        parser.read_string(text, source=path)
-    except configparser.MissingSectionHeaderError:
-        parser = configparser.RawConfigParser()
-        parser.read_string("[run]\n" + text, source=path)
+        parser = _parse(text, path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     merged: dict[str, str] = {}
@@ -220,37 +233,28 @@ def _build_sequence(values: dict[str, object]) -> list[LabeledDataset]:
     return datasets
 
 
-def _train_config(values: dict[str, object]) -> TrainConfig:
-    return TrainConfig(
-        eta=float(values["eta"]),
-        epochs=int(values["epochs"]),
-        batch_size=int(values["batch_size"]),
-        threshold=ThresholdSchedule(
-            base=float(values["eps_base"]),
-            increment_per_task=float(values["eps_increment"]),
-        ),
-        topology=parse_topology(str(values["topology"]), int(values["agents"])),
-        seed=int(values["seed"]),
-        method=str(values["method"]),
-        lam=float(values["lambda"]),
-        dims=list(values["dims"]),
-        rep_samples=int(values["rep_samples"]),
-        debug_checks=bool(values["debug_checks"]),
-    )
-
-
 def _fmt(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
 _FLAGS = ("method", "agents", "topology", "tasks", "seed", "out")
+# the keys TrainConfig takes under their own names, as the schema types them
+_TRAIN_KEYS = (
+    "eta", "epochs", "batch_size", "eps_base", "eps_increment", "seed", "method",
+    "dims", "rep_samples", "debug_checks",
+)
 
 
 def _prepare(args: argparse.Namespace) -> tuple[dict, TrainConfig, list[LabeledDataset]]:
-    """Values, TrainConfig, tasks: one order, so both commands stop at one fault."""
+    """Values, graph, tasks, then TrainConfig: one order, so both commands
+    stop at one fault."""
     flags = {key: getattr(args, key) for key in _FLAGS}
     values = resolve_config(args.config, args.overrides, flags)
-    return values, _train_config(values), _build_sequence(values)
+    topology = parse_topology(str(values["topology"]), int(values["agents"]))
+    sequence = _build_sequence(values)
+    same = {key: values[key] for key in _TRAIN_KEYS}
+    cfg = TrainConfig(topology=topology, lam=values["lambda"], **same)
+    return values, cfg, sequence
 
 
 def cmd_run(args: argparse.Namespace) -> int:

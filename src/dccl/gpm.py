@@ -63,31 +63,6 @@ class GpmState:
         return [b.rank for b in self.layers]
 
 
-@dataclass(frozen=True)
-class ThresholdSchedule:
-    """Energy threshold for memory growth, raised a little after each task."""
-
-    base: float
-    increment_per_task: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.increment_per_task < np.inf:
-            raise ValueError(
-                "increment_per_task must be non-negative and finite, "
-                f"got {self.increment_per_task}"
-            )
-
-    def value(self, task_index: int) -> float:
-        eps = self.base + self.increment_per_task * task_index
-        if not 0.0 < eps < 1.0:
-            inc = f" and increment_per_task {self.increment_per_task}" * (task_index > 0)
-            raise ValueError(
-                f"base {self.base}{inc}: threshold {eps} for task {task_index} "
-                "is outside (0, 1)"
-            )
-        return eps
-
-
 def project(g: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Remove the span(m) component of each column of g: g - m (m^T g).
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ewc import FisherState, accumulate_fisher, fisher_mean, implicit_rows
-from .gpm import GpmState, ThresholdSchedule, update_memory
+from .gpm import GpmState, update_memory
 from .model import (
     Mlp,
     _matmul,
@@ -75,24 +75,60 @@ class InvariantError(RuntimeError):
     """A ``debug_checks`` invariant failed: descent, mu, norm split or tracking."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """One training run at the constant step size ``eta``; ``method`` is one
-    of ``METHODS``.  ``lam`` sets the ``dewc`` penalty and is ignored by the
-    other methods.  The agent count is ``topology.n``.
+    """One training run at the constant step size ``eta``, checked when it
+    is made; ``method`` is one of ``METHODS``.  ``lam`` sets the ``dewc``
+    penalty and is ignored by the other methods.  The agent count is
+    ``topology.n``.  Task ``t`` grows the memory at the energy threshold
+    ``eps_base + eps_increment * t`` (``threshold``).
     """
 
     eta: float
     epochs: int
     batch_size: int
-    threshold: ThresholdSchedule
+    eps_base: float
+    eps_increment: float
     topology: Topology
     seed: int
-    method: str = "codec"
-    lam: float = 5000.0
-    dims: list[int] = field(default_factory=lambda: [16, 32, 16])
-    rep_samples: int = 64
-    debug_checks: bool = False
+    method: str
+    lam: float
+    dims: tuple[int, ...]
+    rep_samples: int
+    debug_checks: bool
+
+    def __post_init__(self) -> None:
+        if self.method not in METHODS:
+            raise ValueError(
+                f"method must be one of {', '.join(METHODS)}, got unknown method "
+                f"{self.method!r}"
+            )
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
+        for name in ("epochs", "batch_size", "rep_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        _entropy(self.seed)  # raises for a negative seed
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be non-negative and finite, got {self.lam}")
+        Mlp(list(self.dims))  # raises for a width list no model has
+        object.__setattr__(self, "dims", tuple(self.dims))
+        if not 0.0 <= self.eps_increment < math.inf:
+            raise ValueError(
+                f"eps_increment must be non-negative and finite, got {self.eps_increment}"
+            )
+        self.threshold(0)
+
+    def threshold(self, task: int) -> float:
+        """Task ``task``'s energy threshold, which must lie in (0, 1)."""
+        eps = self.eps_base + self.eps_increment * task
+        if not 0.0 < eps < 1.0:
+            inc = f" and eps_increment {self.eps_increment}" * (task > 0)
+            raise ValueError(
+                f"eps_base {self.eps_base}{inc}: threshold {eps} for task {task} "
+                "is outside (0, 1)"
+            )
+        return eps
 
 
 @dataclass
@@ -579,7 +615,6 @@ def gpm_broadcast(
     agents: Agents,
     shards: list[TaskShard],
     task: int,
-    eps_th: float,
     cfg: TrainConfig,
     pick_stream: np.random.Generator,
 ) -> None:
@@ -594,25 +629,12 @@ def gpm_broadcast(
     n_s = min(cfg.rep_samples, len(shard))
     idx = derive_rng(cfg.seed, TAG_REP, task).permutation(len(shard))[:n_s]
     reps = capture_representation(agents.model.view(p), shard.examples[idx], task)
-    agents.memory = update_memory(agents.memory, reps, eps_th)
+    agents.memory = update_memory(agents.memory, reps, cfg.threshold(task))
 
 
 def check_run(config: TrainConfig, sequence: list[LabeledDataset]) -> None:
-    """Raise ``ValueError`` for what ``run`` would reject before training."""
-    if config.method not in METHODS:
-        raise ValueError(
-            f"method must be one of {', '.join(METHODS)}, got unknown method "
-            f"{config.method!r}"
-        )
-    if not 0.0 < config.eta < math.inf:
-        raise ValueError(f"eta must be positive and finite, got {config.eta}")
-    for name in ("epochs", "batch_size", "rep_samples"):
-        if getattr(config, name) < 1:
-            raise ValueError(f"{name} must be at least 1, got {getattr(config, name)}")
-    _entropy(config.seed)  # raises for a negative seed
-    if not 0.0 <= config.lam < math.inf:
-        raise ValueError(f"lam must be non-negative and finite, got {config.lam}")
-    Mlp(config.dims)  # raises for a width list no model has
+    """Raise ``ValueError`` for what ``run`` would reject of these tasks
+    under ``config``, which checked itself when it was made."""
     if not sequence:
         raise ValueError("need at least one task")
     n = config.topology.n
@@ -637,7 +659,7 @@ def check_run(config: TrainConfig, sequence: list[LabeledDataset]) -> None:
                 raise ValueError(
                     f"task {t} has a {split} label outside 0..{len(data.classes) - 1}"
                 )
-        config.threshold.value(t)  # raises if the schedule leaves (0, 1)
+        config.threshold(t)
     smallest = min(data.train_x.shape[0] // n for data in sequence)
     if config.method == "codec" and config.rep_samples > smallest:
         log.warning(
@@ -724,7 +746,7 @@ def _boundary(
         a[...] = a.mean(axis=0)
     agents.model.fold()  # plain layers for the memory, the Fisher and the evaluation
     if config.method == "codec":
-        gpm_broadcast(agents, shards, t, config.threshold.value(t), config, pick_stream)
+        gpm_broadcast(agents, shards, t, config, pick_stream)
     if config.method == "dewc":
         # after the sync every agent holds the same parameters, so agent 0's
         # Fisher over the pool is the agents' average, and its anchor is

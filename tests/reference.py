@@ -161,7 +161,7 @@ def reference_run(cfg: TrainConfig, seq):
             rows = derive_rng(cfg.seed, TAG_REP, t).permutation(len(shard))
             rows = rows[: min(cfg.rep_samples, len(shard))]
             reps = capture_representation(agents[p], shard.examples[rows], t)
-            memory = update_memory(memory, reps, cfg.threshold.value(t))
+            memory = update_memory(memory, reps, cfg.threshold(t))
         if cfg.method == "dewc":
             states = [fisher_estimate(a, s, t) for a, s in zip(agents, shards)]
             f = [np.mean(parts, axis=0) for parts in zip(*(s.f for s in states))]

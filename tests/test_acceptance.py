@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dccl.cli import main
-from dccl.gpm import GpmState, ThresholdSchedule, project, update_memory
+from dccl.gpm import GpmState, project, update_memory
 from dccl.metrics import (
     acc,
     bwt,
@@ -59,11 +59,13 @@ def _small_config(method="codec"):
         eta=0.2,
         epochs=3,
         batch_size=16,
-        threshold=ThresholdSchedule(0.95, 0.003),
+        eps_base=0.95,
+        eps_increment=0.003,
         topology=parse_topology("ring", 4),
         seed=7,
         method=method,
-        dims=list(SMALL_DIMS),
+        lam=5000.0,
+        dims=SMALL_DIMS,
         rep_samples=32,
         debug_checks=True,  # live projection checks during the run
     )
@@ -97,12 +99,15 @@ def _bench_config(method):
         eta=0.6,
         epochs=12,
         batch_size=8,
-        threshold=ThresholdSchedule(0.90, 0.003),
+        eps_base=0.90,
+        eps_increment=0.003,
         topology=parse_topology("ring", 8),
         seed=3,
         method=method,
+        lam=5000.0,
         dims=[16, 32, 16],
         rep_samples=32,
+        debug_checks=False,
     )
 
 
@@ -318,9 +323,9 @@ def test_criterion_10_degenerate_settings_collapse_cleanly():
         solo = generate_synthetic_sequence(2, 2, 16, 40, 5)
         cfg = TrainConfig(
             eta=0.2, epochs=3, batch_size=16,
-            threshold=ThresholdSchedule(0.95, 0.003),
-            topology=parse_topology("full", 1), seed=5,
-            method="codec", dims=list(SMALL_DIMS), rep_samples=16,
+            eps_base=0.95, eps_increment=0.003,
+            topology=parse_topology("full", 1), seed=5, method="codec",
+            lam=5000.0, dims=SMALL_DIMS, rep_samples=16, debug_checks=False,
         )
         # a held layer rounds differently from the plain one: not bitwise
         want = reference_run(cfg, solo)[2]

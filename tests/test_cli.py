@@ -64,7 +64,8 @@ def test_validate_rejects_out_of_range_base(capsys):
     rc = main(["validate", "--set", "eps_base=1.2"])
     err = capsys.readouterr().err
     assert rc == 1
-    assert "outside (0, 1)" in err
+    want = "config key 'eps_base': eps_base 1.2: threshold 1.2 for task 0 is outside (0, 1)"
+    assert err == f"error: {want}\n", err
 
 
 def test_validate_rejects_grid_agent_mismatch(tmp_path, capsys):
@@ -78,7 +79,7 @@ def test_validate_rejects_grid_agent_mismatch(tmp_path, capsys):
         (["--topology", f"custom:{adj}", "--agents", "3"], "'topology', 'agents'",
          f"adjacency has shape (2, 2) but 3 agents were requested, in {adj}"),
         (["--set", "eps_increment=0.1", "--tasks", "3"], "'eps_base', 'eps_increment'",
-         "base 0.97 and increment_per_task 0.1: threshold 1.07 for task 1 is outside"),
+         "eps_base 0.97 and eps_increment 0.1: threshold 1.07 for task 1 is outside"),
     ):
         rc = main(["validate", *args])
         err = capsys.readouterr().err
@@ -160,10 +161,15 @@ def test_validate_rejects_what_run_rejects_before_training(
     ],
 )
 def test_every_numeric_key_past_its_bound_is_rejected_by_name(
-    tmp_path, capsys, key, value, shown, extra
+    tmp_path, capsys, monkeypatch, key, value, shown, extra
 ):
     """The library owns every bound; the CLI names the key it came from,
-    with the same message under both commands."""
+    with the same message under both commands, and ``dccl run`` stops
+    before it calls into training."""
+    def train(*args):
+        pytest.fail(f"dccl run trained with {key}={value}")
+
+    monkeypatch.setattr(dccl.cli, "run", train)
     out = tmp_path / "out"
     errs = []
     for command in ("validate", "run"):
@@ -536,10 +542,24 @@ def test_sectioned_config_file_merges(tmp_path):
 
 
 def test_duplicate_key_across_sections_rejected(tmp_path):
+    """A key set twice, in two sections or in a file without a section
+    header, and a malformed sectionless line stop the CLI naming the file;
+    a sectionless file is one section, counted by its own lines."""
     cfg = tmp_path / "dup.ini"
-    cfg.write_text("[a]\neta = 0.1\n[b]\neta = 0.2\n")
-    with pytest.raises(ConfigError, match="duplicate"):
-        resolve_config(str(cfg), [], {})
+    for text, cause in (
+        ("[a]\neta = 0.1\n[b]\neta = 0.2\n",
+         "duplicate config key 'eta' (seen again in section b)"),
+        ("eta = 0.1\neta = 0.2\n",
+         f"cannot parse config file {cfg}: While reading from '{cfg}' [line  2]: "
+         "option 'eta' in section 'run' already exists"),
+        ("eta = 0.1\nepochs\n",
+         f"cannot parse config file {cfg}: Source contains parsing errors: '{cfg}'"
+         "\n\t[line  2]: 'epochs\\n'"),
+    ):
+        cfg.write_text(text)
+        with pytest.raises(ConfigError) as caught:
+            resolve_config(str(cfg), [], {})
+        assert str(caught.value) == cause
 
 
 def test_missing_config_file_is_an_error(tmp_path):

@@ -13,7 +13,7 @@ from dccl.ewc import (
     fisher_estimate,
     fisher_mean,
 )
-from dccl.gpm import GpmState, ThresholdSchedule
+from dccl.gpm import GpmState
 from dccl.metrics import compression
 from dccl.model import flatten_params, init_mlp, loss_and_grad, unflatten_params
 from dccl.tasks import TaskShard, generate_synthetic_sequence
@@ -206,12 +206,15 @@ def _config(seed=3, **kw):
         eta=0.1,
         epochs=2,
         batch_size=8,
-        threshold=ThresholdSchedule(0.95, 0.003),
+        eps_base=0.95,
+        eps_increment=0.003,
         topology=parse_topology("ring", 4),
         seed=seed,
         method="dewc",
+        lam=5000.0,
         dims=[16, 32, 16],
         rep_samples=16,
+        debug_checks=False,
     )
     defaults.update(kw)
     return TrainConfig(**defaults)

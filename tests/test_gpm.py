@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 from dccl.gpm import (
     GpmState,
     LayerBasis,
-    ThresholdSchedule,
     load_state,
     project,
     save_state,
     update_memory,
 )
+from dccl.topology import Topology
+from dccl.trainer import TrainConfig
 
 
 def _basis(rng, n, r):
@@ -406,10 +407,21 @@ def test_state_loader_rejects_garbage(tmp_path):
 
 
 def test_threshold_schedule_values_and_range():
-    sched = ThresholdSchedule(base=0.9, increment_per_task=0.01)
-    assert sched.value(0) == pytest.approx(0.9)
-    assert sched.value(3) == pytest.approx(0.93)
-    with pytest.raises(ValueError):
-        ThresholdSchedule(base=1.2, increment_per_task=0.0).value(0)
-    with pytest.raises(ValueError):
-        ThresholdSchedule(base=0.99, increment_per_task=0.02).value(1)
+    """Task t's threshold is ``eps_base + eps_increment * t``, which must
+    lie in (0, 1): for task 0 when the config is made, for a later task
+    when it is asked for."""
+
+    def schedule(base, increment):
+        return TrainConfig(
+            eta=0.1, epochs=1, batch_size=1, eps_base=base, eps_increment=increment,
+            topology=Topology("ring", 1), seed=0, method="codec", lam=0.0,
+            dims=[1], rep_samples=1, debug_checks=False,
+        )
+
+    sched = schedule(0.9, 0.01)
+    assert sched.threshold(0) == 0.9
+    assert sched.threshold(3) == 0.9 + 0.01 * 3
+    with pytest.raises(ValueError, match="^eps_base 1.2: threshold 1.2 for task 0"):
+        schedule(1.2, 0.0)
+    with pytest.raises(ValueError, match="^eps_base 0.99 and eps_increment 0.02: "):
+        schedule(0.99, 0.02).threshold(1)

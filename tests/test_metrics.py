@@ -8,7 +8,6 @@ import pytest
 
 from reference import write_rounds
 
-from dccl.gpm import ThresholdSchedule
 
 from dccl.metrics import (
     acc,
@@ -200,10 +199,15 @@ def test_report_files_agree_with_each_other_and_the_ledger(tmp_path):
         eta=0.1,
         epochs=1,
         batch_size=8,
-        threshold=ThresholdSchedule(0.95, 0.003),
+        eps_base=0.95,
+        eps_increment=0.003,
         topology=path,
         seed=2,
+        method="codec",
+        lam=5000.0,
+        dims=[16, 32, 16],
         rep_samples=16,
+        debug_checks=False,
     )
     result = run(cfg, generate_synthetic_sequence(2, 2, 16, 30, 1))
     out = tmp_path / "agree"
@@ -228,10 +232,15 @@ def test_rounds_csv_is_the_per_row_writer_byte_for_byte(tmp_path):
         eta=0.1,
         epochs=1,
         batch_size=8,
-        threshold=ThresholdSchedule(0.95, 0.003),
+        eps_base=0.95,
+        eps_increment=0.003,
         topology=Topology("custom", 4, adjacency=adj),
         seed=3,
+        method="codec",
+        lam=5000.0,
+        dims=[16, 32, 16],
         rep_samples=16,
+        debug_checks=False,
     )
     result = run(cfg, generate_synthetic_sequence(3, 2, 16, 30, 3))
     assert [len(set(e.scalars_sent)) for e in result.ledger] == [3, 3, 3]

@@ -7,7 +7,6 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dccl.gpm import ThresholdSchedule
 from dccl.tasks import generate_synthetic_sequence
 from dccl.topology import Topology, parse_topology
 import dccl.model
@@ -95,13 +94,15 @@ def _check_run(method, graph, n, tasks, block, seed):
         eta=float(rng.choice([0.05, 0.3])),
         epochs=int(rng.integers(1, 3)),
         batch_size=int(rng.integers(1, 5)),
-        threshold=ThresholdSchedule(float(rng.choice([0.6, 0.9])), 0.02),
+        eps_base=float(rng.choice([0.6, 0.9])),
+        eps_increment=0.02,
         topology=topology,
         seed=seed,
         method=method,
         lam=float(rng.choice([0.0, 2.0])),
         dims=[dim, *(int(d) for d in hidden)],
         rep_samples=int(rng.integers(1, 9)),
+        debug_checks=False,
     )
     with mock.patch.object(dccl.trainer, "_BLOCK", block):
         got = run(cfg, seq)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dccl.ewc import FisherState, ewc_grad, implicit_rows
-from dccl.gpm import GpmState, LayerBasis, ThresholdSchedule, project
+from dccl.gpm import GpmState, LayerBasis, project
 from dccl.model import (
     Mlp,
     flatten_params,
@@ -87,12 +87,15 @@ def _config(topology, agents, seed=7, method="codec", dims=None, **kw):
         eta=0.1,
         epochs=2,
         batch_size=8,
-        threshold=ThresholdSchedule(0.95, 0.003),
+        eps_base=0.95,
+        eps_increment=0.003,
         topology=parse_topology(topology, agents),
         seed=seed,
         method=method,
+        lam=5000.0,
         dims=dims or [16, 32, 16],
         rep_samples=16,
+        debug_checks=False,
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
@@ -835,30 +838,29 @@ def test_a_run_leaves_its_config_and_data_alone():
 
 
 def test_unknown_method_or_ewc_mode_rejected():
-    """An unknown method stops the run; a config takes no ``ewc_mode``, as
-    ``dewc`` keeps one running Fisher state."""
-    seq = generate_synthetic_sequence(1, 2, 16, 40, 6)
+    """An unknown method is rejected when the config is made; a config
+    takes no ``ewc_mode``, as ``dewc`` keeps one running Fisher state."""
     with pytest.raises(ValueError, match="unknown method 'codecs'"):
-        run(_config("ring", 4, method="codecs"), seq)
+        _config("ring", 4, method="codecs")
     with pytest.raises(TypeError, match="ewc_mode"):
         _config("ring", 4, method="dewc", ewc_mode="online")
 
 
 def test_library_config_is_held_to_the_cli_limits():
-    seq = generate_synthetic_sequence(1, 2, 16, 40, 6)
+    """Every bound of a field is checked when the config is made."""
     with pytest.raises(ValueError, match="rep_samples must be at least 1, got 0"):
-        run(_config("ring", 4, rep_samples=0), seq)
+        _config("ring", 4, rep_samples=0)
     with pytest.raises(ValueError, match="lam must be non-negative and finite, got -5000.0"):
-        run(_config("ring", 4, method="dewc", lam=-5000.0), seq)
+        _config("ring", 4, method="dewc", lam=-5000.0)
     with pytest.raises(ValueError, match="lam must be non-negative and finite, got nan"):
-        run(_config("ring", 4, method="dewc", lam=float("nan")), seq)
+        _config("ring", 4, method="dewc", lam=float("nan"))
     with pytest.raises(ValueError, match="lam must be non-negative and finite, got inf"):
-        run(_config("ring", 4, method="dewc", lam=float("inf")), seq)
+        _config("ring", 4, method="dewc", lam=float("inf"))
     for eta in (float("nan"), float("inf"), 0.0):
         with pytest.raises(
             ValueError, match=f"eta must be positive and finite, got {eta}"
         ):
-            run(_config("ring", 4, eta=eta), seq)
+            _config("ring", 4, eta=eta)
     for fields, message in (
         (dict(epochs=0), "epochs must be at least 1, got 0"),
         (dict(batch_size=0), "batch_size must be at least 1, got 0"),
@@ -866,22 +868,46 @@ def test_library_config_is_held_to_the_cli_limits():
         (dict(dims=[16, 0, 16]), r"dims must list widths of at least 1, got \[16, 0, 16\]"),
     ):
         with pytest.raises(ValueError, match=message):
-            run(_config("ring", 4, **fields), seq)
+            _config("ring", 4, **fields)
+
+
+def test_a_checked_config_is_frozen_and_has_no_defaults():
+    """A config cannot change once checked, ``dims`` included, and every
+    field is given: the CLI's schema is the only table of defaults."""
+    cfg = _config("ring", 4, dims=[16, 32, 16])
+    assert cfg.dims == (16, 32, 16)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.eta = -1.0
+    assert [
+        f.name
+        for f in dataclasses.fields(TrainConfig)
+        if f.default is not dataclasses.MISSING
+        or f.default_factory is not dataclasses.MISSING
+    ] == []
 
 
 def test_library_thresholds_are_held_to_the_cli_limits():
-    """A falling schedule is rejected when it is made, and a threshold
-    outside (0, 1) under every method, not only the projected ones."""
-    seq = generate_synthetic_sequence(3, 2, 16, 40, 6)
+    """A falling or infinite increment and a task-0 threshold outside
+    (0, 1) are rejected when the config is made; a later task's threshold
+    outside it, before training under every method, not only the projected
+    ones."""
     for increment in (-0.01, float("nan")):
-        with pytest.raises(ValueError, match="increment_per_task must be non-negative"):
-            run(_config("ring", 4, threshold=ThresholdSchedule(0.97, increment)), seq)
+        with pytest.raises(ValueError, match="eps_increment must be non-negative"):
+            _config("ring", 4, eps_increment=increment)
     # an infinite increment would make task 0's threshold 0.9 + inf * 0 = nan
-    with pytest.raises(ValueError, match="^increment_per_task must be .* finite, got inf$"):
-        ThresholdSchedule(0.9, float("inf"))
-    stray = ThresholdSchedule(1.5, 0.0)
-    with pytest.raises(ValueError, match=r"threshold 1.5 for task 0 is outside \(0, 1\)"):
-        run(_config("ring", 4, method="dewc", threshold=stray), seq)
+    with pytest.raises(ValueError, match="^eps_increment must be .* finite, got inf$"):
+        _config("ring", 4, eps_base=0.9, eps_increment=float("inf"))
+    with pytest.raises(
+        ValueError, match=r"^eps_base 1.5: threshold 1.5 for task 0 is outside \(0, 1\)$"
+    ):
+        _config("ring", 4, method="dewc", eps_base=1.5, eps_increment=0.0)
+    rising = _config("ring", 4, method="dewc", eps_base=0.95, eps_increment=0.03)
+    seq = generate_synthetic_sequence(3, 2, 16, 40, 6)
+    with pytest.raises(
+        ValueError,
+        match=r"^eps_base 0.95 and eps_increment 0.03: threshold 1.01 for task 2 is outside",
+    ):
+        run(rising, seq)
 
 
 def test_input_width_mismatch_rejected():
