@@ -766,11 +766,12 @@ def _evaluate(
         row[i] = np.mean(pred == sequence[i].test_y)
 
 
-def _openblas_threads():
-    """The thread-count getter and setter of the OpenBLAS numpy loaded,
-    found through ``ctypes`` among the libraries mapped into the process,
-    or ``None``: for MKL, Accelerate or any BLAS without these symbols, and
-    where ``/proc/self/maps`` cannot be read."""
+def _openblas(*names: str) -> list | None:
+    """The functions ``names`` (``get_num_threads``, ``get_corename``, ...)
+    of the OpenBLAS numpy loaded, found through ``ctypes`` among the
+    libraries mapped into the process, or ``None``: for MKL, Accelerate or
+    any BLAS without these symbols, and where ``/proc/self/maps`` cannot be
+    read."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as handle:
             libs = {
@@ -785,14 +786,20 @@ def _openblas_threads():
             handle = ctypes.CDLL(lib)
         except OSError:
             continue
-        for name in ("scipy_openblas", "openblas"):
+        for prefix in ("scipy_openblas", "openblas"):
             for suffix in ("64_", ""):
-                get = getattr(handle, f"{name}_get_num_threads{suffix}", None)
-                put = getattr(handle, f"{name}_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
-                    return get, put
+                found = [getattr(handle, f"{prefix}_{n}{suffix}", None) for n in names]
+                if None not in found:
+                    return found
     return None
+
+
+def _openblas_threads():
+    """OpenBLAS's thread-count getter and setter (``_openblas``), or ``None``."""
+    found = _openblas("get_num_threads", "set_num_threads")
+    if found:
+        found[0].restype, found[1].argtypes = ctypes.c_int, [ctypes.c_int]
+    return found
 
 
 @contextlib.contextmanager
