@@ -18,12 +18,13 @@ import configparser
 import os
 import sys
 
+from .gossip import NonFiniteError
 from .metrics import emit_reports
+from .model import InvariantError
 from .tasks import LabeledDataset, check_synthetic, generate_synthetic_sequence
 from .tasks import load_csv_dataset
 from .topology import build_mixing, parse_topology, validate_assumption3
 from .trainer import METHODS, TrainConfig, check_run, run
-from .trainer import InvariantError, NonFiniteError
 
 
 class ConfigError(ValueError):

@@ -1,4 +1,6 @@
-"""Continual-learning metrics and deterministic report files.
+"""CoDeC's evaluation: continual-learning metrics, the ledger that prices
+each task's traffic as sent and as it would go raw, and deterministic
+report files.
 
 Accuracies are kept as fractions in memory and rendered as percentages in
 every report.  Report writers use fixed formatting and sorted JSON keys so
@@ -10,10 +12,12 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gpm import save_state
+from .gpm import GpmState, save_state
+from .model import Mlp, param_arrays
 
 
 def _check_complete(cells: np.ndarray) -> None:
@@ -43,6 +47,62 @@ def diagonal_mean(matrix: np.ndarray) -> float:
     diag = np.diag(matrix)
     _check_complete(diag)
     return float(np.mean(diag))
+
+
+@dataclass(frozen=True)
+class TaskComm:
+    """Scalars one task sent, full and actual: each trunk layer's round
+    payloads, the raw head, and the boundary phases' overhead;
+    ``scalars_sent`` holds what each agent sent in one round."""
+
+    task: int
+    layer_full: list[int]
+    layer_actual: list[int]
+    rounds: int = 0
+    scalars_sent: tuple[int, ...] = ()
+    extra_scalars: int = 0
+    overhead_actual: int = 0
+    overhead_full: int = 0
+
+
+def fanout(w: np.ndarray) -> np.ndarray:
+    """Receivers per sender: the positive off-diagonal weights of its column."""
+    return np.count_nonzero(w > 0.0, axis=0) - (np.diag(w) > 0.0)
+
+
+def price_task(
+    model: Mlp,
+    memory: GpmState,
+    task: int,
+    method: str,
+    sizes: list[int],
+    rounds: int,
+    receivers: np.ndarray,
+) -> TaskComm:
+    """Task ``task``'s record, priced once its boundary phases ran, from the
+    scalars one message carries per array of ``task_params`` while the task
+    trained, its rounds and each agent's ``receivers`` (``fanout``)."""
+    n = model.lead[0]
+    n_layers = len(model.layers)
+    sent = rounds * int(receivers.sum())
+    # the boundary sync sends every agent's whole model
+    fixed = n * sum(a[0].size for a in param_arrays(model))
+    if method == "dewc":  # the trunk Fisher diagonal, gathered and sent back
+        fixed += 2 * (n - 1) * sum(p[0].size for p in model.layers)
+    basis = actual = 0
+    if method == "codec":  # the grown memory, with its complement to decode by
+        basis = (n - 1) * sum(b.dim * b.rank for b in memory.layers)
+        actual = (n - 1) * sum(b.dim * b.dim for b in memory.layers)
+    return TaskComm(
+        task=task,
+        layer_full=[sent * x[0].size for x in model.layers],
+        layer_actual=[sent * s for s in sizes[:n_layers]],
+        rounds=rounds,
+        scalars_sent=tuple(sum(sizes) * int(k) for k in receivers),
+        extra_scalars=sent * sum(sizes[n_layers:]),
+        overhead_actual=fixed + actual,
+        overhead_full=fixed + basis,
+    )
 
 
 def compression(ledger) -> dict:

@@ -24,7 +24,7 @@ TAG_DATA = 6  # (6,) after the data seed: the synthetic tasks
 TAG_REP = 7  # (7, t): the picked agent's representation sample
 
 
-def _entropy(seed: int, *rest: int) -> np.ndarray:
+def seed_entropy(seed: int, *rest: int) -> np.ndarray:
     """The uint32 words ``SeedSequence`` makes of ``(seed, *rest)``: the
     seed's little-endian 32-bit words, then one word per value of ``rest``."""
     seed = int(seed)
@@ -76,11 +76,11 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
 
 
 def derive_rng(*entropy: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(_entropy(*entropy)))
+    return np.random.default_rng(np.random.SeedSequence(seed_entropy(*entropy)))
 
 
 def _derive_int(*entropy: int) -> int:
-    return int(np.random.SeedSequence(_entropy(*entropy)).generate_state(1)[0])
+    return int(np.random.SeedSequence(seed_entropy(*entropy)).generate_state(1)[0])
 
 
 @dataclass
@@ -117,7 +117,7 @@ def check_synthetic(
         raise ValueError(f"separation must be finite, got {separation}")
     if separation <= 0:
         raise ValueError(f"separation must be positive, got {separation}")
-    _entropy(seed)  # raises for a negative seed
+    seed_entropy(seed)  # raises for a negative seed
 
 
 def generate_synthetic_sequence(
@@ -199,7 +199,7 @@ def _batches(
     n = len(shards)
     lengths = np.array([len(s) for s in shards])
     offsets = np.cumsum(lengths) - lengths
-    entropy = np.tile(_entropy(seed, TAG_BATCH, 0, task, 0), (epochs, n, 1))
+    entropy = np.tile(seed_entropy(seed, TAG_BATCH, 0, task, 0), (epochs, n, 1))
     entropy[..., -3] = np.arange(n)
     entropy[..., -1] = np.arange(epochs)[:, np.newaxis]
     words = iter(_seed_words(entropy.reshape(epochs * n, -1)))
@@ -221,6 +221,17 @@ def _batches(
     cycle = np.arange(rounds * size).reshape(rounds, 1, size)
     cycle = cycle % lengths[:, np.newaxis] + offsets[:, np.newaxis]
     return perms[:, cycle].reshape(-1, n, size)
+
+
+def task_batches(
+    dataset: LabeledDataset, n: int, seed: int, task: int, epochs: int, size: int
+) -> tuple[TaskShard, list[TaskShard], np.ndarray]:
+    """Task ``task``'s pool and shards (``shard_iid`` at the task's shard
+    seed) and its batch order (``_batches``): an epoch is enough rounds of
+    ``size`` rows for the largest shard to go round once."""
+    pool, shards = shard_iid(dataset, n, _derive_int(seed, TAG_SHARD, task))
+    rounds = math.ceil(max(len(s) for s in shards) / size)
+    return pool, shards, _batches(shards, seed, task, epochs, rounds, size)
 
 
 def load_csv_dataset(path: str) -> LabeledDataset:

@@ -17,16 +17,18 @@ reference for the consensus error that ``gossip_round`` sums block by block.
 ``save_csv_dataset`` writes a dataset as the CSV ``load_csv_dataset`` reads.
 ``output_delta`` and ``write_rounds`` are the plain forms of the loss head
 and of the ``rounds.csv`` writer: a boolean one-hot mask and ``np.mean``, and
-one f-string and one write per row.
+one f-string and one write per row.  ``held_agents`` makes the stacked
+agents the local-step and round tests start from.
 """
 
 import copy
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from dccl.ewc import fisher_estimate
-from dccl.gpm import GpmState, update_memory
+from dccl.gpm import GpmState, LayerBasis, update_memory
 from dccl.model import (
     _over_classes,
     capture_representation,
@@ -61,6 +63,26 @@ def consensus_error(model, task=0):
         dev *= dev
         total += float(dev.sum())
     return total / model.lead[0]
+
+
+def held_agents(rng, dims, n, ranks, task, classes=3):
+    """Agents at one start whose layer l has a memory of rank ``ranks[l]``,
+    held as ``x0 + o c`` where the rank is positive, each agent's ``c``,
+    plain layers and head then moved apart: the stacked ``model``, its
+    ``memory`` and its ``aggregates``, each agent's own state."""
+    model = init_mlp(dims, rng).stacked(n)
+    model.add_head(task, classes, rng)
+    layers = []
+    for l, (width, rank) in enumerate(zip(dims[:-1], ranks)):
+        q, _ = np.linalg.qr(rng.standard_normal((width, width)))
+        layers.append(LayerBasis(m=q[:, :rank], o=q[:, rank:]))
+        if rank:
+            model.factor(l, layers[-1].o)
+    for x in task_params(model, task):
+        x += 0.1 * rng.standard_normal(x.shape)
+    aggregates = [x.copy() for x in task_params(model, task)]
+    memory = GpmState(layers=layers)
+    return SimpleNamespace(model=model, memory=memory, aggregates=aggregates)
 
 
 def reference_round(params, x_hat, steps, w, memory=None):

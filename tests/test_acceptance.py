@@ -31,13 +31,8 @@ from dccl.model import (
 from dccl.ewc import ewc_grad, fisher_estimate
 from dccl.tasks import TaskShard, derive_rng, generate_synthetic_sequence
 from dccl.topology import build_mixing, parse_topology, validate_assumption3
-from dccl.trainer import (
-    Agents,
-    TrainConfig,
-    gossip_round,
-    reset_aggregates,
-    run,
-)
+from dccl.gossip import gossip_round, reset_aggregates
+from dccl.trainer import TrainConfig, run
 from reference import consensus_error, reference_run
 
 
@@ -216,13 +211,14 @@ def test_criterion_05_gossip_alone_reaches_consensus():
         stacked = models[0].stacked(8)
         for i, model in enumerate(models):
             unflatten_params(stacked.view(i), flatten_params(model))
-        agents = Agents(model=stacked, memory=GpmState.fresh(SMALL_DIMS[:-1]))
-        reset_aggregates(agents, mixing, 0)
-        history = [consensus_error(agents.model)]
+        aggregates = reset_aggregates(stacked, mixing, 0)
+        history = [consensus_error(stacked)]
+        loss, mu = np.zeros(8), np.ones(8)
         for r in range(200):
-            steps = [np.zeros_like(x) for x in task_params(agents.model, 0)]
-            gossip_round(agents, mixing, 0, steps, 0.1, debug=(r % 40 == 0))
-            history.append(consensus_error(agents.model))
+            steps = [np.zeros_like(x) for x in task_params(stacked, 0)]
+            debug = r % 40 == 0
+            gossip_round(stacked, aggregates, mixing, 0, loss, mu, steps, 0.1, debug=debug)
+            history.append(consensus_error(stacked))
         assert history[0] > 1.0  # the random starting points really disagree
         assert history[-1] < 1e-12
         assert all(b <= a for a, b in zip(history, history[1:]))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import dccl.cli
+import dccl.model
 import dccl.trainer
 from dccl.cli import ConfigError, main, resolve_config, _build_sequence
 from dccl.gpm import load_state
@@ -355,7 +356,7 @@ def test_a_broken_invariant_exits_one_naming_its_cause(
     tmp_path, capsys, monkeypatch
 ):
     # a lost norm that drops the memory's share of the gradient breaks the norm split
-    monkeypatch.setattr(dccl.trainer, "_lost_sq", lambda x, *_: np.zeros(len(x)))
+    monkeypatch.setattr(dccl.model, "_lost_sq", lambda x, *_: np.zeros(len(x)))
     out = tmp_path / "broken"
     args = _run_args(out, "--method", "codec", "--tasks", "2", "--set", "debug_checks=true")
     rc = main(args)
@@ -468,7 +469,7 @@ def test_reports_do_not_depend_on_the_openblas_thread_count(tmp_path):
     its own process with the same relative ``--out``, writes the same
     report bytes and stdout: ``run`` holds OpenBLAS at one thread.  Before
     that, this config's ``gpm_state.txt`` differed at two threads."""
-    if dccl.trainer._openblas_threads() is None:
+    if dccl.trainer._openblas("get_num_threads") is None:
         pytest.skip("no OpenBLAS thread-count symbols in this process")
     written = [
         _run_in_a_process(tmp_path / f"threads{n}", OPENBLAS_NUM_THREADS=n)
@@ -491,7 +492,8 @@ def test_the_cpu_kernels_move_only_the_last_bits(tmp_path):
     except ImportError:  # numpy 1.x
         from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     env = {}
-    if __cpu_features__.get("AVX") and dccl.trainer._openblas_threads() is not None:
+    blas = dccl.trainer._openblas("get_num_threads")
+    if __cpu_features__.get("AVX") and blas is not None:
         env["OPENBLAS_CORETYPE"] = "Sandybridge"
     avx512 = [
         f for f in __cpu_dispatch__

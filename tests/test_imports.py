@@ -1,5 +1,6 @@
-"""Every imported name is read somewhere in its module, and the library
-checks its invariants with named errors, which ``python -O`` keeps."""
+"""Every imported name is read somewhere in its module, no library module
+imports another one's underscore name, and the library checks its
+invariants with named errors, which ``python -O`` keeps."""
 
 import ast
 from pathlib import Path
@@ -64,3 +65,29 @@ def test_no_library_module_uses_a_bare_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def private_imports(source: str) -> list[str]:
+    """The underscore names a module imports from its own package."""
+    return [
+        f"line {node.lineno}: {node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_the_scan_sees_a_private_import():
+    source = "from .model import Mlp, _matmul\nfrom os import _exit\n"
+    assert private_imports(source) == ["line 1: model._matmul"]
+
+
+def test_no_library_module_imports_another_modules_private_name():
+    assert LIBRARY
+    found = {
+        str(path.relative_to(ROOT)): private
+        for path in LIBRARY
+        if (private := private_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}

@@ -1,4 +1,4 @@
-"""Accuracy summaries, compression ratios, and report files."""
+"""Accuracy summaries, the ledger, compression ratios, and report files."""
 
 import csv
 import json
@@ -10,6 +10,7 @@ from reference import write_rounds
 
 
 from dccl.metrics import (
+    TaskComm,
     acc,
     bwt,
     compression,
@@ -19,7 +20,7 @@ from dccl.metrics import (
 )
 from dccl.tasks import generate_synthetic_sequence
 from dccl.topology import Topology
-from dccl.trainer import RunResult, TaskComm, TrainConfig, run
+from dccl.trainer import RunResult, TrainConfig, run
 
 
 def _matrix(rows):
@@ -249,3 +250,61 @@ def test_rounds_csv_is_the_per_row_writer_byte_for_byte(tmp_path):
     got = (tmp_path / "out" / "rounds.csv").read_bytes()
     assert got == (tmp_path / "want.csv").read_bytes()
     assert got.count(b"\n") == 1 + 4 * sum(e.rounds for e in result.ledger)
+
+
+@pytest.mark.parametrize("method, n_tasks", [("codec", 1), ("codec", 2), ("dewc", 2)])
+def test_scalar_accounting_matches_closed_form(method, n_tasks):
+    seq = generate_synthetic_sequence(n_tasks, 2, 16, 50, 2)
+    cfg = TrainConfig(
+        eta=0.1,
+        epochs=1,
+        batch_size=8,
+        eps_base=0.95,
+        eps_increment=0.003,
+        topology=Topology("ring", 4),
+        seed=7,
+        method=method,
+        lam=5000.0,
+        dims=[16, 32, 16],
+        rep_samples=16,
+        debug_checks=False,
+    )
+    result = run(cfg, seq)
+    trunk = 16 * 32 + 32 * 16
+    head_scalars = 16 * 2
+    # ranks[t] is the memory task t projected with, ranks[t + 1] the one it
+    # broadcast: task t's memory comes from a run on the first t + 1 tasks
+    ranks = [[0, 0]]
+    if method != "dewc":
+        for t in range(n_tasks - 1):
+            ranks.append(run(cfg, seq[: t + 1]).gpm.ranks())
+        ranks.append(result.gpm.ranks())
+    assert [entry.task for entry in result.ledger] == list(range(n_tasks))
+    for t, entry in enumerate(result.ledger):
+        n_rounds = entry.rounds
+        assert n_rounds == 3  # shards of 20 rows, batches of 8, one epoch
+        # directed ring: each round's 4 messages reach exactly one peer each
+        assert entry.layer_full[0] == n_rounds * 4 * 16 * 32
+        assert entry.layer_full[1] == n_rounds * 4 * 32 * 16
+        if method == "codec":
+            r = ranks[t]
+            assert entry.layer_actual == [
+                n_rounds * 4 * (16 - r[0]) * 32,
+                n_rounds * 4 * (32 - r[1]) * 16,
+            ]
+        else:
+            assert entry.layer_actual == entry.layer_full
+        assert entry.extra_scalars == n_rounds * 4 * head_scalars
+        sync = 4 * (trunk + (t + 1) * head_scalars)  # the model holds t + 1 heads
+        if method == "dewc":
+            # the trunk Fisher diagonal is gathered and sent back; no memory
+            exchange_full = exchange_actual = 2 * 3 * trunk
+        else:
+            exchange_full = 3 * (16 * ranks[t + 1][0] + 32 * ranks[t + 1][1])
+            exchange_actual = exchange_full
+            if method == "codec":  # both spans travel, for decoding
+                exchange_actual = 3 * (16 * 16 + 32 * 32)
+        assert entry.overhead_full == sync + exchange_full
+        assert entry.overhead_actual == sync + exchange_actual
+    if method == "codec":
+        assert all(0 < r < n for r, n in zip(ranks[1], (16, 32)))  # task 1 compresses

@@ -1,4 +1,5 @@
-"""Multi-head MLP forward/backward against finite differences."""
+"""Multi-head MLP forward/backward against finite differences, and the
+local step's projected gradients and mu."""
 
 import copy
 import math
@@ -8,15 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import output_delta
+from reference import held_agents, output_delta
 
+import dccl.model
+from dccl.gossip import gossip_round, reset_aggregates
+from dccl.gpm import GpmState, LayerBasis, project
 from dccl.model import (
+    Outer,
     _output_delta,
     backward,
     capture_representation,
     flatten_params,
     forward,
     init_mlp,
+    local_step,
     loss_and_grad,
     param_arrays,
     task_params,
@@ -316,3 +322,137 @@ def test_forward_rejects_wrong_width():
     with pytest.raises(ValueError):
         forward(model, np.zeros((2, 5)), 0)
 
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 4),
+    projection=st.booleans(),
+    heads=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_steps_are_minus_eta_g_and_a_round_spares_other_heads(
+    n, projection, heads, seed
+):
+    rng = np.random.default_rng(seed)
+    dims = [int(d) for d in rng.integers(1, 6, size=3)]
+    model = init_mlp(dims, rng).stacked(n)
+    for t in range(heads):
+        model.add_head(t, 3, rng)
+    layers = []
+    for width in dims[:-1]:
+        q, _ = np.linalg.qr(rng.standard_normal((width, width)))
+        rank = int(rng.integers(0, width + 1))
+        layers.append(LayerBasis(m=q[:, :rank], o=q[:, rank:]))
+    memory = GpmState(layers=layers)
+    task = int(rng.integers(0, heads))
+    bx = rng.standard_normal((n, 4, dims[0]))
+    by = rng.integers(0, 3, size=(n, 4))
+    _, raw = loss_and_grad(model, bx, by, task)
+    grads = list(raw)
+    if projection:  # as a run holds a layer with a memory: x0 + o c
+        for l, basis in enumerate(layers):
+            grads[l] = project(grads[l], basis.m)
+            if basis.rank:
+                model.factor(l, basis.o)
+    before = {t: [p.copy() for p in task_params(model, t)] for t in range(heads)}
+    loss, mu, steps = local_step(model, memory, bx, by, task, projection=projection)
+    assert [g.shape for g in steps] == [p.shape for p in task_params(model, task)]
+    for l, (got, g, r) in enumerate(zip(steps, grads, raw)):
+        if l < len(layers) and model.bases[l] is not None:
+            # the coefficients (X o)^T dz of the projected gradient, rounded
+            # otherwise, so held to the raw gradient's scale
+            scale = np.max(np.abs(r), initial=0.0)
+            err = np.max(np.abs(layers[l].o @ got - g), initial=0.0)
+            assert err <= 1e-12 * scale
+        else:
+            assert np.array_equal(got, g)
+    for t, kept in before.items():
+        for p, k in zip(task_params(model, t), kept):
+            assert np.array_equal(p, k)  # the step is not applied
+    # with the own state as aggregate and no mixing, the round moves each
+    # agent by its step d = -eta g: a factored layer's c from 0 to d
+    want = [p + -0.3 * g for p, g in zip(task_params(model, task), steps)]
+    mixing = np.eye(n)
+    aggregates = reset_aggregates(model, mixing, task)
+    gossip_round(model, aggregates, mixing, task, loss, mu, steps, 0.3)
+    for got, expected in zip(task_params(model, task), want):
+        assert np.array_equal(got, expected)
+    n_trunk = len(model.layers)
+    for t, kept in before.items():
+        if t != task:
+            for p, k in zip(task_params(model, t)[n_trunk:], kept[n_trunk:]):
+                assert np.array_equal(p, k)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 4),
+    batch=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_input_space_projection_matches_the_projected_gradient(
+    n, batch, seed
+):
+    """Gradients taken on a layer held as ``x0 + o c`` are the coefficients
+    of ``project(g, m)`` and mu is ``||g~|| / ||g||``, at every pair of
+    layer ranks from empty to saturated, to 1e-12 of the largest
+    magnitude."""
+    rng = np.random.default_rng(seed)
+    dims = [int(d) for d in rng.integers(1, 6, size=3)]
+    model = init_mlp(dims, rng).stacked(n)
+    model.add_head(0, 3, rng)
+    for x in task_params(model, 0):  # one start for all, as after a boundary
+        x += 0.1 * rng.standard_normal(x.shape[1:])
+    bx = rng.standard_normal((n, batch, dims[0]))
+    by = rng.integers(0, 3, size=(n, batch))
+    _, raw = loss_and_grad(model, bx, by, 0)
+    qs = [np.linalg.qr(rng.standard_normal((w, w)))[0] for w in dims[:-1]]
+    for r0 in range(dims[0] + 1):
+        for r1 in range(dims[1] + 1):
+            layers = [
+                LayerBasis(m=q[:, :r], o=q[:, r:]) for q, r in zip(qs, (r0, r1))
+            ]
+            factored = copy.deepcopy(model)
+            for l, b in enumerate(layers):
+                if b.rank:
+                    factored.factor(l, b.o)
+            _, mu, grads = local_step(
+                factored, GpmState(layers=layers), bx, by, 0, projection=True
+            )
+            grads[:2] = [b.o @ c if b.rank else c for b, c in zip(layers, grads)]
+            want = [project(g, b.m) for g, b in zip(raw, layers)] + raw[2:]
+            for got, w, g in zip(grads, want, raw):
+                err = np.max(np.abs(got - w), initial=0.0)
+                assert err <= 1e-12 * np.max(np.abs(g), initial=0.0)
+            kept = sum(np.sum(w * w, axis=(-2, -1)) for w in want[:2])
+            total = sum(np.sum(g * g, axis=(-2, -1)) for g in raw[:2])
+            want_mu = np.ones(n)
+            nonzero = total != 0.0
+            want_mu[nonzero] = np.sqrt(kept[nonzero] / total[nonzero])
+            assert np.max(np.abs(mu - want_mu)) <= 1e-12
+            if r0 == r1 == 0:
+                assert np.array_equal(mu, np.ones(n))
+
+
+def test_mu_from_the_batch_grams_is_the_mu_of_the_whole_gradients(monkeypatch):
+    """At the ``wide`` benchmark's shapes (16 agents, batches of 16,
+    64-256-128 layers held at random ranks) every trunk gradient is past
+    the size rule, so ``local_step`` returns factor pairs and takes mu's
+    kept and lost norms from the batch Grams.  The pairs form bit for bit
+    the gradients a step that forms every product whole returns, and mu is
+    that step's mu to 1e-15 relative (4.4e-16 is the largest seen over 60
+    such draws)."""
+    rng = np.random.default_rng(8)
+    dims, n = [64, 256, 128], 16
+    for ranks in [(1, 1), (17, 200), (32, 128), (46, 236)]:
+        agents = held_agents(rng, dims, n, ranks, 0, classes=2)
+        bx = rng.standard_normal((n, 16, dims[0]))
+        by = rng.integers(0, 2, size=(n, 16))
+        args = (agents.model, agents.memory, bx, by, 0)
+        _, mu, grads = local_step(*args, projection=True)
+        assert all(isinstance(g, Outer) for g in grads[:2])
+        with monkeypatch.context() as m:
+            m.setattr(dccl.model, "_factored", lambda c, dz: False)
+            _, whole_mu, whole = local_step(*args, projection=True)
+        assert all(np.array_equal(np.asarray(a), b) for a, b in zip(grads, whole))
+        assert np.all(np.abs(mu - whole_mu) <= 1e-15 * whole_mu)

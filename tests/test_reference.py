@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from dccl.tasks import generate_synthetic_sequence
 from dccl.topology import Topology, parse_topology
+import dccl.gossip
 import dccl.model
-import dccl.trainer
-from dccl.trainer import _BLOCK, METHODS, Outer, TrainConfig, run
+from dccl.gossip import _BLOCK
+from dccl.model import Outer
+from dccl.trainer import METHODS, TrainConfig, run
 from reference import reference_run
 
 # largest difference allowed in a float result, relative to the largest
@@ -104,7 +106,7 @@ def _check_run(method, graph, n, tasks, block, seed):
         rep_samples=int(rng.integers(1, 9)),
         debug_checks=False,
     )
-    with mock.patch.object(dccl.trainer, "_BLOCK", block):
+    with mock.patch.object(dccl.gossip, "_BLOCK", block):
         got = run(cfg, seq)
     acc, logs, final, memory = reference_run(cfg, seq)
     assert np.array_equal(got.accuracy, acc, equal_nan=True)
@@ -139,7 +141,7 @@ def test_the_examples_reach_every_branch():
     block, a folded 1-row tail, deviation sums that span pair blocks), both
     forms of mu's lost norm and both paths of the loss's class reduction."""
     seen = set()
-    bounds, lost_sq = dccl.trainer._bounds, dccl.trainer._lost_sq
+    bounds, lost_sq = dccl.gossip._bounds, dccl.model._lost_sq
     over_classes = dccl.model._over_classes
 
     def counted_bounds(g, cols):
@@ -158,7 +160,7 @@ def test_the_examples_reach_every_branch():
         return cuts
 
     def counted_lost_sq(x, m, dz, *rest):
-        grams = dccl.trainer._factored(x @ m, dz)
+        grams = dccl.model._factored(x @ m, dz)
         seen.add("lost norm from Grams" if grams else "lost norm whole")
         return lost_sq(x, m, dz, *rest)
 
@@ -167,8 +169,8 @@ def test_the_examples_reach_every_branch():
         return over_classes(ufunc, a)
 
     with (
-        mock.patch.object(dccl.trainer, "_bounds", counted_bounds),
-        mock.patch.object(dccl.trainer, "_lost_sq", counted_lost_sq),
+        mock.patch.object(dccl.gossip, "_bounds", counted_bounds),
+        mock.patch.object(dccl.model, "_lost_sq", counted_lost_sq),
         mock.patch.object(dccl.model, "_over_classes", counted_over_classes),
     ):
         for draw in _SMALL_BLOCK_RUNS:
