@@ -122,14 +122,20 @@ def _named(exc: Exception, **names: str) -> Exception:
 
 
 def _parse(text: str, path: str) -> configparser.RawConfigParser:
-    """The sections of ``text``.  A file without a section header is one
-    ``[run]`` section, and its errors give the file's own line numbers."""
+    """The sections of ``text``.  The keys before a file's first section
+    header are one more section, first, named apart from the file's own
+    (``run``, else ``run'`` and so on), whose errors give the file's own
+    line numbers."""
     parser = configparser.RawConfigParser()
     try:
         parser.read_string(text, source=path)
     except configparser.MissingSectionHeaderError:  # at the first key: nothing was read
+        lines = map(str.strip, text.splitlines())
+        named, head = {m["header"] for m in map(parser.SECTCRE.match, lines) if m}, "run"
+        while head in named:
+            head += "'"
         try:
-            parser.read_string("[run]\n" + text, source=path)
+            parser.read_string(f"[{head}]\n" + text, source=path)
         except configparser.ParsingError as exc:
             own = configparser.ParsingError(path)
             for no, line in exc.errors:

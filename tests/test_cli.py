@@ -564,6 +564,24 @@ def test_duplicate_key_across_sections_rejected(tmp_path):
         assert str(caught.value) == cause
 
 
+@pytest.mark.parametrize("headers", [["run"], ["training"], ["run", "run'"]])
+def test_a_sectionless_head_is_read_whatever_the_header_after_it(tmp_path, headers):
+    """The keys before a file's first section header are read as one more
+    section, whatever the file's headers are called; a key set in that
+    head and again in a section is still a duplicate."""
+    cfg = tmp_path / "head.ini"
+    sections = "".join(f"[{h}]\n" for h in headers)
+    cfg.write_text(f"eta = 0.1\n{sections}epochs = 2\n")
+    values = resolve_config(str(cfg), [], {})
+    assert (values["eta"], values["epochs"]) == (0.1, 2)
+    cfg.write_text(f"eta = 0.1\n{sections}eta = 0.2\n")
+    with pytest.raises(ConfigError) as caught:
+        resolve_config(str(cfg), [], {})
+    assert str(caught.value) == (
+        f"duplicate config key 'eta' (seen again in section {headers[-1]})"
+    )
+
+
 def test_missing_config_file_is_an_error(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         resolve_config(str(tmp_path / "nope.ini"), [], {})
