@@ -130,8 +130,8 @@ def _parse(text: str, path: str) -> configparser.RawConfigParser:
     try:
         parser.read_string(text, source=path)
     except configparser.MissingSectionHeaderError:  # at the first key: nothing was read
-        lines = map(str.strip, text.splitlines())
-        named, head = {m["header"] for m in map(parser.SECTCRE.match, lines) if m}, "run"
+        head, lines = "run", map(str.strip, text.splitlines())
+        named = {m["header"] for m in map(parser.SECTCRE.match, lines) if m}
         while head in named:
             head += "'"
         try:

@@ -261,11 +261,10 @@ def _evaluate(
 
 
 def _openblas(*names: str) -> list | None:
-    """The functions ``names`` (``get_num_threads``, ``get_corename``, ...)
-    of the OpenBLAS numpy loaded, found through ``ctypes`` among the
-    libraries mapped into the process, or ``None``: for MKL, Accelerate or
-    any BLAS without these symbols, and where ``/proc/self/maps`` cannot be
-    read."""
+    """The OpenBLAS functions ``names`` (``get_num_threads``, ...) numpy
+    loaded, found through ``ctypes`` among the libraries mapped into the
+    process, or ``None``: for MKL, Accelerate or any BLAS without these
+    symbols, and where ``/proc/self/maps`` cannot be read."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as handle:
             libs = {
@@ -295,6 +294,8 @@ def _one_blas_thread():
     report bytes would follow the core count.  Other BLAS builds are left
     as they are."""
     found = _openblas("get_num_threads", "set_num_threads")
+    if found:
+        found[0].restype, found[1].argtypes = ctypes.c_int, [ctypes.c_int]
     before = found[0]() if found else 1
     if before != 1:
         found[1](1)
